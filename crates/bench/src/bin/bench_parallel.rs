@@ -126,34 +126,15 @@ fn main() {
             probe.jobs_dispatched
         );
     }
-    if let Some(probe) = &report.fusion {
-        eprintln!(
-            "fusion: {} tails -> {} invocations ({} lanes, {:.0}% occupancy), identical: {}",
-            probe.fused_chunks,
-            probe.invocations,
-            probe.fused_lanes,
-            probe.occupancy_pct,
-            probe.identical
-        );
-    }
     if let Some(probe) = &report.serve {
         eprintln!(
-            "serve: {} tenants in {:.1} ms ({:.0} sims/s, {} fused tails at {:.0}% occupancy), identical: {}",
-            probe.tenants,
-            probe.wall_ms,
-            probe.sims_per_sec,
-            probe.fused_chunks,
-            probe.fusion_occupancy_pct,
-            probe.identical
+            "serve: {} tenants in {:.1} ms ({:.0} sims/s), identical: {}",
+            probe.tenants, probe.wall_ms, probe.sims_per_sec, probe.identical
         );
     }
     assert!(
         report.phase_identical && report.repo_identical,
         "parallel run diverged from serial — determinism bug"
-    );
-    assert!(
-        report.fusion.as_ref().is_none_or(|p| p.identical),
-        "fused runner diverged from the unfused reference — determinism bug"
     );
     assert!(
         report.serve.as_ref().is_none_or(|p| p.identical),
@@ -211,8 +192,9 @@ fn main() {
 }
 
 /// One line of `BENCH_trajectory.jsonl`: this run's headline numbers and
-/// verdicts, timestamped.
-#[derive(serde::Serialize)]
+/// verdicts, timestamped. Fields added after the first committed line
+/// default when absent; fields of removed probes are ignored on read.
+#[derive(serde::Serialize, serde::Deserialize)]
 struct TrajectoryEntry {
     timestamp_unix: u64,
     scale: f64,
@@ -225,17 +207,20 @@ struct TrajectoryEntry {
     phase_identical: bool,
     repo_identical: bool,
     telemetry_identical: Option<bool>,
+    #[serde(default)]
     exposition_render_us: Option<f64>,
+    #[serde(default)]
     exposition_bytes: Option<usize>,
     campaign_identical: Option<bool>,
     coalesce_identical: Option<bool>,
     kernels_identical: bool,
     planes_identical: bool,
     best_plane_speedup: f64,
+    #[serde(default)]
     dispatch_ns_per_chunk: Option<f64>,
-    fusion_occupancy_pct: Option<f64>,
-    fusion_identical: Option<bool>,
+    #[serde(default)]
     serve_sims_per_sec: Option<f64>,
+    #[serde(default)]
     serve_identical: Option<bool>,
 }
 
@@ -271,8 +256,6 @@ fn append_trajectory(report: &ascdg_bench::parallel::ParallelBenchReport) {
             .map(|p| p.plane_speedup)
             .fold(0.0f64, f64::max),
         dispatch_ns_per_chunk: report.dispatch.as_ref().map(|p| p.dispatch_ns_per_chunk),
-        fusion_occupancy_pct: report.fusion.as_ref().map(|p| p.occupancy_pct),
-        fusion_identical: report.fusion.as_ref().map(|p| p.identical),
         serve_sims_per_sec: report.serve.as_ref().map(|p| p.sims_per_sec),
         serve_identical: report.serve.as_ref().map(|p| p.identical),
     };
@@ -455,4 +438,23 @@ fn parse_threads(default: usize) -> usize {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_trajectory_lines_still_parse() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trajectory.jsonl");
+        let Ok(history) = std::fs::read_to_string(path) else {
+            return;
+        };
+        for (i, line) in history.lines().enumerate() {
+            if let Err(e) = serde_json::from_str::<super::TrajectoryEntry>(line) {
+                panic!(
+                    "BENCH_trajectory.jsonl line {} no longer parses: {e:?}",
+                    i + 1
+                );
+            }
+        }
+    }
 }

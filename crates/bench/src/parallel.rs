@@ -15,7 +15,7 @@ use std::sync::Arc;
 use ascdg_core::{
     machine_threads, pool_scope_with, AdmissionQueue, AdmitSpec, ApproxTarget, BatchRunner,
     BatchStats, CdgFlow, CdgObjective, CounterSnapshot, EvalStrategy, FlowConfig, FlowEngine,
-    FlowError, FusionHub, ResolvedTemplate, SharedEvalCache, Skeletonizer, TargetSpec, Telemetry,
+    FlowError, ResolvedTemplate, SharedEvalCache, Skeletonizer, TargetSpec, Telemetry,
 };
 use ascdg_coverage::{CoverageVector, EventFamily};
 use ascdg_duv::{
@@ -109,13 +109,8 @@ pub struct ParallelBenchReport {
     /// count — this is the verdict that survives `speedup: null`.
     #[serde(default)]
     pub dispatch: Option<DispatchProbe>,
-    /// Cross-group chunk-fusion probe: sub-block chunk tails packed into
-    /// shared plane invocations, with byte-identity against the unfused
-    /// runner.
-    #[serde(default)]
-    pub fusion: Option<FusionProbe>,
     /// Multi-tenant serve probe: quick-profile tenants drained through one
-    /// admission queue over a shared fusion hub, each checked against its
+    /// admission queue over a shared engine, each checked against its
     /// one-shot equivalent.
     #[serde(default)]
     pub serve: Option<ServeProbe>,
@@ -140,33 +135,9 @@ pub struct DispatchProbe {
     pub dispatch_ns_per_chunk: f64,
 }
 
-/// Measures what fusing sub-block chunk tails into shared plane
-/// invocations does — and proves the fused runner is byte-identical to
-/// the unfused one on the same workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FusionProbe {
-    /// Simulations per side.
-    pub sims: u64,
-    /// Forced chunk size (deliberately unaligned so every chunk parks a
-    /// sub-block tail on the hub).
-    pub chunk: u64,
-    /// Tail segments the hub fused (0 when `ASCDG_FUSE_CHUNKS=0`).
-    pub fused_chunks: u64,
-    /// Simulation lanes those segments occupied.
-    pub fused_lanes: u64,
-    /// Fused plane invocations executed.
-    pub invocations: u64,
-    /// Mean lane occupancy of a fused invocation, percent of the 64-lane
-    /// plane width.
-    pub occupancy_pct: f64,
-    /// Whether the fused run's statistics were byte-identical to the
-    /// unfused runner's. Must always be `true`.
-    pub identical: bool,
-}
-
 /// Measures the daemon's shard shape under load: N quick-profile tenants
 /// on one unit, admitted onto one weighted queue and drained by a worker
-/// crew whose engine shares a fusion hub — with every tenant's outcome
+/// crew sharing one engine — with every tenant's outcome
 /// checked byte-for-byte against a one-shot run of the same request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeProbe {
@@ -178,10 +149,6 @@ pub struct ServeProbe {
     pub sims: u64,
     /// Aggregate simulation throughput of the drain.
     pub sims_per_sec: f64,
-    /// Tail segments the shared hub fused during the drain.
-    pub fused_chunks: u64,
-    /// Mean lane occupancy of the drain's fused invocations, percent.
-    pub fusion_occupancy_pct: f64,
     /// Whether every tenant's outcome matched its one-shot equivalent.
     /// Must always be `true`.
     pub identical: bool,
@@ -896,48 +863,8 @@ pub fn dispatch_probe() -> DispatchProbe {
     })
 }
 
-/// Runs the same workload through an unfused and a hub-attached runner at
-/// a deliberately unaligned chunk size, comparing statistics byte for
-/// byte and reporting the hub's packing numbers (see [`FusionProbe`]).
-///
-/// # Errors
-///
-/// Propagates template validation and simulation failures.
-pub fn fusion_probe(seed: u64) -> Result<FusionProbe, FlowError> {
-    let env = IoEnv::new();
-    let template = env
-        .stock_library()
-        .get(0)
-        .ok_or(FlowError::EmptyLibrary)?
-        .clone();
-    // Chunk 70 = one full 64-lane block plus a 6-lane tail per chunk:
-    // every chunk offers a segment, so packing is actually exercised.
-    let sims: u64 = 560;
-    let chunk: u64 = 70;
-    pool_scope_with(2, &Telemetry::disabled(), |pool| {
-        let reference = BatchRunner::with_pool(pool)
-            .with_chunk_fusion(Some(false))
-            .with_chunk_size(chunk)
-            .run(&env, &template, sims, mix_seed(seed, 0xf5e))?;
-        let hub = Arc::new(FusionHub::new());
-        let fused = BatchRunner::with_pool(pool)
-            .with_fusion_hub(Arc::clone(&hub))
-            .with_chunk_size(chunk)
-            .run(&env, &template, sims, mix_seed(seed, 0xf5e))?;
-        Ok(FusionProbe {
-            sims,
-            chunk,
-            fused_chunks: hub.fused_segments(),
-            fused_lanes: hub.fused_lanes(),
-            invocations: hub.invocations(),
-            occupancy_pct: hub.occupancy_pct(),
-            identical: fused == reference,
-        })
-    })
-}
-
 /// Drains `tenants` quick-profile crc_ requests through one admission
-/// queue over a fusion-hub-sharing engine — the daemon's shard shape —
+/// queue over one shared engine — the daemon's shard shape —
 /// and checks every tenant against its one-shot run (see [`ServeProbe`]).
 ///
 /// # Errors
@@ -964,11 +891,9 @@ pub fn serve_probe(seed: u64, tenants: usize) -> Result<ServeProbe, FlowError> {
         })?;
         references.push(strip(outcome));
     }
-    // The multi-tenant drain: one sealed queue, one worker crew, one
-    // shared hub fusing chunk tails across tenants.
+    // The multi-tenant drain: one sealed queue, one worker crew.
     pool_scope_with(cfg.threads, &Telemetry::disabled(), |pool| {
-        let hub = Arc::new(FusionHub::new());
-        let engine = FlowEngine::new(&env, cfg.clone(), pool).with_fusion_hub(Arc::clone(&hub));
+        let engine = FlowEngine::new(&env, cfg.clone(), pool);
         let queue = AdmissionQueue::new(Telemetry::disabled());
         let ids: Vec<u64> = (0..tenants)
             .map(|i| {
@@ -1001,8 +926,6 @@ pub fn serve_probe(seed: u64, tenants: usize) -> Result<ServeProbe, FlowError> {
             } else {
                 0.0
             },
-            fused_chunks: hub.fused_segments(),
-            fusion_occupancy_pct: hub.occupancy_pct(),
             identical,
         })
     })
@@ -1103,7 +1026,6 @@ pub fn parallel_bench(
     let kernels = kernel_probes(scale, seed)?;
     let planes = plane_probes(scale, seed)?;
     let dispatch = Some(dispatch_probe());
-    let fusion = Some(fusion_probe(seed)?);
     let serve = Some(serve_probe(seed, 8)?);
     Ok(ParallelBenchReport {
         scale,
@@ -1124,7 +1046,6 @@ pub fn parallel_bench(
         kernels,
         planes,
         dispatch,
-        fusion,
         serve,
     })
 }
@@ -1210,16 +1131,6 @@ mod tests {
             u64::from(dispatch.batches) * dispatch.chunks_per_batch as u64,
             "every timed chunk should go through the injector"
         );
-        // Fusing chunk tails must never change a byte; packing numbers are
-        // only asserted when the env override hasn't forced fusion off.
-        let fusion = report.fusion.as_ref().expect("probe always runs");
-        assert!(fusion.identical, "fused runner diverged from unfused");
-        if !std::env::var("ASCDG_FUSE_CHUNKS").is_ok_and(|v| v == "0") {
-            assert!(fusion.fused_chunks > 0, "no tails were fused");
-            assert!(fusion.fused_lanes >= fusion.fused_chunks);
-            assert!(fusion.invocations > 0);
-            assert!(fusion.occupancy_pct > 0.0 && fusion.occupancy_pct <= 100.0);
-        }
         // Every tenant of the multi-tenant drain must match its one-shot
         // equivalent byte for byte.
         let serve = report.serve.as_ref().expect("probe always runs");

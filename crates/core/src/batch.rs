@@ -10,13 +10,12 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ascdg_coverage::{CoveragePlane, CoverageRepository, CoverageVector, TemplateId, PLANE_LANES};
-use ascdg_duv::{FusedSegment, SimScratch, VerifEnv};
+use ascdg_coverage::{CoveragePlane, CoverageRepository, CoverageVector, TemplateId};
+use ascdg_duv::{SimScratch, VerifEnv};
 use ascdg_stimgen::{name_hash, SeedStream};
 use ascdg_telemetry::Telemetry;
 use ascdg_template::{ResolvedParams, TestTemplate};
@@ -68,23 +67,6 @@ impl BatchStats {
         assert_eq!(plane.events(), self.hits.len(), "coverage width mismatch");
         self.sims += plane.lanes() as u64;
         plane.fold_into(&mut self.hits);
-    }
-
-    /// Folds one lane range `lo..hi` of a (possibly fused) kernel block's
-    /// coverage bit-plane: `sims` grows by the range's lane count and every
-    /// event gains its in-range popcount — byte-identical to
-    /// [`BatchStats::fold_plane`] over a plane holding only those lanes,
-    /// which is how a fused segment recovers exactly the statistics its
-    /// unfused dispatch would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane width differs from the accumulator width or the
-    /// range exceeds the recorded block.
-    pub fn fold_plane_lanes(&mut self, plane: &CoveragePlane, lo: usize, hi: usize) {
-        assert_eq!(plane.events(), self.hits.len(), "coverage width mismatch");
-        self.sims += (hi - lo) as u64;
-        plane.fold_lanes_into(lo, hi, &mut self.hits);
     }
 
     /// Merges another batch into this one.
@@ -314,8 +296,6 @@ pub struct BatchRunner<'env> {
     telemetry: Telemetry,
     tuner: Arc<ChunkAutotuner>,
     chunk_override: Option<u64>,
-    fusion: Option<Arc<FusionHub<'env>>>,
-    fuse_override: Option<bool>,
 }
 
 impl Default for BatchRunner<'_> {
@@ -340,8 +320,6 @@ impl<'env> BatchRunner<'env> {
             telemetry: Telemetry::disabled(),
             tuner: Arc::new(ChunkAutotuner::default()),
             chunk_override: env_chunk_override(),
-            fusion: None,
-            fuse_override: None,
         }
     }
 
@@ -363,8 +341,6 @@ impl<'env> BatchRunner<'env> {
             telemetry: Telemetry::disabled(),
             tuner: Arc::new(ChunkAutotuner::default()),
             chunk_override: env_chunk_override(),
-            fusion: None,
-            fuse_override: None,
         }
     }
 
@@ -401,47 +377,6 @@ impl<'env> BatchRunner<'env> {
     #[must_use]
     pub fn autotuner(&self) -> &Arc<ChunkAutotuner> {
         &self.tuner
-    }
-
-    /// Attaches a fusion hub: pooled dispatches through this runner park
-    /// their sub-[`KERNEL_BLOCK`] chunk tails in the hub, where they fuse
-    /// with tails from every other runner sharing the hub (other campaign
-    /// groups, other serve tenants on the same unit) into shared
-    /// [`VerifEnv::simulate_fused_plane`] invocations. Fusion is purely a
-    /// throughput device — results are byte-identical with or without a
-    /// hub at any thread count and tenant mix.
-    #[must_use]
-    pub fn with_fusion_hub(mut self, hub: Arc<FusionHub<'env>>) -> Self {
-        self.fusion = Some(hub);
-        self
-    }
-
-    /// Forces chunk fusion on (`Some(true)`) or off (`Some(false)`);
-    /// `None` restores the default — fuse whenever a hub is attached. The
-    /// `ASCDG_FUSE_CHUNKS` environment override (`0`/`1`) beats this
-    /// setter, and without a hub nothing ever fuses.
-    #[must_use]
-    pub fn with_chunk_fusion(mut self, enabled: Option<bool>) -> Self {
-        self.fuse_override = enabled;
-        self
-    }
-
-    /// The attached fusion hub, when any.
-    #[must_use]
-    pub fn fusion_hub(&self) -> Option<&Arc<FusionHub<'env>>> {
-        self.fusion.as_ref()
-    }
-
-    /// The hub dispatches should fuse through right now: the attached hub
-    /// unless fusion is switched off (`ASCDG_FUSE_CHUNKS`, then the
-    /// programmatic override, then default-on).
-    fn fusion_active(&self) -> Option<&Arc<FusionHub<'env>>> {
-        let enabled = env_fuse_override().or(self.fuse_override).unwrap_or(true);
-        if enabled {
-            self.fusion.as_ref()
-        } else {
-            None
-        }
     }
 
     /// Number of worker threads.
@@ -598,86 +533,37 @@ impl<'env> BatchRunner<'env> {
                 })
                 .collect();
         }
-        // With a hub active, each point's sub-block seed tail is parked for
-        // fusion and only the full-block prefix runs as the point's own job
-        // (a whole sub-block point becomes pure tail). The tail's statistics
-        // fold back into the point below — commutative adds, so point `k`'s
-        // result is byte-identical to its unfused run.
-        let fusion = self.fusion_active().cloned();
-        let full_per_point = match &fusion {
-            Some(_) => (sims_per_point / KERNEL_BLOCK) * KERNEL_BLOCK,
-            None => sims_per_point,
-        };
         // Tasks own their inputs (pool jobs may not borrow this stack
         // frame); each carries a shared handle to its point's parameters.
-        let mut tasks: Vec<PointTask> = Vec::with_capacity(points.len());
-        let mut slots: Vec<Option<Arc<SegmentSlot>>> = Vec::with_capacity(points.len());
-        let mut tickets = Vec::new();
-        for (rt, seed) in points {
-            let stream = rt.seed_stream(*seed);
-            let mut slot = None;
-            if let Some(hub) = &fusion {
-                if full_per_point < sims_per_point {
-                    let s = SegmentSlot::new();
-                    let key = hub.offer(
-                        env,
-                        PendingSegment {
-                            params: rt.share_params(),
-                            seeds: (full_per_point..sims_per_point)
-                                .map(|i| stream.sampler_seed(i))
-                                .collect(),
-                            record: None,
-                            counters: Arc::clone(&self.counters),
-                            slot: Arc::clone(&s),
-                        },
-                    );
-                    tickets.push(PointTask::Flush(key));
-                    slot = Some(s);
-                }
-            }
-            slots.push(slot);
-            tasks.push(PointTask::Run(rt.share_params(), stream));
-        }
-        tasks.extend(tickets);
+        let tasks: Vec<(Arc<ResolvedParams>, SeedStream)> = points
+            .iter()
+            .map(|(rt, seed)| (rt.share_params(), rt.seed_stream(*seed)))
+            .collect();
         let counters = Arc::clone(&self.counters);
         let telemetry = self.telemetry.clone();
         let tuner = Arc::clone(&self.tuner);
-        let hub = fusion;
         let run_on = move |pool: &SimPool<'env>| {
-            pool.run_ordered(tasks, move |_, task| match task {
-                PointTask::Run(params, stream) => Some(simulate_range(
+            pool.run_ordered(tasks, move |_, (params, stream)| {
+                simulate_range(
                     env,
                     &params,
                     stream,
-                    0..full_per_point,
+                    0..sims_per_point,
                     events,
                     None,
                     &counters,
                     &telemetry,
                     &tuner,
                     &key,
-                )),
-                PointTask::Flush(key) => {
-                    if let Some(hub) = &hub {
-                        hub.flush(key, &telemetry);
-                    }
-                    None
-                }
+                )
             })
+            .into_iter()
+            .collect()
         };
-        let results = match &self.pool {
+        match &self.pool {
             Some(pool) => run_on(pool),
             None => pool_scope(self.threads, run_on),
-        };
-        let mut out = Vec::with_capacity(points.len());
-        for (r, slot) in results.into_iter().zip(&slots) {
-            let mut stats = r.expect("point tasks precede flush tickets")?;
-            if let Some(slot) = slot {
-                stats.merge(&slot.wait()?);
-            }
-            out.push(stats);
         }
-        Ok(out)
     }
 
     fn run_inner<E: VerifEnv>(
@@ -720,22 +606,10 @@ impl<'env> BatchRunner<'env> {
         let counters = Arc::clone(&self.counters);
         let telemetry = self.telemetry.clone();
         let tuner = Arc::clone(&self.tuner);
-        let fusion = self.fusion_active().cloned();
         let dispatch = move |pool: &SimPool<'env>| {
             dispatch_chunks(
-                pool,
-                env,
-                &params,
-                stream,
-                events,
-                sims,
-                chunk,
-                record,
-                &counters,
-                &telemetry,
-                &tuner,
-                &key,
-                fusion.as_ref(),
+                pool, env, &params, stream, events, sims, chunk, record, &counters, &telemetry,
+                &tuner, &key,
             )
         };
         match &self.pool {
@@ -768,20 +642,6 @@ fn env_chunk_override() -> Option<u64> {
             .and_then(|v| v.parse().ok())
             .filter(|&n| n > 0)
     })
-}
-
-/// The `ASCDG_FUSE_CHUNKS` fusion override, read once per process: `0`
-/// forces fusion off, `1` forces it on wherever a hub is attached; any
-/// other value (or unset) defers to the programmatic setting.
-fn env_fuse_override() -> Option<bool> {
-    static OVERRIDE: OnceLock<Option<bool>> = OnceLock::new();
-    *OVERRIDE.get_or_init(
-        || match std::env::var("ASCDG_FUSE_CHUNKS").ok().as_deref() {
-            Some("0") => Some(false),
-            Some("1") => Some(true),
-            _ => None,
-        },
-    )
 }
 
 /// Adaptive dispatch-chunk sizing from observed per-simulation latency.
@@ -975,39 +835,10 @@ fn simulate_range<E: VerifEnv>(
     Ok(stats)
 }
 
-/// One task of a fused chunk dispatch: either a full-block chunk run on a
-/// worker, or a flush ticket guaranteeing the hub drains the dispatch's
-/// parked tails without waiting on any other dispatch.
-enum ChunkTask {
-    /// Simulate instances `lo..hi` (a whole number of kernel blocks when
-    /// fusing).
-    Run(u64, u64, Arc<ResolvedParams>),
-    /// Flush the fusion hub's pending segments for one environment key.
-    Flush(usize),
-}
-
-/// One task of a fused `run_many_resolved` dispatch — the stencil-level
-/// analogue of [`ChunkTask`].
-enum PointTask {
-    /// Simulate one point's full-block prefix.
-    Run(Arc<ResolvedParams>, SeedStream),
-    /// Flush the fusion hub's pending segments for one environment key.
-    Flush(usize),
-}
-
 /// Shards one template's `sims` instances into contiguous `chunk`-sized
 /// dispatch chunks (sized by the caller's [`ChunkAutotuner`] pick or an
 /// explicit override — there may be more chunks than workers) and runs
 /// them on the pool, merging chunk statistics in chunk order.
-///
-/// With a fusion hub active, each chunk's sub-[`KERNEL_BLOCK`] seed tail is
-/// parked in the hub instead of running as part of the chunk, and a flush
-/// ticket is queued in this same batch per parked tail — so every tail is
-/// drained (possibly fused with tails from other dispatches sharing the
-/// hub) before `run_ordered` returns, without ever blocking on another
-/// tenant's progress. Tail statistics merge back after the chunk results;
-/// per-event counting is commutative, so the total is byte-identical to
-/// the unfused dispatch.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_chunks<'env, E: VerifEnv>(
     pool: &SimPool<'env>,
@@ -1022,47 +853,24 @@ fn dispatch_chunks<'env, E: VerifEnv>(
     telemetry: &Telemetry,
     tuner: &Arc<ChunkAutotuner>,
     tune_key: &str,
-    fusion: Option<&Arc<FusionHub<'env>>>,
 ) -> Result<BatchStats, FlowError> {
     let chunk = chunk.max(1);
     // Chunks own their inputs (pool jobs may not borrow this stack frame);
     // the resolved parameters are shared, not cloned, per chunk.
-    let mut tasks: Vec<ChunkTask> = Vec::with_capacity(sims.div_ceil(chunk) as usize);
-    let mut slots: Vec<Arc<SegmentSlot>> = Vec::new();
+    let mut tasks: Vec<(u64, u64, Arc<ResolvedParams>)> =
+        Vec::with_capacity(sims.div_ceil(chunk) as usize);
     let mut lo = 0;
     while lo < sims {
         let hi = (lo + chunk).min(sims);
-        let mut full = hi;
-        if let Some(hub) = fusion {
-            full = lo + ((hi - lo) / KERNEL_BLOCK) * KERNEL_BLOCK;
-            if full < hi {
-                let slot = SegmentSlot::new();
-                slots.push(Arc::clone(&slot));
-                let key = hub.offer(
-                    env,
-                    PendingSegment {
-                        params: Arc::clone(params),
-                        seeds: (full..hi).map(|i| stream.sampler_seed(i)).collect(),
-                        record,
-                        counters: Arc::clone(counters),
-                        slot,
-                    },
-                );
-                tasks.push(ChunkTask::Flush(key));
-            }
-        }
-        if full > lo {
-            tasks.push(ChunkTask::Run(lo, full, Arc::clone(params)));
-        }
+        tasks.push((lo, hi, Arc::clone(params)));
         lo = hi;
     }
     let counters = Arc::clone(counters);
     let telemetry = telemetry.clone();
     let tuner = Arc::clone(tuner);
     let tune_key = tune_key.to_owned();
-    let hub = fusion.map(Arc::clone);
-    let results = pool.run_ordered(tasks, move |_, task| match task {
-        ChunkTask::Run(lo, hi, params) => Some(simulate_range(
+    let results = pool.run_ordered(tasks, move |_, (lo, hi, params)| {
+        simulate_range(
             env,
             &params,
             stream,
@@ -1073,313 +881,13 @@ fn dispatch_chunks<'env, E: VerifEnv>(
             &telemetry,
             &tuner,
             &tune_key,
-        )),
-        ChunkTask::Flush(key) => {
-            if let Some(hub) = &hub {
-                hub.flush(key, &telemetry);
-            }
-            None
-        }
+        )
     });
     let mut total = BatchStats::empty(events);
-    for r in results.into_iter().flatten() {
+    for r in results {
         total.merge(&r?);
     }
-    for slot in slots {
-        total.merge(&slot.wait()?);
-    }
     Ok(total)
-}
-
-/// One sub-block segment parked in a [`FusionHub`], waiting to share a
-/// coverage-plane invocation with tails from other dispatches.
-///
-/// The segment is fully self-contained: seeds are materialized at offer
-/// time (they were fixed before dispatch anyway), parameters are shared
-/// through the point's [`Arc`], and the recording target plus the owning
-/// runner's counters ride along so whichever thread executes the fused
-/// block can finish the segment exactly as its own dispatch would have.
-struct PendingSegment<'env> {
-    params: Arc<ResolvedParams>,
-    seeds: Vec<u64>,
-    record: Option<(&'env CoverageRepository, TemplateId)>,
-    counters: Arc<BatchCounters>,
-    slot: Arc<SegmentSlot>,
-}
-
-/// The rendezvous cell a dispatcher waits on for one offered segment.
-struct SegmentSlot {
-    result: Mutex<Option<Result<BatchStats, FlowError>>>,
-    done: AtomicBool,
-    waiter: Thread,
-}
-
-impl SegmentSlot {
-    /// A fresh slot owned by the calling (dispatcher) thread.
-    fn new() -> Arc<Self> {
-        Arc::new(SegmentSlot {
-            result: Mutex::new(None),
-            done: AtomicBool::new(false),
-            waiter: thread::current(),
-        })
-    }
-
-    /// Publishes the segment's outcome and wakes the dispatcher.
-    fn complete(&self, result: Result<BatchStats, FlowError>) {
-        *self.result.lock() = Some(result);
-        self.done.store(true, Ordering::Release);
-        self.waiter.unpark();
-    }
-
-    /// Blocks until the segment completes. The short park timeout bounds
-    /// any lost unpark (the dispatcher also parks inside the pool, which
-    /// can consume a token); completion is usually already visible by the
-    /// time this runs, because the dispatcher's own flush ticket executed
-    /// inside its `run_ordered` batch.
-    fn wait(&self) -> Result<BatchStats, FlowError> {
-        while !self.done.load(Ordering::Acquire) {
-            thread::park_timeout(Duration::from_millis(1));
-        }
-        self.result
-            .lock()
-            .take()
-            .expect("completed segment has a result")
-    }
-}
-
-/// Executes one packed run of segments against the hub entry's captured
-/// environment and completes every slot.
-type FusedExec<'env> = Arc<dyn Fn(&[PendingSegment<'env>]) + Send + Sync + 'env>;
-
-struct FusionEntry<'env> {
-    pending: Vec<PendingSegment<'env>>,
-    exec: FusedExec<'env>,
-}
-
-/// The cross-dispatch chunk-fusion rendezvous: concurrent campaign groups
-/// and serve tenants targeting the same DUV unit park their
-/// sub-[`KERNEL_BLOCK`] chunk tails here, and whoever flushes first packs
-/// them — across dispatches — into shared
-/// [`VerifEnv::simulate_fused_plane`] invocations, so the plane's popcount
-/// sweep keeps working on (nearly) full words even when every individual
-/// tenant under-fills its blocks.
-///
-/// Segments are keyed by the address of the environment handle they were
-/// dispatched against, so fusion only ever mixes work submitted through
-/// the same engine (and the executing closure provably runs the same
-/// environment the segments were destined for). Every dispatch enqueues a
-/// flush ticket into its own pool batch per parked tail, which guarantees
-/// each tail is drained without any dispatch waiting on another tenant's
-/// schedule. Fused execution is byte-identical to unfused: seeds were
-/// fixed pre-dispatch, each segment's lanes record independently (the
-/// trait contract of [`VerifEnv::simulate_fused_plane`]), and each
-/// segment's statistics fold out of its own lane range
-/// ([`BatchStats::fold_plane_lanes`]) and merge into its own repository
-/// stripe and counters.
-///
-/// The hub keeps always-on occupancy atomics (independent of telemetry) so
-/// benches and tests can assert fusion actually happened.
-pub struct FusionHub<'env> {
-    entries: Mutex<HashMap<usize, FusionEntry<'env>>>,
-    depth: AtomicU64,
-    fused_segments: AtomicU64,
-    fused_lanes: AtomicU64,
-    invocations: AtomicU64,
-}
-
-impl Default for FusionHub<'_> {
-    fn default() -> Self {
-        FusionHub::new()
-    }
-}
-
-impl std::fmt::Debug for FusionHub<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FusionHub")
-            .field("pending", &self.depth.load(Ordering::Relaxed))
-            .field(
-                "fused_segments",
-                &self.fused_segments.load(Ordering::Relaxed),
-            )
-            .field("invocations", &self.invocations.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl<'env> FusionHub<'env> {
-    /// An empty hub. Share one (behind an [`Arc`]) between every runner
-    /// whose dispatches should fuse — the engine owns one per
-    /// [`FlowEngine`](crate::FlowEngine), the serve daemon one per shard.
-    #[must_use]
-    pub fn new() -> Self {
-        FusionHub {
-            entries: Mutex::new(HashMap::new()),
-            depth: AtomicU64::new(0),
-            fused_segments: AtomicU64::new(0),
-            fused_lanes: AtomicU64::new(0),
-            invocations: AtomicU64::new(0),
-        }
-    }
-
-    /// Total segments executed through fused invocations so far.
-    #[must_use]
-    pub fn fused_segments(&self) -> u64 {
-        self.fused_segments.load(Ordering::Relaxed)
-    }
-
-    /// Total lanes those segments filled.
-    #[must_use]
-    pub fn fused_lanes(&self) -> u64 {
-        self.fused_lanes.load(Ordering::Relaxed)
-    }
-
-    /// Total fused plane invocations executed so far.
-    #[must_use]
-    pub fn invocations(&self) -> u64 {
-        self.invocations.load(Ordering::Relaxed)
-    }
-
-    /// Segments currently parked and not yet flushed.
-    #[must_use]
-    pub fn pending_segments(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Mean plane occupancy over every fused invocation so far, in percent
-    /// of [`PLANE_LANES`]; `0` before the first invocation.
-    #[must_use]
-    pub fn occupancy_pct(&self) -> f64 {
-        let inv = self.invocations.load(Ordering::Relaxed);
-        if inv == 0 {
-            return 0.0;
-        }
-        let lanes = self.fused_lanes.load(Ordering::Relaxed);
-        lanes as f64 * 100.0 / (inv * PLANE_LANES as u64) as f64
-    }
-
-    /// Parks one segment for fusion under `env`'s key (the address of the
-    /// environment handle) and returns that key for the dispatch's flush
-    /// ticket. The first offer under a key captures the environment in the
-    /// entry's executor, so flushing never needs the offering dispatch
-    /// alive.
-    fn offer<E: VerifEnv>(&self, env: &'env E, segment: PendingSegment<'env>) -> usize {
-        let key = std::ptr::from_ref(env) as usize;
-        let mut entries = self.entries.lock();
-        entries
-            .entry(key)
-            .or_insert_with(|| FusionEntry {
-                pending: Vec::new(),
-                exec: fused_exec(env),
-            })
-            .pending
-            .push(segment);
-        drop(entries);
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        key
-    }
-
-    /// Drains every segment parked under `key` at this moment, packs them
-    /// greedily (in offer order) into invocations of at most
-    /// [`PLANE_LANES`] lanes, and executes each pack. Segments offered
-    /// concurrently with the drain are left for their own flush tickets.
-    fn flush(&self, key: usize, telemetry: &Telemetry) {
-        let (pending, exec) = {
-            let mut entries = self.entries.lock();
-            let Some(entry) = entries.get_mut(&key) else {
-                return;
-            };
-            if entry.pending.is_empty() {
-                return;
-            }
-            (std::mem::take(&mut entry.pending), Arc::clone(&entry.exec))
-        };
-        self.depth
-            .fetch_sub(pending.len() as u64, Ordering::Relaxed);
-        let mut start = 0;
-        while start < pending.len() {
-            let mut lanes = pending[start].seeds.len();
-            let mut end = start + 1;
-            while end < pending.len() && lanes + pending[end].seeds.len() <= PLANE_LANES {
-                lanes += pending[end].seeds.len();
-                end += 1;
-            }
-            let pack = &pending[start..end];
-            exec(pack);
-            self.invocations.fetch_add(1, Ordering::Relaxed);
-            self.fused_segments
-                .fetch_add(pack.len() as u64, Ordering::Relaxed);
-            self.fused_lanes.fetch_add(lanes as u64, Ordering::Relaxed);
-            if let Some(m) = telemetry.metrics() {
-                m.counter("batch.fused_chunks").add(pack.len() as u64);
-                m.gauge("batch.fusion_occupancy_pct")
-                    .set(lanes as f64 * 100.0 / PLANE_LANES as f64);
-            }
-            start = end;
-        }
-    }
-}
-
-/// Builds the executor a [`FusionHub`] entry runs packed segments through:
-/// one fused plane invocation, then per-segment lane-range folds, repository
-/// merges and slot completions. On a fused-execution error each segment is
-/// re-run alone, so one segment's failure never decides its block-mates'
-/// outcomes and every dispatch sees exactly the result it would have seen
-/// unfused.
-fn fused_exec<'env, E: VerifEnv>(env: &'env E) -> FusedExec<'env> {
-    let events = env.coverage_model().len();
-    Arc::new(move |segs: &[PendingSegment<'env>]| {
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let fused: Vec<FusedSegment<'_>> = segs
-                .iter()
-                .map(|s| FusedSegment {
-                    params: &s.params,
-                    seeds: &s.seeds,
-                })
-                .collect();
-            match env.simulate_fused_plane(&fused, scratch) {
-                Ok(()) => {
-                    let plane = scratch.plane();
-                    let mut lo = 0usize;
-                    for s in segs {
-                        let hi = lo + s.seeds.len();
-                        let mut stats = BatchStats::empty(events);
-                        stats.fold_plane_lanes(plane, lo, hi);
-                        lo = hi;
-                        s.slot.complete(finish_segment(stats, s));
-                    }
-                }
-                Err(_) => {
-                    for s in segs {
-                        let res = env
-                            .simulate_batch_plane(&s.params, &s.seeds, scratch)
-                            .map_err(FlowError::Env)
-                            .map(|()| {
-                                let mut stats = BatchStats::empty(events);
-                                stats.fold_plane(scratch.plane());
-                                stats
-                            });
-                        s.slot
-                            .complete(res.and_then(|stats| finish_segment(stats, s)));
-                    }
-                }
-            }
-        });
-    })
-}
-
-/// The per-segment tail of fused execution: merge the segment's statistics
-/// into its repository (when recording) and its owner's counters — exactly
-/// what [`simulate_range`] does at the end of an unfused chunk.
-fn finish_segment(stats: BatchStats, seg: &PendingSegment<'_>) -> Result<BatchStats, FlowError> {
-    if let Some((repo, id)) = seg.record {
-        if stats.sims > 0 {
-            repo.merge_counts(id, stats.sims, &stats.hits)
-                .map_err(FlowError::Coverage)?;
-            seg.counters.add_merge(stats.sims);
-        }
-    }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -1586,86 +1094,39 @@ mod tests {
         assert_eq!(tuner.pick("fresh/", 1000, 4, Some(250)), 250);
     }
 
-    #[test]
-    fn fused_dispatch_is_byte_identical_to_unfused() {
-        let env = IoEnv::new();
-        let t = env.stock_library().get(3).unwrap().clone();
-        let reference = {
-            let repo = CoverageRepository::new(env.coverage_model().clone());
-            let stats = BatchRunner::new(1)
-                .run_recorded(&env, &t, 150, 23, &repo, TemplateId(3))
-                .unwrap();
-            (stats, repo.snapshot())
-        };
-        let repo = CoverageRepository::new(env.coverage_model().clone());
-        let hub = Arc::new(FusionHub::new());
-        let stats = pool_scope(test_threads().max(2), |pool| {
-            BatchRunner::with_pool(pool)
-                .with_fusion_hub(Arc::clone(&hub))
-                .with_chunk_size(70) // every chunk parks a 6-lane tail
-                .run_recorded(&env, &t, 150, 23, &repo, TemplateId(3))
-                .unwrap()
-        });
-        assert_eq!(stats, reference.0);
-        assert_eq!(repo.snapshot(), reference.1);
-        if env_fuse_override() != Some(false) {
-            assert!(hub.fused_segments() > 0, "sub-block tails must fuse");
-            assert!(hub.occupancy_pct() > 0.0);
-        }
-        assert_eq!(hub.pending_segments(), 0, "every parked tail must drain");
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 12 })]
 
-    #[test]
-    fn fused_run_many_matches_individual_runs() {
-        let env = IoEnv::new();
-        let a = env.stock_library().get(2).unwrap().clone();
-        let b = env.stock_library().get(11).unwrap().clone();
-        let points = vec![(a.clone(), 5u64), (b, 6u64), (a, 7u64)];
-        let serial = BatchRunner::new(1);
-        let expected: Vec<BatchStats> = points
-            .iter()
-            .map(|(t, seed)| serial.run(&env, t, 20, *seed).unwrap())
-            .collect();
-        let hub = Arc::new(FusionHub::new());
-        let fused = pool_scope(test_threads().max(2), |pool| {
-            BatchRunner::with_pool(pool)
-                .with_fusion_hub(Arc::clone(&hub))
-                .run_many(&env, &points, 20)
-                .unwrap()
-        });
-        assert_eq!(fused, expected);
-        if env_fuse_override() != Some(false) {
-            // Whole sub-block points become pure tails: all three 20-lane
-            // points fuse (into one 60-lane invocation when a single flush
-            // drains them together).
-            assert_eq!(hub.fused_lanes(), 60);
+        /// Stencil-batch dispatch over a mixed-template point set, usually
+        /// below one kernel block per point: each pooled point's statistics
+        /// must equal the point's own serial run.
+        #[test]
+        fn pooled_point_batches_match_individual_runs(
+            sims_per_point in 1u64..100,
+            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..5),
+            tmpl in 0usize..4,
+        ) {
+            let env = IoEnv::new();
+            let points: Vec<_> = seeds
+                .iter()
+                .enumerate()
+                .map(|(i, &seed)| {
+                    let t = env.stock_library().get((tmpl + i) % 4).unwrap().clone();
+                    (t, seed)
+                })
+                .collect();
+            let serial = BatchRunner::new(1);
+            let expected: Vec<BatchStats> = points
+                .iter()
+                .map(|(t, seed)| serial.run(&env, t, sims_per_point, *seed).unwrap())
+                .collect();
+            let pooled = pool_scope(test_threads().max(2), |pool| {
+                BatchRunner::with_pool(pool)
+                    .run_many(&env, &points, sims_per_point)
+                    .unwrap()
+            });
+            proptest::prop_assert_eq!(pooled, expected);
         }
-        assert_eq!(hub.pending_segments(), 0);
-    }
-
-    #[test]
-    fn fusion_setter_disables_an_attached_hub() {
-        if std::env::var("ASCDG_FUSE_CHUNKS").is_ok() {
-            return; // the process-wide override deliberately beats the setter
-        }
-        let env = IoEnv::new();
-        let t = env.stock_library().get(3).unwrap().clone();
-        let reference = BatchRunner::new(1).run(&env, &t, 150, 23).unwrap();
-        let hub = Arc::new(FusionHub::new());
-        let stats = pool_scope(test_threads().max(2), |pool| {
-            BatchRunner::with_pool(pool)
-                .with_fusion_hub(Arc::clone(&hub))
-                .with_chunk_fusion(Some(false))
-                .with_chunk_size(70)
-                .run(&env, &t, 150, 23)
-                .unwrap()
-        });
-        assert_eq!(stats, reference);
-        assert_eq!(
-            hub.fused_segments(),
-            0,
-            "disabled fusion must not park tails"
-        );
     }
 
     #[test]

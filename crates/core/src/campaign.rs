@@ -286,15 +286,11 @@ impl<E: VerifEnv> CdgFlow<E> {
         // scheduler interleaving (a hit and a miss produce the same bytes).
         let eval_cache = Arc::new(SharedEvalCache::new(mix_seed(seed, 0xeca)));
         // All groups share one persistent worker pool (and one engine)
-        // instead of spinning a pool up per group. The engine-owned fusion
-        // hub lets concurrent groups fuse their sub-block chunk tails into
-        // shared plane invocations — byte-identical, so it changes nothing
-        // about the identity argument above.
+        // instead of spinning a pool up per group.
         let (runs, prep_failures) = pool_scope_with(self.config().threads, telemetry, |pool| {
             let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
                 .with_telemetry(telemetry.clone())
-                .with_shared_eval_cache(Arc::clone(&eval_cache))
-                .with_fusion_hub(Arc::new(crate::FusionHub::new()));
+                .with_shared_eval_cache(Arc::clone(&eval_cache));
             let mut scheduled: Vec<(usize, SessionState)> = Vec::with_capacity(n);
             let mut prep_failures: Vec<Option<String>> = vec![None; n];
             for (i, (_, targets)) in groups.iter().enumerate() {

@@ -20,8 +20,8 @@ use crate::pool::SimPool;
 use crate::session::{SessionCx, SessionState, StageSims, TargetSpec};
 use crate::stages::{default_stages, Stage};
 use crate::{
-    ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, FusionHub, PhaseStats,
-    SharedEvalCache, PHASE_BEFORE,
+    ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats, SharedEvalCache,
+    PHASE_BEFORE,
 };
 
 /// Executes a stage list against flow sessions.
@@ -49,8 +49,6 @@ pub struct FlowEngine<'env, E: VerifEnv> {
     stages: Vec<Box<dyn Stage<E>>>,
     telemetry: Telemetry,
     eval_cache: Option<Arc<SharedEvalCache>>,
-    fusion: Option<Arc<FusionHub<'env>>>,
-    fuse_override: Option<bool>,
 }
 
 impl<'env, E: VerifEnv> FlowEngine<'env, E> {
@@ -77,38 +75,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
             stages,
             telemetry: Telemetry::disabled(),
             eval_cache: None,
-            fusion: None,
-            fuse_override: None,
         }
-    }
-
-    /// Attaches a chunk-fusion hub: every runner the engine hands its
-    /// sessions offers sub-kernel-block chunk tails to the hub, where they
-    /// fuse — across sessions, campaign groups and serve tenants sharing
-    /// the hub — into shared coverage-plane invocations. Fusion is purely
-    /// a throughput device; outcomes are byte-identical with or without a
-    /// hub (`ASCDG_FUSE_CHUNKS=0/1` forces it off/on process-wide).
-    #[must_use]
-    pub fn with_fusion_hub(mut self, hub: Arc<FusionHub<'env>>) -> Self {
-        self.fusion = Some(hub);
-        self
-    }
-
-    /// Forces chunk fusion on or off for this engine's runners (`None`
-    /// restores the default: fuse whenever a hub is attached). The
-    /// `ASCDG_FUSE_CHUNKS` environment override beats this setter. Fusion
-    /// intentionally lives outside [`FlowConfig`] — it never affects
-    /// outcomes, so it has no business inside serialized session state.
-    #[must_use]
-    pub fn with_chunk_fusion(mut self, enabled: Option<bool>) -> Self {
-        self.fuse_override = enabled;
-        self
-    }
-
-    /// The engine's fusion hub, when one is attached.
-    #[must_use]
-    pub fn fusion_hub(&self) -> Option<&Arc<FusionHub<'env>>> {
-        self.fusion.as_ref()
     }
 
     /// Attaches a telemetry handle: sessions created afterwards record
@@ -165,16 +132,9 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         )
     }
 
-    /// A batch runner on the engine's pool, sharing its telemetry handle
-    /// and fusion hub.
+    /// A batch runner on the engine's pool, sharing its telemetry handle.
     fn runner(&self) -> BatchRunner<'env> {
-        let mut runner = BatchRunner::with_pool(&self.pool)
-            .with_telemetry(self.telemetry.clone())
-            .with_chunk_fusion(self.fuse_override);
-        if let Some(hub) = &self.fusion {
-            runner = runner.with_fusion_hub(Arc::clone(hub));
-        }
-        runner
+        BatchRunner::with_pool(&self.pool).with_telemetry(self.telemetry.clone())
     }
 
     /// A session seeded with a pre-built regression repository and an

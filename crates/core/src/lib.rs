@@ -63,8 +63,7 @@ mod stages;
 
 pub use ascdg_telemetry::Telemetry;
 pub use batch::{
-    BatchCounters, BatchRunner, BatchStats, ChunkAutotuner, CounterSnapshot, FusionHub,
-    ResolvedTemplate,
+    BatchCounters, BatchRunner, BatchStats, ChunkAutotuner, CounterSnapshot, ResolvedTemplate,
 };
 pub use campaign::{
     fold_campaign, group_uncovered, CampaignGroup, CampaignOutcome, CampaignReport,

@@ -140,39 +140,6 @@ impl CoveragePlane {
         }
     }
 
-    /// Folds only the lanes in `lo..hi` into a per-event count
-    /// accumulator (`counts[e] += <number of lanes in lo..hi that hit
-    /// e>`): one masked popcount per event. When several segments share
-    /// one fused plane block, each segment folds exactly its own lane
-    /// range, byte-identical to recording that segment into a private
-    /// plane and folding it whole.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `counts` does not have exactly one slot per event or
-    /// `lo..hi` is not a subrange of the current block.
-    pub fn fold_lanes_into(&self, lo: usize, hi: usize, counts: &mut [u64]) {
-        assert_eq!(
-            counts.len(),
-            self.events,
-            "accumulator width does not match coverage plane"
-        );
-        assert!(
-            lo <= hi && hi <= self.lanes,
-            "lane range {lo}..{hi} out of {}",
-            self.lanes
-        );
-        let width = hi - lo;
-        let mask = if width == PLANE_LANES {
-            u64::MAX
-        } else {
-            ((1u64 << width) - 1) << lo
-        };
-        for (dst, &w) in counts.iter_mut().zip(&self.words) {
-            *dst += u64::from((w & mask).count_ones());
-        }
-    }
-
     /// Scatters one simulation's per-sim vector into `lane` — the bridge
     /// for environments that only implement the per-sim batch entry.
     /// Word-at-a-time over [`CoverageVector::fold_words`], so all-zero
@@ -310,46 +277,6 @@ mod tests {
             plane.fold_into(&mut counts);
         }
         assert_eq!(counts, vec![64, 64, 0]);
-    }
-
-    #[test]
-    fn lane_range_fold_matches_per_lane_accumulation() {
-        let mut plane = CoveragePlane::new();
-        plane.begin(5, 64);
-        // Three "segments" of lanes with distinct hit patterns.
-        for lane in 0..64 {
-            plane.lane(lane).hit(EventId(lane as u32 % 5));
-            if lane % 2 == 0 {
-                plane.lane(lane).hit(EventId(4));
-            }
-        }
-        for (lo, hi) in [(0usize, 10usize), (10, 37), (37, 64), (0, 64), (5, 5)] {
-            let mut ranged = vec![0u64; 5];
-            plane.fold_lanes_into(lo, hi, &mut ranged);
-            let mut reference = vec![0u64; 5];
-            let mut v = CoverageVector::empty(5);
-            for lane in lo..hi {
-                v.reset();
-                plane.extract_into(lane, &mut v);
-                v.accumulate_into(&mut reference);
-            }
-            assert_eq!(ranged, reference, "range {lo}..{hi} diverged");
-        }
-        // Segment folds partition the whole-block fold.
-        let mut whole = vec![0u64; 5];
-        plane.fold_into(&mut whole);
-        let mut pieces = vec![0u64; 5];
-        plane.fold_lanes_into(0, 20, &mut pieces);
-        plane.fold_lanes_into(20, 64, &mut pieces);
-        assert_eq!(pieces, whole);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane range")]
-    fn lane_range_fold_rejects_out_of_block_range() {
-        let mut plane = CoveragePlane::new();
-        plane.begin(4, 8);
-        plane.fold_lanes_into(2, 9, &mut [0u64; 4]);
     }
 
     #[test]

@@ -1,25 +1,10 @@
 //! The verification-environment abstraction the AS-CDG flow runs against.
 
-use ascdg_coverage::{CoverageModel, CoverageVector, PLANE_LANES};
+use ascdg_coverage::{CoverageModel, CoverageVector};
 use ascdg_stimgen::instance_seed;
 use ascdg_template::{ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate};
 
 use crate::{EnvError, SimScratch};
-
-/// One segment of a fused plane block: a short run of instances of one
-/// resolved template, packed lane-adjacent with segments of *other*
-/// templates into a single [`VerifEnv::simulate_fused_plane`] invocation.
-///
-/// Segments come from different campaign groups or serve tenants whose
-/// chunk tails individually under-fill a kernel block; fusing them keeps
-/// the plane's popcount sweep working on full words.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedSegment<'a> {
-    /// The segment's resolved template parameters.
-    pub params: &'a ResolvedParams,
-    /// The segment's pre-derived sampler seeds, one lane per seed.
-    pub seeds: &'a [u64],
-}
 
 /// A black-box verification environment: a simulated unit plus everything
 /// the verification team built around it.
@@ -142,56 +127,6 @@ pub trait VerifEnv: Send + Sync {
         Ok(())
     }
 
-    /// Simulates several lane-adjacent segments — each a short seed run
-    /// of its *own* resolved template — into one shared plane block in
-    /// `scratch.plane()`: segment 0 owns lanes `0..seg0.seeds.len()`,
-    /// segment 1 the next run, and so on.
-    ///
-    /// Each segment's lanes are **byte-identical** to simulating that
-    /// segment alone through [`VerifEnv::simulate_batch_plane`]; fusion
-    /// only changes which lanes share a block, never what any lane
-    /// records. The default implementation routes each segment through
-    /// [`VerifEnv::simulate_batch`] (each unit's overridden arena
-    /// kernel) and scatters the vectors at the segment's lane offset, so
-    /// external environments keep working unchanged. Callers fold each
-    /// segment's lane range out with
-    /// [`CoveragePlane::fold_lanes_into`](ascdg_coverage::CoveragePlane::fold_lanes_into).
-    ///
-    /// # Errors
-    ///
-    /// Any [`VerifEnv::simulate_batch`] error; the plane contents are
-    /// unspecified after an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the segments' total seed count exceeds one plane
-    /// block ([`PLANE_LANES`] = 64 lanes).
-    fn simulate_fused_plane(
-        &self,
-        segments: &[FusedSegment<'_>],
-        scratch: &mut SimScratch,
-    ) -> Result<(), EnvError> {
-        let total: usize = segments.iter().map(|s| s.seeds.len()).sum();
-        assert!(
-            total <= PLANE_LANES,
-            "fused block of {total} lanes exceeds {PLANE_LANES}"
-        );
-        let events = self.coverage_model().len();
-        let mut staged = Vec::with_capacity(total);
-        for seg in segments {
-            staged.extend(self.simulate_batch(seg.params, seg.seeds, scratch)?);
-        }
-        let plane = scratch.plane_mut();
-        plane.begin(events, total);
-        for (lane, cov) in staged.iter().enumerate() {
-            plane.record_vector(lane, cov);
-        }
-        for cov in staged {
-            scratch.recycle(cov);
-        }
-        Ok(())
-    }
-
     /// Simulates one test-instance generated from pre-resolved parameters,
     /// deriving the generator seed from the template name.
     ///
@@ -271,14 +206,6 @@ impl<T: VerifEnv + ?Sized> VerifEnv for &T {
         (**self).simulate_batch_plane(resolved, seeds, scratch)
     }
 
-    fn simulate_fused_plane(
-        &self,
-        segments: &[FusedSegment<'_>],
-        scratch: &mut SimScratch,
-    ) -> Result<(), EnvError> {
-        (**self).simulate_fused_plane(segments, scratch)
-    }
-
     fn simulate_resolved(
         &self,
         resolved: &ResolvedParams,
@@ -330,14 +257,6 @@ impl<T: VerifEnv + ?Sized> VerifEnv for std::sync::Arc<T> {
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
         (**self).simulate_batch_plane(resolved, seeds, scratch)
-    }
-
-    fn simulate_fused_plane(
-        &self,
-        segments: &[FusedSegment<'_>],
-        scratch: &mut SimScratch,
-    ) -> Result<(), EnvError> {
-        (**self).simulate_fused_plane(segments, scratch)
     }
 
     fn simulate_resolved(

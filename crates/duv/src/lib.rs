@@ -47,6 +47,6 @@ pub mod l3cache;
 mod scratch;
 pub mod synthetic;
 
-pub use env::{FusedSegment, VerifEnv};
+pub use env::VerifEnv;
 pub use error::EnvError;
 pub use scratch::SimScratch;

@@ -15,13 +15,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon at `addr` (`host:port`).
+    /// Connects to a daemon at `addr` (`host:port`). The socket runs with
+    /// `TCP_NODELAY`, so each request line leaves as soon as it is written.
     ///
     /// # Errors
     ///
     /// Connection failure.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -179,4 +181,19 @@ fn wait_for_addr_file(state_dir: &Path, file: &str, timeout: Duration) -> std::i
 pub fn writeln_raw(w: &mut impl Write, msg: &str) -> std::io::Result<()> {
     w.write_all(msg.as_bytes())?;
     w.write_all(b"\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_stream_disables_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = Client::connect(&addr).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
 }

@@ -31,8 +31,8 @@ use std::time::Duration;
 use ascdg_core::{
     fold_campaign, group_uncovered, pool_scope_with, AdmissionQueue, AdmitSpec, ApproxTarget,
     CampaignOutcome, CampaignProgress, CampaignReport, CancelToken, CdgFlow, CheckpointWriter,
-    FlowConfig, FlowEngine, FlowError, FusionHub, GroupProgress, GroupRun, RunManifest,
-    SessionState, SharedEvalCache, SimPool, Telemetry,
+    FlowConfig, FlowEngine, FlowError, GroupProgress, GroupRun, RunManifest, SessionState,
+    SharedEvalCache, SimPool, Telemetry,
 };
 use ascdg_coverage::{CoverageRepository, EventId, StatusCounts, StatusPolicy};
 use ascdg_duv::ifu::IfuEnv;
@@ -125,14 +125,10 @@ pub fn request_config(unit: &dyn VerifEnv, profile: &str, scale: f64) -> Option<
     Some(base.scaled(scale))
 }
 
-/// One unit's scheduling shard: its environment, admission queue, and the
-/// chunk-fusion hub its whole worker crew dispatches through — so tenants
-/// of the same unit fuse their sub-block chunk tails into shared plane
-/// invocations even when different workers step them.
+/// One unit's scheduling shard: its environment and admission queue.
 struct Shard<'outer> {
     env: &'outer Arc<dyn VerifEnv>,
     queue: AdmissionQueue<'static>,
-    fusion: Arc<FusionHub<'outer>>,
 }
 
 impl Shard<'_> {
@@ -261,7 +257,6 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
             .map(|env| Shard {
                 env,
                 queue: AdmissionQueue::new(opts.telemetry.clone()),
-                fusion: Arc::new(FusionHub::new()),
             })
             .collect();
         std::thread::scope(|scope| {
@@ -270,8 +265,7 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
                     let daemon = &daemon;
                     scope.spawn(move || {
                         let engine = FlowEngine::new(shard.env, FlowConfig::quick(), pool)
-                            .with_telemetry(daemon.telemetry.clone())
-                            .with_fusion_hub(Arc::clone(&shard.fusion));
+                            .with_telemetry(daemon.telemetry.clone());
                         shard.queue.run_worker(&engine);
                     });
                 }
@@ -406,7 +400,7 @@ fn handle_conn<'env>(
     pool: &SimPool<'env>,
     stream: TcpStream,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    tune_conn(&stream);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -462,6 +456,14 @@ fn handle_conn<'env>(
             }
         }
     }
+}
+
+/// Readies an accepted connection: a short read timeout, so the request
+/// loop notices shutdown, and `TCP_NODELAY`, so each response line leaves
+/// as soon as it is written instead of waiting on the peer's delayed ACK.
+fn tune_conn(stream: &TcpStream) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.set_nodelay(true);
 }
 
 fn status_snapshot(daemon: &Daemon, shards: &[Shard<'_>]) -> Vec<RequestStatus> {
@@ -534,8 +536,6 @@ fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
                 || m.name.starts_with("campaign.")
                 || m.name.starts_with("objective.cross_group")
                 || m.name.starts_with("pool.")
-                || m.name.starts_with("batch.fused")
-                || m.name.starts_with("batch.fusion")
         })
         .map(|m| GaugeReading {
             name: m.name,
@@ -992,4 +992,20 @@ fn finish_request(daemon: &Daemon, id: u64, report: &CampaignReport, out: &Outbo
             outcome_json,
         },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        tune_conn(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        // The read half the request loop clones shares the setting.
+        assert!(accepted.try_clone().unwrap().nodelay().unwrap());
+    }
 }

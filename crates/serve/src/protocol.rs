@@ -212,14 +212,18 @@ pub fn violation_code(e: &std::io::Error) -> ErrorCode {
 
 /// Writes one message as one JSON line and flushes it.
 ///
+/// The JSON and its newline go out in a single write: on a socket, a
+/// separate newline write would sit behind Nagle's algorithm until the
+/// peer's delayed ACK of the JSON arrived.
+///
 /// # Errors
 ///
 /// Serialization or I/O failure, as `io::Error`.
 pub fn write_line<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string(msg)
+    let mut line = serde_json::to_string(msg)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    w.write_all(json.as_bytes())?;
-    w.write_all(b"\n")?;
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()
 }
 
@@ -321,6 +325,60 @@ mod tests {
             assert_eq!(&got, want);
         }
         assert!(read_line::<Request>(&mut r).unwrap().is_none());
+    }
+
+    /// A writer that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_line_is_one_write_ending_in_newline() {
+        let msgs = [
+            Response::Admitted {
+                request: 1,
+                groups: 2,
+            },
+            Response::Progress {
+                request: 1,
+                group: "crc_".to_owned(),
+                completed_stages: 3,
+                sims: 400,
+            },
+            Response::Status {
+                requests: Vec::new(),
+            },
+            Response::ShuttingDown,
+        ];
+        let mut w = CountingWriter::default();
+        for (i, msg) in msgs.iter().enumerate() {
+            write_line(&mut w, msg).unwrap();
+            assert_eq!(
+                w.writes.len(),
+                i + 1,
+                "message {i} took more than one write"
+            );
+            let line = w.writes.last().unwrap();
+            assert_eq!(line.last(), Some(&b'\n'));
+            assert_eq!(line.iter().filter(|&&b| b == b'\n').count(), 1);
+            let text = std::str::from_utf8(line).unwrap();
+            let back: Response = serde_json::from_str(text.trim_end()).unwrap();
+            assert_eq!(&back, msg);
+        }
+        write_line(&mut w, &Request::Status).unwrap();
+        assert_eq!(w.writes.len(), msgs.len() + 1);
     }
 
     #[test]

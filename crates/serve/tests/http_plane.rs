@@ -73,6 +73,10 @@ fn endpoints_answer_while_serving_and_outcome_stays_byte_identical() {
 
     // Scrape /status and /metrics from a background thread the whole
     // time the request runs: observation must not perturb the outcome.
+    // Each scrape can wait out the plane's 25 ms accept poll twice, so
+    // the request gets enough budget to stay active across several
+    // scrapes; at scale 1 it can retire between two of them.
+    let scale = 3.0;
     let scraping = std::sync::atomic::AtomicBool::new(true);
     let (outcome_json, mid_run) = std::thread::scope(|scope| {
         let scraper = scope.spawn(|| {
@@ -92,7 +96,7 @@ fn endpoints_answer_while_serving_and_outcome_stays_byte_identical() {
         });
         let spec = SubmitSpec {
             unit: "io".to_owned(),
-            scale: 1.0,
+            scale,
             seed: 2021,
             profile: "quick".to_owned(),
             weight: 1,
@@ -110,7 +114,7 @@ fn endpoints_answer_while_serving_and_outcome_stays_byte_identical() {
     );
 
     // The identity pin, with the plane enabled and scraped throughout.
-    let mut config = FlowConfig::quick().scaled(1.0);
+    let mut config = FlowConfig::quick().scaled(scale);
     config.threads = test_threads();
     let reference = CdgFlow::new(IoEnv::new(), config)
         .run_campaign(2021)

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ascdg_core::{CampaignProgress, CdgFlow, FlowConfig, Telemetry};
 use ascdg_duv::io_unit::IoEnv;
@@ -142,8 +142,8 @@ fn two_tenants_with_different_weights_both_match_their_one_shots() {
 
 /// A crowd of tiny tenants on one unit: every Done payload must match
 /// its one-shot equivalent even when the shard's worker crews interleave
-/// all of them over the shared pool and fusion hub. This is the
-/// dispatch-wall shape: many concurrent sub-block tenants, one DUV.
+/// all of them over the shared pool. This is the dispatch-wall shape:
+/// many concurrent sub-block tenants, one DUV.
 #[test]
 fn six_tiny_tenants_all_match_their_one_shots() {
     let dir = tmp_dir("crowd");
@@ -246,12 +246,9 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
     // The daemon recovers the orphan in the background; wait for its
     // outcome file.
     let outcome_path = dir.join("req3.outcome.json");
-    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    let deadline = Instant::now() + Duration::from_secs(120);
     while !outcome_path.exists() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "recovery never finished"
-        );
+        assert!(Instant::now() < deadline, "recovery never finished");
         std::thread::sleep(Duration::from_millis(50));
     }
     let recovered = std::fs::read_to_string(&outcome_path).unwrap();
@@ -306,4 +303,27 @@ fn protocol_errors_and_cancel_of_unknown_requests_answer_cleanly() {
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Request/response round trips must not stall on delayed ACKs: with a
+/// line split across two writes on a Nagle socket, each exchange waits
+/// ~40 ms for the peer's ACK, so 20 of them took 800 ms or more.
+#[test]
+fn status_round_trips_do_not_wait_on_delayed_acks() {
+    let dir = tmp_dir("latency");
+    let (addr, handle) = start_daemon(&dir);
+    let mut client = Client::connect(&addr).expect("connects");
+    client.status().expect("warm-up status answers");
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        assert!(client.status().expect("status answers").is_empty());
+    }
+    let elapsed = t0.elapsed();
+    client.shutdown().expect("daemon drains");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 status round trips took {elapsed:?}"
+    );
 }

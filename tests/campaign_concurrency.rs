@@ -54,6 +54,24 @@ fn coalesced_campaign_identical_across_jobs_counts() {
     assert_eq!(campaign_json(8, EvalStrategy::Coalesced), sequential);
 }
 
+/// The identity across worker counts as well: threads × jobs at 1/1, 2/2
+/// and N/8 must all fold to the same campaign outcome.
+#[test]
+fn campaign_outcome_identical_across_thread_counts() {
+    let run_at = |threads: usize, jobs: usize| {
+        let mut cfg = FlowConfig::quick();
+        cfg.threads = threads;
+        cfg.campaign_jobs = jobs;
+        let outcome = CdgFlow::new(IoEnv::new(), cfg)
+            .run_campaign(2021)
+            .expect("campaign runs");
+        serde_json::to_string(&outcome).unwrap()
+    };
+    let reference = run_at(1, 1);
+    assert_eq!(run_at(2, 2), reference);
+    assert_eq!(run_at(test_threads().max(2), 8), reference);
+}
+
 fn family_flow(strategy: EvalStrategy) -> (FlowOutcome, u64, u64) {
     let mut cfg = config();
     cfg.eval_strategy = strategy;
