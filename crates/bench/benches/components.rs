@@ -8,6 +8,7 @@ use std::hint::black_box;
 use ascdg_core::Skeletonizer;
 use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, VerifEnv};
 use ascdg_opt::{testfn, Bounds, IfOptions, ImplicitFiltering, Optimizer};
+use ascdg_stimgen::instance_seed;
 use ascdg_template::TestTemplate;
 
 fn bench_simulators(c: &mut Criterion) {
@@ -26,7 +27,10 @@ fn bench_simulators(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(io.simulate_resolved(&io_r, "bench", seed).unwrap())
+            black_box(
+                io.simulate_seeded(&io_r, instance_seed(seed, "bench", 0))
+                    .unwrap(),
+            )
         })
     });
 
@@ -42,7 +46,10 @@ fn bench_simulators(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(l3.simulate_resolved(&l3_r, "bench", seed).unwrap())
+            black_box(
+                l3.simulate_seeded(&l3_r, instance_seed(seed, "bench", 0))
+                    .unwrap(),
+            )
         })
     });
 
@@ -58,7 +65,10 @@ fn bench_simulators(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(ifu.simulate_resolved(&ifu_r, "bench", seed).unwrap())
+            black_box(
+                ifu.simulate_seeded(&ifu_r, instance_seed(seed, "bench", 0))
+                    .unwrap(),
+            )
         })
     });
     g.finish();

@@ -104,18 +104,6 @@ fn main() {
             probe.shared_identical
         );
     }
-    for k in &report.kernels {
-        eprintln!(
-            "kernel {:>9}: {:>9.0} sims/s seq -> {:>9.0} sims/s batched ({:.2}x, {} sims, {:.4} allocs/sim, identical: {})",
-            k.unit,
-            k.sequential_sims_per_sec,
-            k.batched_sims_per_sec,
-            k.batch_speedup,
-            k.sims,
-            k.allocs_per_sim,
-            k.identical
-        );
-    }
     if let Some(probe) = &report.dispatch {
         eprintln!(
             "dispatch: {:.0} ns/chunk ({} batches x {} chunks, {} threads, {} jobs injected)",
@@ -156,28 +144,19 @@ fn main() {
         report.coalesce.as_ref().is_none_or(|p| p.shared_identical),
         "cross-group cache-served run diverged from the computing run"
     );
-    for k in &report.kernels {
-        assert!(
-            k.identical,
-            "{} simulate_batch diverged from the sequential simulate_seeded loop",
-            k.unit
-        );
-    }
     for p in &report.planes {
         eprintln!(
-            "plane  {:>9}: {:>9.0} sims/s per-sim -> {:>9.0} sims/s plane ({:.2}x, {} sims, {:.4} -> {:.4} allocs/sim, identical: {})",
+            "plane  {:>9}: {:>9.0} sims/s per-sim -> {:>9.0} sims/s plane ({:.2}x, {} sims, identical: {})",
             p.unit,
             p.per_sim_sims_per_sec,
             p.plane_sims_per_sec,
             p.plane_speedup,
             p.sims,
-            p.per_sim_allocs_per_sim,
-            p.plane_allocs_per_sim,
             p.identical
         );
         assert!(
             p.identical,
-            "{} simulate_batch_plane diverged from the per-sim batch path",
+            "{} simulate_plane diverged from the per-sim simulate_seeded path",
             p.unit
         );
     }
@@ -213,7 +192,6 @@ struct TrajectoryEntry {
     exposition_bytes: Option<usize>,
     campaign_identical: Option<bool>,
     coalesce_identical: Option<bool>,
-    kernels_identical: bool,
     planes_identical: bool,
     best_plane_speedup: f64,
     #[serde(default)]
@@ -248,7 +226,6 @@ fn append_trajectory(report: &ascdg_bench::parallel::ParallelBenchReport) {
         exposition_bytes: report.exposition.as_ref().map(|p| p.bytes),
         campaign_identical: report.campaign.as_ref().map(|p| p.identical),
         coalesce_identical: report.coalesce.as_ref().map(|p| p.identical),
-        kernels_identical: report.kernels.iter().all(|k| k.identical),
         planes_identical: report.planes.iter().all(|p| p.identical),
         best_plane_speedup: report
             .planes

@@ -94,14 +94,9 @@ pub struct ParallelBenchReport {
     /// strategy with and without duplicate coalescing.
     #[serde(default)]
     pub coalesce: Option<CoalesceProbe>,
-    /// Per-DUV batch-kernel probes: `simulate_batch` throughput and
-    /// arena-reuse accounting against the sequential `simulate_seeded`
-    /// reference, per environment.
-    #[serde(default)]
-    pub kernels: Vec<KernelProbe>,
-    /// Per-DUV bit-plane probes: `simulate_batch_plane` fold throughput
-    /// and allocation accounting against the per-sim vector path, per
-    /// environment (all four built-in units).
+    /// Per-DUV bit-plane probes: `simulate_plane` fold throughput against
+    /// the per-sim `simulate_seeded` path, per environment (all four
+    /// built-in units).
     #[serde(default)]
     pub planes: Vec<PlaneProbe>,
     /// Pure dispatch-overhead probe: ns per chunk through the pool's
@@ -154,43 +149,12 @@ pub struct ServeProbe {
     pub identical: bool,
 }
 
-/// One environment's batch-kernel measurement: the same simulations run
-/// once through the sequential `simulate_seeded` loop and once through the
-/// arena-reusing `simulate_batch` kernel (in hot-path-sized chunks, with
-/// coverage vectors recycled between chunks like the runner does).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelProbe {
-    /// Unit name of the environment probed.
-    pub unit: String,
-    /// The stock template the probe simulated.
-    pub template: String,
-    /// Simulations per side.
-    pub sims: u64,
-    /// Sequential `simulate_seeded` throughput, sims per second.
-    pub sequential_sims_per_sec: f64,
-    /// Batched `simulate_batch` throughput, sims per second.
-    pub batched_sims_per_sec: f64,
-    /// `batched / sequential`.
-    pub batch_speedup: f64,
-    /// Coverage vectors the batched run allocated (the arena misses).
-    pub cov_allocated: u64,
-    /// Coverage vectors the batched run reused from the arena.
-    pub cov_reused: u64,
-    /// Heap coverage-vector allocations per simulation in the batched run
-    /// (approaches `block_size / sims` as the arena warms).
-    pub allocs_per_sim: f64,
-    /// Whether the batched coverage vectors were byte-identical to the
-    /// sequential ones, seed for seed. Must always be `true`.
-    pub identical: bool,
-}
-
 /// One environment's bit-plane measurement: the same block-dispatched
 /// simulations accumulated once through the per-sim vector path
-/// (`simulate_batch` + recycle + per-vector accumulate — the pre-plane hot
-/// path) and once through the transposed bit-plane
-/// (`simulate_batch_plane` + one popcount fold per block — the current hot
-/// path), with byte-identity checked on both the folded counts and every
-/// extracted lane.
+/// (`simulate_seeded` + per-vector accumulate — the pre-plane hot path)
+/// and once through the transposed bit-plane (`simulate_plane` + one
+/// popcount fold per block — the current hot path), with byte-identity
+/// checked on both the folded counts and every extracted lane.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlaneProbe {
     /// Unit name of the environment probed.
@@ -205,12 +169,6 @@ pub struct PlaneProbe {
     pub plane_sims_per_sec: f64,
     /// `plane / per_sim`.
     pub plane_speedup: f64,
-    /// Heap coverage-vector allocations per simulation on the per-sim path.
-    pub per_sim_allocs_per_sim: f64,
-    /// Heap coverage-vector allocations per simulation on the plane path
-    /// (exactly 0 for the built-in kernels, which record straight into
-    /// the plane).
-    pub plane_allocs_per_sim: f64,
     /// Whether the plane's folded counts and every extracted lane were
     /// byte-identical to the per-sim path. Must always be `true`.
     pub identical: bool,
@@ -522,106 +480,13 @@ impl PhaseHarness {
     }
 }
 
-/// Hot-path chunk size the kernel probe batches in (mirrors the runner's
+/// Hot-path chunk size the plane probe batches in (mirrors the runner's
 /// `KERNEL_BLOCK`).
 const PROBE_BLOCK: usize = 64;
 
-/// Measures one environment's batch kernel against the sequential
-/// reference on its first stock template (see [`KernelProbe`]).
-///
-/// # Errors
-///
-/// Propagates template resolution and simulation failures.
-pub fn kernel_probe_for<E: VerifEnv>(
-    env: &E,
-    sims: u64,
-    seed: u64,
-) -> Result<KernelProbe, FlowError> {
-    let template = env
-        .stock_library()
-        .get(0)
-        .ok_or(FlowError::EmptyLibrary)?
-        .clone();
-    let resolved = ResolvedTemplate::resolve(env, &template)?;
-    let stream = resolved.seed_stream(seed);
-    let seeds: Vec<u64> = (0..sims).map(|i| stream.sampler_seed(i)).collect();
-
-    // Sequential reference, timed — one allocation per simulation.
-    let clock = Instant::now();
-    let mut reference = Vec::with_capacity(seeds.len());
-    for &s in &seeds {
-        reference.push(env.simulate_seeded(resolved.params(), s)?);
-    }
-    let seq_elapsed = clock.elapsed().as_secs_f64();
-
-    // Batched identity pass (untimed): every vector kept for comparison.
-    let mut scratch = SimScratch::new();
-    let mut batched = Vec::with_capacity(seeds.len());
-    for chunk in seeds.chunks(PROBE_BLOCK) {
-        batched.extend(env.simulate_batch(resolved.params(), chunk, &mut scratch)?);
-    }
-    let identical = batched == reference;
-
-    // Batched throughput pass, timed in the hot path's shape: vectors are
-    // recycled into the arena between chunks, so steady state allocates
-    // nothing.
-    let mut scratch = SimScratch::new();
-    let clock = Instant::now();
-    for chunk in seeds.chunks(PROBE_BLOCK) {
-        for cov in env.simulate_batch(resolved.params(), chunk, &mut scratch)? {
-            scratch.recycle(cov);
-        }
-    }
-    let bat_elapsed = clock.elapsed().as_secs_f64();
-
-    let sequential_sims_per_sec = if seq_elapsed > 0.0 {
-        sims as f64 / seq_elapsed
-    } else {
-        0.0
-    };
-    let batched_sims_per_sec = if bat_elapsed > 0.0 {
-        sims as f64 / bat_elapsed
-    } else {
-        0.0
-    };
-    Ok(KernelProbe {
-        unit: env.unit_name().to_owned(),
-        template: template.name().to_owned(),
-        sims,
-        sequential_sims_per_sec,
-        batched_sims_per_sec,
-        batch_speedup: if sequential_sims_per_sec > 0.0 {
-            batched_sims_per_sec / sequential_sims_per_sec
-        } else {
-            0.0
-        },
-        cov_allocated: scratch.cov_allocated(),
-        cov_reused: scratch.cov_reused(),
-        allocs_per_sim: if sims > 0 {
-            scratch.cov_allocated() as f64 / sims as f64
-        } else {
-            0.0
-        },
-        identical,
-    })
-}
-
-/// Runs [`kernel_probe_for`] over the three hand-written DUV models.
-///
-/// # Errors
-///
-/// Propagates any environment's probe failure.
-pub fn kernel_probes(scale: f64, seed: u64) -> Result<Vec<KernelProbe>, FlowError> {
-    let sims = ((12_000.0 * scale) as u64).max(256);
-    Ok(vec![
-        kernel_probe_for(&IfuEnv::new(), sims, mix_seed(seed, 0x1f0))?,
-        kernel_probe_for(&L3Env::new(), sims, mix_seed(seed, 0x13c))?,
-        kernel_probe_for(&IoEnv::new(), sims, mix_seed(seed, 0x10c))?,
-    ])
-}
-
-/// Measures one environment's bit-plane kernel against the per-sim batch
-/// path on its first stock template (see [`PlaneProbe`]).
+/// Measures one environment's bit-plane kernel against the per-sim
+/// `simulate_seeded` path on its first stock template (see
+/// [`PlaneProbe`]).
 ///
 /// # Errors
 ///
@@ -641,45 +506,37 @@ pub fn plane_probe_for<E: VerifEnv>(
     let stream = resolved.seed_stream(seed);
     let seeds: Vec<u64> = (0..sims).map(|i| stream.sampler_seed(i)).collect();
 
-    // Identity pass (untimed; also warms both arenas): fold both paths
+    // Identity pass (untimed; also warms the plane arena): fold both paths
     // and compare the accumulated counts plus every extracted plane lane
     // against its per-sim vector.
-    let mut vec_scratch = SimScratch::new();
     let mut plane_scratch = SimScratch::new();
     let mut vec_counts = vec![0u64; events];
     let mut plane_counts = vec![0u64; events];
     let mut identical = true;
+    let mut extracted = CoverageVector::empty(events);
     for chunk in seeds.chunks(PROBE_BLOCK) {
-        let covs = env.simulate_batch(resolved.params(), chunk, &mut vec_scratch)?;
-        env.simulate_batch_plane(resolved.params(), chunk, &mut plane_scratch)?;
+        env.simulate_plane(resolved.params(), chunk, &mut plane_scratch)?;
         let plane = plane_scratch.plane();
         plane.fold_into(&mut plane_counts);
-        let mut extracted = CoverageVector::empty(events);
-        for (lane, cov) in covs.iter().enumerate() {
+        for (lane, &s) in chunk.iter().enumerate() {
+            let cov = env.simulate_seeded(resolved.params(), s)?;
             extracted.reset();
             plane.extract_into(lane, &mut extracted);
-            identical &= extracted == *cov;
+            identical &= extracted == cov;
             cov.accumulate_into(&mut vec_counts);
-        }
-        for cov in covs {
-            vec_scratch.recycle(cov);
         }
     }
     identical &= vec_counts == plane_counts;
 
-    // Per-sim throughput pass, timed: the pre-plane hot path — one pooled
-    // vector per simulation, recycled per block, accumulated bit by bit.
-    let mut scratch = SimScratch::new();
+    // Per-sim throughput pass, timed: the pre-plane hot path — one
+    // coverage vector per simulation, accumulated bit by bit.
     let mut counts = vec![0u64; events];
     let clock = Instant::now();
-    for chunk in seeds.chunks(PROBE_BLOCK) {
-        for cov in env.simulate_batch(resolved.params(), chunk, &mut scratch)? {
-            cov.accumulate_into(&mut counts);
-            scratch.recycle(cov);
-        }
+    for &s in &seeds {
+        env.simulate_seeded(resolved.params(), s)?
+            .accumulate_into(&mut counts);
     }
     let vec_elapsed = clock.elapsed().as_secs_f64();
-    let per_sim_allocs = scratch.cov_allocated();
 
     // Plane throughput pass, timed: record into the recycled plane, one
     // popcount sweep per block, zero per-sim allocation.
@@ -687,11 +544,10 @@ pub fn plane_probe_for<E: VerifEnv>(
     let mut folded = vec![0u64; events];
     let clock = Instant::now();
     for chunk in seeds.chunks(PROBE_BLOCK) {
-        env.simulate_batch_plane(resolved.params(), chunk, &mut scratch)?;
+        env.simulate_plane(resolved.params(), chunk, &mut scratch)?;
         scratch.plane().fold_into(&mut folded);
     }
     let plane_elapsed = clock.elapsed().as_secs_f64();
-    let plane_allocs = scratch.cov_allocated();
     identical &= counts == folded;
 
     let per_sim_sims_per_sec = if vec_elapsed > 0.0 {
@@ -712,16 +568,6 @@ pub fn plane_probe_for<E: VerifEnv>(
         plane_sims_per_sec,
         plane_speedup: if per_sim_sims_per_sec > 0.0 {
             plane_sims_per_sec / per_sim_sims_per_sec
-        } else {
-            0.0
-        },
-        per_sim_allocs_per_sim: if sims > 0 {
-            per_sim_allocs as f64 / sims as f64
-        } else {
-            0.0
-        },
-        plane_allocs_per_sim: if sims > 0 {
-            plane_allocs as f64 / sims as f64
         } else {
             0.0
         },
@@ -1023,7 +869,6 @@ pub fn parallel_bench(
     coalesce.shared_sims_saved = cache.sims_saved();
     coalesce.shared_identical = first_stats == second_stats && first_best == second_best;
     let coalesce = Some(coalesce);
-    let kernels = kernel_probes(scale, seed)?;
     let planes = plane_probes(scale, seed)?;
     let dispatch = Some(dispatch_probe());
     let serve = Some(serve_probe(seed, 8)?);
@@ -1043,7 +888,6 @@ pub fn parallel_bench(
         exposition,
         campaign,
         coalesce,
-        kernels,
         planes,
         dispatch,
         serve,
@@ -1104,23 +948,6 @@ mod tests {
         assert!(coalesce.cross_group_hits > 0, "no cross-group reuse");
         assert!(coalesce.in_group_hits > 0, "no in-group reuse");
         assert!(coalesce.shared_sims_saved > 0);
-        // Every DUV's batch kernel must reproduce the sequential loop.
-        assert_eq!(report.kernels.len(), 3);
-        for k in &report.kernels {
-            assert!(k.identical, "{} batch kernel diverged", k.unit);
-            assert!(k.sims > 0 && k.sequential_sims_per_sec > 0.0);
-            assert!(k.batched_sims_per_sec > 0.0);
-            // The arena warms after the first block: far fewer coverage
-            // allocations than simulations.
-            assert!(
-                k.cov_allocated < k.sims / 2,
-                "{}: {} allocs for {} sims — arena not reusing",
-                k.unit,
-                k.cov_allocated,
-                k.sims
-            );
-            assert!(k.cov_reused > 0, "{}: arena never reused", k.unit);
-        }
         // The dispatch probe must render a verdict on any machine — it is
         // the number that survives `speedup: null`.
         let dispatch = report.dispatch.as_ref().expect("probe always runs");
@@ -1138,22 +965,12 @@ mod tests {
         assert_eq!(serve.tenants, 8);
         assert!(serve.sims > 0 && serve.sims_per_sec > 0.0);
         // Every built-in unit's bit-plane fold must reproduce the per-sim
-        // accumulation exactly, without allocating per-sim vectors.
+        // accumulation exactly.
         assert_eq!(report.planes.len(), 4);
         for p in &report.planes {
             assert!(p.identical, "{} plane fold diverged", p.unit);
             assert!(p.sims > 0 && p.per_sim_sims_per_sec > 0.0);
             assert!(p.plane_sims_per_sec > 0.0);
-            assert_eq!(
-                p.plane_allocs_per_sim, 0.0,
-                "{}: plane path allocated coverage vectors",
-                p.unit
-            );
-            assert!(
-                p.per_sim_allocs_per_sim > 0.0,
-                "{}: per-sim path should allocate its first block",
-                p.unit
-            );
         }
     }
 

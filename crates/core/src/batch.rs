@@ -619,9 +619,10 @@ impl<'env> BatchRunner<'env> {
     }
 }
 
-/// Seed-block size handed to [`VerifEnv::simulate_batch`]: big enough that
-/// the batched kernels amortize their setup over a cache-resident pass,
-/// small enough that a block's programs and coverage vectors stay hot.
+/// Seed-block size handed to [`VerifEnv::simulate_plane`]: one full
+/// coverage bit-plane, big enough that the plane kernels amortize their
+/// setup over a cache-resident pass, small enough that a block's programs
+/// and plane stay hot.
 const KERNEL_BLOCK: u64 = 64;
 
 /// Wall-clock one dispatched chunk should occupy a worker for (~2 ms):
@@ -736,15 +737,13 @@ thread_local! {
 /// every dispatch path shares, so parallel and serial runs agree
 /// bit-for-bit.
 ///
-/// Instances flow through [`VerifEnv::simulate_batch_plane`] in
+/// Instances flow through [`VerifEnv::simulate_plane`] in
 /// `KERNEL_BLOCK` blocks with seeds assigned before dispatch: each block
 /// records into the worker's recycled transposed bit-plane
 /// ([`SimScratch::plane`]) and folds into the chunk shard with one
 /// popcount sweep ([`BatchStats::fold_plane`]) — zero per-simulation
 /// coverage allocation for the built-in kernels, byte-identical to the
-/// per-sim vector loop by the trait contract. (The scratch-pool counters
-/// still report: external environments without a plane kernel go through
-/// the default scatter bridge, which draws vectors from the pool.)
+/// per-sim [`VerifEnv::simulate_seeded`] loop by the trait contract.
 ///
 /// Coverage accumulates into the chunk-local [`BatchStats`] shard; when
 /// recording, the shard merges into the repository **once** at the end of
@@ -779,23 +778,16 @@ fn simulate_range<E: VerifEnv>(
     let mut stats = BatchStats::empty(events);
     SCRATCH.with(|cell| -> Result<(), FlowError> {
         let scratch = &mut *cell.borrow_mut();
-        let (reused0, alloc0) = (scratch.cov_reused(), scratch.cov_allocated());
         let mut seeds = Vec::with_capacity(KERNEL_BLOCK.min(range.end - range.start) as usize);
         let mut lo = range.start;
         while lo < range.end {
             let hi = (lo + KERNEL_BLOCK).min(range.end);
             seeds.clear();
             seeds.extend((lo..hi).map(|i| stream.sampler_seed(i)));
-            env.simulate_batch_plane(resolved, &seeds, scratch)
+            env.simulate_plane(resolved, &seeds, scratch)
                 .map_err(FlowError::Env)?;
             stats.fold_plane(scratch.plane());
             lo = hi;
-        }
-        if let Some(m) = telemetry.metrics() {
-            m.counter("batch.scratch_reuse")
-                .add(scratch.cov_reused() - reused0);
-            m.counter("batch.scratch_alloc")
-                .add(scratch.cov_allocated() - alloc0);
         }
         Ok(())
     })?;

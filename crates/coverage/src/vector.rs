@@ -152,9 +152,10 @@ impl CoverageVector {
 
     /// Clears every hit bit in place, keeping the event count.
     ///
-    /// This is the arena-reuse primitive of the batched simulation path: a
-    /// recycled vector is reset instead of reallocated, and afterwards is
-    /// indistinguishable from [`CoverageVector::empty`] of the same length.
+    /// Lets a caller reuse one vector (for example as the target of
+    /// repeated plane-lane extractions) instead of reallocating; afterwards
+    /// it is indistinguishable from [`CoverageVector::empty`] of the same
+    /// length.
     pub fn reset(&mut self) {
         for w in &mut self.words {
             *w = 0;

@@ -57,101 +57,49 @@ pub trait VerifEnv: Send + Sync {
         sampler_seed: u64,
     ) -> Result<CoverageVector, EnvError>;
 
-    /// Simulates a whole chunk of instances of one resolved template, one
-    /// per entry of `seeds`, reusing the worker's `scratch` buffers.
-    ///
-    /// The result is **byte-identical** to calling
-    /// [`VerifEnv::simulate_seeded`] once per seed, in order — the batch
-    /// entry point exists purely for throughput: the built-in units
-    /// override it with cache-resident kernels that generate every stimulus
-    /// program into the scratch arena and run the cycle loops back to back
-    /// over hot model state. The default implementation is that sequential
-    /// loop (drawing coverage vectors from the scratch pool), so external
-    /// environments keep working unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Any [`VerifEnv::simulate_seeded`] error; partial results are
-    /// discarded.
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        let _ = scratch;
-        seeds
-            .iter()
-            .map(|&s| self.simulate_seeded(resolved, s))
-            .collect()
-    }
-
     /// Simulates a kernel block of up to
     /// [`PLANE_LANES`](ascdg_coverage::PLANE_LANES) instances directly
     /// into the scratch's transposed coverage bit-plane (seed `i` owns
-    /// lane `i`), leaving the block in `scratch.plane()` — zero per-sim
-    /// coverage allocation on the hot path.
+    /// lane `i`), leaving the block in `scratch.plane()`.
     ///
     /// The recorded plane is **byte-identical** to scattering each
-    /// [`VerifEnv::simulate_batch`] vector into its lane; the built-in
-    /// units override this with kernels whose cycle models record
-    /// straight into the lane (`word(event) |= 1 << lane`), and the
-    /// default implementation is exactly that scatter bridge, so
-    /// external environments keep working unchanged.
+    /// [`VerifEnv::simulate_seeded`] vector into its lane, in seed order.
+    /// The default implementation is exactly that scatter bridge, so an
+    /// environment that writes only `simulate_seeded` works unchanged; the
+    /// built-in units override it with kernels that reuse the scratch
+    /// buffers and whose cycle models record straight into the lane
+    /// (`word(event) |= 1 << lane`), with no per-sim coverage allocation.
     ///
     /// # Errors
     ///
-    /// Any [`VerifEnv::simulate_batch`] error; the plane contents are
+    /// Any [`VerifEnv::simulate_seeded`] error; the plane contents are
     /// unspecified after an error.
     ///
     /// # Panics
     ///
     /// Panics when `seeds` exceeds one plane block
     /// ([`PLANE_LANES`](ascdg_coverage::PLANE_LANES) = 64 seeds).
-    fn simulate_batch_plane(
+    fn simulate_plane(
         &self,
         resolved: &ResolvedParams,
         seeds: &[u64],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        let events = self.coverage_model().len();
-        let covs = self.simulate_batch(resolved, seeds, scratch)?;
         let plane = scratch.plane_mut();
-        plane.begin(events, covs.len());
-        for (lane, cov) in covs.iter().enumerate() {
-            plane.record_vector(lane, cov);
-        }
-        for cov in covs {
-            scratch.recycle(cov);
+        plane.begin(self.coverage_model().len(), seeds.len());
+        for (lane, &seed) in seeds.iter().enumerate() {
+            plane.record_vector(lane, &self.simulate_seeded(resolved, seed)?);
         }
         Ok(())
     }
 
-    /// Simulates one test-instance generated from pre-resolved parameters,
-    /// deriving the generator seed from the template name.
-    ///
-    /// `template_name` and `seed` identify the instance: the generator seed
-    /// is derived from them (`instance_seed(seed, template_name, 0)`), so a
-    /// (name, seed) pair is fully reproducible. Hot loops should hash the
-    /// name once and call [`VerifEnv::simulate_seeded`] instead — the
-    /// stream is byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// Any [`VerifEnv::simulate_seeded`] error.
-    fn simulate_resolved(
-        &self,
-        resolved: &ResolvedParams,
-        template_name: &str,
-        seed: u64,
-    ) -> Result<CoverageVector, EnvError> {
-        self.simulate_seeded(resolved, instance_seed(seed, template_name, 0))
-    }
-
     /// Validates, resolves and simulates a template in one call.
     ///
-    /// Batch runners should resolve once via [`ParamRegistry::resolve`] and
-    /// call [`VerifEnv::simulate_seeded`] per instance instead.
+    /// The generator seed is derived from the template name and `seed`
+    /// (`instance_seed(seed, template.name(), 0)`), so a (name, seed) pair
+    /// is fully reproducible. Batch runners should resolve once via
+    /// [`ParamRegistry::resolve`], hash the name once, and call
+    /// [`VerifEnv::simulate_seeded`] per instance instead.
     ///
     /// # Errors
     ///
@@ -159,7 +107,7 @@ pub trait VerifEnv: Send + Sync {
     /// against the registry, or any [`VerifEnv::simulate_seeded`] error.
     fn simulate(&self, template: &TestTemplate, seed: u64) -> Result<CoverageVector, EnvError> {
         let resolved = self.registry().resolve(template)?;
-        self.simulate_resolved(&resolved, template.name(), seed)
+        self.simulate_seeded(&resolved, instance_seed(seed, template.name(), 0))
     }
 }
 
@@ -188,31 +136,13 @@ impl<T: VerifEnv + ?Sized> VerifEnv for &T {
         (**self).simulate_seeded(resolved, sampler_seed)
     }
 
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        (**self).simulate_batch(resolved, seeds, scratch)
-    }
-
-    fn simulate_batch_plane(
+    fn simulate_plane(
         &self,
         resolved: &ResolvedParams,
         seeds: &[u64],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        (**self).simulate_batch_plane(resolved, seeds, scratch)
-    }
-
-    fn simulate_resolved(
-        &self,
-        resolved: &ResolvedParams,
-        template_name: &str,
-        seed: u64,
-    ) -> Result<CoverageVector, EnvError> {
-        (**self).simulate_resolved(resolved, template_name, seed)
+        (**self).simulate_plane(resolved, seeds, scratch)
     }
 }
 
@@ -241,30 +171,12 @@ impl<T: VerifEnv + ?Sized> VerifEnv for std::sync::Arc<T> {
         (**self).simulate_seeded(resolved, sampler_seed)
     }
 
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        (**self).simulate_batch(resolved, seeds, scratch)
-    }
-
-    fn simulate_batch_plane(
+    fn simulate_plane(
         &self,
         resolved: &ResolvedParams,
         seeds: &[u64],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        (**self).simulate_batch_plane(resolved, seeds, scratch)
-    }
-
-    fn simulate_resolved(
-        &self,
-        resolved: &ResolvedParams,
-        template_name: &str,
-        seed: u64,
-    ) -> Result<CoverageVector, EnvError> {
-        (**self).simulate_resolved(resolved, template_name, seed)
+        (**self).simulate_plane(resolved, seeds, scratch)
     }
 }

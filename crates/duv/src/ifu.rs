@@ -331,42 +331,17 @@ impl VerifEnv for IfuEnv {
         Ok(self.run_program(&program))
     }
 
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // Two-phase kernel: `run_program` draws nothing from the sampler, so
-        // the whole chunk's programs can be generated first (back to back in
-        // the scratch arena) and the cycle loops then run while the buffer
-        // model's working set stays cache-resident.
-        scratch.fetch_ops.clear();
-        scratch.fetch_bounds.clear();
-        scratch.fetch_bounds.push(0);
-        for &seed in seeds {
-            let mut sampler = ParamSampler::new(resolved, seed);
-            self.generate_into(&mut sampler, &mut scratch.fetch_ops)?;
-            scratch.fetch_bounds.push(scratch.fetch_ops.len());
-        }
-        let mut out = Vec::with_capacity(seeds.len());
-        for w in 0..seeds.len() {
-            let (lo, hi) = (scratch.fetch_bounds[w], scratch.fetch_bounds[w + 1]);
-            let mut cov = scratch.take_cov(self.model.len());
-            self.run_program_into(&scratch.fetch_ops[lo..hi], &mut cov);
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
+    fn simulate_plane(
         &self,
         resolved: &ResolvedParams,
         seeds: &[u64],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        // Same two-phase kernel as `simulate_batch`, but the cycle loops
-        // record straight into plane lanes — no per-sim vectors at all.
+        // Two-phase kernel: `run_program` draws nothing from the sampler, so
+        // the whole block's programs are generated first (back to back in
+        // the scratch arena) and the cycle loops then run while the buffer
+        // model's working set stays cache-resident, recording straight into
+        // plane lanes — no per-sim vectors at all.
         scratch.fetch_ops.clear();
         scratch.fetch_bounds.clear();
         scratch.fetch_bounds.push(0);
@@ -394,6 +369,7 @@ impl VerifEnv for IfuEnv {
 mod tests {
     use super::*;
     use ascdg_coverage::{CoverageRepository, StatusPolicy, TemplateId};
+    use ascdg_stimgen::instance_seed;
 
     fn env() -> IfuEnv {
         IfuEnv::new()
@@ -436,7 +412,10 @@ mod tests {
         let cp = env.coverage_model().cross_product().unwrap();
         let mut union = CoverageVector::empty(env.coverage_model().len());
         for s in 500..700 {
-            union.union_with(&env.simulate_resolved(&resolved, "smoke", s).unwrap());
+            union.union_with(
+                &env.simulate_seeded(&resolved, instance_seed(s, "smoke", 0))
+                    .unwrap(),
+            );
         }
         // Thread 3 has zero default weight.
         for e in cp.slice(1, 3) {
@@ -465,7 +444,10 @@ mod tests {
         let cp = env.coverage_model().cross_product().unwrap();
         let mut union = CoverageVector::empty(env.coverage_model().len());
         for s in 0..200 {
-            union.union_with(&env.simulate_resolved(&resolved, "bp", s).unwrap());
+            union.union_with(
+                &env.simulate_seeded(&resolved, instance_seed(s, "bp", 0))
+                    .unwrap(),
+            );
         }
         let deep_hit = (4..7).any(|entry| cp.slice(0, entry).iter().any(|&e| union.get(e)));
         assert!(deep_hit, "backpressure should reach entries 4-6");
@@ -479,7 +461,10 @@ mod tests {
         let cp = env.coverage_model().cross_product().unwrap();
         let mut union = CoverageVector::empty(env.coverage_model().len());
         for s in 0..100 {
-            union.union_with(&env.simulate_resolved(&resolved, "t", s).unwrap());
+            union.union_with(
+                &env.simulate_seeded(&resolved, instance_seed(s, "t", 0))
+                    .unwrap(),
+            );
         }
         for sector in 0..4 {
             assert!(
@@ -498,7 +483,8 @@ mod tests {
             for s in 0..60 {
                 repo.record(
                     TemplateId(idx as u32),
-                    &env.simulate_resolved(&resolved, t.name(), s).unwrap(),
+                    &env.simulate_seeded(&resolved, instance_seed(s, t.name(), 0))
+                        .unwrap(),
                 );
             }
         }

@@ -541,45 +541,16 @@ impl VerifEnv for IoEnv {
         Ok(self.run_program(&program, &mut sampler, unaligned, resp_queue_cap))
     }
 
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // The sampler is consumed *during* the run phase (per-beat flush
-        // hazard), so sims interleave generate/run per seed — the win is
-        // reusing the command buffer and the response delay line across the
-        // whole chunk.
-        let mut out = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut sampler = ParamSampler::new(resolved, seed);
-            let unaligned = sampler.sample_choice("AddrAlign")? == "unaligned";
-            let resp_queue_cap = sampler.sample_int("CreditInit")? as usize;
-            scratch.io_cmds.clear();
-            self.generate_into(&mut sampler, &mut scratch.io_cmds)?;
-            let mut cov = scratch.take_cov(self.model.len());
-            self.run_program_into(
-                &scratch.io_cmds,
-                &mut sampler,
-                unaligned,
-                resp_queue_cap,
-                &mut scratch.io_responses,
-                &mut cov,
-            );
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
+    fn simulate_plane(
         &self,
         resolved: &ResolvedParams,
         seeds: &[u64],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        // Same interleaved kernel as `simulate_batch`, but each sim's
-        // cycle model records straight into its plane lane.
+        // The sampler is consumed *during* the run phase (per-beat flush
+        // hazard), so sims interleave generate/run per seed, reusing the
+        // command buffer and the response delay line across the block;
+        // each sim's cycle model records straight into its plane lane.
         let SimScratch {
             io_cmds,
             io_responses,
@@ -610,6 +581,7 @@ impl VerifEnv for IoEnv {
 mod tests {
     use super::*;
     use ascdg_coverage::{CoverageRepository, TemplateId};
+    use ascdg_stimgen::instance_seed;
 
     fn env() -> IoEnv {
         IoEnv::new()
@@ -621,7 +593,7 @@ mod tests {
         let mut hits = 0u64;
         for s in 0..sims {
             let cov = env
-                .simulate_resolved(&resolved, template.name(), s)
+                .simulate_seeded(&resolved, instance_seed(s, template.name(), 0))
                 .unwrap();
             if cov.get(id) {
                 hits += 1;
@@ -688,7 +660,7 @@ mod tests {
             .collect();
         for s in 0..200 {
             let cov = env
-                .simulate_resolved(&resolved, "io_burst_stress", s)
+                .simulate_seeded(&resolved, instance_seed(s, "io_burst_stress", 0))
                 .unwrap();
             for w in ids.windows(2) {
                 assert!(
@@ -771,7 +743,9 @@ mod tests {
         for (idx, t) in env.stock_library().iter() {
             let resolved = env.registry().resolve(t).unwrap();
             for s in 0..120 {
-                let cov = env.simulate_resolved(&resolved, t.name(), s).unwrap();
+                let cov = env
+                    .simulate_seeded(&resolved, instance_seed(s, t.name(), 0))
+                    .unwrap();
                 repo.record(TemplateId(idx as u32), &cov);
             }
         }
@@ -996,7 +970,7 @@ mod tests {
             let resolved = env.registry().resolve(t).unwrap();
             (0..sims)
                 .filter(|&s| {
-                    env.simulate_resolved(&resolved, t.name(), s)
+                    env.simulate_seeded(&resolved, instance_seed(s, t.name(), 0))
                         .unwrap()
                         .get(deep)
                 })

@@ -566,48 +566,17 @@ impl VerifEnv for L3Env {
         ))
     }
 
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // The sampler is consumed *during* the run phase (snoops, memory
-        // jitter), so sims interleave generate/run per seed — the win is
-        // reusing the program buffer, the per-set LRU stacks and the
-        // in-flight delay line across the whole chunk.
-        let mut out = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut sampler = ParamSampler::new(resolved, seed);
-            let stride_mode = sampler.sample_choice("AddrPattern")? == "stride";
-            let snoop_rate = BASE_SNOOP_RATE + sampler.rate("SnoopPct")? * 0.15;
-            scratch.mem_ops.clear();
-            let (base, working_set) =
-                self.generate_into(&mut sampler, stride_mode, &mut scratch.mem_ops)?;
-            let mut cov = scratch.take_cov(self.model.len());
-            self.run_program_into(
-                &scratch.mem_ops,
-                &mut sampler,
-                stride_mode,
-                (base, working_set),
-                snoop_rate,
-                &mut scratch.l3_sets,
-                &mut scratch.l3_inflight,
-                &mut cov,
-            );
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
+    fn simulate_plane(
         &self,
         resolved: &ResolvedParams,
         seeds: &[u64],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        // Same interleaved kernel as `simulate_batch`, but each sim's
-        // cycle model records straight into its plane lane.
+        // The sampler is consumed *during* the run phase (snoops, memory
+        // jitter), so sims interleave generate/run per seed, reusing the
+        // program buffer, the per-set LRU stacks and the in-flight delay
+        // line across the block; each sim's cycle model records straight
+        // into its plane lane.
         let SimScratch {
             mem_ops,
             l3_sets,
@@ -641,6 +610,7 @@ impl VerifEnv for L3Env {
 mod tests {
     use super::*;
     use ascdg_coverage::{CoverageRepository, TemplateId};
+    use ascdg_stimgen::instance_seed;
 
     fn env() -> L3Env {
         L3Env::new()
@@ -654,7 +624,7 @@ mod tests {
         let mut hits = vec![0u64; ids.len()];
         for s in 0..sims {
             let cov = env
-                .simulate_resolved(&resolved, template.name(), s)
+                .simulate_seeded(&resolved, instance_seed(s, template.name(), 0))
                 .unwrap();
             for (h, &id) in hits.iter_mut().zip(&ids) {
                 if cov.get(id) {
@@ -735,7 +705,9 @@ mod tests {
             .map(|k| env.coverage_model().id(&format!("byp_reqs{k:02}")).unwrap())
             .collect();
         for s in 0..100 {
-            let cov = env.simulate_resolved(&resolved, "x", s).unwrap();
+            let cov = env
+                .simulate_seeded(&resolved, instance_seed(s, "x", 0))
+                .unwrap();
             for w in ids.windows(2) {
                 assert!(cov.get(w[1]) <= cov.get(w[0]), "not monotone at seed {s}");
             }
@@ -785,7 +757,9 @@ mod tests {
         let mut misses = 0u64;
         let m = env.coverage_model();
         for s in 0..100 {
-            let cov = env.simulate_resolved(&resolved, "t", s).unwrap();
+            let cov = env
+                .simulate_seeded(&resolved, instance_seed(s, "t", 0))
+                .unwrap();
             hits += u64::from(cov.get(m.id("ld_hit").unwrap()));
             misses += u64::from(cov.get(m.id("ld_miss").unwrap()));
         }
@@ -906,7 +880,8 @@ mod tests {
         for s in 0..100 {
             repo.record(
                 TemplateId(0),
-                &env.simulate_resolved(&resolved, "t", s).unwrap(),
+                &env.simulate_seeded(&resolved, instance_seed(s, "t", 0))
+                    .unwrap(),
             );
         }
         let m = env.coverage_model();

@@ -20,7 +20,9 @@
 //! environment — a parameter registry with default biases, a stock
 //! test-template library (the "existing regression suite" the coarse-grained
 //! search mines), and a coverage model. Everything above this crate is
-//! black-box: the AS-CDG flow only calls [`VerifEnv::simulate`].
+//! black-box: the AS-CDG flow simulates only through
+//! [`VerifEnv::simulate_plane`], whose default bridges to the one required
+//! simulate method, [`VerifEnv::simulate_seeded`].
 //!
 //! # Examples
 //!

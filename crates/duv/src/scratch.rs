@@ -1,6 +1,6 @@
 //! Per-worker scratch state for batched simulation.
 
-use ascdg_coverage::{CoveragePlane, CoverageVector};
+use ascdg_coverage::CoveragePlane;
 use ascdg_stimgen::{FetchOp, IoCommand, MemRequest};
 
 use crate::kernel::DelayLine;
@@ -8,10 +8,10 @@ use crate::kernel::DelayLine;
 /// Arena-reused buffers for a worker's batched simulations.
 ///
 /// One `SimScratch` belongs to one worker thread and is threaded through
-/// [`VerifEnv::simulate_batch`](crate::VerifEnv::simulate_batch) calls.
-/// Each unit's batch kernel reuses the buffers it needs — stimulus program
-/// storage, cycle-model state (cache sets, delay lines), and a pool of
-/// recycled [`CoverageVector`]s — instead of reallocating them per
+/// [`VerifEnv::simulate_plane`](crate::VerifEnv::simulate_plane) calls.
+/// Each unit's plane kernel reuses the buffers it needs — stimulus program
+/// storage, cycle-model state (cache sets, delay lines), and the coverage
+/// bit-plane it records into — instead of reallocating them per
 /// simulation. The scratch never influences results: every buffer is
 /// cleared (not trusted) before a simulation uses it, so a fresh scratch
 /// and a heavily reused one produce byte-identical coverage.
@@ -19,14 +19,17 @@ use crate::kernel::DelayLine;
 /// # Examples
 ///
 /// ```
+/// use ascdg_coverage::CoverageVector;
 /// use ascdg_duv::{io_unit::IoEnv, SimScratch, VerifEnv};
 ///
 /// let env = IoEnv::new();
 /// let t = env.stock_library().get(0).unwrap().clone();
 /// let resolved = env.registry().resolve(&t).unwrap();
 /// let mut scratch = SimScratch::new();
-/// let covs = env.simulate_batch(&resolved, &[1, 2, 3], &mut scratch).unwrap();
-/// assert_eq!(covs.len(), 3);
+/// env.simulate_plane(&resolved, &[1, 2, 3], &mut scratch).unwrap();
+/// let mut lane = CoverageVector::empty(env.coverage_model().len());
+/// scratch.plane().extract_into(2, &mut lane);
+/// assert_eq!(lane, env.simulate_seeded(&resolved, 3).unwrap());
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
@@ -47,13 +50,9 @@ pub struct SimScratch {
     /// Synthetic-unit knob coordinates.
     pub(crate) knob_xs: Vec<f64>,
     /// The recycled coverage bit-plane
-    /// [`VerifEnv::simulate_batch_plane`](crate::VerifEnv::simulate_batch_plane)
+    /// [`VerifEnv::simulate_plane`](crate::VerifEnv::simulate_plane)
     /// records the current block into.
     pub(crate) plane: CoveragePlane,
-    /// Recycled coverage vectors, ready for [`SimScratch::take_cov`].
-    free: Vec<CoverageVector>,
-    reused: u64,
-    allocated: u64,
 }
 
 impl SimScratch {
@@ -63,41 +62,8 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Takes a zeroed coverage vector of `len` events, recycling one from
-    /// the pool when the width matches (vectors recycled under a different
-    /// coverage model are dropped).
-    #[must_use]
-    pub fn take_cov(&mut self, len: usize) -> CoverageVector {
-        while let Some(mut cov) = self.free.pop() {
-            if cov.len() == len {
-                cov.reset();
-                self.reused += 1;
-                return cov;
-            }
-        }
-        self.allocated += 1;
-        CoverageVector::empty(len)
-    }
-
-    /// Returns a finished coverage vector to the pool for reuse.
-    pub fn recycle(&mut self, cov: CoverageVector) {
-        self.free.push(cov);
-    }
-
-    /// Coverage vectors served from the pool since construction.
-    #[must_use]
-    pub fn cov_reused(&self) -> u64 {
-        self.reused
-    }
-
-    /// Coverage vectors freshly allocated since construction.
-    #[must_use]
-    pub fn cov_allocated(&self) -> u64 {
-        self.allocated
-    }
-
     /// The bit-plane the last
-    /// [`VerifEnv::simulate_batch_plane`](crate::VerifEnv::simulate_batch_plane)
+    /// [`VerifEnv::simulate_plane`](crate::VerifEnv::simulate_plane)
     /// call recorded into — callers fold or extract lanes from it.
     #[must_use]
     pub fn plane(&self) -> &CoveragePlane {
@@ -109,32 +75,5 @@ impl SimScratch {
     #[must_use]
     pub fn plane_mut(&mut self) -> &mut CoveragePlane {
         &mut self.plane
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ascdg_coverage::EventId;
-
-    #[test]
-    fn take_recycle_take_reuses() {
-        let mut s = SimScratch::new();
-        let mut cov = s.take_cov(10);
-        cov.set(EventId(3));
-        s.recycle(cov);
-        let cov = s.take_cov(10);
-        assert_eq!(cov, CoverageVector::empty(10), "recycled vector not reset");
-        assert_eq!((s.cov_allocated(), s.cov_reused()), (1, 1));
-    }
-
-    #[test]
-    fn width_mismatch_allocates_fresh() {
-        let mut s = SimScratch::new();
-        let cov = s.take_cov(10);
-        s.recycle(cov);
-        let cov = s.take_cov(20);
-        assert_eq!(cov.len(), 20);
-        assert_eq!((s.cov_allocated(), s.cov_reused()), (2, 0));
     }
 }

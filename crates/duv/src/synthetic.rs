@@ -339,24 +339,7 @@ impl VerifEnv for SyntheticEnv {
         Ok(cov)
     }
 
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // No stimulus program to stage — the batch win is reusing the knob
-        // buffer and the recycled coverage vectors.
-        let mut out = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut cov = scratch.take_cov(self.model.len());
-            self.simulate_into(resolved, seed, &mut scratch.knob_xs, &mut cov)?;
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
+    fn simulate_plane(
         &self,
         resolved: &ResolvedParams,
         seeds: &[u64],
@@ -374,6 +357,7 @@ impl VerifEnv for SyntheticEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ascdg_stimgen::instance_seed;
 
     #[test]
     fn construction_and_shapes() {
@@ -415,7 +399,9 @@ mod tests {
         let mut deep_hits = 0;
         let mut shallow_hits = 0;
         for s in 0..300 {
-            let cov = env.simulate_resolved(&resolved, "smoke", s).unwrap();
+            let cov = env
+                .simulate_seeded(&resolved, instance_seed(s, "smoke", 0))
+                .unwrap();
             deep_hits += u64::from(cov.get(deep));
             shallow_hits += u64::from(cov.get(shallow));
         }
@@ -449,7 +435,9 @@ mod tests {
         let deep = env.coverage_model().id("fam_08").unwrap();
         let mut hits = 0;
         for s in 0..300 {
-            let cov = env.simulate_resolved(&resolved, "oracle", s).unwrap();
+            let cov = env
+                .simulate_seeded(&resolved, instance_seed(s, "oracle", 0))
+                .unwrap();
             hits += u64::from(cov.get(deep));
         }
         assert!(hits > 10, "oracle template should reach fam_08: {hits}/300");
@@ -468,7 +456,7 @@ mod tests {
             let deep = env.coverage_model().id("fam_08").unwrap();
             (0..400)
                 .filter(|&s| {
-                    env.simulate_resolved(&resolved, "sweep", s)
+                    env.simulate_seeded(&resolved, instance_seed(s, "sweep", 0))
                         .unwrap()
                         .get(deep)
                 })

@@ -1,26 +1,26 @@
-//! Differential tests pinning [`VerifEnv::simulate_batch`] and the
-//! bit-plane entry [`VerifEnv::simulate_batch_plane`] to the sequential
+//! Differential tests pinning the bit-plane entry
+//! [`VerifEnv::simulate_plane`] to the sequential
 //! [`VerifEnv::simulate_seeded`] loop, byte for byte.
 //!
-//! Every built-in unit overrides `simulate_batch` with a specialized
+//! Every built-in unit overrides `simulate_plane` with a specialized
 //! kernel that generates stimulus into a reused scratch arena and runs the
-//! cycle loops back to back, and `simulate_batch_plane` with the same
-//! kernel recording into a transposed coverage bit-plane. These tests are
-//! the contract that both specializations are *purely* throughput changes:
-//! for every unit, every chunking (1, 2, 63, 64, 65, 127, ragged tails)
-//! and every seed stream, the batched coverage — per-sim vectors and
-//! extracted plane lanes alike — equals the one-at-a-time reference,
-//! including when the scratch arena is warm from unrelated prior chunks
-//! (or from the *other* batch entry point), and when several worker
-//! threads batch the same work concurrently (`ASCDG_TEST_THREADS` sizes
-//! the matrix).
+//! cycle loops back to back, recording into a transposed coverage
+//! bit-plane; a fifth case ([`SeededOnly`]) runs the trait's default
+//! scatter bridge. These tests are the contract that every plane path is
+//! *purely* a throughput change: for every unit, every chunking (1, 2, 63,
+//! 64, 65, 127, ragged tails) and every seed stream, the extracted plane
+//! lanes equal the one-at-a-time reference, including when the scratch
+//! arena is warm from unrelated prior blocks, and when several worker
+//! threads simulate the same work concurrently (`ASCDG_TEST_THREADS`
+//! sizes the matrix).
 
-use ascdg_coverage::{CoverageVector, PLANE_LANES};
+use ascdg_coverage::{CoverageModel, CoverageVector, PLANE_LANES};
 use ascdg_duv::ifu::IfuEnv;
 use ascdg_duv::io_unit::IoEnv;
 use ascdg_duv::l3cache::L3Env;
 use ascdg_duv::synthetic::SyntheticEnv;
-use ascdg_duv::{SimScratch, VerifEnv};
+use ascdg_duv::{EnvError, SimScratch, VerifEnv};
+use ascdg_template::{ParamRegistry, ResolvedParams, TemplateLibrary};
 use proptest::prelude::*;
 
 /// Worker-thread matrix width (`ASCDG_TEST_THREADS`, default 4).
@@ -32,13 +32,52 @@ fn test_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Runs `f` against one of the four built-in environments.
+/// An environment that writes only the required methods, delegating to a
+/// built-in unit — so its `simulate_plane` is the trait's default bridge
+/// over `simulate_seeded`, the path an external environment takes.
+struct SeededOnly<E>(E);
+
+impl<E: VerifEnv> VerifEnv for SeededOnly<E> {
+    /// A name of its own, so a failing assertion tells the default bridge
+    /// apart from the wrapped unit's native kernel.
+    fn unit_name(&self) -> &str {
+        "seeded_only"
+    }
+
+    fn registry(&self) -> &ParamRegistry {
+        self.0.registry()
+    }
+
+    fn coverage_model(&self) -> &CoverageModel {
+        self.0.coverage_model()
+    }
+
+    fn stock_library(&self) -> &TemplateLibrary {
+        self.0.stock_library()
+    }
+
+    fn simulate_seeded(
+        &self,
+        resolved: &ResolvedParams,
+        sampler_seed: u64,
+    ) -> Result<CoverageVector, EnvError> {
+        self.0.simulate_seeded(resolved, sampler_seed)
+    }
+}
+
+/// Number of [`with_env`] cases: the four built-in environments plus the
+/// default-bridge wrapper.
+const ENVS: usize = 5;
+
+/// Runs `f` against one of the four built-in environments, or (case 4) an
+/// ifu wrapped in [`SeededOnly`] to exercise the default bridge.
 fn with_env<R>(which: usize, f: impl FnOnce(&dyn VerifEnv) -> R) -> R {
-    match which % 4 {
+    match which % ENVS {
         0 => f(&IfuEnv::new()),
         1 => f(&L3Env::new()),
         2 => f(&IoEnv::new()),
-        _ => f(&SyntheticEnv::default()),
+        3 => f(&SyntheticEnv::default()),
+        _ => f(&SeededOnly(IfuEnv::new())),
     }
 }
 
@@ -56,43 +95,21 @@ fn seed_vec(base: u64, n: usize) -> Vec<u64> {
 }
 
 /// The sequential reference: one `simulate_seeded` per seed, in order.
-fn sequential(
-    env: &dyn VerifEnv,
-    resolved: &ascdg_template::ResolvedParams,
-    seeds: &[u64],
-) -> Vec<CoverageVector> {
+fn sequential(env: &dyn VerifEnv, resolved: &ResolvedParams, seeds: &[u64]) -> Vec<CoverageVector> {
     seeds
         .iter()
         .map(|&s| env.simulate_seeded(resolved, s).expect("simulate_seeded"))
         .collect()
 }
 
-/// The batched run: `simulate_batch` over `chunk`-sized slices, reusing
-/// one scratch arena across all chunks so later chunks hit warm buffers.
-fn batched(
-    env: &dyn VerifEnv,
-    resolved: &ascdg_template::ResolvedParams,
-    seeds: &[u64],
-    chunk: usize,
-) -> Vec<CoverageVector> {
-    let mut scratch = SimScratch::new();
-    let mut out = Vec::with_capacity(seeds.len());
-    for block in seeds.chunks(chunk.max(1)) {
-        out.extend(
-            env.simulate_batch(resolved, block, &mut scratch)
-                .expect("simulate_batch"),
-        );
-    }
-    out
-}
-
-/// The bit-plane run: `simulate_batch_plane` over `chunk`-sized slices
-/// split into kernel rounds of at most [`PLANE_LANES`] seeds — exactly
-/// the shape the batch runner dispatches — reusing one scratch arena,
-/// then extracting every lane back to row-major form for comparison.
+/// The bit-plane run: `simulate_plane` over `chunk`-sized slices split
+/// into kernel rounds of at most [`PLANE_LANES`] seeds — exactly the shape
+/// the batch runner dispatches — reusing one scratch arena across all
+/// chunks so later chunks hit warm buffers, then extracting every lane
+/// back to row-major form for comparison.
 fn planed(
     env: &dyn VerifEnv,
-    resolved: &ascdg_template::ResolvedParams,
+    resolved: &ResolvedParams,
     seeds: &[u64],
     chunk: usize,
 ) -> Vec<CoverageVector> {
@@ -101,8 +118,8 @@ fn planed(
     let mut out = Vec::with_capacity(seeds.len());
     for block in seeds.chunks(chunk.max(1)) {
         for round in block.chunks(PLANE_LANES) {
-            env.simulate_batch_plane(resolved, round, &mut scratch)
-                .expect("simulate_batch_plane");
+            env.simulate_plane(resolved, round, &mut scratch)
+                .expect("simulate_plane");
             for lane in 0..round.len() {
                 let mut v = CoverageVector::empty(events);
                 scratch.plane().extract_into(lane, &mut v);
@@ -113,8 +130,8 @@ fn planed(
     out
 }
 
-/// One differential check: resolve a stock template, run all three paths
-/// over the same seeds, demand equality — on this thread and on every
+/// One differential check: resolve a stock template, run both paths over
+/// the same seeds, demand equality — on this thread and on every
 /// thread of the `ASCDG_TEST_THREADS` matrix with its own scratch arena.
 fn check(which: usize, tmpl_idx: usize, base_seed: u64, sims: usize, chunk: usize) {
     with_env(which, |env| {
@@ -126,12 +143,6 @@ fn check(which: usize, tmpl_idx: usize, base_seed: u64, sims: usize, chunk: usiz
         let seeds = seed_vec(base_seed, sims);
         let reference = sequential(env, &resolved, &seeds);
         assert_eq!(
-            batched(env, &resolved, &seeds, chunk),
-            reference,
-            "{} batch (chunk {chunk}) diverged from sequential",
-            env.unit_name()
-        );
-        assert_eq!(
             planed(env, &resolved, &seeds, chunk),
             reference,
             "{} plane (chunk {chunk}) diverged from sequential",
@@ -140,12 +151,6 @@ fn check(which: usize, tmpl_idx: usize, base_seed: u64, sims: usize, chunk: usiz
         std::thread::scope(|scope| {
             for _ in 0..test_threads() {
                 scope.spawn(|| {
-                    assert_eq!(
-                        batched(env, &resolved, &seeds, chunk),
-                        reference,
-                        "{} concurrent batch (chunk {chunk}) diverged",
-                        env.unit_name()
-                    );
                     assert_eq!(
                         planed(env, &resolved, &seeds, chunk),
                         reference,
@@ -163,7 +168,7 @@ fn check(which: usize, tmpl_idx: usize, base_seed: u64, sims: usize, chunk: usiz
 /// — each leaving a different ragged tail of 130 sims.
 #[test]
 fn kernel_block_edges_are_identical_for_every_unit() {
-    for which in 0..4 {
+    for which in 0..ENVS {
         for chunk in [1usize, 2, 63, 64, 65, 127] {
             check(which, 0, 0xB47C_0000 + chunk as u64, 130, chunk);
         }
@@ -175,7 +180,7 @@ fn kernel_block_edges_are_identical_for_every_unit() {
 /// fresh-scratch reference.
 #[test]
 fn warm_scratch_does_not_leak_across_templates() {
-    for which in 0..4 {
+    for which in 0..ENVS {
         with_env(which, |env| {
             let library = env.stock_library();
             let a = library.get(0).expect("template 0");
@@ -189,25 +194,9 @@ fn warm_scratch_does_not_leak_across_templates() {
             let mut scratch = SimScratch::new();
             for round in 0..2 {
                 for (resolved, reference) in [(&ra, &ref_a), (&rb, &ref_b)] {
-                    let mut out = Vec::new();
-                    for block in seeds.chunks(64) {
-                        out.extend(
-                            env.simulate_batch(resolved, block, &mut scratch)
-                                .expect("batch"),
-                        );
-                    }
-                    assert_eq!(
-                        &out,
-                        reference,
-                        "{} round {round}: warm-scratch batch diverged",
-                        env.unit_name()
-                    );
-                    // Same arena, other entry point: the plane kernel must
-                    // be unaffected by the per-sim batch that just warmed
-                    // the buffers (and vice versa on the next iteration).
                     let mut lanes = Vec::new();
                     for block in seeds.chunks(PLANE_LANES) {
-                        env.simulate_batch_plane(resolved, block, &mut scratch)
+                        env.simulate_plane(resolved, block, &mut scratch)
                             .expect("plane");
                         for lane in 0..block.len() {
                             let mut v = CoverageVector::empty(events);
@@ -231,10 +220,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary unit, template, seed stream, sim count and chunking:
-    /// batched simulation is byte-identical to the sequential loop.
+    /// plane simulation is byte-identical to the sequential loop.
     #[test]
     fn batch_matches_sequential(
-        which in 0usize..4,
+        which in 0usize..ENVS,
         tmpl_idx in 0usize..8,
         base_seed in any::<u64>(),
         sims in 1usize..140,

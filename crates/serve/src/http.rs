@@ -13,7 +13,7 @@
 //! * `/status` — [`DaemonStatus`] JSON: per-unit shard state, admission
 //!   queue depths by priority class, per-request lifecycle and sims;
 //! * `/rates` — [`RatesReport`] JSON from the background sampler's
-//!   [`DeltaTracker`](ascdg_telemetry::DeltaTracker);
+//!   [`DeltaTracker`];
 //! * `/ring` — the retained [`SnapshotRing`] samples, oldest first.
 
 use std::io::{BufRead, BufReader, Read, Write};
