@@ -49,8 +49,13 @@ pub trait VerifEnv: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`EnvError::StimGen`] if generation draws an incompatible
-    /// value (cannot happen for parameters validated by the registry).
+    /// Returns [`EnvError::Template`] with
+    /// [`TemplateError::LayoutMismatch`](ascdg_template::TemplateError::LayoutMismatch)
+    /// when `resolved` came from a registry with another slot layout (the
+    /// environment's [`ParamId`](ascdg_template::ParamId)s would address
+    /// the wrong parameters; checked once per call, before any draw), and
+    /// [`EnvError::StimGen`] if generation draws an incompatible value
+    /// (cannot happen for parameters validated by the registry).
     fn simulate_seeded(
         &self,
         resolved: &ResolvedParams,

@@ -22,7 +22,7 @@
 use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector, CrossProduct, Feature};
 use ascdg_stimgen::{FetchOp, FetchProgram, ParamSampler};
 use ascdg_template::{
-    ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
 use crate::{EnvError, SimScratch, VerifEnv};
@@ -48,6 +48,30 @@ pub struct IfuEnv {
     registry: ParamRegistry,
     model: CoverageModel,
     library: TemplateLibrary,
+    params: Params,
+}
+
+/// The parameters the generator draws, resolved once from the registry.
+#[derive(Debug, Clone, Copy)]
+struct Params {
+    fetch_count: ParamId,
+    branch_pct: ParamId,
+    fetch_align: ParamId,
+    thread_mix: ParamId,
+    stall_pct: ParamId,
+}
+
+impl Params {
+    fn resolve(reg: &ParamRegistry) -> Self {
+        let id = |name| reg.id(name).expect("registry parameter");
+        Params {
+            fetch_count: id("FetchCount"),
+            branch_pct: id("BranchPct"),
+            fetch_align: id("FetchAlign"),
+            thread_mix: id("ThreadMix"),
+            stall_pct: id("StallPct"),
+        }
+    }
 }
 
 impl Default for IfuEnv {
@@ -193,8 +217,10 @@ impl IfuEnv {
     /// Builds the environment (registry, stock library, coverage model).
     #[must_use]
     pub fn new() -> Self {
+        let registry = registry();
         IfuEnv {
-            registry: registry(),
+            params: Params::resolve(&registry),
+            registry,
             model: CoverageModel::from_cross_product("ifu", cross_product())
                 .expect("cross-product names are unique"),
             library: stock_library(),
@@ -214,9 +240,10 @@ impl IfuEnv {
         sampler: &mut ParamSampler<'_>,
         out: &mut Vec<FetchOp>,
     ) -> Result<(), EnvError> {
-        let count = sampler.sample_int("FetchCount")? as usize;
-        let branch_rate = sampler.rate("BranchPct")?;
-        let jumpy = sampler.sample_choice("FetchAlign")? == "jump";
+        let p = self.params;
+        let count = sampler.sample_int(p.fetch_count)? as usize;
+        let branch_rate = sampler.rate(p.branch_pct)?;
+        let jumpy = sampler.sample_choice(p.fetch_align)? == "jump";
         // Per-thread sequential fetch pointers (16-byte granules).
         let mut pc = [0u64; 4];
         for (i, p) in pc.iter_mut().enumerate() {
@@ -224,9 +251,9 @@ impl IfuEnv {
         }
         out.reserve(count);
         for _ in 0..count {
-            let thread = (sampler.sample_int("ThreadMix")? & 3) as usize;
+            let thread = (sampler.sample_int(p.thread_mix)? & 3) as usize;
             let taken_branch = sampler.chance(branch_rate);
-            let stall = sampler.sample_int("StallPct")?;
+            let stall = sampler.sample_int(p.stall_pct)?;
             // Stall percentage becomes a per-fetch stall of 0 or 1 cycles.
             let stall_cycles = u32::from(sampler.chance(stall as f64 / 100.0));
             let addr = pc[thread];
@@ -326,6 +353,7 @@ impl VerifEnv for IfuEnv {
         resolved: &ResolvedParams,
         sampler_seed: u64,
     ) -> Result<CoverageVector, EnvError> {
+        self.registry.check_layout(resolved)?;
         let mut sampler = ParamSampler::new(resolved, sampler_seed);
         let program = self.generate(&mut sampler)?;
         Ok(self.run_program(&program))
@@ -342,6 +370,7 @@ impl VerifEnv for IfuEnv {
         // the scratch arena) and the cycle loops then run while the buffer
         // model's working set stays cache-resident, recording straight into
         // plane lanes — no per-sim vectors at all.
+        self.registry.check_layout(resolved)?;
         scratch.fetch_ops.clear();
         scratch.fetch_bounds.clear();
         scratch.fetch_bounds.push(0);

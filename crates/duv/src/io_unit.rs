@@ -30,10 +30,10 @@
 //! (packet-length weights, gap range, channel focus, CRC enable, error
 //! rate) are the ones the coarse-grained search should discover.
 
-use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector};
+use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector, EventId};
 use ascdg_stimgen::{IoCommand, IoProgram, ParamSampler};
 use ascdg_template::{
-    ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
 use crate::{EnvError, SimScratch, VerifEnv};
@@ -70,8 +70,99 @@ pub struct IoEnv {
     registry: ParamRegistry,
     model: CoverageModel,
     library: TemplateLibrary,
-    /// `qdepth_N` event ids indexed by depth-1 (hot-path cache).
-    qdepth_ids: Vec<ascdg_coverage::EventId>,
+    params: Params,
+    events: Events,
+}
+
+/// The parameters the generator draws, resolved once from the registry.
+#[derive(Debug, Clone, Copy)]
+struct Params {
+    addr_align: ParamId,
+    credit_init: ParamId,
+    pkt_count: ParamId,
+    err_pct: ParamId,
+    intr_pct: ParamId,
+    read_pct: ParamId,
+    channel: ParamId,
+    pkt_len: ParamId,
+    gap: ParamId,
+    resp_delay: ParamId,
+    crc_en: ParamId,
+}
+
+impl Params {
+    fn resolve(reg: &ParamRegistry) -> Self {
+        let id = |name| reg.id(name).expect("registry parameter");
+        Params {
+            addr_align: id("AddrAlign"),
+            credit_init: id("CreditInit"),
+            pkt_count: id("PktCount"),
+            err_pct: id("ErrPct"),
+            intr_pct: id("IntrPct"),
+            read_pct: id("ReadPct"),
+            channel: id("Channel"),
+            pkt_len: id("PktLen"),
+            gap: id("Gap"),
+            resp_delay: id("RespDelay"),
+            crc_en: id("CrcEn"),
+        }
+    }
+}
+
+/// The events the cycle model records, resolved once from the model.
+#[derive(Debug, Clone)]
+struct Events {
+    /// `crc_k` ids in [`CRC_THRESHOLDS`] order.
+    crc: [EventId; CRC_THRESHOLDS.len()],
+    /// `qdepth_N` ids indexed by depth-1.
+    qdepth: [EventId; RESP_QUEUE_MAX],
+    /// `chN_active` ids indexed by channel.
+    ch_active: [EventId; 4],
+    all_channels_used: EventId,
+    rd_cmd: EventId,
+    wr_cmd: EventId,
+    err_injected: EventId,
+    crc_err_abort: EventId,
+    crc_disabled_cmd: EventId,
+    gap_zero_b2b: EventId,
+    long_gap: EventId,
+    intr_raised: EventId,
+    intr_burst2: EventId,
+    buffer_flush_full: EventId,
+    chain2: EventId,
+    chain4: EventId,
+    chain8: EventId,
+    max_beats_cmd: EventId,
+    unaligned_access: EventId,
+    resp_queue_full: EventId,
+}
+
+impl Events {
+    fn resolve(model: &CoverageModel) -> Self {
+        let id = |name: &str| model.id(name).expect("model event");
+        Events {
+            crc: CRC_THRESHOLDS.map(|k| id(&format!("crc_{k:03}"))),
+            qdepth: std::array::from_fn(|d| id(&format!("qdepth_{}", d + 1))),
+            ch_active: std::array::from_fn(|ch| id(&format!("ch{ch}_active"))),
+            all_channels_used: id("all_channels_used"),
+            rd_cmd: id("rd_cmd"),
+            wr_cmd: id("wr_cmd"),
+            err_injected: id("err_injected"),
+            crc_err_abort: id("crc_err_abort"),
+            crc_disabled_cmd: id("crc_disabled_cmd"),
+            gap_zero_b2b: id("gap_zero_b2b"),
+            long_gap: id("long_gap"),
+            intr_raised: id("intr_raised"),
+            intr_burst2: id("intr_burst2"),
+            buffer_flush_full: id("buffer_flush_full"),
+            chain2: id("chain2"),
+            chain4: id("chain4"),
+            chain8: id("chain8"),
+            max_beats_cmd: id("max_beats_cmd"),
+            unaligned_access: id("unaligned_access"),
+            resp_queue_full: id("resp_queue_full"),
+        }
+    }
 }
 
 impl Default for IoEnv {
@@ -304,44 +395,47 @@ impl IoEnv {
     /// Builds the environment (registry, stock library, coverage model).
     #[must_use]
     pub fn new() -> Self {
+        let registry = registry();
         let model =
             CoverageModel::from_names("io_unit", event_names()).expect("event names are unique");
-        let qdepth_ids = (1..=RESP_QUEUE_MAX)
-            .map(|k| model.id(&format!("qdepth_{k}")).expect("family event"))
-            .collect();
         IoEnv {
-            registry: registry(),
+            params: Params::resolve(&registry),
+            events: Events::resolve(&model),
+            registry,
             model,
             library: stock_library(),
-            qdepth_ids,
         }
     }
 
-    /// Generates the stimulus program for one test-instance into `out` (a
-    /// cleared scratch buffer on the batch path, a fresh `Vec` otherwise).
+    /// Draws one instance's setup — `(unaligned, resp_queue_cap)` — then
+    /// its stimulus program into `out` (a cleared scratch buffer on the
+    /// batch path, a fresh `Vec` otherwise).
     fn generate_into(
         &self,
         sampler: &mut ParamSampler<'_>,
         out: &mut Vec<IoCommand>,
-    ) -> Result<(), EnvError> {
-        let count = sampler.sample_int("PktCount")? as usize;
-        let err_rate = sampler.rate("ErrPct")?;
-        let intr_rate = sampler.rate("IntrPct")?;
-        let read_rate = sampler.rate("ReadPct")?;
+    ) -> Result<(bool, usize), EnvError> {
+        let p = self.params;
+        let unaligned = sampler.sample_choice(p.addr_align)? == "unaligned";
+        let resp_queue_cap = sampler.sample_int(p.credit_init)? as usize;
+        let count = sampler.sample_int(p.pkt_count)? as usize;
+        let err_rate = sampler.rate(p.err_pct)?;
+        let intr_rate = sampler.rate(p.intr_pct)?;
+        let read_rate = sampler.rate(p.read_pct)?;
         out.reserve(count);
         for _ in 0..count {
             out.push(IoCommand {
-                channel: sampler.sample_int("Channel")? as u8,
-                payload_beats: sampler.sample_int("PktLen")? as u32,
-                gap: sampler.sample_int("Gap")? as u32,
-                resp_delay: sampler.sample_int("RespDelay")? as u32,
-                crc_enable: sampler.sample_choice("CrcEn")? == "on",
+                channel: sampler.sample_int(p.channel)? as u8,
+                payload_beats: sampler.sample_int(p.pkt_len)? as u32,
+                gap: sampler.sample_int(p.gap)? as u32,
+                resp_delay: sampler.sample_int(p.resp_delay)? as u32,
+                crc_enable: sampler.sample_choice(p.crc_en)? == "on",
                 inject_error: sampler.chance(err_rate),
                 is_read: sampler.chance(read_rate),
                 raise_intr: sampler.chance(intr_rate),
             });
         }
-        Ok(())
+        Ok((unaligned, resp_queue_cap))
     }
 
     /// Runs the DMA/CRC model over a program, collecting coverage.
@@ -382,10 +476,7 @@ impl IoEnv {
         responses: &mut crate::kernel::DelayLine<()>,
         cov: &mut S,
     ) {
-        let hit = |name: &str, cov: &mut S| {
-            cov.hit(self.model.id(name).expect("known event"));
-        };
-
+        let ev = &self.events;
         let mut span: u32 = 0;
         let mut chain_pkts: u32 = 0;
         let mut prev: Option<IoCommand> = None;
@@ -398,43 +489,40 @@ impl IoEnv {
         let mut cycle: u64 = 0;
 
         if unaligned {
-            hit("unaligned_access", cov);
+            cov.hit(ev.unaligned_access);
         }
 
         for cmd in program {
             // Issue timing and response-queue occupancy.
             responses.drain_ready_with(cycle, |()| {});
             if responses.len() == resp_queue_cap {
-                hit("resp_queue_full", cov);
+                cov.hit(ev.resp_queue_full);
                 let next = responses.next_ready().expect("slots are held");
                 cycle = cycle.max(next);
                 responses.drain_ready_with(cycle, |()| {});
             }
             responses.insert((), cycle + u64::from(cmd.resp_delay));
             let depth = responses.len().min(RESP_QUEUE_MAX);
-            cov.hit(self.qdepth_ids[depth - 1]);
+            cov.hit(ev.qdepth[depth - 1]);
             cycle += 1 + u64::from(cmd.payload_beats) + u64::from(cmd.gap);
 
             let ch = (cmd.channel & 3) as usize;
             channels_used[ch] = true;
-            hit(
-                ["ch0_active", "ch1_active", "ch2_active", "ch3_active"][ch],
-                cov,
-            );
-            hit(if cmd.is_read { "rd_cmd" } else { "wr_cmd" }, cov);
+            cov.hit(ev.ch_active[ch]);
+            cov.hit(if cmd.is_read { ev.rd_cmd } else { ev.wr_cmd });
             if cmd.gap == 0 {
-                hit("gap_zero_b2b", cov);
+                cov.hit(ev.gap_zero_b2b);
             }
             if cmd.gap >= 24 {
-                hit("long_gap", cov);
+                cov.hit(ev.long_gap);
             }
             if cmd.payload_beats >= 12 {
-                hit("max_beats_cmd", cov);
+                cov.hit(ev.max_beats_cmd);
             }
             if cmd.raise_intr {
-                hit("intr_raised", cov);
+                cov.hit(ev.intr_raised);
                 if prev_intr {
-                    hit("intr_burst2", cov);
+                    cov.hit(ev.intr_burst2);
                 }
             }
             prev_intr = cmd.raise_intr;
@@ -454,13 +542,13 @@ impl IoEnv {
             if cmd.crc_enable {
                 chain_pkts += 1;
                 if chain_pkts >= 2 {
-                    hit("chain2", cov);
+                    cov.hit(ev.chain2);
                 }
                 if chain_pkts >= 4 {
-                    hit("chain4", cov);
+                    cov.hit(ev.chain4);
                 }
                 if chain_pkts >= 8 {
-                    hit("chain8", cov);
+                    cov.hit(ev.chain8);
                 }
                 // Beats stream through the CRC engine one at a time; an
                 // injected error aborts mid-payload and background machine
@@ -477,20 +565,20 @@ impl IoEnv {
                         break;
                     }
                     span += 1;
-                    for &k in &CRC_THRESHOLDS {
+                    for (&k, &crc) in CRC_THRESHOLDS.iter().zip(&ev.crc) {
                         if span == k {
-                            hit(&format!("crc_{k:03}"), cov);
+                            cov.hit(crc);
                         }
                     }
                     if span >= CRC_BUFFER_BEATS {
-                        hit("buffer_flush_full", cov);
+                        cov.hit(ev.buffer_flush_full);
                         flushed = true;
                         break;
                     }
                 }
                 if cmd.inject_error {
-                    hit("err_injected", cov);
-                    hit("crc_err_abort", cov);
+                    cov.hit(ev.err_injected);
+                    cov.hit(ev.crc_err_abort);
                     flushed = true;
                 }
                 if flushed {
@@ -498,15 +586,15 @@ impl IoEnv {
                     chain_pkts = 0;
                 }
             } else {
-                hit("crc_disabled_cmd", cov);
+                cov.hit(ev.crc_disabled_cmd);
                 if cmd.inject_error {
-                    hit("err_injected", cov);
+                    cov.hit(ev.err_injected);
                 }
             }
             prev = Some(*cmd);
         }
         if channels_used.iter().all(|&u| u) {
-            hit("all_channels_used", cov);
+            cov.hit(ev.all_channels_used);
         }
     }
 }
@@ -533,11 +621,10 @@ impl VerifEnv for IoEnv {
         resolved: &ResolvedParams,
         sampler_seed: u64,
     ) -> Result<CoverageVector, EnvError> {
+        self.registry.check_layout(resolved)?;
         let mut sampler = ParamSampler::new(resolved, sampler_seed);
-        let unaligned = sampler.sample_choice("AddrAlign")? == "unaligned";
-        let resp_queue_cap = sampler.sample_int("CreditInit")? as usize;
         let mut program = Vec::new();
-        self.generate_into(&mut sampler, &mut program)?;
+        let (unaligned, resp_queue_cap) = self.generate_into(&mut sampler, &mut program)?;
         Ok(self.run_program(&program, &mut sampler, unaligned, resp_queue_cap))
     }
 
@@ -557,13 +644,12 @@ impl VerifEnv for IoEnv {
             plane,
             ..
         } = scratch;
+        self.registry.check_layout(resolved)?;
         plane.begin(self.model.len(), seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
             let mut sampler = ParamSampler::new(resolved, seed);
-            let unaligned = sampler.sample_choice("AddrAlign")? == "unaligned";
-            let resp_queue_cap = sampler.sample_int("CreditInit")? as usize;
             io_cmds.clear();
-            self.generate_into(&mut sampler, io_cmds)?;
+            let (unaligned, resp_queue_cap) = self.generate_into(&mut sampler, io_cmds)?;
             self.run_program_into(
                 io_cmds,
                 &mut sampler,

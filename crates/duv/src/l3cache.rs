@@ -24,10 +24,10 @@
 //!
 //! [`PfDepth`]: struct.L3Env.html#method.registry
 
-use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector};
+use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector, EventId};
 use ascdg_stimgen::{MemOp, MemProgram, MemRequest, ParamSampler};
 use ascdg_template::{
-    ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
 use crate::kernel::DelayLine;
@@ -64,8 +64,90 @@ pub struct L3Env {
     registry: ParamRegistry,
     model: CoverageModel,
     library: TemplateLibrary,
-    /// `byp_reqsNN` event ids indexed by depth-1 (hot-path cache).
-    bypass_ids: Vec<ascdg_coverage::EventId>,
+    params: Params,
+    events: Events,
+}
+
+/// The parameters the generator draws, resolved once from the registry.
+#[derive(Debug, Clone, Copy)]
+struct Params {
+    addr_pattern: ParamId,
+    snoop_pct: ParamId,
+    req_count: ParamId,
+    working_set: ParamId,
+    stride_step: ParamId,
+    thread_mix: ParamId,
+    gap_l3: ParamId,
+    rw_mix: ParamId,
+    pf_depth: ParamId,
+}
+
+impl Params {
+    fn resolve(reg: &ParamRegistry) -> Self {
+        let id = |name| reg.id(name).expect("registry parameter");
+        Params {
+            addr_pattern: id("AddrPattern"),
+            snoop_pct: id("SnoopPct"),
+            req_count: id("ReqCount"),
+            working_set: id("WorkingSet"),
+            stride_step: id("StrideStep"),
+            thread_mix: id("ThreadMix"),
+            gap_l3: id("GapL3"),
+            rw_mix: id("RwMix"),
+            pf_depth: id("PfDepth"),
+        }
+    }
+}
+
+/// The events the cache model records, resolved once from the model.
+#[derive(Debug, Clone)]
+struct Events {
+    /// `byp_reqsNN` ids indexed by depth-1.
+    bypass: [EventId; BYPASS_CREDITS],
+    /// `threadN_active` ids indexed by thread.
+    thread_active: [EventId; 4],
+    ld_hit: EventId,
+    ld_miss: EventId,
+    st_hit: EventId,
+    st_miss: EventId,
+    prefetch_issued: EventId,
+    prefetch_dropped: EventId,
+    evict_line: EventId,
+    fill_complete: EventId,
+    front_end_stall: EventId,
+    same_line_b2b: EventId,
+    set_conflict: EventId,
+    mem_latency_spike: EventId,
+    snoop_invalidate: EventId,
+    all_threads_seen: EventId,
+    store_streak4: EventId,
+    stride_pattern_seen: EventId,
+}
+
+impl Events {
+    fn resolve(model: &CoverageModel) -> Self {
+        let id = |name: &str| model.id(name).expect("model event");
+        Events {
+            bypass: std::array::from_fn(|d| id(&format!("byp_reqs{:02}", d + 1))),
+            thread_active: std::array::from_fn(|t| id(&format!("thread{t}_active"))),
+            ld_hit: id("ld_hit"),
+            ld_miss: id("ld_miss"),
+            st_hit: id("st_hit"),
+            st_miss: id("st_miss"),
+            prefetch_issued: id("prefetch_issued"),
+            prefetch_dropped: id("prefetch_dropped"),
+            evict_line: id("evict_line"),
+            fill_complete: id("fill_complete"),
+            front_end_stall: id("front_end_stall"),
+            same_line_b2b: id("same_line_b2b"),
+            set_conflict: id("set_conflict"),
+            mem_latency_spike: id("mem_latency_spike"),
+            snoop_invalidate: id("snoop_invalidate"),
+            all_threads_seen: id("all_threads_seen"),
+            store_streak4: id("store_streak4"),
+            stride_pattern_seen: id("stride_pattern_seen"),
+        }
+    }
 }
 
 impl Default for L3Env {
@@ -249,31 +331,33 @@ impl L3Env {
     /// Builds the environment (registry, stock library, coverage model).
     #[must_use]
     pub fn new() -> Self {
+        let registry = registry();
         let model =
             CoverageModel::from_names("l3cache", event_names()).expect("event names are unique");
-        let bypass_ids = (1..=BYPASS_CREDITS)
-            .map(|k| model.id(&format!("byp_reqs{k:02}")).expect("family event"))
-            .collect();
         L3Env {
-            registry: registry(),
+            params: Params::resolve(&registry),
+            events: Events::resolve(&model),
+            registry,
             model,
             library: stock_library(),
-            bypass_ids,
         }
     }
 
-    /// Generates one instance's memory program into `out` (a cleared
-    /// scratch buffer on the batch path, a fresh `Vec` otherwise); returns
-    /// the `(base, working_set)` warm span.
+    /// Draws one instance's traffic shape — `(stride_mode, snoop_rate)` —
+    /// then its memory program into `out` (a cleared scratch buffer on the
+    /// batch path, a fresh `Vec` otherwise); returns the shape with the
+    /// `(base, working_set)` warm span.
     fn generate_into(
         &self,
         sampler: &mut ParamSampler<'_>,
-        stride_mode: bool,
         out: &mut Vec<MemRequest>,
-    ) -> Result<(u64, u64), EnvError> {
-        let count = sampler.sample_int("ReqCount")? as usize;
-        let working_set = sampler.sample_int("WorkingSet")? as u64;
-        let stride = sampler.sample_int("StrideStep")? as u64;
+    ) -> Result<Generated, EnvError> {
+        let p = self.params;
+        let stride_mode = sampler.sample_choice(p.addr_pattern)? == "stride";
+        let snoop_rate = BASE_SNOOP_RATE + sampler.rate(p.snoop_pct)? * 0.15;
+        let count = sampler.sample_int(p.req_count)? as usize;
+        let working_set = sampler.sample_int(p.working_set)? as u64;
+        let stride = sampler.sample_int(p.stride_step)? as u64;
         let base = sampler.uniform(0, 1 << 20) as u64;
         let mut walker = base;
         out.reserve(count);
@@ -284,9 +368,9 @@ impl L3Env {
             } else {
                 base + sampler.uniform(0, working_set as i64) as u64
             };
-            let thread = sampler.sample_int("ThreadMix")? as u8;
-            let gap = sampler.sample_int("GapL3")? as u32;
-            match sampler.sample_choice("RwMix")?.as_str() {
+            let thread = sampler.sample_int(p.thread_mix)? as u8;
+            let gap = sampler.sample_int(p.gap_l3)? as u32;
+            match sampler.sample_choice(p.rw_mix)? {
                 "load" => out.push(MemRequest {
                     line_addr,
                     op: MemOp::Load,
@@ -302,7 +386,7 @@ impl L3Env {
                 _ => {
                     // A prefetch op is a hardware burst: `depth` sequential
                     // lines, back to back (only the first carries the gap).
-                    let depth = sampler.sample_int("PfDepth")? as u64;
+                    let depth = sampler.sample_int(p.pf_depth)? as u64;
                     for j in 0..depth {
                         out.push(MemRequest {
                             line_addr: line_addr + j,
@@ -314,14 +398,18 @@ impl L3Env {
                 }
             }
         }
-        Ok((base, working_set))
+        Ok(Generated {
+            stride_mode,
+            snoop_rate,
+            warm: (base, working_set),
+        })
     }
 
     /// Marks the bypass-occupancy family event for the current depth.
     fn bump_bypass<S: CoverageSink>(&self, inflight: &DelayLine<u64>, cov: &mut S) {
         let depth = inflight.len().min(BYPASS_CREDITS);
         if depth >= 1 {
-            cov.hit(self.bypass_ids[depth - 1]);
+            cov.hit(self.events.bypass[depth - 1]);
         }
     }
 
@@ -373,9 +461,7 @@ impl L3Env {
         inflight: &mut DelayLine<u64>,
         cov: &mut S,
     ) {
-        let hit = |name: &str, cov: &mut S| {
-            cov.hit(self.model.id(name).expect("known event"));
-        };
+        let ev = &self.events;
 
         // Per-set LRU stacks, front = MRU. Warm-start with the test's
         // working set (bounded by capacity).
@@ -399,7 +485,7 @@ impl L3Env {
         let mut last_miss_set: Option<usize> = None;
 
         if stride_mode {
-            hit("stride_pattern_seen", cov);
+            cov.hit(ev.stride_pattern_seen);
         }
 
         let fill = |sets: &mut Vec<Vec<u64>>, line: u64, cov: &mut S| {
@@ -408,11 +494,11 @@ impl L3Env {
             if !ways.contains(&line) {
                 if ways.len() == WAYS {
                     ways.pop();
-                    hit("evict_line", cov);
+                    cov.hit(ev.evict_line);
                 }
                 ways.insert(0, line);
             }
-            hit("fill_complete", cov);
+            cov.hit(ev.fill_complete);
         };
 
         for req in program {
@@ -426,29 +512,21 @@ impl L3Env {
                     // Coherence traffic targets hot shared lines: take the
                     // MRU way, which is the likeliest to be re-accessed.
                     sets[victim_set].remove(0);
-                    hit("snoop_invalidate", cov);
+                    cov.hit(ev.snoop_invalidate);
                 }
             }
 
             let th = (req.thread & 3) as usize;
             threads_seen[th] = true;
-            hit(
-                [
-                    "thread0_active",
-                    "thread1_active",
-                    "thread2_active",
-                    "thread3_active",
-                ][th],
-                cov,
-            );
+            cov.hit(ev.thread_active[th]);
             if prev_line == Some(req.line_addr) {
-                hit("same_line_b2b", cov);
+                cov.hit(ev.same_line_b2b);
             }
             prev_line = Some(req.line_addr);
             if req.op == MemOp::Store {
                 store_streak += 1;
                 if store_streak >= 4 {
-                    hit("store_streak4", cov);
+                    cov.hit(ev.store_streak4);
                 }
             } else {
                 store_streak = 0;
@@ -466,51 +544,51 @@ impl L3Env {
                     let line = sets[set].remove(w);
                     sets[set].insert(0, line);
                     match op {
-                        MemOp::Load => hit("ld_hit", cov),
-                        MemOp::Store => hit("st_hit", cov),
-                        MemOp::Prefetch => hit("prefetch_issued", cov),
+                        MemOp::Load => cov.hit(ev.ld_hit),
+                        MemOp::Store => cov.hit(ev.st_hit),
+                        MemOp::Prefetch => cov.hit(ev.prefetch_issued),
                     }
                 }
                 (None, op) if merged => match op {
-                    MemOp::Load => hit("ld_miss", cov),
-                    MemOp::Store => hit("st_miss", cov),
-                    MemOp::Prefetch => hit("prefetch_issued", cov),
+                    MemOp::Load => cov.hit(ev.ld_miss),
+                    MemOp::Store => cov.hit(ev.st_miss),
+                    MemOp::Prefetch => cov.hit(ev.prefetch_issued),
                 },
                 (None, MemOp::Prefetch) => {
                     // Prefetch misses are dropped when no credit is free.
                     if inflight.len() < BYPASS_CREDITS {
-                        hit("prefetch_issued", cov);
+                        cov.hit(ev.prefetch_issued);
                         let (latency, spiked) = mem_latency(sampler);
                         if spiked {
-                            hit("mem_latency_spike", cov);
+                            cov.hit(ev.mem_latency_spike);
                         }
                         inflight.insert(req.line_addr, cycle + latency);
                         self.bump_bypass(inflight, cov);
                     } else {
-                        hit("prefetch_dropped", cov);
+                        cov.hit(ev.prefetch_dropped);
                     }
                 }
                 (None, op) => {
                     match op {
-                        MemOp::Load => hit("ld_miss", cov),
-                        MemOp::Store => hit("st_miss", cov),
+                        MemOp::Load => cov.hit(ev.ld_miss),
+                        MemOp::Store => cov.hit(ev.st_miss),
                         MemOp::Prefetch => unreachable!("handled above"),
                     }
                     if last_miss_set == Some(set) {
-                        hit("set_conflict", cov);
+                        cov.hit(ev.set_conflict);
                     }
                     last_miss_set = Some(set);
                     if inflight.len() == BYPASS_CREDITS {
                         // All bypass slots held: the front end stalls until
                         // the earliest response returns.
-                        hit("front_end_stall", cov);
+                        cov.hit(ev.front_end_stall);
                         let next = inflight.next_ready().expect("slots are held");
                         cycle = cycle.max(next);
                         inflight.drain_ready_with(cycle, |line| fill(&mut *sets, line, &mut *cov));
                     }
                     let (latency, spiked) = mem_latency(sampler);
                     if spiked {
-                        hit("mem_latency_spike", cov);
+                        cov.hit(ev.mem_latency_spike);
                     }
                     inflight.insert(req.line_addr, cycle + latency);
                     self.bump_bypass(inflight, cov);
@@ -518,9 +596,17 @@ impl L3Env {
             }
         }
         if threads_seen.iter().all(|&t| t) {
-            hit("all_threads_seen", cov);
+            cov.hit(ev.all_threads_seen);
         }
     }
+}
+
+/// One instance's drawn traffic shape (see [`L3Env::generate_into`]).
+struct Generated {
+    stride_mode: bool,
+    snoop_rate: f64,
+    /// The `(base, working_set)` span warm-started into the cache.
+    warm: (u64, u64),
 }
 
 /// Draws a memory latency; returns `(latency, spiked)` where `spiked`
@@ -552,18 +638,11 @@ impl VerifEnv for L3Env {
         resolved: &ResolvedParams,
         sampler_seed: u64,
     ) -> Result<CoverageVector, EnvError> {
+        self.registry.check_layout(resolved)?;
         let mut sampler = ParamSampler::new(resolved, sampler_seed);
-        let stride_mode = sampler.sample_choice("AddrPattern")? == "stride";
-        let snoop_rate = BASE_SNOOP_RATE + sampler.rate("SnoopPct")? * 0.15;
         let mut program = Vec::new();
-        let (base, working_set) = self.generate_into(&mut sampler, stride_mode, &mut program)?;
-        Ok(self.run_program(
-            &program,
-            &mut sampler,
-            stride_mode,
-            (base, working_set),
-            snoop_rate,
-        ))
+        let g = self.generate_into(&mut sampler, &mut program)?;
+        Ok(self.run_program(&program, &mut sampler, g.stride_mode, g.warm, g.snoop_rate))
     }
 
     fn simulate_plane(
@@ -584,19 +663,18 @@ impl VerifEnv for L3Env {
             plane,
             ..
         } = scratch;
+        self.registry.check_layout(resolved)?;
         plane.begin(self.model.len(), seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
             let mut sampler = ParamSampler::new(resolved, seed);
-            let stride_mode = sampler.sample_choice("AddrPattern")? == "stride";
-            let snoop_rate = BASE_SNOOP_RATE + sampler.rate("SnoopPct")? * 0.15;
             mem_ops.clear();
-            let (base, working_set) = self.generate_into(&mut sampler, stride_mode, mem_ops)?;
+            let g = self.generate_into(&mut sampler, mem_ops)?;
             self.run_program_into(
                 mem_ops,
                 &mut sampler,
-                stride_mode,
-                (base, working_set),
-                snoop_rate,
+                g.stride_mode,
+                g.warm,
+                g.snoop_rate,
                 l3_sets,
                 l3_inflight,
                 &mut plane.lane(lane),

@@ -21,7 +21,7 @@
 use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector};
 use ascdg_stimgen::{mix_seed, ParamSampler};
 use ascdg_template::{
-    ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
 use crate::{EnvError, SimScratch, VerifEnv};
@@ -88,10 +88,10 @@ pub struct SyntheticEnv {
     fam_ids: Vec<ascdg_coverage::EventId>,
     /// `bg_NN` event ids by index (hot-path cache).
     bg_ids: Vec<ascdg_coverage::EventId>,
-    /// Pre-rendered knob parameter names (hot-path cache).
-    knob_names: Vec<String>,
-    /// Pre-rendered decoy parameter names (hot-path cache).
-    decoy_names: Vec<String>,
+    /// Knob parameter ids by knob index (hot-path cache).
+    knob_ids: Vec<ParamId>,
+    /// Decoy parameter ids by decoy index (hot-path cache).
+    decoy_ids: Vec<ParamId>,
 }
 
 impl Default for SyntheticEnv {
@@ -201,8 +201,13 @@ impl SyntheticEnv {
         let bg_ids = (0..config.noise_events)
             .map(|i| model.id(&format!("bg_{i:02}")).expect("bg event"))
             .collect();
-        let knob_names = (0..config.relevant_params).map(knob_name).collect();
-        let decoy_names = (0..config.irrelevant_params).map(decoy_name).collect();
+        let param_id = |name: String| registry.id(&name).expect("registry parameter");
+        let knob_ids = (0..config.relevant_params)
+            .map(|i| param_id(knob_name(i)))
+            .collect();
+        let decoy_ids = (0..config.irrelevant_params)
+            .map(|i| param_id(decoy_name(i)))
+            .collect();
         SyntheticEnv {
             config,
             registry,
@@ -211,8 +216,8 @@ impl SyntheticEnv {
             optimum,
             fam_ids,
             bg_ids,
-            knob_names,
-            decoy_names,
+            knob_ids,
+            decoy_ids,
         }
     }
 
@@ -269,14 +274,14 @@ impl SyntheticEnv {
         let mut sampler = ParamSampler::new(resolved, sampler_seed);
         // Draw the knob configuration of this instance.
         xs.clear();
-        for name in &self.knob_names {
-            xs.push(sampler.sample_int(name)? as f64 / 100.0);
+        for &id in &self.knob_ids {
+            xs.push(sampler.sample_int(id)? as f64 / 100.0);
         }
         // Decoys are drawn (consuming entropy, like real generators) but
         // do not influence the family.
         let mut decoy_acc = 0i64;
-        for name in &self.decoy_names {
-            decoy_acc ^= sampler.sample_int(name)?;
+        for &id in &self.decoy_ids {
+            decoy_acc ^= sampler.sample_int(id)?;
         }
 
         let s = self.quality(xs);
@@ -333,6 +338,7 @@ impl VerifEnv for SyntheticEnv {
         resolved: &ResolvedParams,
         sampler_seed: u64,
     ) -> Result<CoverageVector, EnvError> {
+        self.registry.check_layout(resolved)?;
         let mut xs = Vec::with_capacity(self.config.relevant_params);
         let mut cov = CoverageVector::empty(self.model.len());
         self.simulate_into(resolved, sampler_seed, &mut xs, &mut cov)?;
@@ -345,6 +351,7 @@ impl VerifEnv for SyntheticEnv {
         seeds: &[u64],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
+        self.registry.check_layout(resolved)?;
         let SimScratch { knob_xs, plane, .. } = scratch;
         plane.begin(self.model.len(), seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {

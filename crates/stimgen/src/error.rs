@@ -6,7 +6,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StimGenError {
-    /// The sampled parameter is not defined in the resolved set.
+    /// The sampled parameter is not defined in the resolved set (for a
+    /// [`ParamId`](ascdg_template::ParamId) past its last slot, the id's
+    /// display form, e.g. `param#7`).
     UnknownParam(String),
     /// The parameter exists but has the wrong kind for the requested
     /// sample (e.g. asking for an identifier from a range parameter).

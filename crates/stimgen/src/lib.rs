@@ -5,8 +5,9 @@
 //! from the template's (or the environment default's) parameter
 //! distributions. This crate provides:
 //!
-//! * [`ParamSampler`] — draws values from resolved weight/range parameters
-//!   with a deterministic, seedable RNG (the source of the paper's
+//! * [`ParamSampler`] — draws values from resolved weight/range parameters,
+//!   addressed by [`ParamId`](ascdg_template::ParamId), with a
+//!   deterministic, seedable RNG (the source of the paper's
 //!   *dynamic noise*: same template, different seeds, different coverage);
 //! * [`instance_seed`] — the canonical seed derivation for instance `i` of a
 //!   named template, so batch runs are reproducible and order-independent;
@@ -26,13 +27,15 @@
 //! let mut reg = ParamRegistry::new();
 //! reg.define(ParamDef::weights("Op", [("load", 80), ("store", 20)])?)?;
 //! reg.define(ParamDef::range("Delay", 0, 8)?)?;
+//! // Environments resolve parameter ids once, not per draw.
+//! let (op, delay) = (reg.id("Op")?, reg.id("Delay")?);
 //!
 //! let template = TestTemplate::builder("t").build();
 //! let resolved = reg.resolve(&template)?;
 //! let mut sampler = ParamSampler::new(&resolved, instance_seed(1, "t", 0));
-//! let op = sampler.sample_choice("Op")?;
+//! let op = sampler.sample_choice(op)?;
 //! assert!(op == "load" || op == "store");
-//! let d = sampler.sample_int("Delay")?;
+//! let d = sampler.sample_int(delay)?;
 //! assert!((0..8).contains(&d));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

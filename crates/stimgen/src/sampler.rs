@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use ascdg_template::{ParamDef, ParamKind, ResolvedParams, Value};
+use ascdg_template::{ParamDef, ParamId, ParamKind, ResolvedParams, Value, WeightedValue};
 
 use crate::StimGenError;
 
@@ -12,8 +12,11 @@ use crate::StimGenError;
 /// One sampler corresponds to one test-instance: it is created with the
 /// instance's seed and consumed while generating the stimulus program.
 /// Every random decision the environment makes — instruction mnemonics,
-/// delays, addresses — goes through a named parameter, exactly as the
-/// paper's biased random generators do.
+/// delays, addresses — goes through a parameter, exactly as the paper's
+/// biased random generators do. Draws address parameters by [`ParamId`],
+/// which the environment looks up once with
+/// [`ParamRegistry::id`](ascdg_template::ParamRegistry::id), so a draw is
+/// a slot index plus the RNG calls — no name lookup, no allocation.
 ///
 /// # Examples
 ///
@@ -23,10 +26,11 @@ use crate::StimGenError;
 ///
 /// let mut reg = ParamRegistry::new();
 /// reg.define(ParamDef::range("Gap", 0, 4)?)?;
+/// let gap = reg.id("Gap")?;
 /// let resolved = reg.resolve(&TestTemplate::builder("t").build())?;
 /// let mut s = ParamSampler::new(&resolved, 9);
 /// for _ in 0..20 {
-///     assert!((0..4).contains(&s.sample_int("Gap")?));
+///     assert!((0..4).contains(&s.sample_int(gap)?));
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -46,39 +50,26 @@ impl<'a> ParamSampler<'a> {
         }
     }
 
-    fn lookup(&self, name: &str) -> Result<&'a ParamDef, StimGenError> {
+    fn slot(&self, id: ParamId) -> Result<&'a ParamDef, StimGenError> {
         self.params
-            .get(name)
-            .ok_or_else(|| StimGenError::UnknownParam(name.to_owned()))
+            .slot(id)
+            .ok_or_else(|| StimGenError::UnknownParam(id.to_string()))
     }
 
-    /// Draws the raw [`Value`] of a parameter.
-    ///
-    /// For a weight parameter this is a weighted draw over its values; for
-    /// a range parameter it is a uniform integer in `[lo, hi)` wrapped as
-    /// [`Value::Int`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StimGenError::UnknownParam`] for undefined names.
-    pub fn sample_value(&mut self, name: &str) -> Result<Value, StimGenError> {
-        let def = self.lookup(name)?;
-        match def.kind() {
-            ParamKind::Weights(ws) => {
-                let total: u64 = ws.iter().map(|w| u64::from(w.weight)).sum();
-                debug_assert!(total > 0, "validated parameters have positive total");
-                let mut r = self.rng.random_range(0..total);
-                for wv in ws {
-                    let w = u64::from(wv.weight);
-                    if r < w {
-                        return Ok(wv.value.clone());
-                    }
-                    r -= w;
-                }
-                unreachable!("weighted draw fell off the end");
+    /// One weighted draw over a weight parameter's values, borrowing the
+    /// drawn value.
+    fn pick(&mut self, values: &'a [WeightedValue]) -> &'a Value {
+        let total: u64 = values.iter().map(|w| u64::from(w.weight)).sum();
+        debug_assert!(total > 0, "validated parameters have positive total");
+        let mut r = self.rng.random_range(0..total);
+        for wv in values {
+            let w = u64::from(wv.weight);
+            if r < w {
+                return &wv.value;
             }
-            &ParamKind::Range { lo, hi } => Ok(Value::Int(self.rng.random_range(lo..hi))),
+            r -= w;
         }
+        unreachable!("weighted draw fell off the end");
     }
 
     /// Draws an integer from a parameter.
@@ -90,61 +81,51 @@ impl<'a> ParamSampler<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`StimGenError::IncompatibleValue`] if the draw lands on a
-    /// symbolic value.
-    pub fn sample_int(&mut self, name: &str) -> Result<i64, StimGenError> {
-        match self.sample_value(name)? {
-            Value::Int(i) => Ok(i),
-            Value::SubRange { lo, hi } => Ok(self.rng.random_range(lo..hi)),
+    /// Returns [`StimGenError::UnknownParam`] for an id past the resolved
+    /// set's last slot, and [`StimGenError::IncompatibleValue`] if the draw
+    /// lands on a symbolic value.
+    pub fn sample_int(&mut self, id: ParamId) -> Result<i64, StimGenError> {
+        let def = self.slot(id)?;
+        let values = match def.kind() {
+            ParamKind::Weights(values) => values,
+            &ParamKind::Range { lo, hi } => return Ok(self.rng.random_range(lo..hi)),
+        };
+        match self.pick(values) {
+            &Value::Int(i) => Ok(i),
+            &Value::SubRange { lo, hi } => Ok(self.rng.random_range(lo..hi)),
             Value::Ident(s) => Err(StimGenError::IncompatibleValue {
-                param: name.to_owned(),
-                value: s,
+                param: def.name().to_owned(),
+                value: s.clone(),
                 requested: "integer",
             }),
         }
     }
 
-    /// Draws a symbolic choice from a weight parameter.
+    /// Draws a symbolic choice from a weight parameter, borrowing the drawn
+    /// identifier from the resolved set.
     ///
     /// # Errors
     ///
-    /// Returns [`StimGenError::WrongKind`] for range parameters and
-    /// [`StimGenError::IncompatibleValue`] if the draw lands on a
+    /// Returns [`StimGenError::UnknownParam`] for an id past the resolved
+    /// set's last slot, [`StimGenError::WrongKind`] for range parameters
+    /// and [`StimGenError::IncompatibleValue`] if the draw lands on a
     /// non-symbolic value.
-    pub fn sample_choice(&mut self, name: &str) -> Result<String, StimGenError> {
-        let def = self.lookup(name)?;
-        if def.kind().is_range() {
+    pub fn sample_choice(&mut self, id: ParamId) -> Result<&'a str, StimGenError> {
+        let def = self.slot(id)?;
+        let ParamKind::Weights(values) = def.kind() else {
             return Err(StimGenError::WrongKind {
-                param: name.to_owned(),
+                param: def.name().to_owned(),
                 requested: "symbolic choice",
             });
-        }
-        match self.sample_value(name)? {
+        };
+        match self.pick(values) {
             Value::Ident(s) => Ok(s),
             other => Err(StimGenError::IncompatibleValue {
-                param: name.to_owned(),
+                param: def.name().to_owned(),
                 value: other.to_string(),
                 requested: "symbolic choice",
             }),
         }
-    }
-
-    /// Draws an integer and compares it against `threshold`, treating the
-    /// parameter as a percentage knob: returns `true` with probability
-    /// `sample < threshold_percent` would have.
-    ///
-    /// This is the idiom for rate parameters like `ErrRate: range [0, 100)`
-    /// used as "percent of commands that inject an error": each decision
-    /// draws the parameter and fires when the draw is below the sampled
-    /// percentage... in practice environments sample the *rate* once and
-    /// then flip coins; use [`ParamSampler::rate`] for that.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ParamSampler::sample_int`] failures.
-    pub fn sample_percent(&mut self, name: &str) -> Result<bool, StimGenError> {
-        let pct = self.sample_int(name)?;
-        Ok(self.rng.random_range(0i64..100) < pct)
     }
 
     /// Samples a rate parameter once and returns it as a probability in
@@ -153,8 +134,8 @@ impl<'a> ParamSampler<'a> {
     /// # Errors
     ///
     /// Propagates [`ParamSampler::sample_int`] failures.
-    pub fn rate(&mut self, name: &str) -> Result<f64, StimGenError> {
-        Ok(self.sample_int(name)? as f64 / 100.0)
+    pub fn rate(&mut self, id: ParamId) -> Result<f64, StimGenError> {
+        Ok(self.sample_int(id)? as f64 / 100.0)
     }
 
     /// Flips a coin with probability `p` of `true`.
@@ -179,7 +160,7 @@ mod tests {
     use super::*;
     use ascdg_template::{ParamRegistry, TestTemplate};
 
-    fn resolved() -> ResolvedParams {
+    fn registry() -> ParamRegistry {
         let mut reg = ParamRegistry::new();
         reg.define(
             ParamDef::weights("Op", [("load", 75u32), ("store", 25u32), ("sync", 0u32)]).unwrap(),
@@ -200,7 +181,17 @@ mod tests {
         .unwrap();
         reg.define(ParamDef::range("ErrRate", 0, 100).unwrap())
             .unwrap();
-        reg.resolve(&TestTemplate::builder("t").build()).unwrap()
+        reg
+    }
+
+    fn resolved() -> ResolvedParams {
+        registry()
+            .resolve(&TestTemplate::builder("t").build())
+            .unwrap()
+    }
+
+    fn id(name: &str) -> ParamId {
+        registry().id(name).unwrap()
     }
 
     #[test]
@@ -210,7 +201,7 @@ mod tests {
         let mut loads = 0;
         let n = 4000;
         for _ in 0..n {
-            match s.sample_choice("Op").unwrap().as_str() {
+            match s.sample_choice(id("Op")).unwrap() {
                 "load" => loads += 1,
                 "store" => {}
                 other => panic!("zero-weight value drawn: {other}"),
@@ -225,7 +216,7 @@ mod tests {
         let r = resolved();
         let mut s = ParamSampler::new(&r, 2);
         for _ in 0..200 {
-            let v = s.sample_int("Gap").unwrap();
+            let v = s.sample_int(id("Gap")).unwrap();
             assert!((0..10).contains(&v));
         }
     }
@@ -237,7 +228,7 @@ mod tests {
         let mut seen_small = false;
         let mut seen_exact = false;
         for _ in 0..2000 {
-            let v = s.sample_int("Len").unwrap();
+            let v = s.sample_int(id("Len")).unwrap();
             assert!((1..65).contains(&v) || v == 128, "out of domain: {v}");
             seen_small |= (1..9).contains(&v);
             seen_exact |= v == 128;
@@ -250,15 +241,19 @@ mod tests {
         let r = resolved();
         let mut s = ParamSampler::new(&r, 4);
         assert!(matches!(
-            s.sample_choice("Gap"),
+            s.sample_choice(id("Gap")),
             Err(StimGenError::WrongKind { .. })
         ));
         assert!(matches!(
-            s.sample_int("Op"),
+            s.sample_int(id("Op")),
             Err(StimGenError::IncompatibleValue { .. })
         ));
+        // An id past the resolved set's slots is an error, not a panic.
+        let mut wide = registry();
+        wide.define(ParamDef::range("Extra", 0, 1).unwrap())
+            .unwrap();
         assert!(matches!(
-            s.sample_value("Missing"),
+            s.sample_int(wide.id("Extra").unwrap()),
             Err(StimGenError::UnknownParam(_))
         ));
     }
@@ -269,7 +264,7 @@ mod tests {
         let draw = |seed| {
             let mut s = ParamSampler::new(&r, seed);
             (0..50)
-                .map(|_| s.sample_int("Gap").unwrap())
+                .map(|_| s.sample_int(id("Gap")).unwrap())
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw(77), draw(77));
@@ -280,22 +275,12 @@ mod tests {
     fn rate_and_chance() {
         let r = resolved();
         let mut s = ParamSampler::new(&r, 5);
-        let rate = s.rate("ErrRate").unwrap();
+        let rate = s.rate(id("ErrRate")).unwrap();
         assert!((0.0..1.0).contains(&rate));
         let hits = (0..1000).filter(|_| s.chance(0.3)).count();
         assert!((200..400).contains(&hits), "chance(0.3) fired {hits}/1000");
         assert!(!s.chance(0.0));
         assert!(s.chance(1.0));
-    }
-
-    #[test]
-    fn sample_percent_statistics() {
-        let mut reg = ParamRegistry::new();
-        reg.define(ParamDef::range("P", 30, 31).unwrap()).unwrap();
-        let r = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
-        let mut s = ParamSampler::new(&r, 6);
-        let hits = (0..2000).filter(|_| s.sample_percent("P").unwrap()).count();
-        assert!((450..750).contains(&hits), "P=30% fired {hits}/2000");
     }
 
     #[test]

@@ -51,6 +51,17 @@ pub enum TemplateError {
     UnknownTemplate(String),
     /// A template with this name already exists in the library.
     DuplicateTemplate(String),
+    /// A resolved parameter set does not have the registry's slot layout
+    /// (it was resolved by another registry), so the registry's parameter
+    /// ids would address the wrong slots.
+    LayoutMismatch {
+        /// First slot that differs.
+        slot: usize,
+        /// The registry's parameter in that slot (`None`: past its end).
+        expected: Option<String>,
+        /// The resolved set's parameter in that slot (`None`: past its end).
+        found: Option<String>,
+    },
 }
 
 impl fmt::Display for TemplateError {
@@ -84,6 +95,23 @@ impl fmt::Display for TemplateError {
             TemplateError::UnknownTemplate(n) => write!(f, "unknown template `{n}`"),
             TemplateError::DuplicateTemplate(n) => {
                 write!(f, "a template named `{n}` already exists")
+            }
+            TemplateError::LayoutMismatch {
+                slot,
+                expected,
+                found,
+            } => {
+                let name = |p: &Option<String>| {
+                    p.as_ref()
+                        .map_or_else(|| "no parameter".to_owned(), |n| format!("`{n}`"))
+                };
+                write!(
+                    f,
+                    "resolved parameters do not match the registry layout: \
+                     slot {slot} holds {} where the registry declares {}",
+                    name(found),
+                    name(expected)
+                )
             }
         }
     }

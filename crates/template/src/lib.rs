@@ -13,7 +13,8 @@
 //!   a canonical text format (modeled on the paper's Fig. 1), a
 //!   [parser](TestTemplate::parse) and a printer (`Display`).
 //! * [`ParamRegistry`] — an environment's full parameter catalogue with
-//!   default definitions; templates are validated against it.
+//!   default definitions; templates are validated against it and resolved
+//!   into [`ResolvedParams`], whose slots [`ParamId`]s index directly.
 //! * [`Skeleton`] — a template with *marked* (free) weight settings, as
 //!   produced by the Skeletonizer; [`Skeleton::instantiate`] turns a point
 //!   in `[0,1]^d` back into a concrete [`TestTemplate`].
@@ -55,7 +56,7 @@ mod value;
 pub use error::TemplateError;
 pub use library::TemplateLibrary;
 pub use param::{ParamDef, ParamKind, WeightedValue};
-pub use registry::{ParamRegistry, ResolvedParams};
+pub use registry::{ParamId, ParamRegistry, ResolvedParams};
 pub use skeleton::{Setting, Skeleton, SkeletonParam};
 pub use template::{TemplateBuilder, TestTemplate};
 pub use value::Value;

@@ -1,9 +1,50 @@
 //! The environment's parameter catalogue and template resolution.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::fmt;
 
 use crate::{ParamDef, ParamKind, TemplateError, TestTemplate, Value};
+
+/// Dense index of a parameter within a [`ParamRegistry`]: its declaration
+/// position, and the slot it occupies in every [`ResolvedParams`] resolved
+/// by that registry.
+///
+/// Environments look their ids up once with [`ParamRegistry::id`] and draw
+/// through them, so a simulation's draws are array indexing, not name
+/// lookups. Ids are only meaningful relative to the registry that produced
+/// them; [`ParamRegistry::check_layout`] guards resolved sets from another
+/// registry.
+///
+/// # Examples
+///
+/// ```
+/// use ascdg_template::{ParamDef, ParamRegistry, TestTemplate};
+///
+/// let mut reg = ParamRegistry::new();
+/// reg.define(ParamDef::range("A", 0, 4)?)?;
+/// reg.define(ParamDef::range("B", 0, 8)?)?;
+/// let b = reg.id("B")?;
+/// assert_eq!(b.index(), 1);
+/// let resolved = reg.resolve(&TestTemplate::builder("t").build())?;
+/// assert_eq!(resolved.slot(b).unwrap().name(), "B");
+/// # Ok::<(), ascdg_template::TemplateError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ParamId(u32);
+
+impl ParamId {
+    /// Returns the id as a `usize` slot index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Display for ParamId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "param#{}", self.0)
+    }
+}
 
 /// The full set of parameters a verification environment exposes, each with
 /// its default definition.
@@ -60,6 +101,45 @@ impl ParamRegistry {
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&ParamDef> {
         self.params.iter().find(|p| p.name() == name)
+    }
+
+    /// The dense id of a parameter: its declaration position.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TemplateError::UnknownParam`] for undefined names.
+    pub fn id(&self, name: &str) -> Result<ParamId, TemplateError> {
+        self.params
+            .iter()
+            .position(|p| p.name() == name)
+            .map(|i| ParamId(u32::try_from(i).expect("registry fits u32 ids")))
+            .ok_or_else(|| TemplateError::UnknownParam(name.to_owned()))
+    }
+
+    /// Checks that `resolved` has this registry's slot layout — the same
+    /// parameter names in the same declaration order — so that this
+    /// registry's [`ParamId`]s address the right slots in it.
+    ///
+    /// Environments call this once per simulate call, before any draw.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TemplateError::LayoutMismatch`] naming the first slot that
+    /// differs (a parameter in another position, or one side running out).
+    pub fn check_layout(&self, resolved: &ResolvedParams) -> Result<(), TemplateError> {
+        let slots = self.params.len().max(resolved.slots.len());
+        for slot in 0..slots {
+            let expected = self.params.get(slot).map(ParamDef::name);
+            let found = resolved.slots.get(slot).map(ParamDef::name);
+            if expected != found {
+                return Err(TemplateError::LayoutMismatch {
+                    slot,
+                    expected: expected.map(str::to_owned),
+                    found: found.map(str::to_owned),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Number of defined parameters.
@@ -178,32 +258,32 @@ impl ParamRegistry {
     #[must_use]
     pub fn resolve_defaults(&self) -> ResolvedParams {
         ResolvedParams {
-            effective: self
-                .params
-                .iter()
-                .map(|p| (p.name().to_owned(), p.clone()))
-                .collect(),
+            slots: self.params.clone(),
         }
     }
 
-    /// Merges a template over pre-resolved `defaults`. When `defaults` came
-    /// from this registry's [`ParamRegistry::resolve_defaults`], the result
-    /// is identical to [`ParamRegistry::resolve`].
+    /// Merges a template over pre-resolved `defaults`, replacing each
+    /// overridden parameter's slot in place. When `defaults` came from this
+    /// registry's [`ParamRegistry::resolve_defaults`], the result is
+    /// identical to [`ParamRegistry::resolve`].
     ///
     /// # Errors
     ///
-    /// Propagates [`ParamRegistry::validate`] failures.
+    /// Returns [`TemplateError::LayoutMismatch`] when `defaults` was
+    /// resolved by a registry with another slot layout, and propagates
+    /// [`ParamRegistry::validate`] failures.
     pub fn resolve_over(
         &self,
         defaults: &ResolvedParams,
         template: &TestTemplate,
     ) -> Result<ResolvedParams, TemplateError> {
+        self.check_layout(defaults)?;
         self.validate(template)?;
-        let mut effective = defaults.effective.clone();
+        let mut slots = defaults.slots.clone();
         for over in template.params() {
-            effective.insert(over.name().to_owned(), over.clone());
+            slots[self.id(over.name())?.index()] = over.clone();
         }
-        Ok(ResolvedParams { effective })
+        Ok(ResolvedParams { slots })
     }
 }
 
@@ -226,34 +306,43 @@ impl FromIterator<ParamDef> for ParamRegistry {
 }
 
 /// The effective parameter set seen by the stimuli generator: template
-/// overrides merged over registry defaults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// overrides merged over registry defaults, one slot per registry
+/// parameter in declaration order, so a [`ParamId`] indexes its slot.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedParams {
-    effective: HashMap<String, ParamDef>,
+    slots: Vec<ParamDef>,
 }
 
 impl ResolvedParams {
-    /// The effective definition of a parameter.
+    /// The effective definition of a parameter, looked up by name (a scan;
+    /// simulation hot paths draw through [`ResolvedParams::slot`]).
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&ParamDef> {
-        self.effective.get(name)
+        self.slots.iter().find(|p| p.name() == name)
+    }
+
+    /// The effective definition in slot `id`, or `None` past the last slot.
+    #[must_use]
+    pub fn slot(&self, id: ParamId) -> Option<&ParamDef> {
+        self.slots.get(id.index())
     }
 
     /// Number of parameters.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.effective.len()
+        self.slots.len()
     }
 
     /// Returns `true` when no parameters are present.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.effective.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Iterates over effective definitions in arbitrary order.
+    /// Iterates over effective definitions in registry declaration order
+    /// (the `i`-th item is the slot of the parameter with index `i`).
     pub fn iter(&self) -> impl Iterator<Item = &ParamDef> + '_ {
-        self.effective.values()
+        self.slots.iter()
     }
 }
 
@@ -408,6 +497,50 @@ mod tests {
             .unwrap()
             .build();
         assert!(reg.resolve_over(&defaults, &bad).is_err());
+    }
+
+    #[test]
+    fn ids_are_declaration_positions_and_index_slots() {
+        let reg = registry();
+        let (op, delay) = (reg.id("Op").unwrap(), reg.id("Delay").unwrap());
+        assert_eq!((op.index(), delay.index()), (0, 1));
+        assert_eq!(delay.to_string(), "param#1");
+        assert!(matches!(reg.id("op"), Err(TemplateError::UnknownParam(_))));
+        let t = TestTemplate::builder("t")
+            .range("Delay", 10, 20)
+            .unwrap()
+            .build();
+        let r = reg.resolve(&t).unwrap();
+        // The override replaced its slot in place; order is declaration order.
+        assert_eq!(r.slot(delay), t.params().first());
+        assert_eq!(r.slot(op), reg.get("Op"));
+        let names: Vec<_> = r.iter().map(ParamDef::name).collect();
+        assert_eq!(names, reg.names());
+    }
+
+    #[test]
+    fn foreign_layouts_are_refused() {
+        let reg = registry();
+        let mut defs: Vec<ParamDef> = reg.iter().cloned().collect();
+        defs.reverse();
+        let reordered: ParamRegistry = defs.into_iter().collect();
+        let shorter: ParamRegistry = reg.iter().take(1).cloned().collect();
+        let t = TestTemplate::builder("t").build();
+        assert!(reg.check_layout(&reg.resolve(&t).unwrap()).is_ok());
+        for foreign in [&reordered, &shorter] {
+            let resolved = foreign.resolve(&t).unwrap();
+            let err = reg.check_layout(&resolved).unwrap_err();
+            assert!(matches!(err, TemplateError::LayoutMismatch { .. }), "{err}");
+            // Resolving over foreign defaults fails the same way instead of
+            // writing an override into the wrong slot.
+            assert_eq!(reg.resolve_over(&foreign.resolve_defaults(), &t), Err(err));
+        }
+        let err = reg
+            .check_layout(&shorter.resolve_defaults())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("slot 1 holds no parameter"), "{err}");
+        assert!(err.contains("`Delay`"), "{err}");
     }
 
     #[test]

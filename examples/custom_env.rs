@@ -9,13 +9,18 @@
 //! or bounce into a retry queue; `retry_depthN` fires when N retries are
 //! simultaneously queued. The environment defaults make deep queues rare,
 //! and one stock template carries the relevant parameters.
+//!
+//! The environment resolves every parameter and event name it uses once,
+//! in `new()`. A simulation then draws through [`ParamId`]s and records
+//! through [`EventId`]s: no name lookups, no formatting, no allocation
+//! beyond the returned coverage vector.
 
 use ascdg::core::{pool_scope, FlowConfig, FlowEngine, FlowEvent, TargetSpec};
-use ascdg::coverage::{CoverageModel, CoverageVector};
+use ascdg::coverage::{CoverageModel, CoverageVector, EventId};
 use ascdg::duv::{EnvError, VerifEnv};
 use ascdg::stimgen::ParamSampler;
 use ascdg::template::{
-    ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
 /// Maximum retry-queue depth (the family size).
@@ -25,6 +30,13 @@ struct RetryQueueEnv {
     registry: ParamRegistry,
     model: CoverageModel,
     library: TemplateLibrary,
+    cmd_count: ParamId,
+    bounce_pct: ParamId,
+    drain_rate: ParamId,
+    /// `retry_depthN` ids indexed by depth-1.
+    retry_depth: [EventId; MAX_DEPTH],
+    cmd_done: EventId,
+    bounce_seen: EventId,
 }
 
 impl RetryQueueEnv {
@@ -77,9 +89,18 @@ impl RetryQueueEnv {
         .into_iter()
         .collect();
 
+        let model = CoverageModel::from_names("retry_queue", names).unwrap();
+        let event = |name: &str| model.id(name).unwrap();
+        let param = |name: &str| registry.id(name).unwrap();
         RetryQueueEnv {
+            cmd_count: param("CmdCount"),
+            bounce_pct: param("BouncePct"),
+            drain_rate: param("DrainRate"),
+            retry_depth: std::array::from_fn(|d| event(&format!("retry_depth{}", d + 1))),
+            cmd_done: event("cmd_done"),
+            bounce_seen: event("bounce_seen"),
             registry,
-            model: CoverageModel::from_names("retry_queue", names).unwrap(),
+            model,
             library,
         }
     }
@@ -107,10 +128,13 @@ impl VerifEnv for RetryQueueEnv {
         resolved: &ResolvedParams,
         sampler_seed: u64,
     ) -> Result<CoverageVector, EnvError> {
+        // Ids index slots, so refuse parameters resolved by another
+        // registry before the first draw.
+        self.registry.check_layout(resolved)?;
         let mut s = ParamSampler::new(resolved, sampler_seed);
-        let count = s.sample_int("CmdCount")?;
-        let bounce = s.rate("BouncePct")?;
-        let drain = s.sample_int("DrainRate")? as usize;
+        let count = s.sample_int(self.cmd_count)?;
+        let bounce = s.rate(self.bounce_pct)?;
+        let drain = s.sample_int(self.drain_rate)? as usize;
 
         let mut cov = CoverageVector::empty(self.model.len());
         let mut queue = 0usize;
@@ -118,12 +142,11 @@ impl VerifEnv for RetryQueueEnv {
             // Drain completed retries first.
             queue = queue.saturating_sub(drain.min(1 + queue / 3));
             if s.chance(bounce) {
-                cov.set(self.model.id("bounce_seen").expect("known event"));
+                cov.set(self.bounce_seen);
                 queue = (queue + 1).min(MAX_DEPTH);
-                let name = format!("retry_depth{queue}");
-                cov.set(self.model.id(&name).expect("family event"));
+                cov.set(self.retry_depth[queue - 1]);
             } else {
-                cov.set(self.model.id("cmd_done").expect("known event"));
+                cov.set(self.cmd_done);
             }
         }
         Ok(cov)

@@ -30,10 +30,11 @@ proptest! {
     fn range_draws_in_domain(lo in -1000i64..1000, width in 1i64..500, seed in any::<u64>()) {
         let mut reg = ParamRegistry::new();
         reg.define(ParamDef::range("R", lo, lo + width).unwrap()).unwrap();
+        let r = reg.id("R").unwrap();
         let resolved = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
         let mut s = ParamSampler::new(&resolved, seed);
         for _ in 0..50 {
-            let v = s.sample_int("R").unwrap();
+            let v = s.sample_int(r).unwrap();
             prop_assert!((lo..lo + width).contains(&v), "{v} outside [{lo}, {})", lo + width);
         }
     }
@@ -51,10 +52,11 @@ proptest! {
             .unwrap(),
         )
         .unwrap();
+        let w = reg.id("W").unwrap();
         let resolved = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
         let mut s = ParamSampler::new(&resolved, seed);
         for _ in 0..100 {
-            let v = s.sample_int("W").unwrap();
+            let v = s.sample_int(w).unwrap();
             let home = ranges.iter().find(|&&(lo, hi, _)| (lo..hi).contains(&v));
             prop_assert!(home.is_some(), "draw {v} outside every subrange");
             prop_assert!(home.unwrap().2 > 0, "draw {v} from zero-weight subrange");
@@ -70,11 +72,12 @@ proptest! {
             ParamDef::weights("Op", [("hot", 95u32), ("cold", 5u32), ("dead", 0u32)]).unwrap(),
         )
         .unwrap();
+        let op = reg.id("Op").unwrap();
         let resolved = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
         let mut s = ParamSampler::new(&resolved, seed);
         let mut hot = 0u32;
         for _ in 0..400 {
-            match s.sample_choice("Op").unwrap().as_str() {
+            match s.sample_choice(op).unwrap() {
                 "hot" => hot += 1,
                 "cold" => {}
                 other => prop_assert!(false, "zero-weight value drawn: {other}"),
@@ -90,10 +93,11 @@ proptest! {
     fn seed_streams_are_independent(base in any::<u64>(), name in "[a-z]{1,10}") {
         let mut reg = ParamRegistry::new();
         reg.define(ParamDef::range("R", 0, 1_000_000).unwrap()).unwrap();
+        let r = reg.id("R").unwrap();
         let resolved = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
         let draw = |seed: u64| {
             let mut s = ParamSampler::new(&resolved, seed);
-            (0..8).map(|_| s.sample_int("R").unwrap()).collect::<Vec<_>>()
+            (0..8).map(|_| s.sample_int(r).unwrap()).collect::<Vec<_>>()
         };
         let s0 = instance_seed(base, &name, 0);
         let s1 = instance_seed(base, &name, 1);
@@ -106,10 +110,11 @@ proptest! {
     fn rate_is_a_probability(hi in 1i64..100, seed in any::<u64>()) {
         let mut reg = ParamRegistry::new();
         reg.define(ParamDef::range("P", 0, hi).unwrap()).unwrap();
+        let p = reg.id("P").unwrap();
         let resolved = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
         let mut s = ParamSampler::new(&resolved, seed);
         for _ in 0..20 {
-            let r = s.rate("P").unwrap();
+            let r = s.rate(p).unwrap();
             prop_assert!((0.0..1.0).contains(&r));
         }
     }
