@@ -461,7 +461,8 @@ pub fn multi_target(scale: f64, seed: u64) -> Result<MultiTargetStudy, FlowError
     let mut separate_sims = 0;
     let mut separate_targets_hit = 0;
     for (i, group) in groups.iter().enumerate() {
-        let out = flow.run_phases(&repo, group, seed ^ 0xe2 ^ i as u64)?;
+        let approx = ApproxTarget::auto(model, group, config.neighbor_decay)?;
+        let out = flow.run_phases(&repo, approx, seed ^ 0xe2 ^ i as u64)?;
         // Count phase sims excluding the shared regression.
         separate_sims += out
             .phases

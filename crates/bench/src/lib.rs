@@ -13,13 +13,11 @@
 //! | Fig. 5 | IFU cross-product status chart | [`fig5`] |
 //! | Fig. 6 | L3 optimization progress | [`fig6`] |
 //! | Ablations A1-A4, E1 | design-choice studies | [`ablation`] |
-//! | Pool speedup | `BENCH_parallel.json` (serial vs pooled phase) | [`parallel`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod parallel;
 
 use ascdg_core::{CdgFlow, FlowConfig, FlowError, FlowOutcome};
 use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env};

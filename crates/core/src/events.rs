@@ -4,12 +4,11 @@
 //! stream of typed [`FlowEvent`]s — stage boundaries, phase simulation
 //! milestones, the coarse-search decision, per-iteration best-objective
 //! progress, checkpoints. Any number of [`FlowSubscriber`]s can listen on
-//! the session's [`EventBus`]; the legacy [`FlowObserver`] callback trait
-//! keeps working through [`ObserverBridge`].
+//! the session's [`EventBus`].
 
 use serde::{Deserialize, Serialize};
 
-use crate::{FlowObserver, PhaseStats};
+use crate::PhaseStats;
 
 /// One structured notification emitted while a flow session runs.
 ///
@@ -170,36 +169,6 @@ impl std::fmt::Debug for EventBus<'_> {
     }
 }
 
-/// Bridges the structured event stream onto the legacy [`FlowObserver`]
-/// callback trait, so pre-engine observers keep working unchanged.
-pub struct ObserverBridge<'o> {
-    observer: &'o mut dyn FlowObserver,
-}
-
-impl<'o> ObserverBridge<'o> {
-    /// Wraps a legacy observer.
-    pub fn new(observer: &'o mut dyn FlowObserver) -> Self {
-        ObserverBridge { observer }
-    }
-}
-
-impl FlowSubscriber for ObserverBridge<'_> {
-    fn on_event(&mut self, event: &FlowEvent) {
-        match event {
-            FlowEvent::CoarseChoice {
-                template,
-                relevant_params,
-            } => self.observer.on_coarse_choice(template, relevant_params),
-            FlowEvent::PhaseStarted {
-                phase,
-                planned_sims,
-            } => self.observer.on_phase_start(phase, *planned_sims),
-            FlowEvent::PhaseFinished { stats } => self.observer.on_phase_done(stats),
-            _ => {}
-        }
-    }
-}
-
 /// A subscriber that records every event, for tests and post-run
 /// inspection. Subscribe a `&mut EventLog` to keep the log afterwards.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -298,51 +267,5 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         let back: FlowEvent = serde_json::from_str(&json).unwrap();
         assert_eq!(back, e);
-    }
-
-    #[test]
-    fn bridge_maps_events_onto_the_legacy_observer() {
-        #[derive(Default)]
-        struct Rec {
-            choices: usize,
-            starts: Vec<(String, u64)>,
-            dones: Vec<String>,
-        }
-        impl FlowObserver for Rec {
-            fn on_coarse_choice(&mut self, _t: &str, _p: &[String]) {
-                self.choices += 1;
-            }
-            fn on_phase_start(&mut self, phase: &str, planned: u64) {
-                self.starts.push((phase.to_owned(), planned));
-            }
-            fn on_phase_done(&mut self, stats: &PhaseStats) {
-                self.dones.push(stats.name.clone());
-            }
-        }
-        let mut rec = Rec::default();
-        {
-            let mut bus = EventBus::new();
-            bus.subscribe(ObserverBridge::new(&mut rec));
-            bus.emit(FlowEvent::CoarseChoice {
-                template: "t".to_owned(),
-                relevant_params: vec![],
-            });
-            bus.emit(FlowEvent::PhaseStarted {
-                phase: "Sampling phase".to_owned(),
-                planned_sims: 7,
-            });
-            bus.emit(FlowEvent::PhaseFinished {
-                stats: PhaseStats {
-                    name: "Sampling phase".to_owned(),
-                    sims: 7,
-                    hits: vec![],
-                },
-            });
-            // Stage events have no legacy equivalent and are ignored.
-            bus.emit(sample_event());
-        }
-        assert_eq!(rec.choices, 1);
-        assert_eq!(rec.starts, vec![("Sampling phase".to_owned(), 7)]);
-        assert_eq!(rec.dones, vec!["Sampling phase"]);
     }
 }

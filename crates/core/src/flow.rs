@@ -10,9 +10,8 @@ use ascdg_opt::Trace;
 use ascdg_template::{Skeleton, TestTemplate};
 
 use crate::engine::FlowEngine;
-use crate::events::ObserverBridge;
 use crate::objective::EvalStrategy;
-use crate::pool::{pool_scope, SimPool};
+use crate::pool::pool_scope;
 use crate::session::TargetSpec;
 use crate::stages::regression_repository;
 use crate::{ApproxTarget, FlowError};
@@ -322,30 +321,6 @@ impl PhaseTiming {
     }
 }
 
-/// Progress notifications emitted at flow milestones.
-///
-/// Long runs (the paper-scale budgets simulate millions of instances) are
-/// otherwise silent; pass an observer to
-/// [`CdgFlow::run_phases_observed`] to stream progress to a UI or log.
-/// All methods have empty defaults, so implementors override only what
-/// they need.
-pub trait FlowObserver {
-    /// The coarse-grained search chose a template.
-    fn on_coarse_choice(&mut self, _template: &str, _relevant_params: &[String]) {}
-
-    /// A phase is about to run (`PHASE_*` name and its simulation budget).
-    fn on_phase_start(&mut self, _phase: &str, _planned_sims: u64) {}
-
-    /// A phase finished, with its accumulated statistics.
-    fn on_phase_done(&mut self, _stats: &PhaseStats) {}
-}
-
-/// The default no-op observer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl FlowObserver for NoopObserver {}
-
 /// Everything one AS-CDG run produces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowOutcome {
@@ -535,9 +510,14 @@ impl<E: VerifEnv> CdgFlow<E> {
         self.run_session(TargetSpec::Uncovered, seed)
     }
 
-    /// Full flow against explicit target events, using a pre-built
-    /// regression repository (advanced entry point; the convenience
-    /// wrappers build the repository themselves).
+    /// Full flow against a caller-supplied approximated target, using a
+    /// pre-built regression repository (advanced entry point; the
+    /// convenience wrappers build the repository themselves). Build the
+    /// target with [`ApproxTarget::auto`] for the paper's automatic
+    /// strategy, or plug in another neighbor strategy such as
+    /// [`ApproxTarget::from_correlation`] or hand-tuned weights. To stream
+    /// progress, run a [`FlowEngine::session_with_repo`] session and
+    /// subscribe to its events instead.
     ///
     /// # Errors
     ///
@@ -545,79 +525,21 @@ impl<E: VerifEnv> CdgFlow<E> {
     pub fn run_phases(
         &self,
         repo: &CoverageRepository,
-        targets: &[EventId],
-        seed: u64,
-    ) -> Result<FlowOutcome, FlowError> {
-        // Section IV-A: the approximated target (automatic strategy).
-        let approx = ApproxTarget::auto(
-            self.env.coverage_model(),
-            targets,
-            self.config.neighbor_decay,
-        )?;
-        self.run_phases_with_target(repo, approx, seed)
-    }
-
-    /// Like [`CdgFlow::run_phases`], but with a caller-supplied
-    /// approximated target — use this to plug in another neighbor
-    /// strategy, e.g. [`ApproxTarget::from_correlation`] (FRIENDS-style
-    /// signed neighbors) or hand-tuned weights.
-    ///
-    /// # Errors
-    ///
-    /// Any phase error; see the individual phases.
-    pub fn run_phases_with_target(
-        &self,
-        repo: &CoverageRepository,
         approx: ApproxTarget,
         seed: u64,
-    ) -> Result<FlowOutcome, FlowError> {
-        self.run_phases_observed(repo, approx, seed, &mut NoopObserver)
-    }
-
-    /// Like [`CdgFlow::run_phases_with_target`], streaming progress to the
-    /// given observer.
-    ///
-    /// # Errors
-    ///
-    /// Any phase error; see the individual phases.
-    pub fn run_phases_observed(
-        &self,
-        repo: &CoverageRepository,
-        approx: ApproxTarget,
-        seed: u64,
-        observer: &mut dyn FlowObserver,
     ) -> Result<FlowOutcome, FlowError> {
         pool_scope(self.config.threads, |pool| {
-            self.run_phases_on(pool, repo, approx, seed, observer)
+            let engine = FlowEngine::new(&self.env, self.config.clone(), pool);
+            let mut cx = engine.session_with_repo(repo, approx, seed)?;
+            engine.run(&mut cx)
         })
-    }
-
-    /// Like [`CdgFlow::run_phases_observed`], but running every simulation
-    /// phase on a caller-provided persistent worker pool — the entry point
-    /// for callers that amortize one pool across many runs (the campaign
-    /// sweep, benches).
-    ///
-    /// # Errors
-    ///
-    /// Any phase error; see the individual phases.
-    pub fn run_phases_on<'env>(
-        &'env self,
-        pool: &SimPool<'env>,
-        repo: &CoverageRepository,
-        approx: ApproxTarget,
-        seed: u64,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<FlowOutcome, FlowError> {
-        let engine = FlowEngine::new(&self.env, self.config.clone(), pool);
-        let mut cx = engine.session_with_repo(repo, approx, seed)?;
-        cx.subscribe(ObserverBridge::new(observer));
-        engine.run(&mut cx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FlowEvent, FlowSubscriber};
     use ascdg_duv::io_unit::IoEnv;
     use ascdg_duv::l3cache::L3Env;
 
@@ -708,23 +630,29 @@ mod tests {
         }
     }
     #[test]
-    fn observer_sees_all_milestones() {
+    fn subscriber_sees_all_milestones() {
         #[derive(Default)]
         struct Recorder {
             choices: Vec<String>,
             started: Vec<String>,
             finished: Vec<String>,
         }
-        impl FlowObserver for Recorder {
-            fn on_coarse_choice(&mut self, template: &str, _relevant: &[String]) {
-                self.choices.push(template.to_owned());
-            }
-            fn on_phase_start(&mut self, phase: &str, planned: u64) {
-                assert!(planned > 0);
-                self.started.push(phase.to_owned());
-            }
-            fn on_phase_done(&mut self, stats: &PhaseStats) {
-                self.finished.push(stats.name.clone());
+        impl FlowSubscriber for Recorder {
+            fn on_event(&mut self, event: &FlowEvent) {
+                match event {
+                    FlowEvent::CoarseChoice { template, .. } => {
+                        self.choices.push(template.clone());
+                    }
+                    FlowEvent::PhaseStarted {
+                        phase,
+                        planned_sims,
+                    } => {
+                        assert!(*planned_sims > 0);
+                        self.started.push(phase.clone());
+                    }
+                    FlowEvent::PhaseFinished { stats } => self.finished.push(stats.name.clone()),
+                    _ => {}
+                }
             }
         }
 
@@ -733,10 +661,14 @@ mod tests {
         let targets = repo.uncovered_events();
         let approx = ApproxTarget::auto(flow.env().coverage_model(), &targets, 0.5).unwrap();
         let mut rec = Recorder::default();
-        let out = flow
-            .run_phases_observed(&repo, approx, 2, &mut rec)
-            .unwrap();
-        assert_eq!(rec.choices, vec![out.chosen_template]);
+        let mut out = pool_scope(flow.config().threads, |pool| {
+            let engine = FlowEngine::new(flow.env(), flow.config().clone(), pool);
+            let mut cx = engine.session_with_repo(&repo, approx.clone(), 2)?;
+            cx.subscribe(&mut rec);
+            engine.run(&mut cx)
+        })
+        .unwrap();
+        assert_eq!(rec.choices, vec![out.chosen_template.clone()]);
         assert_eq!(
             rec.started,
             vec![PHASE_SAMPLING, PHASE_OPTIMIZATION, PHASE_BEST]
@@ -744,6 +676,14 @@ mod tests {
         assert_eq!(
             rec.finished,
             vec![PHASE_SAMPLING, PHASE_OPTIMIZATION, PHASE_BEST]
+        );
+        // `run_phases` is that same session without a subscriber.
+        let mut plain = flow.run_phases(&repo, approx, 2).unwrap();
+        out.timings.clear();
+        plain.timings.clear();
+        assert_eq!(
+            serde_json::to_string(&plain).unwrap(),
+            serde_json::to_string(&out).unwrap()
         );
     }
     #[test]

@@ -72,10 +72,10 @@ pub use checkpoint::{read_campaign_checkpoint, read_session_checkpoint, Checkpoi
 pub use engine::FlowEngine;
 pub use error::FlowError;
 pub use evalcache::SharedEvalCache;
-pub use events::{EventBus, EventLog, FlowEvent, FlowSubscriber, ObserverBridge};
+pub use events::{EventBus, EventLog, FlowEvent, FlowSubscriber};
 pub use flow::{
-    CdgFlow, FlowConfig, FlowObserver, FlowOutcome, NoopObserver, PhaseStats, PhaseTiming,
-    PHASE_BEFORE, PHASE_BEST, PHASE_OPTIMIZATION, PHASE_REFINEMENT, PHASE_SAMPLING,
+    CdgFlow, FlowConfig, FlowOutcome, PhaseStats, PhaseTiming, PHASE_BEFORE, PHASE_BEST,
+    PHASE_OPTIMIZATION, PHASE_REFINEMENT, PHASE_SAMPLING,
 };
 pub use manifest::{CoverageSummary, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use multi_target::{MultiTargetOutcome, TargetGroupResult};

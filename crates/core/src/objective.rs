@@ -579,6 +579,7 @@ mod tests {
     use crate::pool::pool_scope;
     use crate::Skeletonizer;
     use ascdg_duv::io_unit::IoEnv;
+    use ascdg_opt::{Bounds, IfOptions, ImplicitFiltering, Optimizer};
 
     fn test_threads() -> usize {
         std::env::var("ASCDG_TEST_THREADS")
@@ -647,27 +648,38 @@ mod tests {
     fn eval_batch_is_byte_identical_to_serial_evals() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let xs: Vec<Vec<f64>> = (0..7)
+        // Seven distinct points plus one revisit, so the resolve cache
+        // both misses and hits.
+        let mut xs: Vec<Vec<f64>> = (0..7)
             .map(|i| vec![i as f64 / 7.0; sk.num_slots()])
             .collect();
+        xs.push(xs[2].clone());
 
-        let mut serial_obj = CdgObjective::new(&env, &sk, &target, 9, BatchRunner::new(1), 31);
+        let serial_runner = BatchRunner::new(1);
+        let serial_counters = Arc::clone(serial_runner.counters());
+        let mut serial_obj = CdgObjective::new(&env, &sk, &target, 9, serial_runner, 31);
         let serial_values: Vec<f64> = xs.iter().map(|x| serial_obj.eval(x)).collect();
 
         // One batch on a shared pool must reproduce the serial run exactly:
-        // values, accumulated stats, eval count and best point.
-        let (batch_values, batch_stats, batch_evals, batch_best) =
+        // values, accumulated stats, eval count, best point and hot-path
+        // counters.
+        let (batch_values, batch_stats, batch_evals, batch_best, batch_counters) =
             pool_scope(test_threads(), |pool| {
-                let mut obj =
-                    CdgObjective::new(&env, &sk, &target, 9, BatchRunner::with_pool(pool), 31);
+                let runner = BatchRunner::with_pool(pool);
+                let counters = Arc::clone(runner.counters());
+                let mut obj = CdgObjective::new(&env, &sk, &target, 9, runner, 31);
                 let values = obj.eval_batch(&xs);
-                (values, obj.phase_stats(), obj.evals(), obj.best())
+                let snap = counters.snapshot();
+                (values, obj.phase_stats(), obj.evals(), obj.best(), snap)
             });
 
         assert_eq!(batch_values, serial_values);
         assert_eq!(batch_stats, serial_obj.phase_stats());
         assert_eq!(batch_evals, serial_obj.evals());
         assert_eq!(batch_best, serial_obj.best());
+        assert_eq!(batch_counters, serial_counters.snapshot());
+        assert_eq!(batch_counters.resolve_misses, 7);
+        assert_eq!(batch_counters.resolve_hits, 1);
     }
 
     #[test]
@@ -740,6 +752,49 @@ mod tests {
         assert_eq!(c.eval(&x), va);
         assert_eq!(c.phase_stats(), b.phase_stats());
         assert_eq!(fresh.cross_group_hits(), 0);
+    }
+
+    #[test]
+    fn shared_cache_replays_a_whole_phase_across_groups() {
+        let env = IoEnv::new();
+        let (sk, target) = fixture(&env);
+        let bounds = Bounds::unit(sk.num_slots());
+        let optimizer = ImplicitFiltering::new(IfOptions {
+            n_directions: 4,
+            max_iters: 4,
+            ..IfOptions::default()
+        });
+        // One implicit-filtering phase as group `origin` on `cache`; the
+        // base seed differs per group, as it does across campaign groups.
+        let phase = |cache: &Arc<SharedEvalCache>, origin: u64| {
+            let mut obj = CdgObjective::new(&env, &sk, &target, 12, BatchRunner::new(1), origin)
+                .with_strategy(EvalStrategy::Coalesced)
+                .with_shared_cache(Arc::clone(cache), origin);
+            let result = optimizer.maximize(&mut obj, &bounds, &bounds.center(), 2);
+            (obj.phase_stats(), result.best_x, obj.sims_saved())
+        };
+
+        let cache = Arc::new(SharedEvalCache::new(0xeca));
+        let (first_stats, first_best, _) = phase(&cache, 1);
+        assert!(cache.in_group_hits() > 0, "no revisited stencil center");
+        assert_eq!(cache.cross_group_hits(), 0);
+        // A second group on the same cache retraces the whole trajectory
+        // from the first group's entries, without simulating.
+        let misses = cache.misses();
+        let (second_stats, second_best, second_saved) = phase(&cache, 2);
+        assert!(cache.cross_group_hits() > 0, "no cross-group reuse");
+        assert_eq!(cache.misses(), misses, "the replay simulated");
+        assert_eq!(second_saved, second_stats.sims);
+        assert_eq!(second_stats, first_stats);
+        assert_eq!(second_best, first_best);
+        // A third group on a fresh cache with the same seed computes every
+        // entry itself and must land on the same bytes: who computed an
+        // entry never shapes the trajectory.
+        let fresh = Arc::new(SharedEvalCache::new(0xeca));
+        let (third_stats, third_best, _) = phase(&fresh, 3);
+        assert_eq!(fresh.cross_group_hits(), 0);
+        assert_eq!(third_stats, first_stats);
+        assert_eq!(third_best, first_best);
     }
 
     #[test]

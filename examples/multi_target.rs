@@ -5,7 +5,7 @@
 //! cargo run --release --example multi_target
 //! ```
 
-use ascdg::core::{CdgFlow, FlowConfig};
+use ascdg::core::{ApproxTarget, CdgFlow, FlowConfig};
 use ascdg::duv::{io_unit::IoEnv, VerifEnv};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Compare against one full flow per group (double the budget).
     let mut separate_sims = 0;
     for (i, group) in groups.iter().enumerate() {
-        let out = flow.run_phases(&repo, group, 100 + i as u64)?;
+        let approx = ApproxTarget::auto(model, group, flow.config().neighbor_decay)?;
+        let out = flow.run_phases(&repo, approx, 100 + i as u64)?;
         separate_sims += out
             .phases
             .iter()
