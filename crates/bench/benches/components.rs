@@ -1,14 +1,15 @@
 //! Criterion micro-benches for the individual AS-CDG components:
-//! simulator throughput per unit, the optimizer's per-iteration cost on a
-//! synthetic objective, template parsing, and skeleton instantiation.
+//! simulator throughput per unit (one instance, and 64-seed plane blocks
+//! of a stock and a tuned template), the optimizer's per-iteration cost on
+//! a synthetic objective, template parsing, and skeleton instantiation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use ascdg_core::Skeletonizer;
-use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, VerifEnv};
+use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, SimScratch, VerifEnv};
 use ascdg_opt::{testfn, Bounds, IfOptions, ImplicitFiltering, Optimizer};
-use ascdg_stimgen::instance_seed;
+use ascdg_stimgen::{instance_seed, SeedStream};
 use ascdg_template::TestTemplate;
 
 fn bench_simulators(c: &mut Criterion) {
@@ -74,6 +75,68 @@ fn bench_simulators(c: &mut Criterion) {
     g.finish();
 }
 
+/// Tuned templates of the shape a closure's optimizer converges to: they
+/// drive each unit's deep family, where a simulation costs the most.
+const TUNED: [&str; 3] = [
+    "template io_deep_crc {
+       param PktLen: weights { [8, 16): 100 }
+       param Gap: range [0, 2)
+       param Channel: weights { 1: 100 }
+       param CrcEn: weights { on: 100 }
+       param ErrPct: range [0, 1)
+       param RespDelay: weights { [16, 28): 50, [28, 40): 50 }
+       param PktCount: range [40, 48)
+     }",
+    "template l3_deep_prefetch {
+       param WorkingSet: weights { [4096, 32768): 100 }
+       param GapL3: range [12, 13)
+       param RwMix: weights { prefetch: 90, load: 10 }
+       param PfDepth: weights { [3, 6): 100 }
+       param ReqCount: range [190, 200)
+     }",
+    "template ifu_thread3_backpressure {
+       param StallPct: weights { [30, 60): 30, [60, 90): 70 }
+       param ThreadMix: weights { 0: 10, 1: 10, 2: 20, 3: 60 }
+       param BranchPct: range [20, 40)
+       param FetchAlign: weights { seq: 50, jump: 50 }
+       param FetchCount: range [180, 240)
+     }",
+];
+
+/// One warmed 64-seed `simulate_plane` block per unit, for the unit's
+/// smoke template (stock) and a tuned one: the per-unit kernel cost the
+/// closure and regression workloads are made of.
+fn bench_plane_blocks(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulate_plane_64");
+    g.throughput(Throughput::Elements(64));
+    let envs: [Box<dyn VerifEnv>; 3] = [
+        Box::new(IoEnv::new()),
+        Box::new(L3Env::new()),
+        Box::new(IfuEnv::new()),
+    ];
+    for (env, tuned) in envs.iter().zip(TUNED) {
+        let stock = env.stock_library().get(0).unwrap().clone();
+        let tuned = TestTemplate::parse(tuned).unwrap();
+        for (kind, t) in [("stock", stock), ("tuned", tuned)] {
+            let resolved = env.registry().resolve(&t).unwrap();
+            let stream = SeedStream::new(1, t.name());
+            let mut scratch = SimScratch::new();
+            let mut block = 0u64;
+            g.bench_function(&format!("{}/{kind}", env.unit_name()), |b| {
+                b.iter(|| {
+                    block += 1;
+                    let seeds: [u64; 64] =
+                        std::array::from_fn(|i| stream.sampler_seed(block * 64 + i as u64));
+                    env.simulate_plane(&resolved, black_box(&seeds), &mut scratch)
+                        .unwrap();
+                    black_box(scratch.plane());
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_optimizer(c: &mut Criterion) {
     c.bench_function("implicit_filtering_100_iters_dim8", |b| {
         b.iter(|| {
@@ -110,6 +173,6 @@ fn bench_template_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = components;
     config = Criterion::default().sample_size(20);
-    targets = bench_simulators, bench_optimizer, bench_template_pipeline
+    targets = bench_simulators, bench_plane_blocks, bench_optimizer, bench_template_pipeline
 }
 criterion_main!(components);

@@ -22,6 +22,7 @@ pub struct EventId(pub u32);
 
 impl EventId {
     /// Returns the id as a `usize` index into model-sized arrays.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize

@@ -18,6 +18,7 @@ pub trait CoverageSink {
 }
 
 impl CoverageSink for CoverageVector {
+    #[inline]
     fn hit(&mut self, event: EventId) {
         self.set(event);
     }
@@ -198,6 +199,7 @@ pub struct PlaneLane<'a> {
 }
 
 impl CoverageSink for PlaneLane<'_> {
+    #[inline]
     fn hit(&mut self, event: EventId) {
         self.words[event.index()] |= self.bit;
     }

@@ -56,6 +56,7 @@ impl CoverageVector {
     /// # Panics
     ///
     /// Panics if `event` is out of range for this vector.
+    #[inline]
     pub fn set(&mut self, event: EventId) {
         let i = event.index();
         assert!(

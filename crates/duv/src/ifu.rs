@@ -19,10 +19,10 @@
 //! defaults never produce, and `branch=1` needs branch density — the
 //! parameters the coarse-grained search must discover.
 
-use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector, CrossProduct, Feature};
+use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector, CrossProduct, EventId, Feature};
 use ascdg_stimgen::{FetchOp, FetchProgram, ParamSampler};
 use ascdg_template::{
-    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, Symbol, TemplateLibrary, TestTemplate, Value,
 };
 
 use crate::{EnvError, SimScratch, VerifEnv};
@@ -49,14 +49,20 @@ pub struct IfuEnv {
     model: CoverageModel,
     library: TemplateLibrary,
     params: Params,
+    /// Event-id strides of the `entry`, `thread`, `sector` and `branch`
+    /// coordinates in the cross product, resolved once from the model.
+    strides: [u32; 4],
 }
 
-/// The parameters the generator draws, resolved once from the registry.
+/// The parameters the generator draws and the symbolic value it compares
+/// against, resolved once from the registry.
 #[derive(Debug, Clone, Copy)]
 struct Params {
     fetch_count: ParamId,
     branch_pct: ParamId,
     fetch_align: ParamId,
+    /// `FetchAlign`'s `jump`.
+    jump: Symbol,
     thread_mix: ParamId,
     stall_pct: ParamId,
 }
@@ -68,6 +74,9 @@ impl Params {
             fetch_count: id("FetchCount"),
             branch_pct: id("BranchPct"),
             fetch_align: id("FetchAlign"),
+            jump: reg
+                .symbol(id("FetchAlign"), "jump")
+                .expect("registry symbol"),
             thread_mix: id("ThreadMix"),
             stall_pct: id("StallPct"),
         }
@@ -218,12 +227,19 @@ impl IfuEnv {
     #[must_use]
     pub fn new() -> Self {
         let registry = registry();
+        let cp = cross_product();
+        let strides = std::array::from_fn(|k| {
+            let mut unit = [0; 4];
+            unit[k] = 1;
+            cp.event_id(&unit).expect("unit coordinates are in range").0
+        });
         IfuEnv {
             params: Params::resolve(&registry),
             registry,
-            model: CoverageModel::from_cross_product("ifu", cross_product())
+            model: CoverageModel::from_cross_product("ifu", cp)
                 .expect("cross-product names are unique"),
             library: stock_library(),
+            strides,
         }
     }
 
@@ -243,7 +259,7 @@ impl IfuEnv {
         let p = self.params;
         let count = sampler.sample_int(p.fetch_count)? as usize;
         let branch_rate = sampler.rate(p.branch_pct)?;
-        let jumpy = sampler.sample_choice(p.fetch_align)? == "jump";
+        let jumpy = sampler.sample_symbol(p.fetch_align)? == p.jump;
         // Per-thread sequential fetch pointers (16-byte granules).
         let mut pc = [0u64; 4];
         for (i, p) in pc.iter_mut().enumerate() {
@@ -285,10 +301,7 @@ impl IfuEnv {
     /// [`IfuEnv::run_program`] into a caller-provided (zeroed) coverage
     /// sink — a `CoverageVector` or a bit-plane lane.
     fn run_program_into<S: CoverageSink>(&self, program: &[FetchOp], cov: &mut S) {
-        let cp = self
-            .model
-            .cross_product()
-            .expect("IFU model is a cross product");
+        let [entry_stride, thread_stride, sector_stride, branch_stride] = self.strides;
         let mut occupancy: usize = 0;
         let mut stall_budget: u32 = 0;
 
@@ -316,17 +329,18 @@ impl IfuEnv {
             if occupancy + 1 >= BUFFER_ENTRIES {
                 occupancy -= 1;
             }
-            let entry = occupancy;
+            let entry = occupancy as u32;
             occupancy += 1;
             stall_budget += op.stall;
 
-            let coords = [
-                entry,
-                (op.thread & 3) as usize,
-                op.sector() as usize,
-                usize::from(op.taken_branch),
-            ];
-            cov.hit(cp.event_id(&coords).expect("coords are in range"));
+            // Every coordinate is in range: the guard keeps the entry
+            // below 7, and thread, sector and branch are masked.
+            cov.hit(EventId(
+                entry * entry_stride
+                    + u32::from(op.thread & 3) * thread_stride
+                    + u32::from(op.sector()) * sector_stride
+                    + u32::from(op.taken_branch) * branch_stride,
+            ));
         }
     }
 }

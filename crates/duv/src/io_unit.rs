@@ -33,7 +33,7 @@
 use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector, EventId};
 use ascdg_stimgen::{IoCommand, IoProgram, ParamSampler};
 use ascdg_template::{
-    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, Symbol, TemplateLibrary, TestTemplate, Value,
 };
 
 use crate::{EnvError, SimScratch, VerifEnv};
@@ -74,10 +74,13 @@ pub struct IoEnv {
     events: Events,
 }
 
-/// The parameters the generator draws, resolved once from the registry.
+/// The parameters the generator draws and the symbolic values it
+/// compares against, resolved once from the registry.
 #[derive(Debug, Clone, Copy)]
 struct Params {
     addr_align: ParamId,
+    /// `AddrAlign`'s `unaligned`.
+    unaligned: Symbol,
     credit_init: ParamId,
     pkt_count: ParamId,
     err_pct: ParamId,
@@ -88,13 +91,17 @@ struct Params {
     gap: ParamId,
     resp_delay: ParamId,
     crc_en: ParamId,
+    /// `CrcEn`'s `on`.
+    crc_on: Symbol,
 }
 
 impl Params {
     fn resolve(reg: &ParamRegistry) -> Self {
         let id = |name| reg.id(name).expect("registry parameter");
+        let sym = |param, name| reg.symbol(id(param), name).expect("registry symbol");
         Params {
             addr_align: id("AddrAlign"),
+            unaligned: sym("AddrAlign", "unaligned"),
             credit_init: id("CreditInit"),
             pkt_count: id("PktCount"),
             err_pct: id("ErrPct"),
@@ -105,6 +112,7 @@ impl Params {
             gap: id("Gap"),
             resp_delay: id("RespDelay"),
             crc_en: id("CrcEn"),
+            crc_on: sym("CrcEn", "on"),
         }
     }
 }
@@ -416,7 +424,7 @@ impl IoEnv {
         out: &mut Vec<IoCommand>,
     ) -> Result<(bool, usize), EnvError> {
         let p = self.params;
-        let unaligned = sampler.sample_choice(p.addr_align)? == "unaligned";
+        let unaligned = sampler.sample_symbol(p.addr_align)? == p.unaligned;
         let resp_queue_cap = sampler.sample_int(p.credit_init)? as usize;
         let count = sampler.sample_int(p.pkt_count)? as usize;
         let err_rate = sampler.rate(p.err_pct)?;
@@ -429,7 +437,7 @@ impl IoEnv {
                 payload_beats: sampler.sample_int(p.pkt_len)? as u32,
                 gap: sampler.sample_int(p.gap)? as u32,
                 resp_delay: sampler.sample_int(p.resp_delay)? as u32,
-                crc_enable: sampler.sample_choice(p.crc_en)? == "on",
+                crc_enable: sampler.sample_symbol(p.crc_en)? == p.crc_on,
                 inject_error: sampler.chance(err_rate),
                 is_read: sampler.chance(read_rate),
                 raise_intr: sampler.chance(intr_rate),

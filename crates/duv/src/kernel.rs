@@ -1,94 +1,10 @@
-//! Small cycle-based simulation building blocks shared by the units.
+//! Cycle-based simulation building blocks.
 //!
 //! The units are modeled at transaction/cycle granularity: each keeps a
-//! current cycle counter and advances hardware state with these primitives —
-//! a bounded [`Fifo`], a latency [`DelayLine`] and a [`CreditPool`].
-
-use std::collections::VecDeque;
-
-/// A bounded FIFO queue, as used for request and fetch buffers.
-///
-/// # Examples
-///
-/// ```
-/// use ascdg_duv::kernel::Fifo;
-///
-/// let mut q = Fifo::new(2);
-/// assert!(q.push(1).is_ok());
-/// assert!(q.push(2).is_ok());
-/// assert!(q.push(3).is_err(), "full queue rejects");
-/// assert_eq!(q.pop(), Some(1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Fifo<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-}
-
-impl<T> Fifo<T> {
-    /// Creates a FIFO holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "FIFO capacity must be positive");
-        Fifo {
-            items: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Current occupancy.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Returns `true` when empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Returns `true` when at capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
-    /// Maximum occupancy.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Enqueues an item; on a full queue the item is handed back.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(item)` when the queue is full (back-pressure).
-    pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.is_full() {
-            Err(item)
-        } else {
-            self.items.push_back(item);
-            Ok(())
-        }
-    }
-
-    /// Dequeues the oldest item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop_front()
-    }
-
-    /// Peeks at the oldest item.
-    #[must_use]
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-}
+//! current cycle counter and advances hardware state with small fixed
+//! structures of its own (the L3's set arrays and in-flight fill table,
+//! the IFU's occupancy counter). The one shared primitive left is the
+//! latency [`DelayLine`], which models the I/O unit's response queue.
 
 /// A latency pipe: items become ready a fixed number of cycles after entry.
 /// Models memory/response latency.
@@ -146,9 +62,11 @@ impl<T> DelayLine<T> {
     /// Like [`DelayLine::drain_ready`], but handing each ready item to a
     /// callback instead of allocating a `Vec` — the batched kernels' hot
     /// path. The scan order (and therefore the order items reach `f`) is
-    /// exactly the `swap_remove` order of [`DelayLine::drain_ready`]; that
-    /// order is observable model behavior (it decides cache fill order), so
-    /// both entry points share this implementation.
+    /// exactly the `swap_remove` order of [`DelayLine::drain_ready`], so
+    /// both entry points share this implementation. Where items are not
+    /// interchangeable that order is model behaviour: the l3cache's
+    /// in-flight fill table drains in it, and tests it against a
+    /// `DelayLine`.
     pub fn drain_ready_with(&mut self, now: u64, mut f: impl FnMut(T)) {
         let mut i = 0;
         while i < self.pending.len() {
@@ -170,113 +88,11 @@ impl<T> DelayLine<T> {
     pub fn next_ready(&self) -> Option<u64> {
         self.pending.iter().map(|&(c, _)| c).min()
     }
-
-    /// Iterates over in-flight items (arbitrary order) — the model's
-    /// equivalent of an MSHR CAM lookup.
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        self.pending.iter().map(|(_, item)| item)
-    }
-}
-
-/// A credit pool modeling a fixed set of hardware resources (e.g. the L3's
-/// 16 bypass slots).
-///
-/// # Examples
-///
-/// ```
-/// use ascdg_duv::kernel::CreditPool;
-///
-/// let mut p = CreditPool::new(2);
-/// assert!(p.acquire() && p.acquire());
-/// assert!(!p.acquire(), "exhausted");
-/// assert_eq!(p.in_use(), 2);
-/// p.release();
-/// assert_eq!(p.in_use(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CreditPool {
-    total: usize,
-    in_use: usize,
-}
-
-impl CreditPool {
-    /// Creates a pool with `total` credits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total` is zero.
-    #[must_use]
-    pub fn new(total: usize) -> Self {
-        assert!(total > 0, "credit pool must have at least one credit");
-        CreditPool { total, in_use: 0 }
-    }
-
-    /// Takes one credit; returns `false` when exhausted.
-    pub fn acquire(&mut self) -> bool {
-        if self.in_use < self.total {
-            self.in_use += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns one credit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no credits are outstanding (a protocol violation in the
-    /// calling model).
-    pub fn release(&mut self) {
-        assert!(self.in_use > 0, "credit released but none outstanding");
-        self.in_use -= 1;
-    }
-
-    /// Credits currently held.
-    #[must_use]
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Total credits.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Remaining credits.
-    #[must_use]
-    pub fn available(&self) -> usize {
-        self.total - self.in_use
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fifo_order_and_backpressure() {
-        let mut q = Fifo::new(3);
-        for i in 0..3 {
-            q.push(i).unwrap();
-        }
-        assert!(q.is_full());
-        assert_eq!(q.push(9), Err(9));
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.front(), Some(&1));
-        assert_eq!(q.len(), 2);
-        q.push(3).unwrap();
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![1, 2, 3]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn fifo_zero_capacity_panics() {
-        let _: Fifo<u8> = Fifo::new(0);
-    }
 
     #[test]
     fn delay_line_readiness() {
@@ -312,22 +128,5 @@ mod tests {
         assert_eq!(via_vec.len(), via_cb.len());
         via_cb.clear();
         assert!(via_cb.is_empty());
-    }
-
-    #[test]
-    fn credit_pool_lifecycle() {
-        let mut p = CreditPool::new(3);
-        assert_eq!(p.available(), 3);
-        assert!(p.acquire());
-        assert_eq!((p.in_use(), p.available(), p.total()), (1, 2, 3));
-        p.release();
-        assert_eq!(p.in_use(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "none outstanding")]
-    fn credit_underflow_panics() {
-        let mut p = CreditPool::new(1);
-        p.release();
     }
 }

@@ -27,10 +27,9 @@
 use ascdg_coverage::{CoverageModel, CoverageSink, CoverageVector, EventId};
 use ascdg_stimgen::{MemOp, MemProgram, MemRequest, ParamSampler};
 use ascdg_template::{
-    ParamDef, ParamId, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
+    ParamDef, ParamId, ParamRegistry, ResolvedParams, Symbol, TemplateLibrary, TestTemplate, Value,
 };
 
-use crate::kernel::DelayLine;
 use crate::{EnvError, SimScratch, VerifEnv};
 
 /// Number of cache sets.
@@ -68,10 +67,16 @@ pub struct L3Env {
     events: Events,
 }
 
-/// The parameters the generator draws, resolved once from the registry.
+/// The parameters the generator draws and the symbolic values it
+/// compares against, resolved once from the registry.
 #[derive(Debug, Clone, Copy)]
 struct Params {
     addr_pattern: ParamId,
+    /// `AddrPattern`'s `stride`.
+    stride: Symbol,
+    /// `RwMix`'s `load` and `store` (anything else is a prefetch).
+    load: Symbol,
+    store: Symbol,
     snoop_pct: ParamId,
     req_count: ParamId,
     working_set: ParamId,
@@ -85,8 +90,12 @@ struct Params {
 impl Params {
     fn resolve(reg: &ParamRegistry) -> Self {
         let id = |name| reg.id(name).expect("registry parameter");
+        let sym = |param, name| reg.symbol(id(param), name).expect("registry symbol");
         Params {
             addr_pattern: id("AddrPattern"),
+            stride: sym("AddrPattern", "stride"),
+            load: sym("RwMix", "load"),
+            store: sym("RwMix", "store"),
             snoop_pct: id("SnoopPct"),
             req_count: id("ReqCount"),
             working_set: id("WorkingSet"),
@@ -353,7 +362,7 @@ impl L3Env {
         out: &mut Vec<MemRequest>,
     ) -> Result<Generated, EnvError> {
         let p = self.params;
-        let stride_mode = sampler.sample_choice(p.addr_pattern)? == "stride";
+        let stride_mode = sampler.sample_symbol(p.addr_pattern)? == p.stride;
         let snoop_rate = BASE_SNOOP_RATE + sampler.rate(p.snoop_pct)? * 0.15;
         let count = sampler.sample_int(p.req_count)? as usize;
         let working_set = sampler.sample_int(p.working_set)? as u64;
@@ -370,14 +379,14 @@ impl L3Env {
             };
             let thread = sampler.sample_int(p.thread_mix)? as u8;
             let gap = sampler.sample_int(p.gap_l3)? as u32;
-            match sampler.sample_choice(p.rw_mix)? {
-                "load" => out.push(MemRequest {
+            match sampler.sample_symbol(p.rw_mix)? {
+                op if op == p.load => out.push(MemRequest {
                     line_addr,
                     op: MemOp::Load,
                     thread,
                     gap,
                 }),
-                "store" => out.push(MemRequest {
+                op if op == p.store => out.push(MemRequest {
                     line_addr,
                     op: MemOp::Store,
                     thread,
@@ -406,8 +415,8 @@ impl L3Env {
     }
 
     /// Marks the bypass-occupancy family event for the current depth.
-    fn bump_bypass<S: CoverageSink>(&self, inflight: &DelayLine<u64>, cov: &mut S) {
-        let depth = inflight.len().min(BYPASS_CREDITS);
+    fn bump_bypass<S: CoverageSink>(&self, inflight: &Inflight, cov: &mut S) {
+        let depth = inflight.len.min(BYPASS_CREDITS);
         if depth >= 1 {
             cov.hit(self.events.bypass[depth - 1]);
         }
@@ -429,16 +438,13 @@ impl L3Env {
         snoop_rate: f64,
     ) -> CoverageVector {
         let mut cov = CoverageVector::empty(self.model.len());
-        let mut sets = Vec::new();
-        let mut inflight = DelayLine::new();
         self.run_program_into(
             program,
             sampler,
             stride_mode,
             warm,
             snoop_rate,
-            &mut sets,
-            &mut inflight,
+            &mut L3State::default(),
             &mut cov,
         );
         cov
@@ -446,9 +452,8 @@ impl L3Env {
 
     /// [`L3Env::run_program`] over caller-provided cache state and a zeroed
     /// coverage sink (a `CoverageVector` or a bit-plane lane) — the batch
-    /// kernels' entry point. `sets` and `inflight` are cleared (never
-    /// trusted) before use, so recycled scratch state produces the same
-    /// coverage as fresh state.
+    /// kernels' entry point. `state` is reset (never trusted) before use,
+    /// so recycled scratch state produces the same coverage as fresh state.
     #[allow(clippy::too_many_arguments)]
     fn run_program_into<S: CoverageSink>(
         &self,
@@ -457,26 +462,13 @@ impl L3Env {
         stride_mode: bool,
         warm: (u64, u64),
         snoop_rate: f64,
-        sets: &mut Vec<Vec<u64>>,
-        inflight: &mut DelayLine<u64>,
+        state: &mut L3State,
         cov: &mut S,
     ) {
         let ev = &self.events;
-
-        // Per-set LRU stacks, front = MRU. Warm-start with the test's
-        // working set (bounded by capacity).
-        sets.resize_with(SETS, Vec::new);
-        for ways in sets.iter_mut() {
-            ways.clear();
-        }
+        let L3State { sets, inflight } = state;
+        sets.warm_start(warm);
         inflight.clear();
-        let (warm_base, warm_lines) = warm;
-        for line in warm_base..warm_base + warm_lines.min((SETS * WAYS) as u64) {
-            let set = (line as usize) % SETS;
-            if sets[set].len() < WAYS {
-                sets[set].insert(0, line);
-            }
-        }
 
         let mut cycle: u64 = 0;
         let mut prev_line: Option<u64> = None;
@@ -488,30 +480,23 @@ impl L3Env {
             cov.hit(ev.stride_pattern_seen);
         }
 
-        let fill = |sets: &mut Vec<Vec<u64>>, line: u64, cov: &mut S| {
-            let set = (line as usize) % SETS;
-            let ways = &mut sets[set];
-            if !ways.contains(&line) {
-                if ways.len() == WAYS {
-                    ways.pop();
-                    cov.hit(ev.evict_line);
-                }
-                ways.insert(0, line);
+        let fill = |sets: &mut Sets, line: u64, cov: &mut S| {
+            if sets.fill(line) {
+                cov.hit(ev.evict_line);
             }
             cov.hit(ev.fill_complete);
         };
 
         for req in program {
             cycle += u64::from(req.gap) + 1;
-            inflight.drain_ready_with(cycle, |line| fill(&mut *sets, line, &mut *cov));
+            inflight.drain_ready(cycle, |line| fill(&mut *sets, line, &mut *cov));
 
             // Background snoop traffic invalidates a random cached line.
             if sampler.chance(snoop_rate) {
                 let victim_set = sampler.uniform(0, SETS as i64) as usize;
-                if !sets[victim_set].is_empty() {
-                    // Coherence traffic targets hot shared lines: take the
-                    // MRU way, which is the likeliest to be re-accessed.
-                    sets[victim_set].remove(0);
+                // Coherence traffic targets hot shared lines: take the MRU
+                // way, which is the likeliest to be re-accessed.
+                if sets.invalidate_mru(victim_set) {
                     cov.hit(ev.snoop_invalidate);
                 }
             }
@@ -532,17 +517,16 @@ impl L3Env {
                 store_streak = 0;
             }
 
-            let set = (req.line_addr as usize) % SETS;
-            let way = sets[set].iter().position(|&l| l == req.line_addr);
+            let set = set_of(req.line_addr);
+            let way = sets.find(set, req.line_addr);
             // A miss on a line whose fill is already in flight merges into
             // the pending entry (MSHR behaviour) instead of taking a new
             // bypass slot.
-            let merged = way.is_none() && inflight.iter().any(|&l| l == req.line_addr);
+            let merged = way.is_none() && inflight.contains(req.line_addr);
 
             match (way, req.op) {
                 (Some(w), op) => {
-                    let line = sets[set].remove(w);
-                    sets[set].insert(0, line);
+                    sets.touch(set, w);
                     match op {
                         MemOp::Load => cov.hit(ev.ld_hit),
                         MemOp::Store => cov.hit(ev.st_hit),
@@ -556,7 +540,7 @@ impl L3Env {
                 },
                 (None, MemOp::Prefetch) => {
                     // Prefetch misses are dropped when no credit is free.
-                    if inflight.len() < BYPASS_CREDITS {
+                    if inflight.len < BYPASS_CREDITS {
                         cov.hit(ev.prefetch_issued);
                         let (latency, spiked) = mem_latency(sampler);
                         if spiked {
@@ -578,13 +562,12 @@ impl L3Env {
                         cov.hit(ev.set_conflict);
                     }
                     last_miss_set = Some(set);
-                    if inflight.len() == BYPASS_CREDITS {
+                    if inflight.len == BYPASS_CREDITS {
                         // All bypass slots held: the front end stalls until
                         // the earliest response returns.
                         cov.hit(ev.front_end_stall);
-                        let next = inflight.next_ready().expect("slots are held");
-                        cycle = cycle.max(next);
-                        inflight.drain_ready_with(cycle, |line| fill(&mut *sets, line, &mut *cov));
+                        cycle = cycle.max(inflight.earliest);
+                        inflight.drain_ready(cycle, |line| fill(&mut *sets, line, &mut *cov));
                     }
                     let (latency, spiked) = mem_latency(sampler);
                     if spiked {
@@ -598,6 +581,203 @@ impl L3Env {
         if threads_seen.iter().all(|&t| t) {
             cov.hit(ev.all_threads_seen);
         }
+    }
+}
+
+/// The set a line maps to.
+#[inline]
+fn set_of(line: u64) -> usize {
+    (line as usize) % SETS
+}
+
+/// The cache model's state, reused across the simulations of a block.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct L3State {
+    sets: Sets,
+    inflight: Inflight,
+}
+
+/// Per-set LRU stacks in one flat array: set `s` holds its `len[s]` lines
+/// in `ways[s * WAYS..]`, most recently used first.
+#[derive(Debug, Clone)]
+struct Sets {
+    ways: [u64; SETS * WAYS],
+    len: [u8; SETS],
+}
+
+impl Default for Sets {
+    fn default() -> Self {
+        Sets {
+            ways: [0; SETS * WAYS],
+            len: [0; SETS],
+        }
+    }
+}
+
+impl Sets {
+    /// Empties every set, then warm-starts the `(base, lines)` span,
+    /// bounded by capacity, as if its lines were pushed in ascending order
+    /// to the MRU end of their sets. Walking the span downwards instead,
+    /// the `d`-th line lands in way `d / SETS` of its set: consecutive
+    /// lines cover the sets round-robin, so a set's earlier lines on the
+    /// way down are exactly `SETS`, `2 * SETS`, ... above it.
+    fn warm_start(&mut self, (base, lines): (u64, u64)) {
+        let n = lines.min((SETS * WAYS) as u64) as usize;
+        let top = base + n as u64;
+        for d in 0..n {
+            let line = top - 1 - d as u64;
+            self.ways[set_of(line) * WAYS + d / SETS] = line;
+        }
+        // Every set got `n / SETS` lines, plus one for each set the last,
+        // partial round reached.
+        self.len = [(n / SETS) as u8; SETS];
+        for d in n / SETS * SETS..n {
+            self.len[set_of(top - 1 - d as u64)] += 1;
+        }
+    }
+
+    /// Set `set`'s ways, most recently used first; only the first
+    /// `len[set]` hold lines.
+    #[inline]
+    fn ways(&mut self, set: usize) -> &mut [u64; WAYS] {
+        let start = set * WAYS;
+        (&mut self.ways[start..start + WAYS])
+            .try_into()
+            .expect("a set spans WAYS ways")
+    }
+
+    /// The way holding `line` in `set`. Lines within a set are distinct.
+    #[inline]
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        let len = usize::from(self.len[set]);
+        self.ways[set * WAYS..set * WAYS + len]
+            .iter()
+            .position(|&l| l == line)
+    }
+
+    /// Moves way `way` of `set` to the MRU position, shifting the more
+    /// recently used ways down by one.
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
+        let ways = self.ways(set);
+        let line = ways[way];
+        for i in (1..WAYS).rev() {
+            if i <= way {
+                ways[i] = ways[i - 1];
+            }
+        }
+        ways[0] = line;
+    }
+
+    /// Installs `line` as its set's MRU line unless it is cached already;
+    /// returns whether that evicted the LRU line of a full set.
+    #[inline]
+    fn fill(&mut self, line: u64) -> bool {
+        let set = set_of(line);
+        if self.find(set, line).is_some() {
+            return false;
+        }
+        let len = usize::from(self.len[set]);
+        // Shifting every way down drops the LRU line of a full set and
+        // only moves unused ways otherwise.
+        let ways = self.ways(set);
+        ways.copy_within(..WAYS - 1, 1);
+        ways[0] = line;
+        self.len[set] = (len + 1).min(WAYS) as u8;
+        len == WAYS
+    }
+
+    /// Removes `set`'s MRU line; returns whether the set held one.
+    #[inline]
+    fn invalidate_mru(&mut self, set: usize) -> bool {
+        if self.len[set] == 0 {
+            return false;
+        }
+        self.ways(set).copy_within(1.., 0);
+        self.len[set] -= 1;
+        true
+    }
+}
+
+/// The in-flight fills: one entry per held bypass slot, as parallel
+/// `(line, ready cycle)` arrays in insertion order, compacted by
+/// `swap_remove` when drained. The drain order is model behaviour (it
+/// decides the cache fill order), so it must stay the order this
+/// insertion-and-swap discipline produces.
+#[derive(Debug, Clone)]
+struct Inflight {
+    lines: [u64; BYPASS_CREDITS],
+    ready: [u64; BYPASS_CREDITS],
+    len: usize,
+    /// The earliest ready cycle held (`u64::MAX` when empty), so a drain
+    /// with nothing ready skips its scan.
+    earliest: u64,
+}
+
+impl Default for Inflight {
+    fn default() -> Self {
+        Inflight {
+            lines: [0; BYPASS_CREDITS],
+            ready: [0; BYPASS_CREDITS],
+            len: 0,
+            earliest: u64::MAX,
+        }
+    }
+}
+
+impl Inflight {
+    fn clear(&mut self) {
+        self.len = 0;
+        self.earliest = u64::MAX;
+    }
+
+    /// Whether `line`'s fill is in flight (the MSHR lookup).
+    #[inline]
+    fn contains(&self, line: u64) -> bool {
+        self.lines[..self.len].contains(&line)
+    }
+
+    /// Takes a slot for `line` until `ready`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when every slot is held; callers drain or drop first.
+    #[inline]
+    fn insert(&mut self, line: u64, ready: u64) {
+        self.lines[self.len] = line;
+        self.ready[self.len] = ready;
+        self.len += 1;
+        self.earliest = self.earliest.min(ready);
+    }
+
+    /// Hands every line ready by `now` to `f`, scanning from the front and
+    /// moving the last entry into each drained one.
+    #[inline]
+    fn drain_ready(&mut self, now: u64, mut f: impl FnMut(u64)) {
+        if now < self.earliest {
+            return;
+        }
+        // Bit `i` marks a ready entry `i`; the scan jumps between set bits
+        // and moves the last entry's bit along with the entry.
+        let mut ready = (0..BYPASS_CREDITS).fold(0u32, |m, i| {
+            m | (u32::from((i < self.len) & (self.ready[i] <= now)) << i)
+        });
+        while ready != 0 {
+            let i = ready.trailing_zeros() as usize;
+            let line = self.lines[i];
+            self.len -= 1;
+            let last = self.len;
+            self.lines[i] = self.lines[last];
+            self.ready[i] = self.ready[last];
+            let moved = (ready >> last) & 1 & u32::from(last != i);
+            ready = (ready & !(1 << i) & !(1 << last)) | (moved << i);
+            f(line);
+        }
+        self.earliest = self.ready[..self.len]
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(u64::MAX);
     }
 }
 
@@ -653,15 +833,10 @@ impl VerifEnv for L3Env {
     ) -> Result<(), EnvError> {
         // The sampler is consumed *during* the run phase (snoops, memory
         // jitter), so sims interleave generate/run per seed, reusing the
-        // program buffer, the per-set LRU stacks and the in-flight delay
-        // line across the block; each sim's cycle model records straight
-        // into its plane lane.
+        // program buffer and the cache state across the block; each sim's
+        // cycle model records straight into its plane lane.
         let SimScratch {
-            mem_ops,
-            l3_sets,
-            l3_inflight,
-            plane,
-            ..
+            mem_ops, l3, plane, ..
         } = scratch;
         self.registry.check_layout(resolved)?;
         plane.begin(self.model.len(), seeds.len());
@@ -675,8 +850,7 @@ impl VerifEnv for L3Env {
                 g.stride_mode,
                 g.warm,
                 g.snoop_rate,
-                l3_sets,
-                l3_inflight,
+                l3,
                 &mut plane.lane(lane),
             );
         }
@@ -687,6 +861,7 @@ impl VerifEnv for L3Env {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::DelayLine;
     use ascdg_coverage::{CoverageRepository, TemplateId};
     use ascdg_stimgen::instance_seed;
 
@@ -1039,6 +1214,61 @@ mod tests {
         let m = env.coverage_model();
         assert!(cov.get(m.id("byp_reqs01").unwrap()));
         assert!(!cov.get(m.id("byp_reqs02").unwrap()));
+    }
+
+    #[test]
+    fn warm_start_matches_mru_insertion() {
+        // The reference: push each line of the span, ascending, to the MRU
+        // end of its set while the set has room.
+        for (base, lines) in [(0, 0), (5, 1), (300, 700), (1 << 20, 2048), (77, 5000)] {
+            let mut reference = vec![Vec::new(); SETS];
+            for line in base..base + lines.min((SETS * WAYS) as u64) {
+                let set = set_of(line);
+                if reference[set].len() < WAYS {
+                    reference[set].insert(0, line);
+                }
+            }
+            // Stale set lengths must not leak into the warm start.
+            let mut sets = Sets {
+                len: [WAYS as u8; SETS],
+                ..Sets::default()
+            };
+            sets.warm_start((base, lines));
+            for (set, want) in reference.iter().enumerate() {
+                let len = usize::from(sets.len[set]);
+                assert_eq!(&sets.ways[set * WAYS..set * WAYS + len], want.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn inflight_table_drains_like_a_delay_line() {
+        // The reference is the general delay line: the same `swap_remove`
+        // drain order, and `next_ready` for the cached earliest cycle.
+        let mut table = Inflight::default();
+        let mut reference = DelayLine::new();
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut now = 0;
+        for step in 0..5000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            now += x % 5;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            table.drain_ready(now, |line| got.push(line));
+            reference.drain_ready_with(now, |line| want.push(line));
+            assert_eq!(got, want, "step {step}");
+            if table.len < BYPASS_CREDITS && !x.is_multiple_of(3) {
+                let line = (x >> 8) % 64;
+                table.insert(line, now + 40 + (x >> 20) % 12);
+                reference.insert(line, now + 40 + (x >> 20) % 12);
+            }
+            assert_eq!(table.len, reference.len());
+            assert_eq!(
+                (table.len > 0).then_some(table.earliest),
+                reference.next_ready()
+            );
+        }
     }
 
     #[test]

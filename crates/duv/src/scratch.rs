@@ -4,6 +4,7 @@ use ascdg_coverage::CoveragePlane;
 use ascdg_stimgen::{FetchOp, IoCommand, MemRequest};
 
 use crate::kernel::DelayLine;
+use crate::l3cache::L3State;
 
 /// Arena-reused buffers for a worker's batched simulations.
 ///
@@ -41,10 +42,8 @@ pub struct SimScratch {
     pub(crate) mem_ops: Vec<MemRequest>,
     /// I/O-unit stimulus program of the current simulation.
     pub(crate) io_cmds: Vec<IoCommand>,
-    /// L3 per-set LRU stacks (resized to `SETS` on first use).
-    pub(crate) l3_sets: Vec<Vec<u64>>,
-    /// L3 in-flight fill responses.
-    pub(crate) l3_inflight: DelayLine<u64>,
+    /// L3 cache sets and in-flight fills.
+    pub(crate) l3: L3State,
     /// I/O-unit outstanding completion responses.
     pub(crate) io_responses: DelayLine<()>,
     /// Synthetic-unit knob coordinates.

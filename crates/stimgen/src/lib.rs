@@ -6,9 +6,11 @@
 //! distributions. This crate provides:
 //!
 //! * [`ParamSampler`] — draws values from resolved weight/range parameters,
-//!   addressed by [`ParamId`](ascdg_template::ParamId), with a
-//!   deterministic, seedable RNG (the source of the paper's
-//!   *dynamic noise*: same template, different seeds, different coverage);
+//!   addressed by [`ParamId`](ascdg_template::ParamId) and read from
+//!   their compiled draw tables, with a deterministic, seedable RNG (the
+//!   source of the paper's *dynamic noise*: same template, different
+//!   seeds, different coverage); symbolic draws come back as
+//!   [`Symbol`](ascdg_template::Symbol)s;
 //! * [`instance_seed`] — the canonical seed derivation for instance `i` of a
 //!   named template, so batch runs are reproducible and order-independent;
 //! * [`SeedStream`] — the same derivation with the template-name hash
@@ -33,8 +35,12 @@
 //! let template = TestTemplate::builder("t").build();
 //! let resolved = reg.resolve(&template)?;
 //! let mut sampler = ParamSampler::new(&resolved, instance_seed(1, "t", 0));
-//! let op = sampler.sample_choice(op)?;
-//! assert!(op == "load" || op == "store");
+//! let drawn = sampler.sample_choice(op)?;
+//! assert!(drawn == "load" || drawn == "store");
+//! // Hot loops compare symbols, looked up once, instead of strings.
+//! let store = reg.symbol(op, "store")?;
+//! let again = ParamSampler::new(&resolved, instance_seed(1, "t", 0)).sample_symbol(op)?;
+//! assert_eq!(again == store, drawn == "store");
 //! let d = sampler.sample_int(delay)?;
 //! assert!((0..8).contains(&d));
 //! # Ok::<(), Box<dyn std::error::Error>>(())

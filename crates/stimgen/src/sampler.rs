@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use ascdg_template::{ParamDef, ParamId, ParamKind, ResolvedParams, Value, WeightedValue};
+use ascdg_template::{Outcome, ParamId, ResolvedParams, SlotDraw, Symbol, Value};
 
 use crate::StimGenError;
 
@@ -15,8 +15,13 @@ use crate::StimGenError;
 /// delays, addresses — goes through a parameter, exactly as the paper's
 /// biased random generators do. Draws address parameters by [`ParamId`],
 /// which the environment looks up once with
-/// [`ParamRegistry::id`](ascdg_template::ParamRegistry::id), so a draw is
-/// a slot index plus the RNG calls — no name lookup, no allocation.
+/// [`ParamRegistry::id`](ascdg_template::ParamRegistry::id), and read the
+/// slot's compiled form ([`ResolvedParams::draw`]), so a draw is a slot
+/// index, a scan of running weight totals and the RNG calls — no name
+/// lookup, no string compare, no allocation. Symbolic draws return
+/// [`Symbol`]s, which the environment compares against the ones it
+/// looked up with
+/// [`ParamRegistry::symbol`](ascdg_template::ParamRegistry::symbol).
 ///
 /// # Examples
 ///
@@ -42,6 +47,7 @@ pub struct ParamSampler<'a> {
 
 impl<'a> ParamSampler<'a> {
     /// Creates a sampler over `params` seeded with `seed`.
+    #[inline]
     #[must_use]
     pub fn new(params: &'a ResolvedParams, seed: u64) -> Self {
         ParamSampler {
@@ -50,26 +56,55 @@ impl<'a> ParamSampler<'a> {
         }
     }
 
-    fn slot(&self, id: ParamId) -> Result<&'a ParamDef, StimGenError> {
-        self.params
-            .slot(id)
-            .ok_or_else(|| StimGenError::UnknownParam(id.to_string()))
+    /// The one draw path: a range slot's bounds, or one weighted draw over
+    /// a weight slot as `(value position, decoded value)`; `None` for an
+    /// id past the last slot.
+    ///
+    /// This and the draw methods over it are `#[inline(always)]`: a unit's
+    /// generator calls them from many sites, where plain `#[inline]` left
+    /// them out of line, and with the error construction outlined into
+    /// [`ParamSampler::mismatch`] each inlined copy is a few instructions.
+    #[inline(always)]
+    fn draw(&mut self, id: ParamId) -> Option<Drawn> {
+        Some(match self.params.draw(id)? {
+            SlotDraw::Range { lo, hi } => Drawn::Range { lo, hi },
+            SlotDraw::Weights {
+                cumulative,
+                outcomes,
+            } => {
+                let total = *cumulative.last().expect("weight slots hold values");
+                debug_assert!(total > 0, "validated parameters have positive total");
+                let r = self.rng.random_range(0..total);
+                // The first value whose running total exceeds `r` (the
+                // value a subtract-walk over the weights lands on) is the
+                // number of totals not exceeding it, as the totals never
+                // decrease; counting them takes no data-dependent branch.
+                let pos = cumulative.iter().filter(|&&c| c <= r).count();
+                Drawn::Value(pos, outcomes[pos])
+            }
+        })
     }
 
-    /// One weighted draw over a weight parameter's values, borrowing the
-    /// drawn value.
-    fn pick(&mut self, values: &'a [WeightedValue]) -> &'a Value {
-        let total: u64 = values.iter().map(|w| u64::from(w.weight)).sum();
-        debug_assert!(total > 0, "validated parameters have positive total");
-        let mut r = self.rng.random_range(0..total);
-        for wv in values {
-            let w = u64::from(wv.weight);
-            if r < w {
-                return &wv.value;
-            }
-            r -= w;
+    /// The error for a draw from slot `id` that cannot produce the
+    /// `requested` kind of sample. Kept out of line so the draw methods
+    /// stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn mismatch(&self, id: ParamId, drawn: Option<Drawn>, requested: &'static str) -> StimGenError {
+        let Some(def) = self.params.slot(id) else {
+            return StimGenError::UnknownParam(id.to_string());
+        };
+        let param = def.name().to_owned();
+        match drawn {
+            Some(Drawn::Value(pos, _)) => StimGenError::IncompatibleValue {
+                param,
+                value: def
+                    .weighted_values()
+                    .map_or_else(String::new, |ws| ws[pos].value.to_string()),
+                requested,
+            },
+            _ => StimGenError::WrongKind { param, requested },
         }
-        unreachable!("weighted draw fell off the end");
     }
 
     /// Draws an integer from a parameter.
@@ -84,25 +119,19 @@ impl<'a> ParamSampler<'a> {
     /// Returns [`StimGenError::UnknownParam`] for an id past the resolved
     /// set's last slot, and [`StimGenError::IncompatibleValue`] if the draw
     /// lands on a symbolic value.
+    #[inline(always)]
     pub fn sample_int(&mut self, id: ParamId) -> Result<i64, StimGenError> {
-        let def = self.slot(id)?;
-        let values = match def.kind() {
-            ParamKind::Weights(values) => values,
-            &ParamKind::Range { lo, hi } => return Ok(self.rng.random_range(lo..hi)),
-        };
-        match self.pick(values) {
-            &Value::Int(i) => Ok(i),
-            &Value::SubRange { lo, hi } => Ok(self.rng.random_range(lo..hi)),
-            Value::Ident(s) => Err(StimGenError::IncompatibleValue {
-                param: def.name().to_owned(),
-                value: s.clone(),
-                requested: "integer",
-            }),
+        match self.draw(id) {
+            Some(Drawn::Value(_, Outcome::Int(i))) => Ok(i),
+            Some(Drawn::Range { lo, hi } | Drawn::Value(_, Outcome::SubRange { lo, hi })) => {
+                Ok(self.rng.random_range(lo..hi))
+            }
+            other => Err(self.mismatch(id, other, "integer")),
         }
     }
 
-    /// Draws a symbolic choice from a weight parameter, borrowing the drawn
-    /// identifier from the resolved set.
+    /// Draws a symbolic value from a weight parameter, as the [`Symbol`]
+    /// its registry numbers it with.
     ///
     /// # Errors
     ///
@@ -110,21 +139,38 @@ impl<'a> ParamSampler<'a> {
     /// set's last slot, [`StimGenError::WrongKind`] for range parameters
     /// and [`StimGenError::IncompatibleValue`] if the draw lands on a
     /// non-symbolic value.
+    #[inline(always)]
+    pub fn sample_symbol(&mut self, id: ParamId) -> Result<Symbol, StimGenError> {
+        self.sample_symbol_at(id).map(|(_, sym)| sym)
+    }
+
+    /// [`ParamSampler::sample_symbol`], also returning the drawn value's
+    /// position in the slot.
+    #[inline(always)]
+    fn sample_symbol_at(&mut self, id: ParamId) -> Result<(usize, Symbol), StimGenError> {
+        match self.draw(id) {
+            Some(Drawn::Value(pos, Outcome::Symbol(sym))) => Ok((pos, sym)),
+            other => Err(self.mismatch(id, other, "symbolic choice")),
+        }
+    }
+
+    /// Draws a symbolic choice from a weight parameter, borrowing the drawn
+    /// identifier from the resolved set: [`ParamSampler::sample_symbol`]
+    /// plus a name lookup, making the same RNG calls.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ParamSampler::sample_symbol`].
     pub fn sample_choice(&mut self, id: ParamId) -> Result<&'a str, StimGenError> {
-        let def = self.slot(id)?;
-        let ParamKind::Weights(values) = def.kind() else {
-            return Err(StimGenError::WrongKind {
-                param: def.name().to_owned(),
-                requested: "symbolic choice",
-            });
-        };
-        match self.pick(values) {
-            Value::Ident(s) => Ok(s),
-            other => Err(StimGenError::IncompatibleValue {
-                param: def.name().to_owned(),
-                value: other.to_string(),
-                requested: "symbolic choice",
-            }),
+        let (pos, _) = self.sample_symbol_at(id)?;
+        let params: &'a ResolvedParams = self.params;
+        match params
+            .slot(id)
+            .and_then(|def| def.weighted_values())
+            .map(|ws| &ws[pos].value)
+        {
+            Some(Value::Ident(name)) => Ok(name),
+            _ => unreachable!("symbol outcomes decode identifier values"),
         }
     }
 
@@ -134,11 +180,13 @@ impl<'a> ParamSampler<'a> {
     /// # Errors
     ///
     /// Propagates [`ParamSampler::sample_int`] failures.
+    #[inline]
     pub fn rate(&mut self, id: ParamId) -> Result<f64, StimGenError> {
         Ok(self.sample_int(id)? as f64 / 100.0)
     }
 
     /// Flips a coin with probability `p` of `true`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.rng.random::<f64>() < p.clamp(0.0, 1.0)
     }
@@ -149,16 +197,26 @@ impl<'a> ParamSampler<'a> {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn uniform(&mut self, lo: i64, hi: i64) -> i64 {
         assert!(lo < hi, "empty uniform range [{lo}, {hi})");
         self.rng.random_range(lo..hi)
     }
 }
 
+/// What one draw from a slot yields before the caller interprets it.
+#[derive(Clone, Copy)]
+enum Drawn {
+    /// A range slot: the caller samples `[lo, hi)`.
+    Range { lo: i64, hi: i64 },
+    /// A weight slot's drawn value: its position and decoded form.
+    Value(usize, Outcome),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ascdg_template::{ParamRegistry, TestTemplate};
+    use ascdg_template::{ParamDef, ParamRegistry, TestTemplate};
 
     fn registry() -> ParamRegistry {
         let mut reg = ParamRegistry::new();
@@ -209,6 +267,26 @@ mod tests {
         }
         let frac = loads as f64 / n as f64;
         assert!((frac - 0.75).abs() < 0.03, "load fraction {frac}");
+    }
+
+    #[test]
+    fn symbols_name_the_choices_drawn_with_the_same_seed() {
+        let (reg, r) = (registry(), resolved());
+        let op = id("Op");
+        let (mut by_symbol, mut by_name) = (ParamSampler::new(&r, 9), ParamSampler::new(&r, 9));
+        for _ in 0..200 {
+            let sym = by_symbol.sample_symbol(op).unwrap();
+            let name = by_name.sample_choice(op).unwrap();
+            assert_eq!(reg.symbol(op, name).unwrap(), sym);
+        }
+        assert!(matches!(
+            by_symbol.sample_symbol(id("Gap")),
+            Err(StimGenError::WrongKind { .. })
+        ));
+        assert!(matches!(
+            by_symbol.sample_symbol(id("Len")),
+            Err(StimGenError::IncompatibleValue { .. })
+        ));
     }
 
     #[test]

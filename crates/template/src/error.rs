@@ -32,6 +32,13 @@ pub enum TemplateError {
     DuplicateParam(String),
     /// A template references a parameter the registry does not define.
     UnknownParam(String),
+    /// A weight parameter declares no such symbolic value.
+    UnknownSymbol {
+        /// The parameter.
+        param: String,
+        /// The symbol asked for.
+        symbol: String,
+    },
     /// An override's kind or values do not match the registry definition.
     IncompatibleOverride {
         /// Offending parameter name.
@@ -53,13 +60,16 @@ pub enum TemplateError {
     DuplicateTemplate(String),
     /// A resolved parameter set does not have the registry's slot layout
     /// (it was resolved by another registry), so the registry's parameter
-    /// ids would address the wrong slots.
+    /// ids would address the wrong slots, or its symbols name other
+    /// values.
     LayoutMismatch {
         /// First slot that differs.
         slot: usize,
-        /// The registry's parameter in that slot (`None`: past its end).
+        /// The registry's parameter in that slot (`None`: past its end), or
+        /// for a symbol mismatch `Param.value` the registry numbers so.
         expected: Option<String>,
-        /// The resolved set's parameter in that slot (`None`: past its end).
+        /// The resolved set's parameter in that slot (`None`: past its
+        /// end), or for a symbol mismatch `Param.value` it numbers so.
         found: Option<String>,
     },
 }
@@ -84,6 +94,12 @@ impl fmt::Display for TemplateError {
             }
             TemplateError::UnknownParam(p) => {
                 write!(f, "parameter `{p}` is not defined by the environment")
+            }
+            TemplateError::UnknownSymbol { param, symbol } => {
+                write!(
+                    f,
+                    "parameter `{param}` declares no symbolic value `{symbol}`"
+                )
             }
             TemplateError::IncompatibleOverride { param, reason } => {
                 write!(f, "override of `{param}` is incompatible: {reason}")

@@ -14,7 +14,9 @@
 //!   [parser](TestTemplate::parse) and a printer (`Display`).
 //! * [`ParamRegistry`] — an environment's full parameter catalogue with
 //!   default definitions; templates are validated against it and resolved
-//!   into [`ResolvedParams`], whose slots [`ParamId`]s index directly.
+//!   into [`ResolvedParams`], whose slots [`ParamId`]s index directly and
+//!   which compiles each slot once into a draw table; symbolic values
+//!   are numbered as [`Symbol`]s.
 //! * [`Skeleton`] — a template with *marked* (free) weight settings, as
 //!   produced by the Skeletonizer; [`Skeleton::instantiate`] turns a point
 //!   in `[0,1]^d` back into a concrete [`TestTemplate`].
@@ -56,7 +58,7 @@ mod value;
 pub use error::TemplateError;
 pub use library::TemplateLibrary;
 pub use param::{ParamDef, ParamKind, WeightedValue};
-pub use registry::{ParamId, ParamRegistry, ResolvedParams};
+pub use registry::{Outcome, ParamId, ParamRegistry, ResolvedParams, SlotDraw, Symbol};
 pub use skeleton::{Setting, Skeleton, SkeletonParam};
 pub use template::{TemplateBuilder, TestTemplate};
 pub use value::Value;

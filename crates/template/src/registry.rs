@@ -34,6 +34,7 @@ pub struct ParamId(u32);
 
 impl ParamId {
     /// Returns the id as a `usize` slot index.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -44,6 +45,78 @@ impl fmt::Display for ParamId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "param#{}", self.0)
     }
+}
+
+/// A symbolic value of a weight parameter, as its position in the
+/// parameter's [`ParamRegistry`] default value list.
+///
+/// Environments look their symbols up once with
+/// [`ParamRegistry::symbol`] and compare the symbols their draws return
+/// against them: an integer compare, not a string compare. Like a
+/// [`ParamId`], a symbol is only meaningful relative to the registry that
+/// produced it; [`ParamRegistry::check_layout`] refuses a resolved set
+/// whose symbols were numbered by another registry.
+///
+/// # Examples
+///
+/// ```
+/// use ascdg_template::{ParamDef, ParamRegistry};
+///
+/// let mut reg = ParamRegistry::new();
+/// reg.define(ParamDef::weights("Op", [("load", 50), ("store", 50)])?)?;
+/// let op = reg.id("Op")?;
+/// assert_eq!(reg.symbol(op, "store")?.index(), 1);
+/// assert!(reg.symbol(op, "jump").is_err());
+/// # Ok::<(), ascdg_template::TemplateError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Symbol(u32);
+
+impl Symbol {
+    /// Returns the position as a `usize` index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One drawable outcome of a weight parameter, decoded at resolve time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// A plain integer value.
+    Int(i64),
+    /// A half-open integer subrange `[lo, hi)`, sampled uniformly.
+    SubRange {
+        /// Inclusive lower bound.
+        lo: i64,
+        /// Exclusive upper bound.
+        hi: i64,
+    },
+    /// A symbolic value, numbered by the registry.
+    Symbol(Symbol),
+}
+
+/// A slot of a [`ResolvedParams`] compiled for drawing (see
+/// [`ResolvedParams::draw`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotDraw<'a> {
+    /// A range parameter: uniform over `[lo, hi)`.
+    Range {
+        /// Inclusive lower bound.
+        lo: i64,
+        /// Exclusive upper bound.
+        hi: i64,
+    },
+    /// A weight parameter. `cumulative[i]` is the sum of the weights of
+    /// values `0..=i` (so the last entry is the positive total), and
+    /// `outcomes[i]` is value `i` decoded; both follow the slot's value
+    /// order.
+    Weights {
+        /// Running weight totals, one per value.
+        cumulative: &'a [u64],
+        /// The decoded values, one per value.
+        outcomes: &'a [Outcome],
+    },
 }
 
 /// The full set of parameters a verification environment exposes, each with
@@ -116,16 +189,38 @@ impl ParamRegistry {
             .ok_or_else(|| TemplateError::UnknownParam(name.to_owned()))
     }
 
+    /// The [`Symbol`] of value `name` of weight parameter `id`: its
+    /// position in the parameter's default value list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TemplateError::UnknownParam`] for an id past the last
+    /// parameter and [`TemplateError::UnknownSymbol`] when the parameter
+    /// declares no symbolic value `name`.
+    pub fn symbol(&self, id: ParamId, name: &str) -> Result<Symbol, TemplateError> {
+        let def = self
+            .params
+            .get(id.index())
+            .ok_or_else(|| TemplateError::UnknownParam(id.to_string()))?;
+        symbol_of(def, name).ok_or_else(|| TemplateError::UnknownSymbol {
+            param: def.name().to_owned(),
+            symbol: name.to_owned(),
+        })
+    }
+
     /// Checks that `resolved` has this registry's slot layout — the same
-    /// parameter names in the same declaration order — so that this
-    /// registry's [`ParamId`]s address the right slots in it.
+    /// parameter names in the same declaration order, with symbols
+    /// numbered the way this registry numbers them — so that this
+    /// registry's [`ParamId`]s and [`Symbol`]s mean the same in it.
     ///
     /// Environments call this once per simulate call, before any draw.
     ///
     /// # Errors
     ///
     /// Returns [`TemplateError::LayoutMismatch`] naming the first slot that
-    /// differs (a parameter in another position, or one side running out).
+    /// differs: a parameter in another position, one side running out, or
+    /// a symbol whose number names another value here (`Param.value` on
+    /// both sides).
     pub fn check_layout(&self, resolved: &ResolvedParams) -> Result<(), TemplateError> {
         let slots = self.params.len().max(resolved.slots.len());
         for slot in 0..slots {
@@ -137,6 +232,29 @@ impl ParamRegistry {
                     expected: expected.map(str::to_owned),
                     found: found.map(str::to_owned),
                 });
+            }
+            let Draw::Weights { start, end } = resolved.draws[slot] else {
+                continue;
+            };
+            let default = &self.params[slot];
+            let values = resolved.slots[slot].weighted_values().unwrap_or_default();
+            for (wv, outcome) in values.iter().zip(&resolved.outcomes[start..end]) {
+                let (Value::Ident(name), &Outcome::Symbol(sym)) = (&wv.value, outcome) else {
+                    continue;
+                };
+                let declared = default
+                    .weighted_values()
+                    .and_then(|ws| ws.get(sym.index()))
+                    .map(|w| &w.value);
+                if declared != Some(&wv.value) {
+                    let declared =
+                        declared.map_or_else(|| format!("#{}", sym.index()), ToString::to_string);
+                    return Err(TemplateError::LayoutMismatch {
+                        slot,
+                        expected: Some(format!("{}.{declared}", default.name())),
+                        found: Some(format!("{}.{name}", default.name())),
+                    });
+                }
             }
         }
         Ok(())
@@ -257,9 +375,7 @@ impl ParamRegistry {
     /// many templates rebuilds the full parameter map only once.
     #[must_use]
     pub fn resolve_defaults(&self) -> ResolvedParams {
-        ResolvedParams {
-            slots: self.params.clone(),
-        }
+        self.compile(self.params.clone())
     }
 
     /// Merges a template over pre-resolved `defaults`, replacing each
@@ -283,8 +399,60 @@ impl ParamRegistry {
         for over in template.params() {
             slots[self.id(over.name())?.index()] = over.clone();
         }
-        Ok(ResolvedParams { slots })
+        Ok(self.compile(slots))
     }
+
+    /// Compiles validated slots (one per parameter, in declaration order)
+    /// into their draw table.
+    fn compile(&self, slots: Vec<ParamDef>) -> ResolvedParams {
+        let values = slots
+            .iter()
+            .filter_map(ParamDef::weighted_values)
+            .map(<[_]>::len)
+            .sum();
+        let mut draws = Vec::with_capacity(slots.len());
+        let mut cumulative = Vec::with_capacity(values);
+        let mut outcomes = Vec::with_capacity(values);
+        for (default, def) in self.params.iter().zip(&slots) {
+            draws.push(match def.kind() {
+                &ParamKind::Range { lo, hi } => Draw::Range { lo, hi },
+                ParamKind::Weights(values) => {
+                    let start = outcomes.len();
+                    let mut total = 0u64;
+                    for wv in values {
+                        total += u64::from(wv.weight);
+                        cumulative.push(total);
+                        outcomes.push(match &wv.value {
+                            &Value::Int(i) => Outcome::Int(i),
+                            &Value::SubRange { lo, hi } => Outcome::SubRange { lo, hi },
+                            Value::Ident(name) => Outcome::Symbol(
+                                symbol_of(default, name)
+                                    .expect("validated symbols are declared by the default"),
+                            ),
+                        });
+                    }
+                    Draw::Weights {
+                        start,
+                        end: outcomes.len(),
+                    }
+                }
+            });
+        }
+        ResolvedParams {
+            slots,
+            draws,
+            cumulative,
+            outcomes,
+        }
+    }
+}
+
+/// The position of symbolic value `name` in `def`'s value list.
+fn symbol_of(def: &ParamDef, name: &str) -> Option<Symbol> {
+    def.weighted_values()?
+        .iter()
+        .position(|wv| matches!(&wv.value, Value::Ident(s) if s == name))
+        .map(|i| Symbol(u32::try_from(i).expect("value lists fit u32 symbols")))
 }
 
 impl Extend<ParamDef> for ParamRegistry {
@@ -308,9 +476,28 @@ impl FromIterator<ParamDef> for ParamRegistry {
 /// The effective parameter set seen by the stimuli generator: template
 /// overrides merged over registry defaults, one slot per registry
 /// parameter in declaration order, so a [`ParamId`] indexes its slot.
+///
+/// Resolution also compiles every slot once into a flat draw table
+/// ([`ResolvedParams::draw`]): a range slot keeps its bounds, a weight
+/// slot its running weight totals and decoded values, so a draw neither
+/// re-sums weights nor inspects [`Value`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedParams {
     slots: Vec<ParamDef>,
+    /// One entry per slot.
+    draws: Vec<Draw>,
+    /// The weight slots' running totals, back to back.
+    cumulative: Vec<u64>,
+    /// The weight slots' decoded values, parallel to `cumulative`.
+    outcomes: Vec<Outcome>,
+}
+
+/// A compiled slot: range bounds, or a weight slot's span of the flat
+/// `cumulative`/`outcomes` tables.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Draw {
+    Range { lo: i64, hi: i64 },
+    Weights { start: usize, end: usize },
 }
 
 impl ResolvedParams {
@@ -325,6 +512,19 @@ impl ResolvedParams {
     #[must_use]
     pub fn slot(&self, id: ParamId) -> Option<&ParamDef> {
         self.slots.get(id.index())
+    }
+
+    /// Slot `id` compiled for drawing, or `None` past the last slot.
+    #[inline]
+    #[must_use]
+    pub fn draw(&self, id: ParamId) -> Option<SlotDraw<'_>> {
+        Some(match *self.draws.get(id.index())? {
+            Draw::Range { lo, hi } => SlotDraw::Range { lo, hi },
+            Draw::Weights { start, end } => SlotDraw::Weights {
+                cumulative: &self.cumulative[start..end],
+                outcomes: &self.outcomes[start..end],
+            },
+        })
     }
 
     /// Number of parameters.
@@ -525,9 +725,17 @@ mod tests {
         defs.reverse();
         let reordered: ParamRegistry = defs.into_iter().collect();
         let shorter: ParamRegistry = reg.iter().take(1).cloned().collect();
+        // The same parameters in the same order, but `Op` lists its
+        // symbols the other way round, so its symbol numbers differ.
+        let resymboled: ParamRegistry = [
+            ParamDef::weights("Op", [("store", 50u32), ("load", 50u32)]).unwrap(),
+            reg.get("Delay").unwrap().clone(),
+        ]
+        .into_iter()
+        .collect();
         let t = TestTemplate::builder("t").build();
         assert!(reg.check_layout(&reg.resolve(&t).unwrap()).is_ok());
-        for foreign in [&reordered, &shorter] {
+        for foreign in [&reordered, &shorter, &resymboled] {
             let resolved = foreign.resolve(&t).unwrap();
             let err = reg.check_layout(&resolved).unwrap_err();
             assert!(matches!(err, TemplateError::LayoutMismatch { .. }), "{err}");
@@ -541,6 +749,78 @@ mod tests {
             .to_string();
         assert!(err.contains("slot 1 holds no parameter"), "{err}");
         assert!(err.contains("`Delay`"), "{err}");
+        // An override naming only one symbol is caught too.
+        let store_only = TestTemplate::builder("t")
+            .weights("Op", [("store", 1u32)])
+            .unwrap()
+            .build();
+        let err = reg
+            .check_layout(&resymboled.resolve(&store_only).unwrap())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("slot 0 holds `Op.store` where the registry declares `Op.load`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn symbols_are_default_positions() {
+        let reg = registry();
+        let (op, delay) = (reg.id("Op").unwrap(), reg.id("Delay").unwrap());
+        assert_eq!(reg.symbol(op, "store").unwrap(), Symbol(1));
+        assert!(matches!(
+            reg.symbol(op, "jump"),
+            Err(TemplateError::UnknownSymbol { .. })
+        ));
+        assert!(matches!(
+            reg.symbol(delay, "load"),
+            Err(TemplateError::UnknownSymbol { .. })
+        ));
+    }
+
+    #[test]
+    fn resolution_compiles_each_slot() {
+        let reg = registry();
+        let t = TestTemplate::builder("t")
+            .weights("Op", [("store", 3u32), ("load", 0u32)])
+            .unwrap()
+            .weights(
+                "Delay",
+                [
+                    (Value::Int(7), 2u32),
+                    (Value::SubRange { lo: 10, hi: 20 }, 5u32),
+                ],
+            )
+            .unwrap()
+            .build();
+        let r = reg.resolve(&t).unwrap();
+        let (op, delay) = (reg.id("Op").unwrap(), reg.id("Delay").unwrap());
+        // Symbols keep the registry's numbering, whatever the override's
+        // value order.
+        assert_eq!(
+            r.draw(op),
+            Some(SlotDraw::Weights {
+                cumulative: &[3, 3],
+                outcomes: &[Outcome::Symbol(Symbol(1)), Outcome::Symbol(Symbol(0))],
+            })
+        );
+        assert_eq!(
+            r.draw(delay),
+            Some(SlotDraw::Weights {
+                cumulative: &[2, 7],
+                outcomes: &[Outcome::Int(7), Outcome::SubRange { lo: 10, hi: 20 }],
+            })
+        );
+        let defaults = reg.resolve_defaults();
+        assert_eq!(
+            defaults.draw(delay),
+            Some(SlotDraw::Range { lo: 0, hi: 100 })
+        );
+        let mut wide = registry();
+        wide.define(ParamDef::range("Extra", 0, 1).unwrap())
+            .unwrap();
+        assert_eq!(defaults.draw(wide.id("Extra").unwrap()), None);
     }
 
     #[test]

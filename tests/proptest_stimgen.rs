@@ -1,11 +1,54 @@
 //! Property-based tests for the stimuli generator: every draw stays inside
-//! the parameter's declared domain, zero-weight values never appear, and
-//! seeds behave like independent streams.
+//! the parameter's declared domain, zero-weight values never appear,
+//! seeds behave like independent streams, and the compiled weighted draw
+//! is the plain subtract-walk over the weights.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 use ascdg::stimgen::{instance_seed, ParamSampler};
 use ascdg::template::{ParamDef, ParamRegistry, TestTemplate, Value};
+
+/// Weight lists mixing zero weights, integers, subranges and symbols
+/// (each symbol distinct), with a positive total.
+fn weight_lists() -> impl Strategy<Value = Vec<(Value, u32)>> {
+    proptest::collection::vec((0u8..3, -50i64..50, 1i64..20, 0u32..6), 1..7).prop_map(|parts| {
+        let mut out: Vec<(Value, u32)> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, (kind, lo, width, w))| {
+                let value = match kind {
+                    0 => Value::Int(lo),
+                    1 => Value::SubRange { lo, hi: lo + width },
+                    _ => Value::ident(format!("v{i}").as_str()),
+                };
+                // Half of the small weights become zeros.
+                (value, if w < 3 { 0 } else { w })
+            })
+            .collect();
+        if out.iter().all(|&(_, w)| w == 0) {
+            out[0].1 = 1;
+        }
+        out
+    })
+}
+
+/// The weighted draw as written before draws were compiled: re-sum the
+/// weights, draw below the total, then walk the values subtracting each
+/// weight until the draw falls inside one.
+fn subtract_walk<'v>(rng: &mut StdRng, values: &'v [(Value, u32)]) -> &'v Value {
+    let total: u64 = values.iter().map(|&(_, w)| u64::from(w)).sum();
+    let mut r = rng.random_range(0..total);
+    for (value, w) in values {
+        let w = u64::from(*w);
+        if r < w {
+            return value;
+        }
+        r -= w;
+    }
+    unreachable!("the draw is below the total");
+}
 
 fn subranges() -> impl Strategy<Value = Vec<(i64, i64, u32)>> {
     // Disjoint, ordered subranges with weights; at least one positive.
@@ -117,5 +160,48 @@ proptest! {
             let r = s.rate(p).unwrap();
             prop_assert!((0.0..1.0).contains(&r));
         }
+    }
+
+    /// Compiled `sample_int`/`sample_choice` return what the subtract-walk
+    /// returns, fail where it lands on the wrong kind of value, and leave
+    /// the RNG where it leaves it — whether the slot is the registry
+    /// default or an override listing the values in reverse order.
+    #[test]
+    fn compiled_draws_match_the_subtract_walk(
+        values in weight_lists(),
+        reverse in any::<bool>(),
+        ops in proptest::collection::vec(any::<bool>(), 1..40),
+        seed in any::<u64>(),
+    ) {
+        let mut reg = ParamRegistry::new();
+        reg.define(ParamDef::weights("W", values.clone()).unwrap()).unwrap();
+        let w = reg.id("W").unwrap();
+        let mut slot = values;
+        let mut template = TestTemplate::builder("t");
+        if reverse {
+            slot.reverse();
+            template = template.weights("W", slot.clone()).unwrap();
+        }
+        let resolved = reg.resolve(&template.build()).unwrap();
+        let mut sampler = ParamSampler::new(&resolved, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for int in ops {
+            if int {
+                let want = match subtract_walk(&mut rng, &slot) {
+                    &Value::Int(i) => Some(i),
+                    &Value::SubRange { lo, hi } => Some(rng.random_range(lo..hi)),
+                    Value::Ident(_) => None,
+                };
+                prop_assert_eq!(sampler.sample_int(w).ok(), want);
+            } else {
+                let want = match subtract_walk(&mut rng, &slot) {
+                    Value::Ident(name) => Some(name.as_str()),
+                    _ => None,
+                };
+                prop_assert_eq!(sampler.sample_choice(w).ok(), want);
+            }
+        }
+        // Same RNG position: the next raw draw agrees.
+        prop_assert_eq!(sampler.uniform(0, i64::MAX), rng.random_range(0..i64::MAX));
     }
 }
