@@ -8,18 +8,15 @@
 //! scheduling.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::Arc;
 
 use ascdg_coverage::{CoveragePlane, CoverageRepository, CoverageVector, TemplateId};
 use ascdg_duv::{SimScratch, VerifEnv};
 use ascdg_stimgen::{name_hash, SeedStream};
 use ascdg_telemetry::Telemetry;
 use ascdg_template::{ResolvedParams, TestTemplate};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::pool::{machine_threads, pool_scope, SimPool};
@@ -294,8 +291,6 @@ pub struct BatchRunner<'env> {
     pool: Option<SimPool<'env>>,
     counters: Arc<BatchCounters>,
     telemetry: Telemetry,
-    tuner: Arc<ChunkAutotuner>,
-    chunk_override: Option<u64>,
 }
 
 impl Default for BatchRunner<'_> {
@@ -318,8 +313,6 @@ impl<'env> BatchRunner<'env> {
             pool: None,
             counters: Arc::new(BatchCounters::default()),
             telemetry: Telemetry::disabled(),
-            tuner: Arc::new(ChunkAutotuner::default()),
-            chunk_override: env_chunk_override(),
         }
     }
 
@@ -339,13 +332,11 @@ impl<'env> BatchRunner<'env> {
             pool: Some(pool.clone()),
             counters: Arc::new(BatchCounters::default()),
             telemetry: Telemetry::disabled(),
-            tuner: Arc::new(ChunkAutotuner::default()),
-            chunk_override: env_chunk_override(),
         }
     }
 
     /// Attaches a telemetry handle: chunk execution records per-stage
-    /// sim-latency/chunk-size/merge histograms and `chunk` spans into it.
+    /// sim-latency, chunk-sims and merge histograms and `chunk` spans into it.
     /// Telemetry is purely observational — simulation results are
     /// byte-identical with any handle, and a disabled handle (the
     /// default) costs one branch per chunk.
@@ -359,24 +350,6 @@ impl<'env> BatchRunner<'env> {
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Pins the dispatch chunk size (in simulations), bypassing the
-    /// autotuner — the in-process equivalent of the `ASCDG_CHUNK_SIZE`
-    /// environment override, which seeds this field on every new runner.
-    /// Results are byte-identical at any chunk size; only scheduling
-    /// granularity (and the merge count) changes.
-    #[must_use]
-    pub fn with_chunk_size(mut self, sims: u64) -> Self {
-        self.chunk_override = Some(sims.max(1));
-        self
-    }
-
-    /// The shared chunk autotuner (clones of a runner share one, so
-    /// latency learned in one phase carries into the next).
-    #[must_use]
-    pub fn autotuner(&self) -> &Arc<ChunkAutotuner> {
-        &self.tuner
     }
 
     /// Number of worker threads.
@@ -511,7 +484,6 @@ impl<'env> BatchRunner<'env> {
         sims_per_point: u64,
     ) -> Result<Vec<BatchStats>, FlowError> {
         let events = env.coverage_model().len();
-        let key = autotune_key(env.unit_name(), &self.telemetry);
         let serial =
             self.pool.is_none() && (self.threads <= 1 || points.len() <= 1 || sims_per_point == 0);
         if serial {
@@ -527,8 +499,6 @@ impl<'env> BatchRunner<'env> {
                         None,
                         &self.counters,
                         &self.telemetry,
-                        &self.tuner,
-                        &key,
                     )
                 })
                 .collect();
@@ -541,7 +511,6 @@ impl<'env> BatchRunner<'env> {
             .collect();
         let counters = Arc::clone(&self.counters);
         let telemetry = self.telemetry.clone();
-        let tuner = Arc::clone(&self.tuner);
         let run_on = move |pool: &SimPool<'env>| {
             pool.run_ordered(tasks, move |_, (params, stream)| {
                 simulate_range(
@@ -553,8 +522,6 @@ impl<'env> BatchRunner<'env> {
                     None,
                     &counters,
                     &telemetry,
-                    &tuner,
-                    &key,
                 )
             })
             .into_iter()
@@ -580,7 +547,6 @@ impl<'env> BatchRunner<'env> {
         }
         let stream = template.seed_stream(base_seed);
         let workers = self.threads.min(sims as usize).max(1);
-        let key = autotune_key(env.unit_name(), &self.telemetry);
         if workers == 1 && self.pool.is_none() {
             return simulate_range(
                 env,
@@ -591,25 +557,15 @@ impl<'env> BatchRunner<'env> {
                 record,
                 &self.counters,
                 &self.telemetry,
-                &self.tuner,
-                &key,
             );
         }
-        let chunk = self.tuner.pick(&key, sims, workers, self.chunk_override);
-        if let Some(m) = self.telemetry.metrics() {
-            m.gauge("batch.chunk_autotune.chunk_sims").set(chunk as f64);
-            if let Some(ns) = self.tuner.estimate(&key) {
-                m.gauge("batch.chunk_autotune.ns_per_sim").set(ns);
-            }
-        }
+        let chunk = chunk_sims(sims, workers);
         let params = template.share_params();
         let counters = Arc::clone(&self.counters);
         let telemetry = self.telemetry.clone();
-        let tuner = Arc::clone(&self.tuner);
         let dispatch = move |pool: &SimPool<'env>| {
             dispatch_chunks(
                 pool, env, &params, stream, events, sims, chunk, record, &counters, &telemetry,
-                &tuner, &key,
             )
         };
         match &self.pool {
@@ -625,104 +581,14 @@ impl<'env> BatchRunner<'env> {
 /// and plane stay hot.
 const KERNEL_BLOCK: u64 = 64;
 
-/// Wall-clock one dispatched chunk should occupy a worker for (~2 ms):
-/// long enough to amortize dispatch overhead and the per-chunk repository
-/// merge, short enough that a template's chunks rebalance across workers
-/// when per-simulation cost varies.
-const TARGET_CHUNK_NS: f64 = 2_000_000.0;
-
-/// Weight of the newest chunk observation in the latency EWMA.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// The `ASCDG_CHUNK_SIZE` dispatch-chunk override, read once per process.
-fn env_chunk_override() -> Option<u64> {
-    static OVERRIDE: OnceLock<Option<u64>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("ASCDG_CHUNK_SIZE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-    })
-}
-
-/// Adaptive dispatch-chunk sizing from observed per-simulation latency.
-///
-/// Every executed chunk is a serial run on one worker, so its wall-clock
-/// divided by its simulation count is a clean per-simulation cost sample.
-/// The tuner keeps an EWMA of that cost per `unit/stage` key and sizes the
-/// next dispatch's chunks toward ~2 ms of work each, in
-/// multiples of `KERNEL_BLOCK` so every dispatched chunk decomposes into
-/// full coverage-plane blocks. Until the first observation arrives the even
-/// `sims / workers` split is used, aligned down to a kernel-block multiple
-/// whenever it spans more than one block; an even split already below one
-/// kernel block is used unchanged (alignment would idle workers).
-///
-/// Chunk size never affects results: instance `i` of a run always uses the
-/// seed its [`SeedStream`] derives for it, fixed before dispatch, so any
-/// chunking simulates the same (seed, index) pairs and per-event counting
+/// The dispatch chunk of a `sims`-simulation run over `workers`: an even
+/// split capped at one kernel block. Every chunk but the last is then
+/// exactly one plane block, and small runs still spread over every worker.
+/// Outcomes do not depend on it: instance `i` always uses the seed its
+/// [`SeedStream`] derives, fixed before dispatch, and per-event counting
 /// is commutative across chunk boundaries.
-#[derive(Debug, Default)]
-pub struct ChunkAutotuner {
-    ns_per_sim: Mutex<HashMap<String, f64>>,
-}
-
-impl ChunkAutotuner {
-    /// The current latency estimate for `key`, in ns per simulation.
-    #[must_use]
-    pub fn estimate(&self, key: &str) -> Option<f64> {
-        self.ns_per_sim.lock().get(key).copied()
-    }
-
-    /// Feeds one executed chunk's observed per-sim latency into the EWMA.
-    fn observe(&self, key: &str, sample: f64) {
-        if !sample.is_finite() || sample <= 0.0 {
-            return;
-        }
-        let mut map = self.ns_per_sim.lock();
-        match map.get_mut(key) {
-            Some(e) => *e += EWMA_ALPHA * (sample - *e),
-            None => {
-                map.insert(key.to_owned(), sample);
-            }
-        }
-    }
-
-    /// Picks the dispatch chunk size for `sims` simulations over `workers`:
-    /// an explicit override wins ([`BatchRunner::with_chunk_size`], seeded
-    /// from `ASCDG_CHUNK_SIZE`), otherwise the latency-targeted size
-    /// clamped to `[KERNEL_BLOCK, even split]` — falling back to the even
-    /// split when no estimate exists yet, or verbatim when the even split
-    /// is already below one kernel block (alignment would idle workers).
-    ///
-    /// Every multi-block pick is a `KERNEL_BLOCK` multiple — including the
-    /// no-estimate fallback, which aligns the even split *down* — so each
-    /// dispatched chunk decomposes into full coverage-plane blocks and only
-    /// the batch's final chunk can carry a sub-block tail.
-    fn pick(&self, key: &str, sims: u64, workers: usize, override_chunk: Option<u64>) -> u64 {
-        if let Some(o) = override_chunk {
-            return o.clamp(1, sims.max(1));
-        }
-        let even = sims.div_ceil(workers.max(1) as u64);
-        if even <= KERNEL_BLOCK {
-            return even;
-        }
-        let aligned_even = (even / KERNEL_BLOCK) * KERNEL_BLOCK;
-        let Some(ns) = self.estimate(key) else {
-            return aligned_even;
-        };
-        let ideal = (TARGET_CHUNK_NS / ns).max(1.0) as u64;
-        ((ideal / KERNEL_BLOCK) * KERNEL_BLOCK).clamp(KERNEL_BLOCK, aligned_even)
-    }
-}
-
-/// The autotuner key of a run: `unit/stage`, with the stage taken from the
-/// telemetry scope ambient at dispatch (empty for a detached handle), so
-/// e.g. regression sweeps and optimizer stencils tune independently.
-fn autotune_key(unit: &str, telemetry: &Telemetry) -> String {
-    match telemetry.stage_metrics() {
-        Some(sm) => format!("{unit}/{}", sm.stage),
-        None => format!("{unit}/"),
-    }
+fn chunk_sims(sims: u64, workers: usize) -> u64 {
+    sims.div_ceil(workers.max(1) as u64).min(KERNEL_BLOCK)
 }
 
 thread_local! {
@@ -747,14 +613,9 @@ thread_local! {
 ///
 /// Coverage accumulates into the chunk-local [`BatchStats`] shard; when
 /// recording, the shard merges into the repository **once** at the end of
-/// the chunk — into the one lock stripe owning the template
-/// ([`CoverageRepository::stripe_of`]) — so lock traffic is O(chunks)
-/// spread over the stripes instead of O(simulations) on one mutex.
-/// Per-event counting is commutative, which makes the merged state
-/// byte-identical to per-simulation recording.
-///
-/// Every chunk also feeds its observed per-sim wall-clock back into the
-/// [`ChunkAutotuner`] under `tune_key`, telemetry or not.
+/// the chunk, so the repository lock is taken O(chunks) times instead of
+/// O(simulations). Per-event counting is commutative, which makes the
+/// merged state byte-identical to per-simulation recording.
 #[allow(clippy::too_many_arguments)]
 fn simulate_range<E: VerifEnv>(
     env: &E,
@@ -765,15 +626,11 @@ fn simulate_range<E: VerifEnv>(
     record: Option<(&CoverageRepository, TemplateId)>,
     counters: &BatchCounters,
     telemetry: &Telemetry,
-    tuner: &ChunkAutotuner,
-    tune_key: &str,
 ) -> Result<BatchStats, FlowError> {
     // `timed()` is `None` when telemetry is disabled: the whole
     // instrumentation below then reduces to two `Option` branches, which
     // is the allocation-free "off the hot path" guarantee the bench
-    // overhead probe asserts. The tuner clock is always on — two clock
-    // reads and one EWMA update per multi-sim chunk.
-    let tune_clock = Instant::now();
+    // overhead probe asserts.
     let chunk_clock = telemetry.timed();
     let mut stats = BatchStats::empty(events);
     SCRATCH.with(|cell| -> Result<(), FlowError> {
@@ -797,23 +654,10 @@ fn simulate_range<E: VerifEnv>(
             repo.merge_counts(id, stats.sims, &stats.hits)
                 .map_err(FlowError::Coverage)?;
             counters.add_merge(stats.sims);
-            if let Some(m) = telemetry.metrics() {
-                m.counter(&format!(
-                    "batch.repo_stripe.{}",
-                    CoverageRepository::stripe_of(id)
-                ))
-                .add(1);
-            }
             if let (Some(t0), Some(stage)) = (merge_clock, telemetry.stage_metrics()) {
                 stage.merge_ns.record(t0.elapsed().as_nanos() as u64);
             }
         }
-    }
-    if stats.sims > 0 {
-        tuner.observe(
-            tune_key,
-            tune_clock.elapsed().as_nanos() as f64 / stats.sims as f64,
-        );
     }
     if let Some(t0) = chunk_clock {
         if let Some(stage) = telemetry.stage_metrics() {
@@ -828,9 +672,8 @@ fn simulate_range<E: VerifEnv>(
 }
 
 /// Shards one template's `sims` instances into contiguous `chunk`-sized
-/// dispatch chunks (sized by the caller's [`ChunkAutotuner`] pick or an
-/// explicit override — there may be more chunks than workers) and runs
-/// them on the pool, merging chunk statistics in chunk order.
+/// dispatch chunks (there may be more chunks than workers) and runs them
+/// on the pool, merging chunk statistics in chunk order.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_chunks<'env, E: VerifEnv>(
     pool: &SimPool<'env>,
@@ -843,8 +686,6 @@ fn dispatch_chunks<'env, E: VerifEnv>(
     record: Option<(&'env CoverageRepository, TemplateId)>,
     counters: &Arc<BatchCounters>,
     telemetry: &Telemetry,
-    tuner: &Arc<ChunkAutotuner>,
-    tune_key: &str,
 ) -> Result<BatchStats, FlowError> {
     let chunk = chunk.max(1);
     // Chunks own their inputs (pool jobs may not borrow this stack frame);
@@ -859,8 +700,6 @@ fn dispatch_chunks<'env, E: VerifEnv>(
     }
     let counters = Arc::clone(counters);
     let telemetry = telemetry.clone();
-    let tuner = Arc::clone(tuner);
-    let tune_key = tune_key.to_owned();
     let results = pool.run_ordered(tasks, move |_, (lo, hi, params)| {
         simulate_range(
             env,
@@ -871,8 +710,6 @@ fn dispatch_chunks<'env, E: VerifEnv>(
             record,
             &counters,
             &telemetry,
-            &tuner,
-            &tune_key,
         )
     });
     let mut total = BatchStats::empty(events);
@@ -1012,10 +849,8 @@ mod tests {
         let counters = runner.counter_snapshot();
         assert_eq!(counters.sims_recorded, 96);
         assert!(counters.repo_merges >= 1);
-        // O(chunks), never O(sims): at most one merge per worker with the
-        // default even split, or one per kernel block under the smallest
-        // chunk override the CI `ASCDG_CHUNK_SIZE` sweep pins.
-        let max_chunks = (test_threads() as u64).max(96u64.div_ceil(KERNEL_BLOCK));
+        // O(chunks), never O(sims): at most one merge per dispatched chunk.
+        let max_chunks = 96u64.div_ceil(chunk_sims(96, test_threads()));
         assert!(counters.repo_merges <= max_chunks);
         assert_eq!(counters.resolve_misses, 1);
     }
@@ -1024,66 +859,46 @@ mod tests {
     fn outcomes_are_chunk_size_independent() {
         let env = IoEnv::new();
         let t = env.stock_library().get(3).unwrap().clone();
-        let run = |threads: usize, chunk: Option<u64>| {
+        let rt = ResolvedTemplate::resolve(&env, &t).unwrap();
+        let events = env.coverage_model().len();
+        let run = |chunk: u64| {
             let repo = CoverageRepository::new(env.coverage_model().clone());
-            let mut runner = BatchRunner::new(threads);
-            if let Some(c) = chunk {
-                runner = runner.with_chunk_size(c);
-            }
-            let stats = runner
-                .run_recorded(&env, &t, 150, 23, &repo, TemplateId(3))
-                .unwrap();
+            let stats = pool_scope(test_threads().max(2), |pool| {
+                dispatch_chunks(
+                    pool,
+                    &env,
+                    &rt.share_params(),
+                    rt.seed_stream(23),
+                    events,
+                    150,
+                    chunk,
+                    Some((&repo, TemplateId(3))),
+                    &Arc::new(BatchCounters::default()),
+                    &Telemetry::disabled(),
+                )
+            })
+            .unwrap();
             (stats, repo.snapshot())
         };
-        let reference = run(1, None);
+        let repo = CoverageRepository::new(env.coverage_model().clone());
+        let stats = BatchRunner::new(1)
+            .run_recorded(&env, &t, 150, 23, &repo, TemplateId(3))
+            .unwrap();
+        let reference = (stats, repo.snapshot());
         // Tiny, kernel-block, multi-block and bigger-than-the-batch chunks
         // all reproduce the serial outcome bit for bit.
         for chunk in [1u64, 64, 128, 1024] {
-            let got = run(test_threads().max(2), Some(chunk));
-            assert_eq!(got, reference, "chunk size {chunk} changed outcomes");
+            assert_eq!(run(chunk), reference, "chunk size {chunk} changed outcomes");
         }
     }
 
     #[test]
-    fn autotuner_picks_latency_targeted_kernel_blocks() {
-        let tuner = ChunkAutotuner::default();
-        // No estimate yet: the even split, aligned down to kernel blocks
-        // (250 -> 192) so chunks decompose into full plane blocks.
-        assert_eq!(tuner.pick("io/", 1000, 4, None), 192);
-        // Even split below one kernel block: alignment would idle workers.
-        assert_eq!(tuner.pick("io/", 40, 4, None), 10);
-        // 1000 ns/sim targets 2000 sims/chunk, clamped to the aligned
-        // even split (250 -> 192).
-        tuner.observe("io/", 1000.0);
-        assert!((tuner.estimate("io/").unwrap() - 1000.0).abs() < 1e-9);
-        assert_eq!(tuner.pick("io/", 1000, 4, None), 192);
-        // Slow sims floor at one kernel block.
-        tuner.observe("slow/", 1e6);
-        assert_eq!(tuner.pick("slow/", 1000, 4, None), KERNEL_BLOCK);
-        // Overrides win outright, clamped to the batch.
-        assert_eq!(tuner.pick("io/", 1000, 4, Some(100)), 100);
-        assert_eq!(tuner.pick("io/", 1000, 4, Some(5000)), 1000);
-        // The EWMA tracks drift without jumping to the newest sample.
-        tuner.observe("io/", 2000.0);
-        assert!((tuner.estimate("io/").unwrap() - 1300.0).abs() < 1e-9);
-        // Garbage samples are ignored.
-        tuner.observe("io/", f64::NAN);
-        tuner.observe("io/", -5.0);
-        assert!((tuner.estimate("io/").unwrap() - 1300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn even_split_fallback_aligns_to_kernel_blocks() {
-        let tuner = ChunkAutotuner::default();
-        // Multi-block even splits align down, so only a batch's final
-        // dispatched chunk can carry a sub-block tail.
-        assert_eq!(tuner.pick("fresh/", 1000, 3, None), 320); // ceil = 334
-        assert_eq!(tuner.pick("fresh/", 512, 4, None), 128);
-        // One block exactly, and sub-block splits, stay verbatim.
-        assert_eq!(tuner.pick("fresh/", 256, 4, None), 64);
-        assert_eq!(tuner.pick("fresh/", 100, 4, None), 25);
-        // Overrides are never rounded.
-        assert_eq!(tuner.pick("fresh/", 1000, 4, Some(250)), 250);
+    fn chunks_are_an_even_split_capped_at_one_kernel_block() {
+        assert_eq!(chunk_sims(1000, 2), KERNEL_BLOCK);
+        assert_eq!(chunk_sims(40, 4), 10);
+        assert_eq!(chunk_sims(100, 4), 25);
+        assert_eq!(chunk_sims(256, 4), KERNEL_BLOCK);
+        assert_eq!(chunk_sims(5, 8), 1);
     }
 
     proptest::proptest! {
@@ -1119,18 +934,6 @@ mod tests {
             });
             proptest::prop_assert_eq!(pooled, expected);
         }
-    }
-
-    #[test]
-    fn runner_learns_chunk_latency_under_its_key() {
-        let env = IoEnv::new();
-        let t = env.stock_library().get(0).unwrap().clone();
-        let runner = BatchRunner::new(test_threads());
-        runner.run(&env, &t, 96, 3).unwrap();
-        assert!(
-            runner.autotuner().estimate("io_unit/").is_some(),
-            "executed chunks must feed the latency EWMA"
-        );
     }
 
     #[test]

@@ -62,9 +62,7 @@ mod skeletonizer;
 mod stages;
 
 pub use ascdg_telemetry::Telemetry;
-pub use batch::{
-    BatchCounters, BatchRunner, BatchStats, ChunkAutotuner, CounterSnapshot, ResolvedTemplate,
-};
+pub use batch::{BatchCounters, BatchRunner, BatchStats, CounterSnapshot, ResolvedTemplate};
 pub use campaign::{
     fold_campaign, group_uncovered, CampaignGroup, CampaignOutcome, CampaignReport,
 };

@@ -7,64 +7,49 @@
 //! point-batches onto the same workers through [`SimPool::run_ordered`],
 //! and the workers are joined when the scope ends.
 //!
-//! # Lock-free dispatch
+//! # Dispatch
 //!
-//! A batch is published as one reference-counted block: the tasks, a
-//! result slot per task, and an atomic claim cursor. Workers (and the
-//! waiting caller) claim jobs with a single `fetch_add` on the cursor —
-//! threads never contend on a shared queue lock per job. Each claimed
-//! index hands its owner exclusive access to one task slot and one
-//! result slot (the slot mutexes are uncontended by construction; they
-//! exist to move the values without `unsafe`). The only shared lock in
-//! the dispatch plane is the **injector**: a short registry of in-flight
-//! batches that a thread touches once to discover a batch, then claims
-//! from lock-free until the cursor runs dry. Lock traffic on the shared
-//! path is O(batches), not O(jobs).
+//! The pool is a plain crew. In-flight batches wait in one
+//! `Mutex<VecDeque>`, each with the index of its next unclaimed job, and
+//! idle workers block on one `Condvar` until a batch is published (which
+//! wakes at most one of them per job beyond the caller's own) or the
+//! scope ends. A thread claims a job under the queue lock, runs it outside
+//! any lock and stores the result in its batch's mutex-guarded record; the
+//! job that completes a batch wakes the batch's own completion `Condvar`.
+//! A batch leaves the queue with the claim of its last job.
 //!
-//! Idle workers back off in three stages — spin, yield, then park on a
-//! condvar with an exponentially growing timeout — so a pool that is
-//! oversubscribed (or simply between phases) stops burning cores instead
-//! of spinning on an empty injector. `pool.parked_workers` and
-//! `pool.injector_depth` expose both sides of that balance.
+//! The submitting caller works too: it claims its own batch's jobs first,
+//! then any other batch's while its own still runs, and waits only when
+//! nothing is left to claim. Every job it then waits on is already running
+//! on some thread, so a nested batch (a job that submits a batch) or a
+//! saturated or one-thread pool can never deadlock.
 //!
 //! Determinism is preserved by construction: work items carry their seeds
-//! and indices *before* dispatch, each claimed job writes only its own
-//! result slot, and results are read back in submission order — nothing
-//! about the outcome depends on which thread executed which item or in
-//! what order. The caller waiting on its batch cooperates by claiming
-//! jobs itself (work stealing), so a one-thread pool — or a pool whose
-//! workers are saturated — still makes progress on the caller's thread
-//! and can never deadlock.
+//! and indices *before* dispatch, each job writes only its own result
+//! slot, and results are read back in submission order — nothing about the
+//! outcome depends on which thread executed which item or in what order.
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
-use std::thread::Thread;
-use std::time::Duration;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-
-use ascdg_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use ascdg_telemetry::{Counter, Histogram, Telemetry};
 
 /// Pre-resolved pool metric handles (`pool.*` names), present only when
 /// the scope was opened with an enabled [`Telemetry`] via
-/// [`pool_scope_with`]. Recording through them is lock-free.
+/// [`pool_scope_with`].
 struct PoolMetrics {
-    /// `pool.queue_depth`: injector depth (unclaimed jobs across all
-    /// in-flight batches) after each batch is registered.
+    /// `pool.queue_depth`: unclaimed jobs across all queued batches right
+    /// after each batch is published.
     queue_depth: Histogram,
-    /// `pool.jobs_dispatched`: jobs published to the injector.
+    /// `pool.jobs_dispatched`: jobs published to the queue.
     jobs: Counter,
-    /// `pool.steals`: jobs the waiting caller claimed and ran itself
-    /// instead of blocking (the work-stealing help path).
+    /// `pool.steals`: jobs the submitting caller claimed and ran itself
+    /// instead of waiting (its own batch's and other batches').
     steals: Counter,
-    /// `pool.parked_workers`: workers currently parked on the idle
-    /// condvar (not spinning, not running jobs).
-    parked: Gauge,
-    /// `pool.injector_depth`: unclaimed jobs across all in-flight
-    /// batches, sampled on every publish and claim.
-    injector_depth: Gauge,
 }
 
 impl PoolMetrics {
@@ -73,136 +58,109 @@ impl PoolMetrics {
             queue_depth: m.histogram("pool.queue_depth"),
             jobs: m.counter("pool.jobs_dispatched"),
             steals: m.counter("pool.steals"),
-            parked: m.gauge("pool.parked_workers"),
-            injector_depth: m.gauge("pool.injector_depth"),
         })
     }
 }
 
-/// One published batch, type-erased for the injector registry.
-///
-/// The claim protocol is the whole synchronization story: a thread owns
-/// job `i` iff its `fetch_add` on the cursor returned `i`, and only the
-/// owner ever touches task slot `i` or result slot `i` (until the caller
-/// collects results after the batch completes).
-trait ErasedBatch<'env>: Send + Sync {
-    /// Claims the next unclaimed job and runs it. Returns `false` when
-    /// the cursor is exhausted (jobs may still be *running* elsewhere).
-    fn claim_and_run(&self, shared: &Shared<'env>) -> bool;
-
-    /// Whether any job is still unclaimed (racy; used to retire drained
-    /// batches from the injector registry).
-    fn has_unclaimed(&self) -> bool;
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The shared state of one [`SimPool::run_ordered`] batch.
-///
-/// `tasks[i]` is filled by the caller before the batch is published and
-/// taken exactly once by job `i`'s claimer; `results[i]` is written
-/// exactly once by that claimer before it increments `done`. The slot
-/// mutexes are therefore never contended — the claim cursor already
-/// serializes ownership — and the caller reads the result slots only
-/// after observing `done == n`.
+/// A published batch, type-erased for the shared queue.
+trait Batch<'env>: Send + Sync {
+    /// Runs job `i`. The queue hands out each index exactly once.
+    fn run(&self, i: usize, busy: &AtomicU64);
+}
+
+type BatchRef<'env> = Arc<dyn Batch<'env> + 'env>;
+
+/// The state of one [`SimPool::run_ordered`] batch.
 struct BatchState<T, R, F> {
-    tasks: Vec<Mutex<Option<T>>>,
-    results: Vec<Mutex<Option<R>>>,
-    /// Claim cursor: `fetch_add` hands out each index exactly once.
-    next: AtomicUsize,
-    /// Completed jobs (incremented after the result write).
-    done: AtomicUsize,
-    /// Set when a job panicked; the caller re-raises after the batch
-    /// fully drains (so no job still borrowing the environment outlives
-    /// the panic).
-    poisoned: AtomicBool,
-    /// The submitting thread, unparked on completion and poison.
-    caller: Thread,
+    record: Mutex<Record<T, R>>,
+    /// Signalled when the last job finishes.
+    finished: Condvar,
     f: F,
 }
 
-impl<'env, T, R, F> ErasedBatch<'env> for BatchState<T, R, F>
+/// A batch's tasks, results and progress.
+struct Record<T, R> {
+    tasks: Vec<Option<T>>,
+    results: Vec<Option<R>>,
+    /// Finished jobs, panicked ones included.
+    done: usize,
+    /// The first panicking job's payload, re-raised on the caller once
+    /// the batch has drained (so no job still borrowing the environment
+    /// outlives the panic).
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<'env, T, R, F> Batch<'env> for BatchState<T, R, F>
 where
     T: Send + 'env,
     R: Send + 'env,
     F: Fn(usize, T) -> R + Send + Sync + 'env,
 {
-    fn claim_and_run(&self, shared: &Shared<'env>) -> bool {
-        let n = self.tasks.len();
-        // Over-claims stop advancing the cursor so repeated polls on a
-        // drained batch stay cheap and can never wrap.
-        if self.next.load(Ordering::Relaxed) >= n {
-            return false;
+    fn run(&self, i: usize, busy: &AtomicU64) {
+        let task = lock(&self.record).tasks[i]
+            .take()
+            .expect("each job is claimed once");
+        let out = catch_unwind(AssertUnwindSafe(|| run_busy(busy, || (self.f)(i, task))));
+        let mut record = lock(&self.record);
+        match out {
+            Ok(r) => record.results[i] = Some(r),
+            Err(payload) => {
+                record.panic.get_or_insert(payload);
+            }
         }
-        let i = self.next.fetch_add(1, Ordering::AcqRel);
-        if i >= n {
-            return false;
+        record.done += 1;
+        if record.done == record.results.len() {
+            self.finished.notify_all();
         }
-        shared.note_claimed();
-        let task = self.tasks[i].lock().take().expect("task claimed once");
-        match catch_unwind(AssertUnwindSafe(|| run_busy(shared, || (self.f)(i, task)))) {
-            Ok(r) => *self.results[i].lock() = Some(r),
-            Err(_) => self.poisoned.store(true, Ordering::Release),
-        }
-        if self.done.fetch_add(1, Ordering::AcqRel) + 1 == n
-            || self.poisoned.load(Ordering::Relaxed)
-        {
-            self.caller.unpark();
-        }
-        true
     }
+}
 
-    fn has_unclaimed(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.tasks.len()
+/// A queued batch: `next` is its first unclaimed job of `len`.
+struct Queued<'env> {
+    batch: BatchRef<'env>,
+    next: usize,
+    len: usize,
+}
+
+/// The crew's shared queue (guarded by [`Shared::queue`]).
+struct Queue<'env> {
+    batches: VecDeque<Queued<'env>>,
+    /// Workers blocked on [`Shared::work_ready`].
+    idle: usize,
+    shutdown: bool,
+}
+
+impl<'env> Queue<'env> {
+    /// Claims the next job of the batch at `at`; the batch leaves the
+    /// queue with its last claim.
+    fn claim_at(&mut self, at: usize) -> Option<(BatchRef<'env>, usize)> {
+        let queued = self.batches.get_mut(at)?;
+        let i = queued.next;
+        queued.next += 1;
+        let batch = if queued.next == queued.len {
+            self.batches.remove(at)?.batch
+        } else {
+            Arc::clone(&queued.batch)
+        };
+        Some((batch, i))
     }
 }
 
 /// State shared between the pool handle(s) and the worker threads.
 struct Shared<'env> {
-    /// The global injector: every in-flight batch, in publication order.
-    /// Touched once per batch discovery, never per job.
-    injector: Mutex<Vec<Arc<dyn ErasedBatch<'env> + 'env>>>,
-    /// Unclaimed jobs across all registered batches (`+n` on publish,
-    /// `-1` per claim) — the depth `pool.injector_depth` samples.
-    injector_depth: AtomicU64,
-    /// Guards the idle-worker check-then-wait (see `worker_loop`).
-    sleep_lock: Mutex<()>,
+    queue: Mutex<Queue<'env>>,
+    /// Idle workers wait here for a publish or the shutdown.
     work_ready: Condvar,
-    shutdown: AtomicBool,
     jobs_dispatched: AtomicU64,
-    /// Jobs currently executing (workers, stealing callers and inline
+    /// Jobs currently executing (workers, helping callers and inline
     /// degenerate batches alike) — the occupancy the campaign scheduler
     /// samples into `campaign.pool_occupancy`.
     busy: AtomicU64,
-    /// Workers currently parked on the idle condvar.
-    parked: AtomicU64,
     metrics: Option<PoolMetrics>,
-}
-
-impl<'env> Shared<'env> {
-    fn note_claimed(&self) {
-        let left = self
-            .injector_depth
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        if let Some(m) = &self.metrics {
-            m.injector_depth.set(left as f64);
-        }
-    }
-
-    /// Finds a batch with unclaimed work, retiring drained ones.
-    fn find_batch(&self) -> Option<Arc<dyn ErasedBatch<'env> + 'env>> {
-        let mut reg = self.injector.lock();
-        reg.retain(|b| b.has_unclaimed());
-        reg.first().cloned()
-    }
-
-    /// Wakes idle workers. Bouncing through the sleep lock closes the
-    /// race against a worker that checked the depth and is about to
-    /// wait: either it sees the new depth, or it is already waiting and
-    /// the notification reaches it.
-    fn wake_workers(&self) {
-        drop(self.sleep_lock.lock());
-        self.work_ready.notify_all();
-    }
 }
 
 /// Decrements the busy gauge even if the job panics (the panic is caught
@@ -217,9 +175,9 @@ impl Drop for BusyGuard<'_> {
 }
 
 /// Runs `f` with the shared busy counter held.
-fn run_busy<R>(shared: &Shared<'_>, f: impl FnOnce() -> R) -> R {
-    shared.busy.fetch_add(1, Ordering::Relaxed);
-    let _guard = BusyGuard(&shared.busy);
+fn run_busy<R>(busy: &AtomicU64, f: impl FnOnce() -> R) -> R {
+    busy.fetch_add(1, Ordering::Relaxed);
+    let _guard = BusyGuard(busy);
     f()
 }
 
@@ -234,7 +192,7 @@ pub fn machine_threads() -> usize {
 /// A cloneable handle to a persistent worker pool.
 ///
 /// Created by [`pool_scope`]; cloning the handle shares the same workers
-/// and injector, which is how every phase of a flow (and every
+/// and queue, which is how every phase of a flow (and every
 /// [`BatchRunner`](crate::BatchRunner) built from the handle) submits to
 /// one farm instead of spawning threads per call.
 pub struct SimPool<'env> {
@@ -255,10 +213,6 @@ impl fmt::Debug for SimPool<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimPool")
             .field("threads", &self.threads)
-            .field(
-                "queued",
-                &self.shared.injector_depth.load(Ordering::Relaxed),
-            )
             .finish_non_exhaustive()
     }
 }
@@ -270,7 +224,7 @@ impl<'env> SimPool<'env> {
         self.threads
     }
 
-    /// Number of jobs published to the injector over the pool's lifetime
+    /// Number of jobs published to the queue over the pool's lifetime
     /// (observability only; inline degenerate batches never publish). All
     /// handle clones report the same counter.
     #[must_use]
@@ -278,7 +232,7 @@ impl<'env> SimPool<'env> {
         self.shared.jobs_dispatched.load(Ordering::Relaxed)
     }
 
-    /// Number of jobs executing right now, counting workers, stealing
+    /// Number of jobs executing right now, counting workers, helping
     /// callers and inline degenerate batches (observability only — the
     /// value is racy by nature). All handle clones report the same count.
     #[must_use]
@@ -286,34 +240,20 @@ impl<'env> SimPool<'env> {
         self.shared.busy.load(Ordering::Relaxed)
     }
 
-    /// Number of workers currently parked on the idle condvar
-    /// (observability only — the value is racy by nature).
-    #[must_use]
-    pub fn parked_workers(&self) -> u64 {
-        self.shared.parked.load(Ordering::Relaxed)
-    }
-
-    /// Unclaimed jobs across all in-flight batches (observability only —
-    /// the value is racy by nature).
-    #[must_use]
-    pub fn injector_depth(&self) -> u64 {
-        self.shared.injector_depth.load(Ordering::Relaxed)
-    }
-
     /// Runs one task per item on the pool and returns the results in item
     /// order, regardless of which worker computed what.
     ///
-    /// The calling thread participates: while waiting it claims jobs
-    /// itself (its own batch first, then any other in-flight batch), so
-    /// the pool can never deadlock on nested or saturated workloads. With
-    /// one worker (or a single task) the batch degenerates to an inline
-    /// serial loop with identical results.
+    /// The calling thread participates: it claims its own batch's jobs,
+    /// then other in-flight batches' while its own still runs, so the pool
+    /// can never deadlock on nested or saturated workloads. With one
+    /// worker (or a single task) the batch degenerates to an inline serial
+    /// loop with identical results.
     ///
     /// # Panics
     ///
-    /// Panics if a task panicked (on any thread); the panic is raised
-    /// only after the whole batch has drained, so no job still borrowing
-    /// the environment outlives it.
+    /// Re-raises the first panicking task's own payload (from any thread)
+    /// once the whole batch has drained, so no job still borrowing the
+    /// environment outlives it.
     pub fn run_ordered<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'env,
@@ -322,7 +262,7 @@ impl<'env> SimPool<'env> {
     {
         let n = tasks.len();
         if n <= 1 || self.threads <= 1 {
-            return run_busy(&self.shared, || {
+            return run_busy(&self.shared.busy, || {
                 tasks
                     .into_iter()
                     .enumerate()
@@ -334,72 +274,70 @@ impl<'env> SimPool<'env> {
             .jobs_dispatched
             .fetch_add(n as u64, Ordering::Relaxed);
         let batch = Arc::new(BatchState {
-            tasks: tasks
-                .into_iter()
-                .map(|t| Mutex::new(Some(t)))
-                .collect::<Vec<_>>(),
-            results: (0..n).map(|_| Mutex::new(None)).collect::<Vec<_>>(),
-            next: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-            caller: std::thread::current(),
+            record: Mutex::new(Record {
+                tasks: tasks.into_iter().map(Some).collect(),
+                results: (0..n).map(|_| None).collect(),
+                done: 0,
+                panic: None,
+            }),
+            finished: Condvar::new(),
             f,
         });
-        // Publish: the injector lock's release/acquire pairing makes the
-        // filled task slots visible to any worker discovering the batch.
-        {
-            let mut reg = self.shared.injector.lock();
-            reg.push(Arc::clone(&batch) as Arc<dyn ErasedBatch<'env> + 'env>);
-            let depth = self
-                .shared
-                .injector_depth
-                .fetch_add(n as u64, Ordering::Relaxed)
-                + n as u64;
-            drop(reg);
+        let own: BatchRef<'env> = batch.clone();
+        let wake = {
+            let mut queue = lock(&self.shared.queue);
+            queue.batches.push_back(Queued {
+                batch: Arc::clone(&own),
+                next: 0,
+                len: n,
+            });
             if let Some(m) = &self.shared.metrics {
                 m.jobs.add(n as u64);
-                m.queue_depth.record(depth);
-                m.injector_depth.set(depth as f64);
+                let unclaimed = queue.batches.iter().map(|q| q.len - q.next).sum::<usize>();
+                m.queue_depth.record(unclaimed as u64);
             }
+            // The caller runs one job itself: wake an idle worker for
+            // each of the others, and no more.
+            queue.idle.min(n - 1)
+        };
+        for _ in 0..wake {
+            self.shared.work_ready.notify_one();
         }
-        self.shared.wake_workers();
 
-        // Help until every job is done: own batch first (lock-free), then
-        // foreign batches via the injector, then park briefly as a
-        // backstop (completion unparks us promptly).
         loop {
-            if batch.claim_and_run(&self.shared) {
-                if let Some(m) = &self.shared.metrics {
-                    m.steals.add(1);
+            let claimed = {
+                let mut queue = lock(&self.shared.queue);
+                match queue
+                    .batches
+                    .iter()
+                    .position(|q| Arc::ptr_eq(&q.batch, &own))
+                {
+                    Some(at) => queue.claim_at(at),
+                    None if lock(&batch.record).done < n => queue.claim_at(0),
+                    None => None,
                 }
-                continue;
+            };
+            let Some((job, i)) = claimed else { break };
+            if let Some(m) = &self.shared.metrics {
+                m.steals.add(1);
             }
-            if batch.done.load(Ordering::Acquire) >= n {
-                break;
-            }
-            if let Some(other) = self.shared.find_batch() {
-                if other.claim_and_run(&self.shared) {
-                    if let Some(m) = &self.shared.metrics {
-                        m.steals.add(1);
-                    }
-                }
-                continue;
-            }
-            if batch.done.load(Ordering::Acquire) >= n {
-                break;
-            }
-            std::thread::park_timeout(Duration::from_millis(1));
+            job.run(i, &self.shared.busy);
         }
-        if batch.poisoned.load(Ordering::Acquire) {
-            panic!("simulation pool job panicked");
+        let mut record = lock(&batch.record);
+        while record.done < n {
+            record = batch
+                .finished
+                .wait(record)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        (0..n)
-            .map(|i| {
-                batch.results[i]
-                    .lock()
-                    .take()
-                    .expect("all results received")
-            })
+        if let Some(payload) = record.panic.take() {
+            drop(record);
+            resume_unwind(payload);
+        }
+        record
+            .results
+            .iter_mut()
+            .map(|r| r.take().expect("every job finished"))
             .collect()
     }
 }
@@ -410,64 +348,31 @@ struct ShutdownGuard<'a, 'env>(&'a Shared<'env>);
 
 impl Drop for ShutdownGuard<'_, '_> {
     fn drop(&mut self) {
-        self.0.shutdown.store(true, Ordering::Release);
+        lock(&self.0.queue).shutdown = true;
         self.0.work_ready.notify_all();
     }
 }
 
-/// Spin rounds before an idle worker starts yielding (2^N growth).
-const SPIN_ROUNDS: u32 = 6;
-/// Yield rounds after spinning, before the worker parks.
-const YIELD_ROUNDS: u32 = 4;
-/// Longest condvar park between injector polls.
-const MAX_PARK: Duration = Duration::from_millis(100);
-
 fn worker_loop(shared: &Shared<'_>) {
-    // Idle back-off ladder: spin (cheap, catches back-to-back batches),
-    // then yield (lets a 1-core box schedule the producer), then park on
-    // the condvar with an exponentially growing timeout so a long-idle
-    // worker costs ~10 wakeups/second instead of a spinning core.
-    let mut idle = 0u32;
     loop {
-        if let Some(batch) = shared.find_batch() {
-            idle = 0;
-            while batch.claim_and_run(shared) {}
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if idle < SPIN_ROUNDS {
-            for _ in 0..(1u32 << idle) {
-                std::hint::spin_loop();
-            }
-        } else if idle < SPIN_ROUNDS + YIELD_ROUNDS {
-            std::thread::yield_now();
-        } else {
-            let exp = (idle - SPIN_ROUNDS - YIELD_ROUNDS).min(7);
-            let timeout = Duration::from_millis(1u64 << exp).min(MAX_PARK);
-            let guard = shared.sleep_lock.lock();
-            // Re-check under the lock: a publisher bounces through this
-            // lock before notifying, so either we see its depth here or
-            // its notification lands while we wait.
-            if shared.injector_depth.load(Ordering::Acquire) == 0
-                && !shared.shutdown.load(Ordering::Acquire)
-            {
-                let parked = shared.parked.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(m) = &shared.metrics {
-                    m.parked.set(parked as f64);
+        let (job, i) = {
+            let mut queue = lock(&shared.queue);
+            loop {
+                if let Some(claimed) = queue.claim_at(0) {
+                    break claimed;
                 }
-                let _unused = shared
+                if queue.shutdown {
+                    return;
+                }
+                queue.idle += 1;
+                queue = shared
                     .work_ready
-                    .wait_timeout(guard, timeout)
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
-                let parked = shared.parked.fetch_sub(1, Ordering::Relaxed) - 1;
-                if let Some(m) = &shared.metrics {
-                    m.parked.set(parked as f64);
-                }
+                queue.idle -= 1;
             }
-        }
-        idle = idle.saturating_add(1).min(SPIN_ROUNDS + YIELD_ROUNDS + 7);
+        };
+        job.run(i, &shared.busy);
     }
 }
 
@@ -496,10 +401,9 @@ pub fn pool_scope<'env, R>(threads: usize, f: impl FnOnce(&SimPool<'env>) -> R) 
 }
 
 /// [`pool_scope`] with pool-level telemetry: when `telemetry` is enabled,
-/// the pool records `pool.queue_depth`, `pool.jobs_dispatched`,
-/// `pool.steals`, `pool.parked_workers` and `pool.injector_depth` into
-/// its metrics registry. Instrumentation is purely observational —
-/// scheduling and results are identical either way.
+/// the pool records `pool.queue_depth`, `pool.jobs_dispatched` and
+/// `pool.steals` into its metrics registry. Instrumentation is purely
+/// observational — scheduling and results are identical either way.
 pub fn pool_scope_with<'env, R>(
     threads: usize,
     telemetry: &Telemetry,
@@ -513,14 +417,14 @@ pub fn pool_scope_with<'env, R>(
     std::thread::scope(|scope| {
         let pool: SimPool<'env> = SimPool {
             shared: Arc::new(Shared {
-                injector: Mutex::new(Vec::new()),
-                injector_depth: AtomicU64::new(0),
-                sleep_lock: Mutex::new(()),
+                queue: Mutex::new(Queue {
+                    batches: VecDeque::new(),
+                    idle: 0,
+                    shutdown: false,
+                }),
                 work_ready: Condvar::new(),
-                shutdown: AtomicBool::new(false),
                 jobs_dispatched: AtomicU64::new(0),
                 busy: AtomicU64::new(0),
-                parked: AtomicU64::new(0),
                 metrics: PoolMetrics::resolve(telemetry),
             }),
             threads,
@@ -540,6 +444,7 @@ pub fn pool_scope_with<'env, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -620,11 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn injector_drains_to_zero_between_batches() {
+    fn queue_drains_between_batches() {
         pool_scope(2, |pool| {
             let _ = pool.run_ordered((0..16u64).collect(), |_, v| v);
-            assert_eq!(pool.injector_depth(), 0);
-            assert!(pool.parked_workers() <= 2);
+            assert!(lock(&pool.shared.queue).batches.is_empty());
         });
     }
 
@@ -645,12 +549,9 @@ mod tests {
         let depth = depth.histogram.unwrap();
         assert_eq!(depth.count, 1);
         assert!(depth.max <= 32);
-        // The injector gauge exists and has drained back to zero.
-        let inj = snap
-            .iter()
-            .find(|m| m.name == "pool.injector_depth")
-            .unwrap();
-        assert_eq!(inj.value, 0.0);
+        // The caller ran at least one of its own jobs before waiting.
+        let steals = snap.iter().find(|m| m.name == "pool.steals").unwrap();
+        assert!(steals.value >= 1.0 && steals.value <= 32.0);
         // A disabled handle records nothing and changes nothing.
         let quiet = Telemetry::disabled();
         let out2 = pool_scope_with(4, &quiet, |pool| {
@@ -674,7 +575,7 @@ mod tests {
     fn nested_batches_make_progress() {
         // A job that itself submits a batch must not deadlock even when
         // every worker is occupied by the outer batch: the inner caller
-        // helps itself through the claim cursor.
+        // claims its own jobs before it waits.
         let out = pool_scope(2, |pool| {
             let inner = pool.clone();
             pool.run_ordered((0..4u64).collect(), move |_, v| {
@@ -687,16 +588,157 @@ mod tests {
         assert_eq!(out, vec![2, 6, 10, 14]);
     }
 
+    /// The message of a caught panic payload.
+    fn panic_message(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string payload>")
+    }
+
     #[test]
     fn panicking_job_poisons_the_batch() {
-        let caught = std::panic::catch_unwind(|| {
-            pool_scope(2, |pool| {
+        pool_scope(2, |pool| {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
                 pool.run_ordered((0..8u64).collect(), |_, v| {
-                    assert!(v != 5, "boom");
+                    assert!(v != 5, "boom at job {v}");
                     v
                 })
-            })
+            }));
+            let payload = caught.expect_err("job panic must surface to the caller");
+            assert_eq!(panic_message(&*payload), "boom at job 5");
+            // The same pool serves the next batch.
+            let out = pool.run_ordered((0..8u64).collect(), |_, v| v + 1);
+            assert_eq!(out, (1..9u64).collect::<Vec<_>>());
+            assert_eq!(pool.busy_workers(), 0);
         });
-        assert!(caught.is_err(), "job panic must surface to the caller");
+    }
+
+    /// Runs `f` on a fresh thread and fails the test if it has not
+    /// returned within a minute, instead of hanging the suite.
+    fn under_watchdog(f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(Ok(())) => {}
+            Ok(Err(payload)) => resume_unwind(payload),
+            Err(_) => panic!("schedule hung for 60 s"),
+        }
+    }
+
+    /// One job of a schedule: `(kind, arg)` with kind 0 = yield, 1 =
+    /// sleep `arg` µs, 2 = submit a nested batch of `arg % 4 + 1` jobs.
+    type Step = (u8, u64);
+
+    fn nested_jobs(arg: u64) -> usize {
+        (arg % 4 + 1) as usize
+    }
+
+    /// What job `j` of submitter `s` returns.
+    fn job_value(s: usize, j: usize, (kind, arg): Step) -> u64 {
+        let nested = if kind == 2 {
+            (0..nested_jobs(arg) as u64).sum()
+        } else {
+            0
+        };
+        (s * 100 + j) as u64 + nested
+    }
+
+    /// Every submitter in `plans` runs its batch concurrently on one pool
+    /// of `workers`; the job `panic_at` (if any) panics — inside its
+    /// nested batch when it has one, so the message must cross both.
+    fn run_schedule(workers: usize, plans: &[Vec<Step>], panic_at: Option<(usize, usize)>) {
+        pool_scope(workers, |pool| {
+            std::thread::scope(|scope| {
+                for (s, plan) in plans.iter().enumerate() {
+                    let pool = pool.clone();
+                    scope.spawn(move || {
+                        let inner = pool.clone();
+                        let got = catch_unwind(AssertUnwindSafe(|| {
+                            pool.run_ordered((0..plan.len()).collect(), move |_, j| {
+                                let (kind, arg) = plan[j];
+                                let boom = panic_at == Some((s, j));
+                                match kind {
+                                    0 => std::thread::yield_now(),
+                                    1 => std::thread::sleep(Duration::from_micros(arg)),
+                                    _ => {
+                                        let sum: u64 = inner
+                                            .run_ordered(
+                                                (0..nested_jobs(arg)).collect(),
+                                                move |_, k| {
+                                                    assert!(
+                                                        !(boom && k == 0),
+                                                        "job {s}/{j} exploded"
+                                                    );
+                                                    k as u64
+                                                },
+                                            )
+                                            .into_iter()
+                                            .sum();
+                                        return (s * 100 + j) as u64 + sum;
+                                    }
+                                }
+                                assert!(!boom, "job {s}/{j} exploded");
+                                job_value(s, j, plan[j])
+                            })
+                        }));
+                        match (got, panic_at) {
+                            (Err(payload), Some((ps, pj))) if ps == s => {
+                                assert_eq!(
+                                    panic_message(&*payload),
+                                    format!("job {s}/{pj} exploded")
+                                );
+                            }
+                            (Err(payload), _) => {
+                                panic!("submitter {s} panicked: {}", panic_message(&*payload))
+                            }
+                            (Ok(_), Some((ps, _))) if ps == s => {
+                                panic!("submitter {s} lost its job's panic")
+                            }
+                            (Ok(out), _) => {
+                                let expected: Vec<u64> = plan
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(j, &step)| job_value(s, j, step))
+                                    .collect();
+                                assert_eq!(out, expected, "submitter {s}");
+                            }
+                        }
+                        // Whatever happened, the pool serves a further batch.
+                        let again = pool.run_ordered(vec![1u64, 2, 3], |_, v| v * 2);
+                        assert_eq!(again, vec![2, 4, 6]);
+                    });
+                }
+            });
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 32 })]
+
+        /// Random schedules over one pool: 1–8 workers (oversubscribed on
+        /// small machines), 1–3 concurrent submitters, jobs that yield,
+        /// sleep or nest a batch, and at most one panicking job. Results
+        /// stay in order, the panic reaches its own submitter with its own
+        /// message, and no case hangs.
+        #[test]
+        fn random_schedules_keep_order_and_never_hang(
+            workers in 1usize..9,
+            plans in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0u64..300), 0..10),
+                1..4,
+            ),
+            panic_pick in 0usize..40,
+        ) {
+            let panic_at = plans
+                .iter()
+                .enumerate()
+                .flat_map(|(s, plan)| (0..plan.len()).map(move |j| (s, j)))
+                .nth(panic_pick);
+            under_watchdog(move || run_schedule(workers, &plans, panic_at));
+        }
     }
 }

@@ -472,8 +472,6 @@ impl<'cb> AdmissionQueue<'cb> {
             if let Some(m) = self.telemetry.metrics() {
                 m.gauge("campaign.pool_occupancy")
                     .set(engine.pool().busy_workers() as f64);
-                m.gauge("pool.injector_depth")
-                    .set(engine.pool().injector_depth() as f64);
             }
             // Report progress outside the queue lock: sinks may do I/O.
             if let Some(sink) = &on_step {

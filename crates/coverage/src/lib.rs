@@ -51,6 +51,6 @@ pub use event::{EventId, TemplateId};
 pub use family::{family_index, family_of, EventFamily};
 pub use model::CoverageModel;
 pub use plane::{CoveragePlane, CoverageSink, PlaneLane, PLANE_LANES};
-pub use repo::{CoverageRepository, HitStats, RepoSnapshot, STRIPE_COUNT};
+pub use repo::{CoverageRepository, HitStats, RepoSnapshot};
 pub use status::{EventStatus, StatusCounts, StatusPolicy};
 pub use vector::{CoverageVector, HitIter};

@@ -1,10 +1,9 @@
 //! The coverage repository: accumulated hit statistics, globally and per
 //! test-template.
 
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 
 use crate::{
     CoverageError, CoverageModel, CoverageVector, EventId, StatusCounts, StatusPolicy, TemplateId,
@@ -113,29 +112,14 @@ impl Row {
     }
 }
 
-/// Number of independent lock stripes in a [`CoverageRepository`].
-///
-/// Templates are assigned to stripes by `template.0 % STRIPE_COUNT`
-/// (see [`CoverageRepository::stripe_of`]); each stripe guards its own
-/// per-template rows *and* its own partial global row, so concurrent
-/// chunk merges for templates on different stripes never contend.
-pub const STRIPE_COUNT: usize = 8;
-
 /// The coverage database maintained during a verification project.
 ///
 /// Stores, for every test-template and every event, how many simulations ran
 /// and how many of them hit the event — exactly the first-order statistics
 /// that both the TAC tool and the AS-CDG objective estimates consume. The
 /// repository is thread-safe: the batch simulation environment records
-/// results from many worker threads.
-///
-/// Internally the store is striped ([`STRIPE_COUNT`] ways, keyed by
-/// template id): a write touches exactly one stripe's lock, and the
-/// global view is the sum of the stripes' partial global rows, read
-/// under all stripe read-guards acquired in fixed order. Because
-/// per-event counting is commutative, the striped layout is
-/// byte-identical (snapshots included) to the historical single-lock
-/// repository for any interleaving of writers.
+/// results from many worker threads, one lock acquisition per merged
+/// chunk.
 ///
 /// # Examples
 ///
@@ -153,34 +137,30 @@ pub const STRIPE_COUNT: usize = 8;
 #[derive(Debug)]
 pub struct CoverageRepository {
     model: CoverageModel,
-    stripes: [Stripe; STRIPE_COUNT],
+    rows: RwLock<Rows>,
 }
 
+/// The global row and one row per recorded template.
 #[derive(Debug)]
-struct Stripe {
-    inner: RwLock<StripeInner>,
-    /// Number of write-side operations (records + non-empty merges)
-    /// absorbed by this stripe, for contention observability.
-    merges: AtomicU64,
-}
-
-#[derive(Debug)]
-struct StripeInner {
-    /// This stripe's share of the global row; the true global row is the
-    /// sum over all stripes.
+struct Rows {
     global: Row,
-    per_template: HashMap<TemplateId, Row>,
+    per_template: BTreeMap<TemplateId, Row>,
 }
 
-impl Stripe {
+impl Rows {
     fn new(len: usize) -> Self {
-        Stripe {
-            inner: RwLock::new(StripeInner {
-                global: Row::new(len),
-                per_template: HashMap::new(),
-            }),
-            merges: AtomicU64::new(0),
+        Rows {
+            global: Row::new(len),
+            per_template: BTreeMap::new(),
         }
+    }
+
+    /// The row of `template`, created empty on first use.
+    fn template(&mut self, template: TemplateId) -> &mut Row {
+        let len = self.global.hits.len();
+        self.per_template
+            .entry(template)
+            .or_insert_with(|| Row::new(len))
     }
 }
 
@@ -188,37 +168,14 @@ impl CoverageRepository {
     /// Creates an empty repository for `model`.
     #[must_use]
     pub fn new(model: CoverageModel) -> Self {
-        let len = model.len();
-        CoverageRepository {
-            model,
-            stripes: std::array::from_fn(|_| Stripe::new(len)),
-        }
+        let rows = RwLock::new(Rows::new(model.len()));
+        CoverageRepository { model, rows }
     }
 
     /// The coverage model this repository accumulates against.
     #[must_use]
     pub fn model(&self) -> &CoverageModel {
         &self.model
-    }
-
-    /// The stripe index `template`'s rows live on.
-    #[must_use]
-    pub fn stripe_of(template: TemplateId) -> usize {
-        template.0 as usize % STRIPE_COUNT
-    }
-
-    /// Write-side operations absorbed per stripe since construction
-    /// (reset does not clear them) — the observability counter behind
-    /// the striped-merge layout.
-    #[must_use]
-    pub fn stripe_merges(&self) -> [u64; STRIPE_COUNT] {
-        std::array::from_fn(|i| self.stripes[i].merges.load(Ordering::Relaxed))
-    }
-
-    /// Read-guards for every stripe, acquired in fixed (index) order so
-    /// aggregate reads see a consistent ordering discipline.
-    fn read_all(&self) -> Vec<RwLockReadGuard<'_, StripeInner>> {
-        self.stripes.iter().map(|s| s.inner.read()).collect()
     }
 
     /// Records the coverage vector of one simulation of a test-instance
@@ -250,17 +207,9 @@ impl CoverageRepository {
                 actual: vector.len(),
             });
         }
-        let stripe = &self.stripes[Self::stripe_of(template)];
-        let mut inner = stripe.inner.write();
-        inner.global.record(vector);
-        let len = self.model.len();
-        inner
-            .per_template
-            .entry(template)
-            .or_insert_with(|| Row::new(len))
-            .record(vector);
-        drop(inner);
-        stripe.merges.fetch_add(1, Ordering::Relaxed);
+        let mut rows = self.rows.write();
+        rows.global.record(vector);
+        rows.template(template).record(vector);
         Ok(())
     }
 
@@ -271,9 +220,7 @@ impl CoverageRepository {
     /// worker-local accumulators produces byte-identical repository state to
     /// calling [`CoverageRepository::try_record`] once per simulation — while
     /// taking the write lock O(batches) instead of O(simulations). This is
-    /// the batch runner's hot-path recording API. The merge locks only
-    /// `template`'s stripe, so chunk merges for templates on different
-    /// stripes proceed in parallel.
+    /// the batch runner's hot-path recording API.
     ///
     /// # Errors
     ///
@@ -294,24 +241,16 @@ impl CoverageRepository {
         if sims == 0 && hits.iter().all(|&h| h == 0) {
             return Ok(());
         }
-        let stripe = &self.stripes[Self::stripe_of(template)];
-        let mut inner = stripe.inner.write();
-        inner.global.merge_counts(sims, hits);
-        let len = self.model.len();
-        inner
-            .per_template
-            .entry(template)
-            .or_insert_with(|| Row::new(len))
-            .merge_counts(sims, hits);
-        drop(inner);
-        stripe.merges.fetch_add(1, Ordering::Relaxed);
+        let mut rows = self.rows.write();
+        rows.global.merge_counts(sims, hits);
+        rows.template(template).merge_counts(sims, hits);
         Ok(())
     }
 
     /// Total number of simulations recorded across all templates.
     #[must_use]
     pub fn total_simulations(&self) -> u64 {
-        self.read_all().iter().map(|s| s.global.sims).sum()
+        self.rows.read().global.sims
     }
 
     /// Global statistics for one event.
@@ -321,15 +260,11 @@ impl CoverageRepository {
     /// Panics if `event` is out of range for the model.
     #[must_use]
     pub fn global_stats(&self, event: EventId) -> HitStats {
-        let guards = self.read_all();
-        let mut stats = HitStats::default();
-        for s in &guards {
-            stats.merge(HitStats {
-                hits: s.global.hits[event.index()],
-                sims: s.global.sims,
-            });
+        let rows = self.rows.read();
+        HitStats {
+            hits: rows.global.hits[event.index()],
+            sims: rows.global.sims,
         }
-        stats
     }
 
     /// Per-template statistics for one event. Templates never recorded
@@ -340,8 +275,7 @@ impl CoverageRepository {
     /// Panics if `event` is out of range for the model.
     #[must_use]
     pub fn template_stats(&self, template: TemplateId, event: EventId) -> HitStats {
-        let inner = self.stripes[Self::stripe_of(template)].inner.read();
-        match inner.per_template.get(&template) {
+        match self.rows.read().per_template.get(&template) {
             Some(row) => HitStats {
                 hits: row.hits[event.index()],
                 sims: row.sims,
@@ -353,8 +287,7 @@ impl CoverageRepository {
     /// Number of simulations recorded for one template.
     #[must_use]
     pub fn template_simulations(&self, template: TemplateId) -> u64 {
-        self.stripes[Self::stripe_of(template)]
-            .inner
+        self.rows
             .read()
             .per_template
             .get(&template)
@@ -364,28 +297,18 @@ impl CoverageRepository {
     /// Ids of all templates with at least one recorded simulation.
     #[must_use]
     pub fn templates(&self) -> Vec<TemplateId> {
-        let guards = self.read_all();
-        let mut t: Vec<_> = guards
-            .iter()
-            .flat_map(|s| s.per_template.keys().copied())
-            .collect();
-        t.sort();
-        t
+        self.rows.read().per_template.keys().copied().collect()
     }
 
     /// Global stats for every event, in id order.
     #[must_use]
     pub fn all_global_stats(&self) -> Vec<HitStats> {
-        let guards = self.read_all();
-        let sims: u64 = guards.iter().map(|s| s.global.sims).sum();
-        let mut hits = vec![0u64; self.model.len()];
-        for s in &guards {
-            for (dst, &src) in hits.iter_mut().zip(&s.global.hits) {
-                *dst += src;
-            }
-        }
-        hits.into_iter()
-            .map(|hits| HitStats { hits, sims })
+        let rows = self.rows.read();
+        let sims = rows.global.sims;
+        rows.global
+            .hits
+            .iter()
+            .map(|&hits| HitStats { hits, sims })
             .collect()
     }
 
@@ -399,52 +322,34 @@ impl CoverageRepository {
     /// Events with zero global hits, in id order.
     #[must_use]
     pub fn uncovered_events(&self) -> Vec<EventId> {
-        let guards = self.read_all();
+        let rows = self.rows.read();
         (0..self.model.len())
-            .filter(|&i| guards.iter().all(|s| s.global.hits[i] == 0))
+            .filter(|&i| rows.global.hits[i] == 0)
             .map(|i| EventId(i as u32))
             .collect()
     }
 
-    /// Takes an immutable snapshot for reporting or serialization.
-    ///
-    /// The snapshot format is stripe-agnostic (summed global row,
-    /// template rows sorted by id), byte-identical to the historical
-    /// single-lock repository's output.
+    /// Takes an immutable snapshot for reporting or serialization
+    /// (template rows sorted by id).
     #[must_use]
     pub fn snapshot(&self) -> RepoSnapshot {
-        let guards = self.read_all();
-        let mut global = Row::new(self.model.len());
-        for s in &guards {
-            global.merge_counts(s.global.sims, &s.global.hits);
-        }
-        let mut per_template: Vec<(TemplateId, u64, Vec<u64>)> = guards
-            .iter()
-            .flat_map(|s| {
-                s.per_template
-                    .iter()
-                    .map(|(&t, row)| (t, row.sims, row.hits.clone()))
-            })
-            .collect();
-        per_template.sort_by_key(|&(t, _, _)| t);
+        let rows = self.rows.read();
         RepoSnapshot {
             unit: self.model.unit().to_owned(),
             events: self.model.iter().map(|(_, n)| n.to_owned()).collect(),
-            global_sims: global.sims,
-            global_hits: global.hits,
-            per_template,
+            global_sims: rows.global.sims,
+            global_hits: rows.global.hits.clone(),
+            per_template: rows
+                .per_template
+                .iter()
+                .map(|(&t, row)| (t, row.sims, row.hits.clone()))
+                .collect(),
         }
     }
 
     /// Clears all accumulated statistics (model is kept).
     pub fn reset(&self) {
-        // Write-guards for every stripe held simultaneously (fixed
-        // order), so no concurrent writer sees a half-reset repository.
-        let mut guards: Vec<_> = self.stripes.iter().map(|s| s.inner.write()).collect();
-        for inner in &mut guards {
-            inner.global = Row::new(self.model.len());
-            inner.per_template.clear();
-        }
+        *self.rows.write() = Rows::new(self.model.len());
     }
 
     /// Rebuilds a repository from a snapshot (e.g. a regression run
@@ -453,8 +358,9 @@ impl CoverageRepository {
     /// # Errors
     ///
     /// Returns [`CoverageError::VectorSizeMismatch`] when the snapshot's
-    /// event count disagrees with `model`, and
-    /// [`CoverageError::UnknownEvent`] when its event names do.
+    /// event count, or the width of its global row or of any template
+    /// row, disagrees with `model`, and [`CoverageError::UnknownEvent`]
+    /// when its event names do.
     pub fn from_snapshot(
         model: CoverageModel,
         snapshot: &RepoSnapshot,
@@ -475,29 +381,30 @@ impl CoverageRepository {
                 )));
             }
         }
-        let repo = CoverageRepository::new(model);
-        // The restored global row lands wholly on stripe 0's partial row
-        // (aggregate reads sum the stripes, so placement is invisible);
-        // template rows go to their owning stripes so point lookups find
-        // them.
-        repo.stripes[0].inner.write().global = Row {
-            sims: snapshot.global_sims,
-            hits: snapshot.global_hits.clone(),
+        let row = |sims: u64, hits: &Vec<u64>| {
+            if hits.len() == model.len() {
+                Ok(Row {
+                    sims,
+                    hits: hits.clone(),
+                })
+            } else {
+                Err(CoverageError::VectorSizeMismatch {
+                    expected: model.len(),
+                    actual: hits.len(),
+                })
+            }
         };
-        for (t, sims, hits) in &snapshot.per_template {
-            repo.stripes[Self::stripe_of(*t)]
-                .inner
-                .write()
-                .per_template
-                .insert(
-                    *t,
-                    Row {
-                        sims: *sims,
-                        hits: hits.clone(),
-                    },
-                );
-        }
-        Ok(repo)
+        let global = row(snapshot.global_sims, &snapshot.global_hits)?;
+        let per_template = snapshot
+            .per_template
+            .iter()
+            .map(|(t, sims, hits)| Ok((*t, row(*sims, hits)?)))
+            .collect::<Result<_, CoverageError>>()?;
+        let rows = RwLock::new(Rows {
+            global,
+            per_template,
+        });
+        Ok(CoverageRepository { model, rows })
     }
 }
 
@@ -738,56 +645,71 @@ mod tests {
     }
 
     #[test]
-    fn striped_merge_counts_equals_monolithic_reference() {
-        // Drive merges across templates landing on every stripe (and two
-        // templates colliding on one stripe) and check the striped
-        // repository against a monolithic single-map reference.
+    fn merges_across_many_templates_equal_per_sim_records() {
+        // Ten templates, each merged as one pre-accumulated shard on one
+        // repository and recorded one simulation at a time on the other.
         let m = model();
-        let repo = CoverageRepository::new(m.clone());
-        let mut ref_global = Row::new(m.len());
-        let mut ref_rows: HashMap<TemplateId, Row> = HashMap::new();
-        let templates: Vec<TemplateId> = (0..STRIPE_COUNT as u32 + 2).map(TemplateId).collect();
-        for (i, &t) in templates.iter().enumerate() {
+        let by_record = CoverageRepository::new(m.clone());
+        let by_merge = CoverageRepository::new(m.clone());
+        for i in 0..10u64 {
+            let sims = (i + 1) * 5;
             let mut counts = vec![0u64; m.len()];
-            counts[i % m.len()] = (i as u64 + 1) * 3;
-            counts[(i + 1) % m.len()] = 1;
-            let sims = (i as u64 + 1) * 5;
-            repo.merge_counts(t, sims, &counts).unwrap();
-            ref_global.merge_counts(sims, &counts);
-            ref_rows
-                .entry(t)
-                .or_insert_with(|| Row::new(m.len()))
-                .merge_counts(sims, &counts);
+            for k in 0..sims {
+                let mut v = CoverageVector::empty(m.len());
+                for (e, count) in counts.iter_mut().enumerate() {
+                    if (k + i) % (e as u64 + 2) == 0 {
+                        v.set(EventId(e as u32));
+                        *count += 1;
+                    }
+                }
+                by_record.record(TemplateId(i as u32), &v);
+            }
+            by_merge
+                .merge_counts(TemplateId(i as u32), sims, &counts)
+                .unwrap();
         }
-        assert_eq!(repo.total_simulations(), ref_global.sims);
-        let snap = repo.snapshot();
-        assert_eq!(snap.global_hits, ref_global.hits);
-        assert_eq!(snap.per_template.len(), templates.len());
-        for (t, sims, hits) in &snap.per_template {
-            let reference = &ref_rows[t];
-            assert_eq!(
-                (*sims, hits.as_slice()),
-                (reference.sims, &reference.hits[..])
-            );
-        }
-        // Templates 0..9 cover stripes 0..7 plus two collisions on 0/1.
-        let merges = repo.stripe_merges();
-        assert_eq!(merges.iter().sum::<u64>(), templates.len() as u64);
-        assert_eq!(merges[0], 2);
-        assert_eq!(merges[1], 2);
-        assert!(merges[2..].iter().all(|&c| c == 1));
-        // And the striped snapshot round-trips through restore.
+        let snap = by_merge.snapshot();
+        assert_eq!(snap, by_record.snapshot());
+        assert_eq!(snap.per_template.len(), 10);
+        assert_eq!(by_merge.total_simulations(), 5 * 55);
+        // And the snapshot round-trips through restore.
         let restored = CoverageRepository::from_snapshot(m, &snap).unwrap();
         assert_eq!(restored.snapshot(), snap);
     }
 
     #[test]
-    fn stripe_of_partitions_all_templates() {
-        for t in 0..64u32 {
-            let s = CoverageRepository::stripe_of(TemplateId(t));
-            assert_eq!(s, t as usize % STRIPE_COUNT);
-            assert!(s < STRIPE_COUNT);
-        }
+    fn snapshot_restore_rejects_rows_of_the_wrong_width() {
+        let m = model();
+        let repo = CoverageRepository::new(m.clone());
+        repo.record(TemplateId(0), &vec_hitting(&m, &["a"]));
+        repo.record(TemplateId(4), &vec_hitting(&m, &["c"]));
+        let snap = repo.snapshot();
+        let restore = |edit: &dyn Fn(&mut RepoSnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            CoverageRepository::from_snapshot(m.clone(), &bad)
+        };
+        assert!(matches!(
+            restore(&|s| s.global_hits.truncate(1)),
+            Err(CoverageError::VectorSizeMismatch {
+                expected: 3,
+                actual: 1
+            })
+        ));
+        assert!(matches!(
+            restore(&|s| s.per_template[1].2.truncate(2)),
+            Err(CoverageError::VectorSizeMismatch {
+                expected: 3,
+                actual: 2
+            })
+        ));
+        assert!(matches!(
+            restore(&|s| s.per_template[0].2.push(0)),
+            Err(CoverageError::VectorSizeMismatch {
+                expected: 3,
+                actual: 4
+            })
+        ));
     }
 
     #[test]

@@ -98,9 +98,9 @@ pub struct RatesReport {
     pub ring_capacity: usize,
     /// Per-series rates between the two newest samples: counters by
     /// name, histograms as `<name>.count` (sims/s is
-    /// `batch.sims_recorded`, per-stripe merges/s are
-    /// `batch.repo_stripe.<i>`, coalesced/s is `objective.coalesced`,
-    /// per-tenant sims/s are `serve.tenant_sims.<class>`).
+    /// `batch.sims_recorded`, merges/s is `batch.repo_merges`,
+    /// coalesced/s is `objective.coalesced`, per-tenant sims/s are
+    /// `serve.tenant_sims.<class>`).
     pub rates: Vec<RateSample>,
 }
 

@@ -58,9 +58,7 @@ use parking_lot::Mutex;
 /// latency, ns).
 #[derive(Clone, Debug)]
 pub struct StageMetrics {
-    /// The stage these handles were resolved for — lets consumers key
-    /// derived state (e.g. the batch chunk autotuner's per-(unit, stage)
-    /// latency estimates) without a separate side channel.
+    /// The stage these handles were resolved for.
     pub stage: String,
     /// Per-simulation latency within a chunk, in nanoseconds.
     pub sim_latency_ns: Histogram,

@@ -24,14 +24,6 @@ use ascdg::template::TestTemplate;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--chunk-size` pins the batch dispatch chunk (in simulations) for
-    // every runner of this process via `ASCDG_CHUNK_SIZE`, bypassing the
-    // latency autotuner. Handled here, before any runner exists, because
-    // the override is read once per process. Results are byte-identical
-    // at any chunk size; only scheduling granularity changes.
-    if let Some(n) = flag_value(&args, "--chunk-size") {
-        std::env::set_var("ASCDG_CHUNK_SIZE", n);
-    }
     let result = match args.first().map(String::as_str) {
         Some("units") => cmd_units(),
         Some("run") => cmd_run(&args[1..]),
@@ -67,7 +59,6 @@ USAGE:
   ascdg run --unit <io|l3|ifu|synthetic> [--family <stem>] [--scale <f>] [--seed <n>]
             [--snapshot <path>] [--checkpoint <path>] [--resume <path>] [--json <path>]
             [--metrics-out <base>] [--threads <n>] [--campaign-jobs <n>] [--coalesce]
-            [--chunk-size <sims>]
       Run the full AS-CDG flow. Without --family, targets every event
       still uncovered after regression (the IFU cross-product usage).
       --scale multiplies the paper's simulation budgets (default 0.1);
@@ -81,9 +72,6 @@ USAGE:
       --coalesce switches objective evaluations to point-seeded
       coalescing: duplicate points are simulated once and replayed from
       cache (a different — but equally deterministic — seed stream).
-      --chunk-size pins the dispatch chunk (in simulations) for every
-      batch runner, bypassing the latency autotuner; accepted by every
-      command and byte-identical at any value.
   ascdg skeletonize <file> [--subranges <n>] [--include-zero-weights]
       Parse a test-template file and print its skeleton.
   ascdg regress --unit <io|l3|ifu|synthetic> [--sims <n>] [--save <path>]
@@ -133,7 +121,7 @@ USAGE:
             [--iterations <n>] [--once]
       Live view of a daemon's introspection plane: polls GET /status and
       GET /rates and redraws a terminal table of per-series rates
-      (sims/s, merges/s per stripe, coalesced/s), per-unit queue depths
+      (sims/s, merges/s, coalesced/s), per-unit queue depths
       by priority class, and every tracked request. --addr is the HTTP
       address (serve.http.addr, not serve.addr); --once prints a single
       frame without clearing the screen (what scripts and CI use);
