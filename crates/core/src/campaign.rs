@@ -141,13 +141,19 @@ impl<E: VerifEnv> CdgFlow<E> {
     ///
     /// Only the shared regression can fail the whole campaign.
     pub fn run_campaign(&self, seed: u64) -> Result<CampaignOutcome, FlowError> {
-        self.run_campaign_inner(seed, &Telemetry::disabled(), None)
+        self.run_campaign_with(seed, &Telemetry::disabled(), None)
             .map(|report| report.outcome)
     }
 
     /// Like [`CdgFlow::run_campaign`], with telemetry recording and the
     /// per-group final session states in the returned report (for
-    /// per-group run manifests).
+    /// per-group run manifests). With `on_progress`, a whole-campaign
+    /// [`CampaignProgress`] checkpoint is streamed to it after every
+    /// completed group stage; the sink may be called from any scheduler
+    /// worker (calls are serialized, states are consistent snapshots).
+    ///
+    /// A fresh campaign is a resume from its
+    /// [`regression_checkpoint`](CdgFlow::regression_checkpoint).
     ///
     /// # Errors
     ///
@@ -156,52 +162,139 @@ impl<E: VerifEnv> CdgFlow<E> {
         &self,
         seed: u64,
         telemetry: &Telemetry,
+        on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
     ) -> Result<CampaignReport, FlowError> {
-        self.run_campaign_inner(seed, telemetry, None)
+        self.resume_campaign(&self.regression_checkpoint(seed)?, telemetry, on_progress)
     }
 
-    /// Like [`CdgFlow::run_campaign_with`], streaming a whole-campaign
-    /// [`CampaignProgress`] checkpoint to `on_progress` after every
-    /// completed group stage. The sink may be called from any scheduler
-    /// worker (calls are serialized, states are consistent snapshots).
+    /// The checkpoint every fresh campaign starts from: the shared
+    /// regression and the unit's uncovered events grouped by
+    /// [`group_uncovered`], with no group started yet.
     ///
     /// # Errors
     ///
-    /// Same as [`CdgFlow::run_campaign`].
-    pub fn run_campaign_observed(
-        &self,
-        seed: u64,
-        telemetry: &Telemetry,
-        on_progress: &(dyn Fn(&CampaignProgress) + Sync),
-    ) -> Result<CampaignReport, FlowError> {
-        self.run_campaign_inner(seed, telemetry, Some(on_progress))
+    /// Any regression error.
+    pub fn regression_checkpoint(&self, seed: u64) -> Result<CampaignProgress, FlowError> {
+        let repo = self.run_regression(mix_seed(seed, 0xca3))?;
+        let groups = group_uncovered(self.env().coverage_model(), &repo)
+            .into_iter()
+            .map(|(name, targets)| GroupProgress {
+                name,
+                targets,
+                session: None,
+                failure: None,
+            })
+            .collect();
+        Ok(CampaignProgress {
+            unit: self.env().unit_name().to_owned(),
+            seed,
+            config: Some(self.config().clone()),
+            repo: Some(repo.snapshot()),
+            groups,
+        })
     }
 
-    /// Resumes a campaign from a streamed [`CampaignProgress`] checkpoint:
-    /// the shared regression is restored from the embedded snapshot
-    /// instead of re-run, groups that already checkpointed resume from
-    /// their session state (fully finished groups replay for free — the
-    /// engine skips all their stages), and groups that never reached a
-    /// checkpoint are rebuilt from their recorded targets with the same
-    /// salted seeds. The result is byte-identical to the uninterrupted
-    /// campaign at any `campaign_jobs`/thread count.
+    /// Resumes a campaign from a [`CampaignProgress`] checkpoint through
+    /// the [`CampaignPlan`]: the shared regression is restored from the
+    /// embedded snapshot instead of re-run, groups that already
+    /// checkpointed resume from their session state (fully finished
+    /// groups replay for free — the engine skips all their stages), and
+    /// groups that never reached a checkpoint are rebuilt from their
+    /// recorded targets with the same salted seeds. The result is
+    /// byte-identical to the uninterrupted campaign at any
+    /// `campaign_jobs`/thread count.
     ///
     /// # Errors
     ///
-    /// [`FlowError::SnapshotMismatch`] when the checkpoint belongs to a
-    /// different unit; [`FlowError::Checkpoint`] when it predates
-    /// self-contained checkpoints (no regression snapshot).
+    /// Those of [`CampaignPlan::new`].
     pub fn resume_campaign(
         &self,
         progress: &CampaignProgress,
         telemetry: &Telemetry,
         on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
     ) -> Result<CampaignReport, FlowError> {
-        if progress.unit != self.env().unit_name() {
+        // All groups share one persistent worker pool (and one engine)
+        // instead of spinning a pool up per group.
+        pool_scope_with(self.config().threads, telemetry, |pool| {
+            let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
+                .with_telemetry(telemetry.clone());
+            let mut plan = CampaignPlan::new(&engine, progress)?;
+            let engine = engine.with_shared_eval_cache(Arc::clone(plan.eval_cache()));
+            let sessions = plan.take_sessions();
+            let on_step = on_progress.map(|sink| {
+                let plan = &plan;
+                move |i: usize, state: &SessionState| plan.record_step(i, state, sink)
+            });
+            let runs = scheduler::run_interleaved(
+                &engine,
+                self.config().campaign_jobs,
+                sessions,
+                plan.group_count(),
+                on_step.as_ref().map(|f| f as _),
+            );
+            if let Some(m) = telemetry.metrics() {
+                m.gauge("campaign.coalesced_evals")
+                    .set(m.counter("objective.coalesced").value() as f64);
+                m.gauge("campaign.cross_group_hits")
+                    .set(plan.eval_cache().cross_group_hits() as f64);
+                m.gauge("campaign.shared_cache_sims_saved")
+                    .set(plan.eval_cache().sims_saved() as f64);
+            }
+            Ok(plan.fold(runs))
+        })
+    }
+}
+
+/// The one campaign planner: every campaign — fresh or resumed, run by
+/// the batch scheduler or by the serve daemon's admission queue — is
+/// planned here from a [`CampaignProgress`] checkpoint (a fresh
+/// campaign's is its [`CdgFlow::regression_checkpoint`]).
+///
+/// Every group's session is built — and its seed salted by its group
+/// index — **before** any scheduling happens, the sessions share no
+/// mutable state (each gets its own copy of the regression snapshot),
+/// and [`CampaignPlan::fold`] walks the finished runs in group order.
+/// That is the whole identity argument: nothing about the result depends
+/// on which worker stepped which group when, so any scheduler and any
+/// `campaign_jobs` value produces the same bytes.
+pub struct CampaignPlan {
+    repo: CoverageRepository,
+    before: StatusCounts,
+    /// One session per group ready to schedule; `None` where the group
+    /// could not be prepared (its failure is in the checkpoint).
+    sessions: Vec<Option<SessionState>>,
+    eval_cache: Arc<SharedEvalCache>,
+    /// The live checkpoint: the planned groups, updated with every
+    /// group's latest post-stage state by [`CampaignPlan::record_step`].
+    checkpoint: Mutex<CampaignProgress>,
+}
+
+impl CampaignPlan {
+    /// Plans a campaign from `progress` on `engine`'s environment and
+    /// configuration: restores the regression snapshot, keeps each
+    /// checkpointed group's session, and rebuilds every other group with
+    /// its index-salted seed `mix_seed(seed, 0xc0 + i)`. A group that
+    /// cannot be prepared (no evidence, ...) is recorded with its failure
+    /// instead of failing the plan; failures stored in `progress` are
+    /// recomputed, not trusted.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::SnapshotMismatch`] when the checkpoint belongs to a
+    /// different unit; [`FlowError::Checkpoint`] when it has no regression
+    /// snapshot or a group targets an event outside the unit's model;
+    /// [`FlowError::Coverage`] when the snapshot does not fit the model.
+    pub fn new<E: VerifEnv>(
+        engine: &FlowEngine<'_, E>,
+        progress: &CampaignProgress,
+    ) -> Result<Self, FlowError> {
+        let env = engine.env();
+        let model = env.coverage_model();
+        if progress.unit != env.unit_name() {
             return Err(FlowError::SnapshotMismatch(format!(
                 "campaign checkpoint is for unit `{}`, flow runs `{}`",
                 progress.unit,
-                self.env().unit_name()
+                env.unit_name()
             )));
         }
         let snap = progress.repo.as_ref().ok_or_else(|| {
@@ -211,72 +304,42 @@ impl<E: VerifEnv> CdgFlow<E> {
                     .to_owned(),
             )
         })?;
-        let repo = CoverageRepository::from_snapshot(self.env().coverage_model().clone(), snap)?;
-        let before = repo.status_counts(StatusPolicy::default());
-        let groups = progress
-            .groups
-            .iter()
-            .map(|g| (g.name.clone(), g.targets.clone()))
-            .collect();
-        self.run_campaign_groups(
-            repo,
-            before,
-            groups,
-            Some(&progress.groups),
-            progress.seed,
-            telemetry,
-            on_progress,
-        )
-    }
-
-    fn run_campaign_inner(
-        &self,
-        seed: u64,
-        telemetry: &Telemetry,
-        on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
-    ) -> Result<CampaignReport, FlowError> {
-        let policy = StatusPolicy::default();
-        let repo = self.run_regression(mix_seed(seed, 0xca3))?;
-        let before = repo.status_counts(policy);
-        let groups = group_uncovered(self.env().coverage_model(), &repo);
-        if groups.is_empty() {
-            return Ok(CampaignReport {
-                outcome: CampaignOutcome {
-                    unit: self.env().unit_name().to_owned(),
-                    before,
-                    after: before,
-                    groups: Vec::new(),
-                    total_sims: repo.total_simulations(),
-                    harvested: TemplateLibrary::new(),
-                },
-                sessions: Vec::new(),
-            });
+        for (i, group) in progress.groups.iter().enumerate() {
+            if let Some(bad) = group.targets.iter().find(|e| e.index() >= model.len()) {
+                return Err(FlowError::Checkpoint(format!(
+                    "campaign checkpoint group {i} (`{}`) targets event {}, \
+                     but unit `{}` has {} events",
+                    group.name,
+                    bad.index(),
+                    progress.unit,
+                    model.len()
+                )));
+            }
         }
-        self.run_campaign_groups(repo, before, groups, None, seed, telemetry, on_progress)
-    }
-
-    /// Shared campaign tail: schedules the flow per pre-built group.
-    ///
-    /// Every group's session is built — and its seed salted by its group
-    /// index — **before** any scheduling happens, the sessions share no
-    /// mutable state (each gets its own copy of the regression snapshot),
-    /// and the fold below walks the finished runs in group order. That is
-    /// the whole identity argument: nothing about the result depends on
-    /// which worker stepped which group when, so any `campaign_jobs`
-    /// value produces the same bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn run_campaign_groups(
-        &self,
-        repo: CoverageRepository,
-        before: StatusCounts,
-        groups: Vec<(String, Vec<EventId>)>,
-        initial: Option<&[GroupProgress]>,
-        seed: u64,
-        telemetry: &Telemetry,
-        on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
-    ) -> Result<CampaignReport, FlowError> {
-        let n = groups.len();
-        let jobs = self.config().campaign_jobs;
+        let repo = CoverageRepository::from_snapshot(model.clone(), snap)?;
+        let before = repo.status_counts(StatusPolicy::default());
+        let mut checkpoint = CampaignProgress {
+            config: Some(engine.config().clone()),
+            ..progress.clone()
+        };
+        let mut sessions = Vec::with_capacity(checkpoint.groups.len());
+        for (i, group) in checkpoint.groups.iter_mut().enumerate() {
+            group.failure = None;
+            if let Some(state) = &group.session {
+                sessions.push(Some(state.clone()));
+                continue;
+            }
+            let seed = mix_seed(progress.seed, 0xc0 + i as u64);
+            let prep = ApproxTarget::auto(model, &group.targets, engine.config().neighbor_decay)
+                .and_then(|approx| engine.session_with_repo(&repo, approx, seed));
+            match prep {
+                Ok(cx) => sessions.push(Some(cx.into_state())),
+                Err(e) => {
+                    group.failure = Some(e.to_string());
+                    sessions.push(None);
+                }
+            }
+        }
         // One completed-evaluation cache for the whole campaign: groups
         // that visit the same point of the same skeleton (common when two
         // families choose the same stock template) reuse each other's
@@ -284,93 +347,77 @@ impl<E: VerifEnv> CdgFlow<E> {
         // group's point-keyed evaluation seeds, which is what makes the
         // reuse byte-exact — and the campaign outcome independent of the
         // scheduler interleaving (a hit and a miss produce the same bytes).
-        let eval_cache = Arc::new(SharedEvalCache::new(mix_seed(seed, 0xeca)));
-        // All groups share one persistent worker pool (and one engine)
-        // instead of spinning a pool up per group.
-        let (runs, prep_failures) = pool_scope_with(self.config().threads, telemetry, |pool| {
-            let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
-                .with_telemetry(telemetry.clone())
-                .with_shared_eval_cache(Arc::clone(&eval_cache));
-            let mut scheduled: Vec<(usize, SessionState)> = Vec::with_capacity(n);
-            let mut prep_failures: Vec<Option<String>> = vec![None; n];
-            for (i, (_, targets)) in groups.iter().enumerate() {
-                // A resumed group continues from its checkpointed state;
-                // groups that never checkpointed are rebuilt with the
-                // same salted seed, so the outcome cannot tell the
-                // difference.
-                if let Some(state) = initial
-                    .and_then(|gs| gs.get(i))
-                    .and_then(|g| g.session.clone())
-                {
-                    scheduled.push((i, state));
-                    continue;
-                }
-                let prep = ApproxTarget::auto(
-                    self.env().coverage_model(),
-                    targets,
-                    self.config().neighbor_decay,
-                )
-                .and_then(|approx| {
-                    engine.session_with_repo(&repo, approx, mix_seed(seed, 0xc0 + i as u64))
-                });
-                match prep {
-                    Ok(cx) => scheduled.push((i, cx.into_state())),
-                    Err(e) => prep_failures[i] = Some(e.to_string()),
-                }
-            }
-            // Adapt the scheduler's per-group snapshots into
-            // whole-campaign progress checkpoints. The checkpoint is
-            // self-contained (config + regression snapshot + per-group
-            // targets), so `resume_campaign` needs nothing else.
-            let tracker = on_progress.map(|sink| {
-                let init = CampaignProgress {
-                    unit: self.env().unit_name().to_owned(),
-                    seed,
-                    config: Some(self.config().clone()),
-                    repo: Some(repo.snapshot()),
-                    groups: groups
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (name, targets))| GroupProgress {
-                            name: name.clone(),
-                            targets: targets.clone(),
-                            session: initial
-                                .and_then(|gs| gs.get(i))
-                                .and_then(|g| g.session.clone()),
-                            failure: prep_failures[i].clone(),
-                        })
-                        .collect(),
-                };
-                (Mutex::new(init), sink)
-            });
-            let on_step = tracker.as_ref().map(|(progress, sink)| {
-                Box::new(move |i: usize, state: &SessionState| {
-                    let mut p = progress.lock().unwrap_or_else(PoisonError::into_inner);
-                    p.groups[i].session = Some(state.clone());
-                    sink(&p);
-                }) as Box<dyn Fn(usize, &SessionState) + Sync>
-            });
-            let runs = scheduler::run_interleaved(&engine, jobs, scheduled, n, on_step.as_deref());
-            (runs, prep_failures)
-        });
-
-        if let Some(m) = telemetry.metrics() {
-            m.gauge("campaign.coalesced_evals")
-                .set(m.counter("objective.coalesced").value() as f64);
-            m.gauge("campaign.cross_group_hits")
-                .set(eval_cache.cross_group_hits() as f64);
-            m.gauge("campaign.shared_cache_sims_saved")
-                .set(eval_cache.sims_saved() as f64);
-        }
-
-        Ok(fold_campaign(
-            self.env().unit_name(),
-            &repo,
+        let eval_cache = Arc::new(SharedEvalCache::new(mix_seed(progress.seed, 0xeca)));
+        Ok(CampaignPlan {
+            repo,
             before,
-            groups,
-            runs,
-            &prep_failures,
-        ))
+            sessions,
+            eval_cache,
+            checkpoint: Mutex::new(checkpoint),
+        })
+    }
+
+    /// How many groups the campaign has (scheduled or failed).
+    #[must_use]
+    pub fn group_count(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// The campaign's shared completed-evaluation cache, to attach to
+    /// every group session.
+    #[must_use]
+    pub fn eval_cache(&self) -> &Arc<SharedEvalCache> {
+        &self.eval_cache
+    }
+
+    /// Hands over the sessions to schedule, as `(group index, state)`.
+    pub fn take_sessions(&mut self) -> Vec<(usize, SessionState)> {
+        self.sessions
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, s)| s.take().map(|state| (i, state)))
+            .collect()
+    }
+
+    /// Runs `f` on the live checkpoint.
+    pub fn checkpoint<R>(&self, f: impl FnOnce(&CampaignProgress) -> R) -> R {
+        f(&self
+            .checkpoint
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Records group `group`'s latest post-stage state in the live
+    /// checkpoint and runs `sink` on the result while still holding it,
+    /// so concurrent steps reach the sink one at a time, each with a
+    /// consistent snapshot.
+    pub fn record_step<R>(
+        &self,
+        group: usize,
+        state: &SessionState,
+        sink: impl FnOnce(&CampaignProgress) -> R,
+    ) -> R {
+        let mut progress = self
+            .checkpoint
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        progress.groups[group].session = Some(state.clone());
+        sink(&progress)
+    }
+
+    /// Folds the finished runs (indexed by group; `None` for groups that
+    /// never ran) into the campaign's report through `fold_campaign`.
+    #[must_use]
+    pub fn fold(&self, runs: Vec<Option<GroupRun>>) -> CampaignReport {
+        self.checkpoint(|progress| {
+            fold_campaign(
+                &progress.unit,
+                &self.repo,
+                self.before,
+                &progress.groups,
+                runs,
+            )
+        })
     }
 }
 
@@ -415,18 +462,16 @@ pub fn group_uncovered(
 
 /// Folds finished group runs into a [`CampaignReport`], walking the runs
 /// in group order (the harvested-name collision suffix and the summary
-/// are order-sensitive; the hit union is commutative anyway). This fold
-/// is the whole campaign-identity argument: nothing about it depends on
-/// which worker stepped which group when, so any scheduler — the batch
-/// campaign crew or the serve daemon's admission queue — produces the
-/// same bytes from the same runs.
-pub fn fold_campaign(
+/// are order-sensitive; the hit union is commutative anyway). A group
+/// without a run reports its recorded prep failure. With no groups at
+/// all this is the regression-only outcome: `after == before` and an
+/// empty library.
+fn fold_campaign(
     unit: &str,
     repo: &CoverageRepository,
     before: StatusCounts,
-    groups: Vec<(String, Vec<EventId>)>,
+    groups: &[GroupProgress],
     mut runs: Vec<Option<GroupRun>>,
-    prep_failures: &[Option<String>],
 ) -> CampaignReport {
     let policy = StatusPolicy::default();
     let n = groups.len();
@@ -437,7 +482,8 @@ pub fn fold_campaign(
     let union_sims_base = repo.total_simulations();
     let mut extra_sims: u64 = 0;
     let mut union_extra_sims: u64 = 0;
-    for (i, (name, targets)) in groups.into_iter().enumerate() {
+    for (i, group) in groups.iter().enumerate() {
+        let (name, targets) = (group.name.clone(), group.targets.clone());
         let (outcome, state) = match runs[i].take() {
             Some(Ok(run)) => run,
             Some(Err(e)) => {
@@ -445,10 +491,9 @@ pub fn fold_campaign(
                 continue;
             }
             None => {
-                let why = prep_failures
-                    .get(i)
-                    .cloned()
-                    .flatten()
+                let why = group
+                    .failure
+                    .clone()
                     .unwrap_or_else(|| "group was never scheduled".to_owned());
                 fail_group(&mut out_groups, name, targets, why);
                 continue;
@@ -622,6 +667,51 @@ mod tests {
             serde_json::to_string(&out).unwrap()
         };
         assert_eq!(run(1), run(3));
+    }
+
+    /// Plans `progress` on an io_unit engine and hands the plan to `f`.
+    fn with_plan<R>(progress: &CampaignProgress, f: impl FnOnce(CampaignPlan) -> R) -> R {
+        let env = IoEnv::new();
+        crate::pool_scope(2, |pool| {
+            let engine = FlowEngine::new(&env, FlowConfig::quick(), pool);
+            f(CampaignPlan::new(&engine, progress).expect("plans"))
+        })
+    }
+
+    #[test]
+    fn plan_salts_rebuilt_groups_and_recomputes_stored_failures() {
+        let flow = CdgFlow::new(IoEnv::new(), FlowConfig::quick());
+        let mut progress = flow.regression_checkpoint(11).expect("regression runs");
+        assert!(progress.groups.len() >= 2, "io_unit leaves families open");
+        // A stale failure on disk must not keep a group from running.
+        progress.groups[0].failure = Some("stale".to_owned());
+        with_plan(&progress, |mut plan| {
+            let sessions = plan.take_sessions();
+            assert_eq!(sessions.len(), progress.groups.len());
+            for (i, state) in &sessions {
+                assert_eq!(state.seed, mix_seed(11, 0xc0 + *i as u64));
+            }
+            plan.checkpoint(|live| {
+                assert!(live.groups.iter().all(|g| g.failure.is_none()));
+                assert!(
+                    live.config.is_some(),
+                    "the live checkpoint embeds its config"
+                );
+            });
+        });
+    }
+
+    #[test]
+    fn plan_without_groups_folds_to_the_regression_only_outcome() {
+        let flow = CdgFlow::new(IoEnv::new(), FlowConfig::quick());
+        let mut progress = flow.regression_checkpoint(11).expect("regression runs");
+        progress.groups.clear();
+        let report = with_plan(&progress, |plan| plan.fold(Vec::new()));
+        let out = report.outcome;
+        assert_eq!(out.after, out.before);
+        assert!(out.groups.is_empty() && out.harvested.is_empty());
+        let repo = progress.repo.expect("snapshot");
+        assert_eq!(out.total_sims, repo.global_sims);
     }
 
     #[test]

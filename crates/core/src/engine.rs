@@ -106,6 +106,12 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         self
     }
 
+    /// The environment the engine runs against.
+    #[must_use]
+    pub fn env(&self) -> &'env E {
+        self.env
+    }
+
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &FlowConfig {

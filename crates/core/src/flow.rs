@@ -446,21 +446,6 @@ impl<E: VerifEnv> CdgFlow<E> {
     /// Returns [`FlowError::EmptyLibrary`] when there is nothing to run,
     /// or any batch error.
     pub fn run_regression(&self, seed: u64) -> Result<CoverageRepository, FlowError> {
-        Ok(self.run_regression_counted(seed)?.0)
-    }
-
-    /// Like [`CdgFlow::run_regression`], additionally returning the batch
-    /// runner's hot-path counters for the regression (repository merges,
-    /// simulations recorded) — what benchmarks report to show the lock is
-    /// taken O(chunks), not O(simulations).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CdgFlow::run_regression`].
-    pub fn run_regression_counted(
-        &self,
-        seed: u64,
-    ) -> Result<(CoverageRepository, crate::CounterSnapshot), FlowError> {
         regression_repository(
             &self.env,
             &self.config,

@@ -63,9 +63,7 @@ mod stages;
 
 pub use ascdg_telemetry::Telemetry;
 pub use batch::{BatchCounters, BatchRunner, BatchStats, CounterSnapshot, ResolvedTemplate};
-pub use campaign::{
-    fold_campaign, group_uncovered, CampaignGroup, CampaignOutcome, CampaignReport,
-};
+pub use campaign::{group_uncovered, CampaignGroup, CampaignOutcome, CampaignPlan, CampaignReport};
 pub use checkpoint::{read_campaign_checkpoint, read_session_checkpoint, CheckpointWriter};
 pub use engine::FlowEngine;
 pub use error::FlowError;

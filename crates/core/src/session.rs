@@ -212,7 +212,9 @@ pub struct GroupProgress {
 
 /// A whole-campaign checkpoint: per-group session progress, streamed by
 /// the campaign scheduler after every completed stage (see
-/// [`CdgFlow::run_campaign_observed`](crate::CdgFlow::run_campaign_observed)).
+/// [`CdgFlow::run_campaign_with`](crate::CdgFlow::run_campaign_with)), and
+/// the input of the [`CampaignPlan`](crate::CampaignPlan) every campaign
+/// is planned from.
 ///
 /// Unlike a single flow's checkpoint (one [`SessionState`]), a campaign
 /// interleaves several sessions, so its progress is one snapshot per

@@ -140,13 +140,13 @@ pub(crate) fn regression_repository<E: VerifEnv>(
     config: &FlowConfig,
     seed: u64,
     telemetry: &Telemetry,
-) -> Result<(CoverageRepository, crate::CounterSnapshot), FlowError> {
+) -> Result<CoverageRepository, FlowError> {
     let lib = env.stock_library();
     if lib.is_empty() {
         return Err(FlowError::EmptyLibrary);
     }
     let repo = CoverageRepository::new(env.coverage_model().clone());
-    let counters = pool_scope_with(config.threads, telemetry, |pool| {
+    pool_scope_with(config.threads, telemetry, |pool| {
         let runner = BatchRunner::with_pool(pool).with_telemetry(telemetry.clone());
         for (idx, template) in lib.iter() {
             runner.run_recorded(
@@ -158,9 +158,9 @@ pub(crate) fn regression_repository<E: VerifEnv>(
                 TemplateId(idx as u32),
             )?;
         }
-        Ok::<_, FlowError>(runner.counter_snapshot())
+        Ok::<_, FlowError>(())
     })?;
-    Ok((repo, counters))
+    Ok(repo)
 }
 
 impl<E: VerifEnv> Stage<E> for Regression {
@@ -170,7 +170,7 @@ impl<E: VerifEnv> Stage<E> for Regression {
 
     fn run(&self, cx: &mut SessionCx<'_, '_, E>) -> Result<StageOutput, FlowError> {
         let seed = cx.stage_seed(0xbef0);
-        let (repo, _counters) = regression_repository(cx.env(), cx.config(), seed, cx.telemetry())?;
+        let repo = regression_repository(cx.env(), cx.config(), seed, cx.telemetry())?;
         let sims = repo.total_simulations();
         cx.set_repo(repo);
         Ok(StageOutput::simulated(sims))

@@ -2,23 +2,27 @@
 //!
 //! One daemon owns one [`SimPool`] and one
 //! [`AdmissionQueue`] per built-in unit. Each incoming closure request is
-//! planned exactly like a one-shot `ascdg campaign` — shared regression,
-//! family grouping, per-group sessions with index-salted seeds, one
-//! request-scoped evaluation cache — and its group sessions are admitted
-//! to the unit's queue with the request's weight and priority class.
-//! Sessions from different tenants interleave stage by stage under
-//! deficit round-robin, all funneling their simulation batches into the
-//! shared pool.
+//! planned by the same [`CampaignPlan`] as a one-shot `ascdg campaign`:
+//! the request's regression-only checkpoint
+//! ([`CdgFlow::regression_checkpoint`]) goes through the planner, which
+//! builds the per-group sessions with index-salted seeds and one
+//! request-scoped evaluation cache. The sessions are admitted to the
+//! unit's queue with the request's weight and priority class. Sessions
+//! from different tenants interleave stage by stage under deficit
+//! round-robin, all funneling their simulation batches into the shared
+//! pool.
 //!
 //! Determinism carries over unchanged: every seed is salted before
-//! admission and the fold is [`fold_campaign`], so a request's outcome is
-//! byte-identical to the equivalent one-shot campaign — no matter what
+//! admission and the plan folds the finished runs, so a request's outcome
+//! is byte-identical to the equivalent one-shot campaign — no matter what
 //! else the daemon is running, and no matter how often it was restarted
 //! mid-request. Durability comes from the same checkpoint stream the CLI
-//! uses: after every completed group stage the request's self-contained
+//! uses: after every completed group stage the plan's live
 //! [`CampaignProgress`] is rewritten atomically under the daemon's state
 //! directory; on startup, any progress file without a matching outcome
-//! file is re-admitted and runs to the same final outcome.
+//! file is planned again from that checkpoint and runs to the same final
+//! outcome. The daemon itself only adds request files, streamed
+//! `Progress` lines and the outcome and manifest files.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -29,19 +33,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use ascdg_core::{
-    fold_campaign, group_uncovered, pool_scope_with, AdmissionQueue, AdmitSpec, ApproxTarget,
-    CampaignOutcome, CampaignProgress, CampaignReport, CancelToken, CdgFlow, CheckpointWriter,
-    FlowConfig, FlowEngine, FlowError, GroupProgress, GroupRun, RunManifest, SessionState,
-    SharedEvalCache, SimPool, Telemetry,
+    pool_scope_with, AdmissionQueue, AdmitSpec, CampaignPlan, CampaignProgress, CampaignReport,
+    CancelToken, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine, FlowError, GroupRun,
+    RunManifest, SessionState, SimPool, Telemetry,
 };
-use ascdg_coverage::{CoverageRepository, EventId, StatusCounts, StatusPolicy};
 use ascdg_duv::ifu::IfuEnv;
 use ascdg_duv::io_unit::IoEnv;
 use ascdg_duv::l3cache::L3Env;
 use ascdg_duv::synthetic::{SyntheticConfig, SyntheticEnv};
 use ascdg_duv::VerifEnv;
-use ascdg_stimgen::mix_seed;
-use ascdg_template::TemplateLibrary;
 
 use ascdg_telemetry::{MetricKind, SnapshotRing};
 
@@ -86,16 +86,17 @@ const RING_CAPACITY: usize = 240;
 /// The default sampler tick.
 const DEFAULT_SAMPLE_INTERVAL_MS: u64 = 500;
 
-/// Resolves a request's unit name to a fresh environment. Accepts the
-/// CLI aliases and the canonical `unit_name()`s.
+/// Resolves a request's unit name to a fresh environment — the one unit
+/// table, shared by the daemon and the CLI. Accepts the CLI aliases and
+/// the canonical `unit_name()`s.
 #[must_use]
 pub fn resolve_unit(name: &str) -> Option<Arc<dyn VerifEnv>> {
     match name {
         "io" | "io_unit" => Some(Arc::new(IoEnv::new())),
         "l3" | "l3cache" => Some(Arc::new(L3Env::new())),
         "ifu" => Some(Arc::new(IfuEnv::new())),
-        // Same hard synthetic configuration the CLI uses: paper-scale
-        // budgets would fully cover the library-default model.
+        // A hard synthetic configuration: paper-scale budgets would
+        // fully cover the library-default model.
         "synthetic" | "syn" | "synthetic_unit" => {
             Some(Arc::new(SyntheticEnv::new(SyntheticConfig {
                 hardness: 60.0,
@@ -564,102 +565,20 @@ fn cancel_request(daemon: &Daemon, shards: &[Shard<'_>], id: u64) -> bool {
     any
 }
 
-/// A planned request: everything between "regression done" and
-/// "sessions admitted", shared by the fresh and the recovery path.
-struct Plan {
-    config: FlowConfig,
-    seed: u64,
-    repo: CoverageRepository,
-    before: StatusCounts,
-    groups: Vec<(String, Vec<EventId>)>,
-    /// One session per group ready to admit; `None` where prep failed.
-    sessions: Vec<Option<SessionState>>,
-    prep_failures: Vec<Option<String>>,
-}
-
-/// Plans a fresh request exactly like `run_campaign_inner`: regression,
-/// grouping, per-group sessions with index-salted seeds.
-fn plan_fresh<'env>(
-    shard: &Shard<'env>,
-    pool: &SimPool<'env>,
-    config: &FlowConfig,
-    seed: u64,
-) -> Result<Plan, FlowError> {
-    let flow = CdgFlow::new(shard.env, config.clone());
-    let repo = flow.run_regression(mix_seed(seed, 0xca3))?;
-    let before = repo.status_counts(StatusPolicy::default());
-    let groups = group_uncovered(shard.env.coverage_model(), &repo);
-    let mut plan = Plan {
-        config: config.clone(),
-        seed,
-        repo,
-        before,
-        sessions: vec![None; groups.len()],
-        prep_failures: vec![None; groups.len()],
-        groups,
-    };
-    build_missing_sessions(shard, pool, &mut plan);
-    Ok(plan)
-}
-
-/// Plans a recovered request from its self-contained checkpoint: the
-/// regression is restored, checkpointed groups resume their state, and
-/// groups that never checkpointed rebuild with the same salted seeds.
-fn plan_resume<'env>(
+/// Plans a request from its checkpoint with the campaign's own planner,
+/// on an engine built from the checkpoint's config (the daemon trusts no
+/// ambient config, so a checkpoint without one is rejected).
+fn plan_request<'env>(
     shard: &Shard<'env>,
     pool: &SimPool<'env>,
     progress: &CampaignProgress,
-) -> Result<Plan, FlowError> {
+) -> Result<CampaignPlan, FlowError> {
     let config = progress.config.clone().ok_or_else(|| {
         FlowError::Checkpoint(
             "campaign checkpoint has no config; it predates resumable checkpoints".to_owned(),
         )
     })?;
-    let snap = progress.repo.as_ref().ok_or_else(|| {
-        FlowError::Checkpoint(
-            "campaign checkpoint has no regression snapshot; it cannot be resumed".to_owned(),
-        )
-    })?;
-    let repo = CoverageRepository::from_snapshot(shard.env.coverage_model().clone(), snap)?;
-    let before = repo.status_counts(StatusPolicy::default());
-    let mut plan = Plan {
-        config,
-        seed: progress.seed,
-        before,
-        repo,
-        groups: progress
-            .groups
-            .iter()
-            .map(|g| (g.name.clone(), g.targets.clone()))
-            .collect(),
-        sessions: progress.groups.iter().map(|g| g.session.clone()).collect(),
-        prep_failures: progress.groups.iter().map(|g| g.failure.clone()).collect(),
-    };
-    build_missing_sessions(shard, pool, &mut plan);
-    Ok(plan)
-}
-
-/// Builds sessions for every group that has neither a checkpointed state
-/// nor a recorded prep failure, with the campaign's index-salted seeds.
-fn build_missing_sessions<'env>(shard: &Shard<'env>, pool: &SimPool<'env>, plan: &mut Plan) {
-    let engine = FlowEngine::new(shard.env, plan.config.clone(), pool);
-    for (i, (_, targets)) in plan.groups.iter().enumerate() {
-        if plan.sessions[i].is_some() || plan.prep_failures[i].is_some() {
-            continue;
-        }
-        let prep = ApproxTarget::auto(
-            shard.env.coverage_model(),
-            targets,
-            plan.config.neighbor_decay,
-        )
-        .and_then(|approx| {
-            engine.session_with_repo(&plan.repo, approx, mix_seed(plan.seed, 0xc0 + i as u64))
-        });
-        match prep {
-            Ok(cx) => plan.sessions[i] = Some(cx.into_state()),
-            Err(e) => plan.prep_failures[i] = Some(e.to_string()),
-        }
-    }
+    CampaignPlan::new(&FlowEngine::new(shard.env, config, pool), progress)
 }
 
 fn submit_request<'env>(
@@ -704,7 +623,10 @@ fn submit_request<'env>(
     if let Ok(json) = serde_json::to_string(&spec) {
         let _ = std::fs::write(daemon.request_path(id), json);
     }
-    match plan_fresh(shard, pool, &config, spec.seed) {
+    let plan = CdgFlow::new(shard.env, config)
+        .regression_checkpoint(spec.seed)
+        .and_then(|start| plan_request(shard, pool, &start));
+    match plan {
         Ok(plan) => run_plan(daemon, shards, shard_idx, id, &spec, plan, out),
         Err(e) => send(
             out,
@@ -754,7 +676,7 @@ fn recover_request<'env>(
         "serve: req{id}: recovering {} from checkpoint",
         progress.unit
     );
-    match plan_resume(&shards[shard_idx], pool, &progress) {
+    match plan_request(&shards[shard_idx], pool, &progress) {
         Ok(plan) => run_plan(daemon, shards, shard_idx, id, &spec, plan, out),
         Err(e) => eprintln!("serve: req{id}: recovery failed: {e}"),
     }
@@ -768,72 +690,31 @@ fn run_plan(
     shard_idx: usize,
     id: u64,
     spec: &SubmitSpec,
-    plan: Plan,
+    mut plan: CampaignPlan,
     out: &Outbox,
 ) {
     let shard = &shards[shard_idx];
-    let unit = shard.unit_name().to_owned();
     let class = if spec.class.is_empty() {
         "default".to_owned()
     } else {
         spec.class.clone()
     };
-    let n = plan.groups.len();
-    if n == 0 {
-        // Nothing uncovered: the campaign's empty outcome, no scheduling.
-        let report = CampaignReport {
-            outcome: CampaignOutcome {
-                unit,
-                before: plan.before,
-                after: plan.before,
-                groups: Vec::new(),
-                total_sims: plan.repo.total_simulations(),
-                harvested: TemplateLibrary::new(),
-            },
-            sessions: Vec::new(),
-        };
-        finish_request(daemon, id, &report, out);
-        return;
-    }
-
-    // One evaluation cache per request, shared by its groups — the same
-    // cross-group reuse (and the same bytes) as the one-shot campaign.
-    let eval_cache = Arc::new(SharedEvalCache::new(mix_seed(plan.seed, 0xeca)));
-    let progress = Arc::new(Mutex::new(CampaignProgress {
-        unit: unit.clone(),
-        seed: plan.seed,
-        config: Some(plan.config.clone()),
-        repo: Some(plan.repo.snapshot()),
-        groups: plan
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, (name, targets))| GroupProgress {
-                name: name.clone(),
-                targets: targets.clone(),
-                session: plan.sessions[i].clone(),
-                failure: plan.prep_failures[i].clone(),
-            })
-            .collect(),
-    }));
+    let n = plan.group_count();
+    let sessions = plan.take_sessions();
+    let plan = Arc::new(plan);
     let ckpt = Arc::new(CheckpointWriter::new(
         daemon.progress_path(id),
         daemon.telemetry.clone(),
     ));
     // Checkpoint before the first stage so even an immediate crash
     // leaves a recoverable request behind.
-    if let Err(e) = ckpt.write_campaign(&progress.lock().unwrap_or_else(PoisonError::into_inner)) {
+    if let Err(e) = plan.checkpoint(|p| ckpt.write_campaign(p)) {
         eprintln!("serve: req{id}: {e}");
     }
 
-    let mut sessions = plan.sessions;
     let mut jobs: Vec<(usize, u64)> = Vec::new();
-    for (slot, (name, _)) in plan.groups.iter().enumerate() {
-        let Some(state) = sessions[slot].take() else {
-            continue;
-        };
-        let group_name = name.clone();
-        let progress = Arc::clone(&progress);
+    for (slot, state) in sessions {
+        let hook_plan = Arc::clone(&plan);
         let ckpt = Arc::clone(&ckpt);
         let stream = Arc::clone(out);
         let admitted = shard.queue.admit(AdmitSpec {
@@ -841,12 +722,11 @@ fn run_plan(
             weight: spec.weight,
             class: class.clone(),
             cancel: CancelToken::new(),
-            eval_cache: Some(Arc::clone(&eval_cache)),
+            eval_cache: Some(Arc::clone(plan.eval_cache())),
             on_step: Some(Box::new(move |_, state: &SessionState| {
-                let mut p = progress.lock().unwrap_or_else(PoisonError::into_inner);
-                p.groups[slot].session = Some(state.clone());
-                let written = ckpt.write_campaign(&p);
-                drop(p);
+                let (written, group) = hook_plan.record_step(slot, state, |p| {
+                    (ckpt.write_campaign(p), p.groups[slot].name.clone())
+                });
                 if let Err(e) = written {
                     eprintln!("serve: req{id}: {e}");
                 }
@@ -854,7 +734,7 @@ fn run_plan(
                     &stream,
                     &Response::Progress {
                         request: id,
-                        group: group_name.clone(),
+                        group,
                         completed_stages: state.completed.len(),
                         sims: state.stage_sims.iter().map(|s| s.sims).sum(),
                     },
@@ -883,7 +763,7 @@ fn run_plan(
             .unwrap_or_else(PoisonError::into_inner);
         registry.push(RequestEntry {
             id,
-            unit: unit.clone(),
+            unit: shard.unit_name().to_owned(),
             class,
             weight: spec.weight.max(1),
             shard: shard_idx,
@@ -918,15 +798,7 @@ fn run_plan(
         );
         return;
     }
-    let report = fold_campaign(
-        &unit,
-        &plan.repo,
-        plan.before,
-        plan.groups,
-        runs,
-        &plan.prep_failures,
-    );
-    finish_request(daemon, id, &report, out);
+    finish_request(daemon, id, &plan.fold(runs), out);
 }
 
 /// Persists a retired request: validated per-group run manifests, the

@@ -16,10 +16,10 @@
 //!   background snapshot sampler behind it;
 //! * [`client`] — a small blocking client the CLI wraps.
 //!
-//! Determinism is inherited, not re-proven: requests are planned exactly
-//! like one-shot campaigns and folded with the same order-sensitive fold,
-//! so a daemon outcome is byte-identical to `ascdg campaign` at any
-//! tenant mix, worker count, or number of mid-run restarts.
+//! Determinism is inherited, not re-proven: requests are planned and
+//! folded by the same `CampaignPlan` as one-shot campaigns, so a daemon
+//! outcome is byte-identical to `ascdg campaign` at any tenant mix,
+//! worker count, or number of mid-run restarts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

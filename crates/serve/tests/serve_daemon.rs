@@ -7,6 +7,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use ascdg_core::{CampaignProgress, CdgFlow, FlowConfig, Telemetry};
+use ascdg_coverage::EventId;
 use ascdg_duv::io_unit::IoEnv;
 use ascdg_serve::{serve, wait_for_addr, Client, Response, ServeOptions, SubmitSpec};
 
@@ -205,9 +206,13 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
     let (tx, rx) = mpsc::channel::<CampaignProgress>();
     let flow = CdgFlow::new(IoEnv::new(), config);
     let report = flow
-        .run_campaign_observed(seed, &Telemetry::disabled(), &move |progress| {
-            let _ = tx.send(progress.clone());
-        })
+        .run_campaign_with(
+            seed,
+            &Telemetry::disabled(),
+            Some(&move |progress: &CampaignProgress| {
+                let _ = tx.send(progress.clone());
+            }),
+        )
         .expect("campaign runs");
     let reference = serde_json::to_string(&report.outcome).unwrap();
     let snapshots: Vec<CampaignProgress> = rx.try_iter().collect();
@@ -274,6 +279,54 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
     assert!(request > 3, "restart must not reuse recovered ids");
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corrupted orphan — a group target outside the unit's model — fails
+/// its recovery with a typed error logged on stderr instead of panicking
+/// a daemon thread: the daemon still starts, writes no outcome for the
+/// orphan, serves a new request with its one-shot bytes, and shuts down
+/// cleanly.
+#[test]
+fn corrupted_orphan_fails_recovery_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("bad-orphan");
+    let mut config = FlowConfig::quick();
+    config.threads = test_threads();
+    let mut orphan = CdgFlow::new(IoEnv::new(), config)
+        .regression_checkpoint(2021)
+        .expect("regression runs");
+    orphan.groups[0].targets.push(EventId(99_999));
+    std::fs::write(
+        dir.join("req0.progress.json"),
+        serde_json::to_string(&orphan).unwrap(),
+    )
+    .unwrap();
+
+    let (addr, handle) = start_daemon(&dir);
+    let mut client = Client::connect(&addr).expect("connects");
+    let (request, outcome_json) = client
+        .submit(
+            SubmitSpec {
+                unit: "io".to_owned(),
+                scale: 1.0,
+                seed: 5,
+                profile: "quick".to_owned(),
+                weight: 1,
+                class: String::new(),
+            },
+            |_| {},
+        )
+        .expect("fresh request completes");
+    assert!(request > 0, "restart must not reuse the orphan's id");
+    assert_eq!(outcome_json, one_shot_outcome_json(1.0, 5));
+    assert!(
+        !dir.join("req0.outcome.json").exists(),
+        "the corrupted orphan must not produce an outcome"
+    );
+    client.shutdown().expect("daemon drains");
+    handle
+        .join()
+        .expect("daemon exits without a panicked thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,6 +8,7 @@
 //! ```
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use ascdg::core::{
     pool_scope_with, read_campaign_checkpoint, ApproxTarget, CampaignOutcome, CampaignProgress,
@@ -15,10 +16,10 @@ use ascdg::core::{
     SessionLifecycle, SessionState, TargetSpec, Telemetry,
 };
 use ascdg::coverage::{CoverageRepository, EventFamily, RepoSnapshot, StatusPolicy};
-use ascdg::duv::synthetic::{SyntheticConfig, SyntheticEnv};
-use ascdg::duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, VerifEnv};
+use ascdg::duv::VerifEnv;
 use ascdg::serve::{
-    http_get, Client, DaemonStatus, RatesReport, Response, ServeOptions, SubmitSpec,
+    http_get, request_config, resolve_unit, Client, DaemonStatus, RatesReport, Response,
+    ServeOptions, SubmitSpec,
 };
 use ascdg::template::TestTemplate;
 
@@ -165,66 +166,44 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// The built-in units behind one object-safe handle.
-enum Unit {
-    Io(IoEnv),
-    L3(L3Env),
-    Ifu(IfuEnv),
-    Synthetic(SyntheticEnv),
+/// Resolves a unit name through the serve crate's unit table, the one
+/// the daemon uses too.
+fn unit_env(name: &str) -> Result<Arc<dyn VerifEnv>, String> {
+    resolve_unit(name)
+        .ok_or_else(|| format!("unknown unit `{name}` (expected io, l3, ifu or synthetic)"))
 }
 
-impl Unit {
-    fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "io" | "io_unit" => Ok(Unit::Io(IoEnv::new())),
-            "l3" | "l3cache" => Ok(Unit::L3(L3Env::new())),
-            "ifu" => Ok(Unit::Ifu(IfuEnv::new())),
-            // The CLI runs paper-scale budgets, so use a hard synthetic
-            // configuration (the library default is calibrated for
-            // test-scale budgets and would be fully covered here).
-            "synthetic" | "syn" => Ok(Unit::Synthetic(SyntheticEnv::new(SyntheticConfig {
-                hardness: 60.0,
-                top_threshold: 0.99,
-                ..SyntheticConfig::default()
-            }))),
-            other => Err(format!(
-                "unknown unit `{other}` (expected io, l3, ifu or synthetic)"
-            )),
-        }
+/// The family `ascdg run` targets when `--family` is absent (`None`
+/// targets every uncovered event: the IFU cross-product usage).
+fn default_family(env: &dyn VerifEnv) -> Option<&'static str> {
+    match env.unit_name() {
+        "io_unit" => Some("crc_"),
+        "l3cache" => Some("byp_reqs"),
+        "synthetic" => Some("fam_"),
+        _ => None,
     }
+}
 
-    fn env(&self) -> &dyn VerifEnv {
-        match self {
-            Unit::Io(e) => e,
-            Unit::L3(e) => e,
-            Unit::Ifu(e) => e,
-            Unit::Synthetic(e) => e,
-        }
+/// `--scale` (default 0.1), rejected unless positive and finite: the
+/// daemon reads a non-positive scale as 1.0, so the CLI refuses one
+/// rather than give it a second meaning.
+fn scale_flag(args: &[String]) -> Result<f64, Box<dyn std::error::Error>> {
+    let scale: f64 = flag_value(args, "--scale").map_or(Ok(0.1), str::parse)?;
+    if scale > 0.0 && scale.is_finite() {
+        Ok(scale)
+    } else {
+        Err(format!("--scale must be a positive finite number, got {scale}").into())
     }
+}
 
-    fn default_family(&self) -> Option<&'static str> {
-        match self {
-            Unit::Io(_) => Some("crc_"),
-            Unit::L3(_) => Some("byp_reqs"),
-            Unit::Ifu(_) => None,
-            Unit::Synthetic(_) => Some("fam_"),
-        }
-    }
-
-    fn paper_config(&self) -> FlowConfig {
-        match self {
-            Unit::Io(_) => FlowConfig::paper_io(),
-            Unit::L3(_) => FlowConfig::paper_l3(),
-            Unit::Ifu(_) => FlowConfig::paper_ifu(),
-            Unit::Synthetic(_) => FlowConfig::paper_l3(),
-        }
-    }
+/// The paper profile's budgets for `env`, scaled.
+fn paper_config(env: &dyn VerifEnv, scale: f64) -> FlowConfig {
+    request_config(env, "paper", scale).expect("the paper profile exists")
 }
 
 fn cmd_units() -> CliResult {
     for name in ["io", "l3", "ifu", "synthetic"] {
-        let unit = Unit::from_name(name).expect("built-in name");
-        let env = unit.env();
+        let env = unit_env(name)?;
         println!(
             "{:<4} {:<8} {:>4} events  {:>3} parameters  {:>3} stock templates{}",
             name,
@@ -253,10 +232,10 @@ enum Start {
 }
 
 fn cmd_run(args: &[String]) -> CliResult {
-    let unit = Unit::from_name(flag_value(args, "--unit").ok_or("missing --unit")?)?;
-    let scale: f64 = flag_value(args, "--scale").map_or(Ok(0.1), str::parse)?;
+    let env = unit_env(flag_value(args, "--unit").ok_or("missing --unit")?)?;
+    let scale = scale_flag(args)?;
     let seed: u64 = flag_value(args, "--seed").map_or(Ok(2021), str::parse)?;
-    let family = flag_value(args, "--family").or_else(|| unit.default_family());
+    let family = flag_value(args, "--family").or_else(|| default_family(&*env));
     let checkpoint_path = flag_value(args, "--checkpoint").map(str::to_owned);
     let metrics_out = flag_value(args, "--metrics-out").map(str::to_owned);
     let telemetry = if metrics_out.is_some() {
@@ -264,7 +243,6 @@ fn cmd_run(args: &[String]) -> CliResult {
     } else {
         Telemetry::disabled()
     };
-    let env = unit.env();
 
     let (mut config, start) = if let Some(resume_path) = flag_value(args, "--resume") {
         let state: SessionState = serde_json::from_str(&std::fs::read_to_string(resume_path)?)?;
@@ -276,7 +254,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     } else if let Some(snap_path) = flag_value(args, "--snapshot") {
         // Reuse a saved regression: restore the repository and derive the
         // targets from it, skipping the (expensive) regression stage.
-        let config = unit.paper_config().scaled(scale);
+        let config = paper_config(&*env, scale);
         let snap: RepoSnapshot = serde_json::from_str(&std::fs::read_to_string(snap_path)?)?;
         let repo = CoverageRepository::from_snapshot(env.coverage_model().clone(), &snap)?;
         let targets = match family {
@@ -303,7 +281,7 @@ fn cmd_run(args: &[String]) -> CliResult {
             Some(stem) => TargetSpec::Family(stem.to_owned()),
             None => TargetSpec::Uncovered,
         };
-        (unit.paper_config().scaled(scale), Start::Fresh(spec))
+        (paper_config(&*env, scale), Start::Fresh(spec))
     };
     if let Some(n) = flag_value(args, "--threads") {
         config.threads = n.parse()?;
@@ -465,13 +443,12 @@ fn flag_is_positional(args: &[String], arg: &str) -> bool {
 }
 
 fn cmd_regress(args: &[String]) -> CliResult {
-    let unit = Unit::from_name(flag_value(args, "--unit").ok_or("missing --unit")?)?;
+    let env = unit_env(flag_value(args, "--unit").ok_or("missing --unit")?)?;
     let sims: u64 = flag_value(args, "--sims").map_or(Ok(1000), str::parse)?;
-    let env = unit.env();
     let mut config = FlowConfig::quick();
     config.regression_sims_per_template = sims;
     config.threads = ascdg::core::BatchRunner::parallel().threads();
-    let flow = CdgFlow::new(env, config);
+    let flow = CdgFlow::new(&env, config);
     let repo = flow.run_regression(1)?;
     let counts = repo.status_counts(StatusPolicy::default());
     println!(
@@ -503,9 +480,9 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         Some(path) => Some(read_campaign_checkpoint(path)?),
         None => None,
     };
-    let unit = match (&resumed, flag_value(args, "--unit")) {
-        (_, Some(name)) => Unit::from_name(name)?,
-        (Some(progress), None) => Unit::from_name(&progress.unit)?,
+    let env = match (&resumed, flag_value(args, "--unit")) {
+        (_, Some(name)) => unit_env(name)?,
+        (Some(progress), None) => unit_env(&progress.unit)?,
         (None, None) => return Err("missing --unit".into()),
     };
     let seed: u64 = match &resumed {
@@ -517,10 +494,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
             .config
             .clone()
             .ok_or("campaign checkpoint predates resumable checkpoints (no embedded config)")?,
-        None => {
-            let scale: f64 = flag_value(args, "--scale").map_or(Ok(0.1), str::parse)?;
-            unit.paper_config().scaled(scale)
-        }
+        None => paper_config(&*env, scale_flag(args)?),
     };
     if let Some(n) = flag_value(args, "--threads") {
         config.threads = n.parse()?;
@@ -538,7 +512,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         Telemetry::disabled()
     };
     let jobs = config.campaign_jobs;
-    let flow = CdgFlow::new(unit.env(), config);
+    let flow = CdgFlow::new(env, config);
     match &resumed {
         Some(progress) => eprintln!(
             "resuming campaign on `{}` (seed {}, {} group(s), {jobs} in flight) ...",
@@ -563,12 +537,10 @@ fn cmd_campaign(args: &[String]) -> CliResult {
             }
         }
     });
-    let report = match (&resumed, &sink) {
-        (Some(progress), sink) => {
-            flow.resume_campaign(progress, &telemetry, sink.as_ref().map(|s| s as _))?
-        }
-        (None, Some(sink)) => flow.run_campaign_observed(seed, &telemetry, sink)?,
-        (None, None) => flow.run_campaign_with(seed, &telemetry)?,
+    let on_progress = sink.as_ref().map(|s| s as _);
+    let report = match &resumed {
+        Some(progress) => flow.resume_campaign(progress, &telemetry, on_progress)?,
+        None => flow.run_campaign_with(seed, &telemetry, on_progress)?,
     };
     if let Some(base) = &metrics_out {
         // One manifest per finished group (the campaign has no single
@@ -646,7 +618,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
         unit: flag_value(args, "--unit")
             .ok_or("missing --unit")?
             .to_owned(),
-        scale: flag_value(args, "--scale").map_or(Ok(0.1), str::parse)?,
+        scale: scale_flag(args)?,
         seed: flag_value(args, "--seed").map_or(Ok(2021), str::parse)?,
         profile: flag_value(args, "--profile").unwrap_or("paper").to_owned(),
         weight: flag_value(args, "--weight").map_or(Ok(1), str::parse)?,

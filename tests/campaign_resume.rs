@@ -5,7 +5,8 @@
 
 use std::sync::mpsc;
 
-use ascdg::core::{CampaignProgress, CdgFlow, FlowConfig, Telemetry};
+use ascdg::core::{CampaignProgress, CdgFlow, FlowConfig, FlowError, Telemetry};
+use ascdg::coverage::EventId;
 use ascdg::duv::io_unit::IoEnv;
 
 fn test_threads() -> usize {
@@ -26,9 +27,13 @@ fn reference_with_snapshots(seed: u64) -> (String, Vec<CampaignProgress>) {
     let (tx, rx) = mpsc::channel::<CampaignProgress>();
     let flow = CdgFlow::new(IoEnv::new(), quick_config());
     let report = flow
-        .run_campaign_observed(seed, &Telemetry::disabled(), &move |progress| {
-            let _ = tx.send(progress.clone());
-        })
+        .run_campaign_with(
+            seed,
+            &Telemetry::disabled(),
+            Some(&move |progress: &CampaignProgress| {
+                let _ = tx.send(progress.clone());
+            }),
+        )
         .expect("reference campaign runs");
     let reference = serde_json::to_string(&report.outcome).unwrap();
     (reference, rx.try_iter().collect())
@@ -41,13 +46,19 @@ fn resume_from_any_checkpoint_reproduces_the_uninterrupted_outcome() {
         snapshots.len() > 2,
         "campaign must checkpoint after every group stage"
     );
-    // First (nothing done yet), midway (partial groups), and last
+    // The regression-only checkpoint (the planner's fresh start), then
+    // the first (one stage done), midway (partial groups), and last
     // (everything done) interruption points.
+    let fresh = CdgFlow::new(IoEnv::new(), quick_config())
+        .regression_checkpoint(2021)
+        .expect("regression runs");
     let picks = [0, snapshots.len() / 2, snapshots.len() - 1];
-    for &at in &picks {
+    let checkpoints = std::iter::once(("regression-only".to_owned(), &fresh))
+        .chain(picks.iter().map(|&at| (at.to_string(), &snapshots[at])));
+    for (at, checkpoint) in checkpoints {
         let flow = CdgFlow::new(IoEnv::new(), quick_config());
         let report = flow
-            .resume_campaign(&snapshots[at], &Telemetry::disabled(), None)
+            .resume_campaign(checkpoint, &Telemetry::disabled(), None)
             .expect("resume runs");
         assert_eq!(
             serde_json::to_string(&report.outcome).unwrap(),
@@ -92,5 +103,26 @@ fn resume_rejects_checkpoints_from_other_units() {
     assert!(
         err.to_string().contains("l3cache"),
         "error should name the mismatched unit: {err}"
+    );
+}
+
+#[test]
+fn resume_rejects_group_targets_outside_the_unit_model() {
+    // A corrupted checkpoint naming an event the unit does not have must
+    // end in a typed error that names the group, not an index panic.
+    let flow = CdgFlow::new(IoEnv::new(), quick_config());
+    let mut progress = flow.regression_checkpoint(3).expect("regression runs");
+    assert!(
+        !progress.groups.is_empty(),
+        "io_unit leaves groups uncovered"
+    );
+    progress.groups[0].targets.push(EventId(99_999));
+    let err = flow
+        .resume_campaign(&progress, &Telemetry::disabled(), None)
+        .expect_err("out-of-range target must be rejected");
+    assert!(matches!(err, FlowError::Checkpoint(_)), "{err:?}");
+    assert!(
+        err.to_string().contains(&progress.groups[0].name),
+        "error should name the group: {err}"
     );
 }
