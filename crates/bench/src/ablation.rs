@@ -14,8 +14,8 @@
 use serde::{Deserialize, Serialize};
 
 use ascdg_core::{
-    sampling::random_sample, ApproxTarget, BatchRunner, CdgFlow, CdgObjective, FlowConfig,
-    FlowError, Skeletonizer,
+    pool_scope, sampling::random_sample, ApproxTarget, BatchRunner, CdgFlow, CdgObjective,
+    FlowConfig, FlowError, Skeletonizer,
 };
 use ascdg_coverage::EventId;
 use ascdg_duv::{io_unit::IoEnv, l3cache::L3Env, VerifEnv};
@@ -142,46 +142,48 @@ pub struct NoApproxResult {
 /// Propagates setup failures.
 pub fn no_approx(scale: f64, seed: u64) -> Result<NoApproxResult, FlowError> {
     let setup = l3_setup(scale, seed)?;
-    let run = |objective_target: &ApproxTarget| -> f64 {
-        let runner = BatchRunner::new(setup.config.threads);
-        let mut sample_obj = CdgObjective::new(
-            &setup.env,
-            &setup.skeleton,
-            objective_target,
-            setup.config.sample_sims,
-            runner.clone(),
-            seed ^ 0xa1,
-        );
-        let sample = random_sample(&mut sample_obj, setup.config.sample_templates, seed ^ 0xa2);
-        let mut opt_obj = CdgObjective::new(
-            &setup.env,
-            &setup.skeleton,
-            objective_target,
-            setup.config.opt_sims,
-            runner.clone(),
-            seed ^ 0xa3,
-        );
-        let result = ImplicitFiltering::new(if_options(&setup.config)).maximize(
-            &mut opt_obj,
-            &Bounds::unit(setup.skeleton.num_slots()),
-            &sample.best_settings,
-            seed ^ 0xa4,
-        );
-        // Assess the harvested template on the REAL targets either way.
-        let best = setup
-            .skeleton
-            .instantiate(&result.best_x)
-            .expect("dimensions match")
-            .renamed("ablation_best");
-        let stats = runner
-            .run(&setup.env, &best, setup.config.best_sims, seed ^ 0xa5)
-            .expect("skeleton templates simulate");
-        setup.targets.iter().map(|&e| stats.rate(e)).sum()
-    };
-    Ok(NoApproxResult {
-        with_approx_target_rate: run(&setup.approx),
-        without_approx_target_rate: run(&real_only_target(&setup.targets)),
-    })
+    Ok(pool_scope(setup.config.threads, |pool| {
+        let run = |objective_target: &ApproxTarget| -> f64 {
+            let runner = BatchRunner::new(pool);
+            let mut sample_obj = CdgObjective::new(
+                &setup.env,
+                &setup.skeleton,
+                objective_target,
+                setup.config.sample_sims,
+                runner.clone(),
+                seed ^ 0xa1,
+            );
+            let sample = random_sample(&mut sample_obj, setup.config.sample_templates, seed ^ 0xa2);
+            let mut opt_obj = CdgObjective::new(
+                &setup.env,
+                &setup.skeleton,
+                objective_target,
+                setup.config.opt_sims,
+                runner.clone(),
+                seed ^ 0xa3,
+            );
+            let result = ImplicitFiltering::new(if_options(&setup.config)).maximize(
+                &mut opt_obj,
+                &Bounds::unit(setup.skeleton.num_slots()),
+                &sample.best_settings,
+                seed ^ 0xa4,
+            );
+            // Assess the harvested template on the REAL targets either way.
+            let best = setup
+                .skeleton
+                .instantiate(&result.best_x)
+                .expect("dimensions match")
+                .renamed("ablation_best");
+            let stats = runner
+                .run(&setup.env, &best, setup.config.best_sims, seed ^ 0xa5)
+                .expect("skeleton templates simulate");
+            setup.targets.iter().map(|&e| stats.rate(e)).sum()
+        };
+        NoApproxResult {
+            with_approx_target_rate: run(&setup.approx),
+            without_approx_target_rate: run(&real_only_target(&setup.targets)),
+        }
+    }))
 }
 
 /// Outcome of the A2 ablation. Both values are independent re-assessments
@@ -204,62 +206,64 @@ pub struct NoSampleResult {
 /// Propagates setup failures.
 pub fn no_sample(scale: f64, seed: u64) -> Result<NoSampleResult, FlowError> {
     let setup = l3_setup(scale, seed)?;
-    let runner = BatchRunner::new(setup.config.threads);
-    let bounds = Bounds::unit(setup.skeleton.num_slots());
+    Ok(pool_scope(setup.config.threads, |pool| {
+        let runner = BatchRunner::new(pool);
+        let bounds = Bounds::unit(setup.skeleton.num_slots());
 
-    // With sampling: n x N sampling sims + the optimization budget.
-    let mut sample_obj = CdgObjective::new(
-        &setup.env,
-        &setup.skeleton,
-        &setup.approx,
-        setup.config.sample_sims,
-        runner.clone(),
-        seed ^ 0xb1,
-    );
-    let sample = random_sample(&mut sample_obj, setup.config.sample_templates, seed ^ 0xb2);
-    let mut opt_obj = CdgObjective::new(
-        &setup.env,
-        &setup.skeleton,
-        &setup.approx,
-        setup.config.opt_sims,
-        runner.clone(),
-        seed ^ 0xb3,
-    );
-    let with = ImplicitFiltering::new(if_options(&setup.config)).maximize(
-        &mut opt_obj,
-        &bounds,
-        &sample.best_settings,
-        seed ^ 0xb4,
-    );
+        // With sampling: n x N sampling sims + the optimization budget.
+        let mut sample_obj = CdgObjective::new(
+            &setup.env,
+            &setup.skeleton,
+            &setup.approx,
+            setup.config.sample_sims,
+            runner.clone(),
+            seed ^ 0xb1,
+        );
+        let sample = random_sample(&mut sample_obj, setup.config.sample_templates, seed ^ 0xb2);
+        let mut opt_obj = CdgObjective::new(
+            &setup.env,
+            &setup.skeleton,
+            &setup.approx,
+            setup.config.opt_sims,
+            runner.clone(),
+            seed ^ 0xb3,
+        );
+        let with = ImplicitFiltering::new(if_options(&setup.config)).maximize(
+            &mut opt_obj,
+            &bounds,
+            &sample.best_settings,
+            seed ^ 0xb4,
+        );
 
-    // Without sampling: same total simulation budget, all given to the
-    // optimizer, starting from the box center.
-    let sample_budget = setup.config.sample_templates as u64 * setup.config.sample_sims;
-    let extra_iters = (sample_budget
-        / (setup.config.opt_sims * (setup.config.opt_directions as u64 + 1)))
-        as usize;
-    let mut opts = if_options(&setup.config);
-    opts.max_iters += extra_iters;
-    let mut cold_obj = CdgObjective::new(
-        &setup.env,
-        &setup.skeleton,
-        &setup.approx,
-        setup.config.opt_sims,
-        runner.clone(),
-        seed ^ 0xb5,
-    );
-    let without = ImplicitFiltering::new(opts).maximize(
-        &mut cold_obj,
-        &bounds,
-        &bounds.center(),
-        seed ^ 0xb6,
-    );
+        // Without sampling: same total simulation budget, all given to the
+        // optimizer, starting from the box center.
+        let sample_budget = setup.config.sample_templates as u64 * setup.config.sample_sims;
+        let extra_iters = (sample_budget
+            / (setup.config.opt_sims * (setup.config.opt_directions as u64 + 1)))
+            as usize;
+        let mut opts = if_options(&setup.config);
+        opts.max_iters += extra_iters;
+        let mut cold_obj = CdgObjective::new(
+            &setup.env,
+            &setup.skeleton,
+            &setup.approx,
+            setup.config.opt_sims,
+            runner.clone(),
+            seed ^ 0xb5,
+        );
+        let without = ImplicitFiltering::new(opts).maximize(
+            &mut cold_obj,
+            &bounds,
+            &bounds.center(),
+            seed ^ 0xb6,
+        );
 
-    let assess_sims = 500.max(setup.config.best_sims);
-    Ok(NoSampleResult {
-        with_sampling: assess(&setup, &runner, &with.best_x, assess_sims, seed ^ 0xb7),
-        without_sampling: assess(&setup, &runner, &without.best_x, assess_sims, seed ^ 0xb8),
-    })
+        let assess_sims = 500.max(setup.config.best_sims);
+        NoSampleResult {
+            with_sampling: assess(&setup, &runner, &with.best_x, assess_sims, seed ^ 0xb7),
+            without_sampling: assess(&setup, &runner, &without.best_x, assess_sims, seed ^ 0xb8),
+        }
+    }))
 }
 
 /// One optimizer's row in the A3 comparison.
@@ -283,81 +287,83 @@ pub fn optimizers(scale: f64, seed: u64) -> Result<Vec<OptimizerRow>, FlowError>
     let bounds = Bounds::unit(setup.skeleton.num_slots());
     let budget = (setup.config.opt_iterations as u64) * (setup.config.opt_directions as u64 + 1);
 
-    let start = {
-        let runner = BatchRunner::new(setup.config.threads);
-        let mut obj = CdgObjective::new(
-            &setup.env,
-            &setup.skeleton,
-            &setup.approx,
-            setup.config.sample_sims,
-            runner,
-            seed ^ 0xc0,
-        );
-        random_sample(&mut obj, setup.config.sample_templates, seed ^ 0xc1).best_settings
-    };
-
-    let contenders: Vec<Box<dyn Optimizer>> = vec![
-        Box::new(ImplicitFiltering::new(IfOptions {
-            max_evals: budget,
-            max_iters: usize::MAX,
-            n_directions: setup.config.opt_directions,
-            ..IfOptions::default()
-        })),
-        Box::new(RandomSearch::new(RsOptions {
-            samples: budget,
-            target_value: None,
-        })),
-        Box::new(CompassSearch::new(CompassOptions {
-            max_evals: budget,
-            max_iters: usize::MAX,
-            ..CompassOptions::default()
-        })),
-        Box::new(NelderMead::new(NmOptions {
-            max_evals: budget,
-            max_iters: usize::MAX,
-            ..NmOptions::default()
-        })),
-        Box::new(Spsa::new(SpsaOptions {
-            max_evals: budget,
-            max_iters: usize::MAX,
-            ..SpsaOptions::default()
-        })),
-        Box::new(ImplicitFilteringBfgs::new(IfBfgsOptions {
-            max_evals: budget,
-            max_iters: usize::MAX,
-            ..IfBfgsOptions::default()
-        })),
-    ];
-
-    // Single runs of a noisy search are themselves noisy; average each
-    // contender over several independent repeats.
-    const REPEATS: u64 = 3;
-    let mut rows = Vec::new();
-    for opt in contenders {
-        let runner = BatchRunner::new(setup.config.threads);
-        let assess_sims = 500.max(setup.config.best_sims);
-        let mut total_value = 0.0;
-        let mut total_evals = 0;
-        for rep in 0..REPEATS {
+    Ok(pool_scope(setup.config.threads, |pool| {
+        let start = {
+            let runner = BatchRunner::new(pool);
             let mut obj = CdgObjective::new(
                 &setup.env,
                 &setup.skeleton,
                 &setup.approx,
-                setup.config.opt_sims,
-                runner.clone(),
-                seed ^ 0xc2 ^ (rep << 8),
+                setup.config.sample_sims,
+                runner,
+                seed ^ 0xc0,
             );
-            let r = opt.maximize(&mut obj, &bounds, &start, seed ^ 0xc3 ^ rep);
-            total_value += assess(&setup, &runner, &r.best_x, assess_sims, seed ^ 0xc4 ^ rep);
-            total_evals += r.evals;
+            random_sample(&mut obj, setup.config.sample_templates, seed ^ 0xc1).best_settings
+        };
+
+        let contenders: Vec<Box<dyn Optimizer>> = vec![
+            Box::new(ImplicitFiltering::new(IfOptions {
+                max_evals: budget,
+                max_iters: usize::MAX,
+                n_directions: setup.config.opt_directions,
+                ..IfOptions::default()
+            })),
+            Box::new(RandomSearch::new(RsOptions {
+                samples: budget,
+                target_value: None,
+            })),
+            Box::new(CompassSearch::new(CompassOptions {
+                max_evals: budget,
+                max_iters: usize::MAX,
+                ..CompassOptions::default()
+            })),
+            Box::new(NelderMead::new(NmOptions {
+                max_evals: budget,
+                max_iters: usize::MAX,
+                ..NmOptions::default()
+            })),
+            Box::new(Spsa::new(SpsaOptions {
+                max_evals: budget,
+                max_iters: usize::MAX,
+                ..SpsaOptions::default()
+            })),
+            Box::new(ImplicitFilteringBfgs::new(IfBfgsOptions {
+                max_evals: budget,
+                max_iters: usize::MAX,
+                ..IfBfgsOptions::default()
+            })),
+        ];
+
+        // Single runs of a noisy search are themselves noisy; average each
+        // contender over several independent repeats.
+        const REPEATS: u64 = 3;
+        let mut rows = Vec::new();
+        for opt in contenders {
+            let runner = BatchRunner::new(pool);
+            let assess_sims = 500.max(setup.config.best_sims);
+            let mut total_value = 0.0;
+            let mut total_evals = 0;
+            for rep in 0..REPEATS {
+                let mut obj = CdgObjective::new(
+                    &setup.env,
+                    &setup.skeleton,
+                    &setup.approx,
+                    setup.config.opt_sims,
+                    runner.clone(),
+                    seed ^ 0xc2 ^ (rep << 8),
+                );
+                let r = opt.maximize(&mut obj, &bounds, &start, seed ^ 0xc3 ^ rep);
+                total_value += assess(&setup, &runner, &r.best_x, assess_sims, seed ^ 0xc4 ^ rep);
+                total_evals += r.evals;
+            }
+            rows.push(OptimizerRow {
+                name: opt.name().to_owned(),
+                best_value: total_value / REPEATS as f64,
+                evals: total_evals / REPEATS,
+            });
         }
-        rows.push(OptimizerRow {
-            name: opt.name().to_owned(),
-            best_value: total_value / REPEATS as f64,
-            evals: total_evals / REPEATS,
-        });
-    }
-    Ok(rows)
+        rows
+    }))
 }
 
 /// One `N` setting's row in the A4 study.
@@ -384,46 +390,48 @@ pub fn noise_n(scale: f64, seed: u64, ns: &[u64]) -> Result<Vec<NoiseRow>, FlowE
     let total_sims = setup.config.opt_iterations as u64
         * (setup.config.opt_directions as u64 + 1)
         * setup.config.opt_sims;
-    let runner = BatchRunner::new(setup.config.threads);
-    const REPEATS: u64 = 3;
-    let mut rows = Vec::new();
-    for &n in ns {
-        let evals = (total_sims / n.max(1)).max(1);
-        let mut total_value = 0.0;
-        let mut iterations = 0;
-        for rep in 0..REPEATS {
-            let mut obj = CdgObjective::new(
-                &setup.env,
-                &setup.skeleton,
-                &setup.approx,
+    Ok(pool_scope(setup.config.threads, |pool| {
+        let runner = BatchRunner::new(pool);
+        const REPEATS: u64 = 3;
+        let mut rows = Vec::new();
+        for &n in ns {
+            let evals = (total_sims / n.max(1)).max(1);
+            let mut total_value = 0.0;
+            let mut iterations = 0;
+            for rep in 0..REPEATS {
+                let mut obj = CdgObjective::new(
+                    &setup.env,
+                    &setup.skeleton,
+                    &setup.approx,
+                    n,
+                    runner.clone(),
+                    seed ^ 0xd1 ^ n ^ (rep << 8),
+                );
+                let r = ImplicitFiltering::new(IfOptions {
+                    max_evals: evals,
+                    max_iters: usize::MAX,
+                    n_directions: setup.config.opt_directions,
+                    ..IfOptions::default()
+                })
+                .maximize(&mut obj, &bounds, &bounds.center(), seed ^ 0xd2 ^ rep);
+                // Re-assess the winner with an independent large batch.
+                total_value += assess(
+                    &setup,
+                    &runner,
+                    &r.best_x,
+                    400.max(setup.config.best_sims),
+                    seed ^ 0xd3 ^ rep,
+                );
+                iterations += r.trace.len();
+            }
+            rows.push(NoiseRow {
                 n,
-                runner.clone(),
-                seed ^ 0xd1 ^ n ^ (rep << 8),
-            );
-            let r = ImplicitFiltering::new(IfOptions {
-                max_evals: evals,
-                max_iters: usize::MAX,
-                n_directions: setup.config.opt_directions,
-                ..IfOptions::default()
-            })
-            .maximize(&mut obj, &bounds, &bounds.center(), seed ^ 0xd2 ^ rep);
-            // Re-assess the winner with an independent large batch.
-            total_value += assess(
-                &setup,
-                &runner,
-                &r.best_x,
-                400.max(setup.config.best_sims),
-                seed ^ 0xd3 ^ rep,
-            );
-            iterations += r.trace.len();
+                assessed_value: total_value / REPEATS as f64,
+                iterations: iterations / REPEATS as usize,
+            });
         }
-        rows.push(NoiseRow {
-            n,
-            assessed_value: total_value / REPEATS as f64,
-            iterations: iterations / REPEATS as usize,
-        });
-    }
-    Ok(rows)
+        rows
+    }))
 }
 
 /// Outcome of the E1 extension study.

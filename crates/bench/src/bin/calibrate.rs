@@ -7,7 +7,7 @@
 //! `ifu` or `all` (default), and `--sims` is the per-template simulation
 //! count (default 2000).
 
-use ascdg_core::{BatchRunner, BatchStats};
+use ascdg_core::{pool_scope, BatchRunner, BatchStats};
 use ascdg_coverage::EventFamily;
 use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, VerifEnv};
 
@@ -52,17 +52,20 @@ fn family_rates<E: VerifEnv>(env: &E, stem: &str, sims: u64) {
         print!(" {:>9}", model.name(e).trim_start_matches(stem));
     }
     println!();
-    let runner = BatchRunner::parallel();
-    let mut total = BatchStats::empty(model.len());
-    for (i, t) in env.stock_library().iter() {
-        let stats = runner.run(env, t, sims, 1000 + i as u64).expect("simulate");
-        print!("{:<22}", t.name());
-        for &e in &events {
-            print!(" {:>9.5}", stats.rate(e));
+    let total = pool_scope(0, |pool| {
+        let runner = BatchRunner::new(pool);
+        let mut total = BatchStats::empty(model.len());
+        for (i, t) in env.stock_library().iter() {
+            let stats = runner.run(env, t, sims, 1000 + i as u64).expect("simulate");
+            print!("{:<22}", t.name());
+            for &e in &events {
+                print!(" {:>9.5}", stats.rate(e));
+            }
+            println!();
+            total.merge(&stats);
         }
-        println!();
-        total.merge(&stats);
-    }
+        total
+    });
     print!("{:<22}", "AGGREGATE");
     for &e in &events {
         print!(" {:>9.5}", total.rate(e));
@@ -78,22 +81,25 @@ fn ifu_depth(env: &IfuEnv, sims: u64) {
         "{:<22} per-entry hit rate (any thread/sector/branch)",
         "template"
     );
-    let runner = BatchRunner::parallel();
-    let mut total = BatchStats::empty(model.len());
-    for (i, t) in env.stock_library().iter() {
-        let stats = runner.run(env, t, sims, 2000 + i as u64).expect("simulate");
-        print!("{:<22}", t.name());
-        for entry in 0..8 {
-            let hits: u64 = cp
-                .slice(0, entry)
-                .iter()
-                .map(|e| stats.hits[e.index()])
-                .sum();
-            print!(" e{entry}:{:>8.5}", hits as f64 / sims as f64);
+    let total = pool_scope(0, |pool| {
+        let runner = BatchRunner::new(pool);
+        let mut total = BatchStats::empty(model.len());
+        for (i, t) in env.stock_library().iter() {
+            let stats = runner.run(env, t, sims, 2000 + i as u64).expect("simulate");
+            print!("{:<22}", t.name());
+            for entry in 0..8 {
+                let hits: u64 = cp
+                    .slice(0, entry)
+                    .iter()
+                    .map(|e| stats.hits[e.index()])
+                    .sum();
+                print!(" e{entry}:{:>8.5}", hits as f64 / sims as f64);
+            }
+            println!();
+            total.merge(&stats);
         }
-        println!();
-        total.merge(&stats);
-    }
+        total
+    });
     print!("{:<22}", "AGGREGATE");
     for entry in 0..8 {
         let hits: u64 = cp

@@ -20,7 +20,7 @@ use ascdg_stimgen::mix_seed;
 use ascdg_telemetry::Telemetry;
 use ascdg_template::TemplateLibrary;
 
-use crate::pool::pool_scope_with;
+use crate::pool::{pool_scope_with, SimPool};
 use crate::scheduler::{self, GroupRun};
 use crate::session::{CampaignProgress, GroupProgress, SessionState};
 use crate::{
@@ -153,7 +153,8 @@ impl<E: VerifEnv> CdgFlow<E> {
     /// worker (calls are serialized, states are consistent snapshots).
     ///
     /// A fresh campaign is a resume from its
-    /// [`regression_checkpoint`](CdgFlow::regression_checkpoint).
+    /// [`regression_checkpoint`](FlowEngine::regression_checkpoint),
+    /// run untraced on the same pool as the groups.
     ///
     /// # Errors
     ///
@@ -164,33 +165,10 @@ impl<E: VerifEnv> CdgFlow<E> {
         telemetry: &Telemetry,
         on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
     ) -> Result<CampaignReport, FlowError> {
-        self.resume_campaign(&self.regression_checkpoint(seed)?, telemetry, on_progress)
-    }
-
-    /// The checkpoint every fresh campaign starts from: the shared
-    /// regression and the unit's uncovered events grouped by
-    /// [`group_uncovered`], with no group started yet.
-    ///
-    /// # Errors
-    ///
-    /// Any regression error.
-    pub fn regression_checkpoint(&self, seed: u64) -> Result<CampaignProgress, FlowError> {
-        let repo = self.run_regression(mix_seed(seed, 0xca3))?;
-        let groups = group_uncovered(self.env().coverage_model(), &repo)
-            .into_iter()
-            .map(|(name, targets)| GroupProgress {
-                name,
-                targets,
-                session: None,
-                failure: None,
-            })
-            .collect();
-        Ok(CampaignProgress {
-            unit: self.env().unit_name().to_owned(),
-            seed,
-            config: Some(self.config().clone()),
-            repo: Some(repo.snapshot()),
-            groups,
+        pool_scope_with(self.config().threads, telemetry, |pool| {
+            let start = FlowEngine::new(self.env(), self.config().clone(), pool)
+                .regression_checkpoint(seed)?;
+            self.run_planned(pool, &start, telemetry, on_progress)
         })
     }
 
@@ -213,42 +191,53 @@ impl<E: VerifEnv> CdgFlow<E> {
         telemetry: &Telemetry,
         on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
     ) -> Result<CampaignReport, FlowError> {
-        // All groups share one persistent worker pool (and one engine)
-        // instead of spinning a pool up per group.
         pool_scope_with(self.config().threads, telemetry, |pool| {
-            let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
-                .with_telemetry(telemetry.clone());
-            let mut plan = CampaignPlan::new(&engine, progress)?;
-            let engine = engine.with_shared_eval_cache(Arc::clone(plan.eval_cache()));
-            let sessions = plan.take_sessions();
-            let on_step = on_progress.map(|sink| {
-                let plan = &plan;
-                move |i: usize, state: &SessionState| plan.record_step(i, state, sink)
-            });
-            let runs = scheduler::run_interleaved(
-                &engine,
-                self.config().campaign_jobs,
-                sessions,
-                plan.group_count(),
-                on_step.as_ref().map(|f| f as _),
-            );
-            if let Some(m) = telemetry.metrics() {
-                m.gauge("campaign.coalesced_evals")
-                    .set(m.counter("objective.coalesced").value() as f64);
-                m.gauge("campaign.cross_group_hits")
-                    .set(plan.eval_cache().cross_group_hits() as f64);
-                m.gauge("campaign.shared_cache_sims_saved")
-                    .set(plan.eval_cache().sims_saved() as f64);
-            }
-            Ok(plan.fold(runs))
+            self.run_planned(pool, progress, telemetry, on_progress)
         })
+    }
+
+    /// Plans `progress` and schedules its groups on one traced engine
+    /// over `pool`: all groups share the one persistent worker pool
+    /// instead of spinning a pool up per group.
+    fn run_planned<'env>(
+        &'env self,
+        pool: &SimPool<'env>,
+        progress: &CampaignProgress,
+        telemetry: &Telemetry,
+        on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
+    ) -> Result<CampaignReport, FlowError> {
+        let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
+            .with_telemetry(telemetry.clone());
+        let mut plan = CampaignPlan::new(&engine, progress)?;
+        let engine = engine.with_shared_eval_cache(Arc::clone(plan.eval_cache()));
+        let sessions = plan.take_sessions();
+        let on_step = on_progress.map(|sink| {
+            let plan = &plan;
+            move |i: usize, state: &SessionState| plan.record_step(i, state, sink)
+        });
+        let runs = scheduler::run_interleaved(
+            &engine,
+            self.config().campaign_jobs,
+            sessions,
+            plan.group_count(),
+            on_step.as_ref().map(|f| f as _),
+        );
+        if let Some(m) = telemetry.metrics() {
+            m.gauge("campaign.coalesced_evals")
+                .set(m.counter("objective.coalesced").value() as f64);
+            m.gauge("campaign.cross_group_hits")
+                .set(plan.eval_cache().cross_group_hits() as f64);
+            m.gauge("campaign.shared_cache_sims_saved")
+                .set(plan.eval_cache().sims_saved() as f64);
+        }
+        Ok(plan.fold(runs))
     }
 }
 
 /// The one campaign planner: every campaign — fresh or resumed, run by
 /// the batch scheduler or by the serve daemon's admission queue — is
 /// planned here from a [`CampaignProgress`] checkpoint (a fresh
-/// campaign's is its [`CdgFlow::regression_checkpoint`]).
+/// campaign's is its [`FlowEngine::regression_checkpoint`]).
 ///
 /// Every group's session is built — and its seed salted by its group
 /// index — **before** any scheduling happens, the sessions share no
@@ -669,19 +658,27 @@ mod tests {
         assert_eq!(run(1), run(3));
     }
 
-    /// Plans `progress` on an io_unit engine and hands the plan to `f`.
-    fn with_plan<R>(progress: &CampaignProgress, f: impl FnOnce(CampaignPlan) -> R) -> R {
+    /// Runs `f` on a quick io_unit engine over a two-thread pool.
+    fn on_engine<R>(f: impl FnOnce(&FlowEngine<'_, IoEnv>) -> R) -> R {
         let env = IoEnv::new();
         crate::pool_scope(2, |pool| {
-            let engine = FlowEngine::new(&env, FlowConfig::quick(), pool);
-            f(CampaignPlan::new(&engine, progress).expect("plans"))
+            f(&FlowEngine::new(&env, FlowConfig::quick(), pool))
         })
+    }
+
+    /// A fresh io_unit campaign's regression-only checkpoint.
+    fn regression_checkpoint(seed: u64) -> CampaignProgress {
+        on_engine(|engine| engine.regression_checkpoint(seed)).expect("regression runs")
+    }
+
+    /// Plans `progress` on an io_unit engine and hands the plan to `f`.
+    fn with_plan<R>(progress: &CampaignProgress, f: impl FnOnce(CampaignPlan) -> R) -> R {
+        on_engine(|engine| f(CampaignPlan::new(engine, progress).expect("plans")))
     }
 
     #[test]
     fn plan_salts_rebuilt_groups_and_recomputes_stored_failures() {
-        let flow = CdgFlow::new(IoEnv::new(), FlowConfig::quick());
-        let mut progress = flow.regression_checkpoint(11).expect("regression runs");
+        let mut progress = regression_checkpoint(11);
         assert!(progress.groups.len() >= 2, "io_unit leaves families open");
         // A stale failure on disk must not keep a group from running.
         progress.groups[0].failure = Some("stale".to_owned());
@@ -703,8 +700,7 @@ mod tests {
 
     #[test]
     fn plan_without_groups_folds_to_the_regression_only_outcome() {
-        let flow = CdgFlow::new(IoEnv::new(), FlowConfig::quick());
-        let mut progress = flow.regression_checkpoint(11).expect("regression runs");
+        let mut progress = regression_checkpoint(11);
         progress.groups.clear();
         let report = with_plan(&progress, |plan| plan.fold(Vec::new()));
         let out = report.outcome;

@@ -13,15 +13,18 @@ use std::sync::Arc;
 
 use ascdg_coverage::CoverageRepository;
 use ascdg_duv::VerifEnv;
+use ascdg_stimgen::mix_seed;
 use ascdg_telemetry::Telemetry;
 
 use crate::events::FlowEvent;
 use crate::pool::SimPool;
-use crate::session::{SessionCx, SessionState, StageSims, TargetSpec};
-use crate::stages::{default_stages, Stage};
+use crate::session::{
+    CampaignProgress, GroupProgress, SessionCx, SessionState, StageSims, TargetSpec,
+};
+use crate::stages::{default_stages, regression_repository, Stage};
 use crate::{
-    ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats, SharedEvalCache,
-    PHASE_BEFORE,
+    group_uncovered, ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats,
+    SharedEvalCache, PHASE_BEFORE,
 };
 
 /// Executes a stage list against flow sessions.
@@ -140,7 +143,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
 
     /// A batch runner on the engine's pool, sharing its telemetry handle.
     fn runner(&self) -> BatchRunner<'env> {
-        BatchRunner::with_pool(&self.pool).with_telemetry(self.telemetry.clone())
+        BatchRunner::new(&self.pool).with_telemetry(self.telemetry.clone())
     }
 
     /// A session seeded with a pre-built regression repository and an
@@ -184,6 +187,38 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         ))
     }
 
+    /// The checkpoint every fresh campaign starts from: the shared
+    /// regression, run on the engine's pool, and the unit's uncovered
+    /// events grouped by [`group_uncovered`], with no group started yet.
+    ///
+    /// # Errors
+    ///
+    /// Any regression error.
+    pub fn regression_checkpoint(&self, seed: u64) -> Result<CampaignProgress, FlowError> {
+        let repo = regression_repository(
+            self.env,
+            &self.runner(),
+            self.config.regression_sims_per_template,
+            mix_seed(seed, 0xca3),
+        )?;
+        let groups = group_uncovered(self.env.coverage_model(), &repo)
+            .into_iter()
+            .map(|(name, targets)| GroupProgress {
+                name,
+                targets,
+                session: None,
+                failure: None,
+            })
+            .collect();
+        Ok(CampaignProgress {
+            unit: self.env.unit_name().to_owned(),
+            seed,
+            config: Some(self.config.clone()),
+            repo: Some(repo.snapshot()),
+            groups,
+        })
+    }
+
     /// Rebuilds a session from a post-stage snapshot; [`FlowEngine::run`]
     /// will skip the completed stages and reproduce the identical outcome.
     ///
@@ -191,7 +226,9 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     ///
     /// [`FlowError::SnapshotMismatch`] when the snapshot belongs to a
     /// different unit, [`FlowError::Coverage`] when its repository does
-    /// not match the environment's model.
+    /// not match the environment's model, and [`FlowError::Checkpoint`]
+    /// when a settings vector does not fit its skeleton or a phase row or
+    /// target event does not fit the model.
     pub fn resume<'bus>(&self, state: SessionState) -> Result<SessionCx<'env, 'bus, E>, FlowError> {
         if state.unit != self.env.unit_name() {
             return Err(FlowError::SnapshotMismatch(format!(
@@ -200,6 +237,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
                 self.env.unit_name()
             )));
         }
+        self.check_fit(&state)?;
         let live = state
             .repo
             .as_ref()
@@ -213,6 +251,49 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
             self.telemetry.clone(),
             self.eval_cache.clone(),
         ))
+    }
+
+    /// Rejects a snapshot whose vectors would make a later stage panic: a
+    /// settings vector of the wrong dimension for its skeleton, a phase
+    /// row of the wrong width, or a target event outside the model.
+    fn check_fit(&self, state: &SessionState) -> Result<(), FlowError> {
+        let misfit = |why: String| Err(FlowError::Checkpoint(format!("session checkpoint {why}")));
+        if let Some(slots) = state.skeleton.as_ref().map(|sk| sk.num_slots()) {
+            for (field, settings) in [
+                ("start_settings", &state.start_settings),
+                ("best_settings", &state.best_settings),
+            ] {
+                if let Some(x) = settings.as_ref().filter(|x| x.len() != slots) {
+                    return misfit(format!(
+                        "`{field}` has {} entries, but its skeleton has {slots} slots",
+                        x.len()
+                    ));
+                }
+            }
+        }
+        let events = self.env.coverage_model().len();
+        if let Some(phase) = state.phases.iter().find(|p| p.hits.len() != events) {
+            return misfit(format!(
+                "phase `{}` has {} hit counts, but unit `{}` has {events} events",
+                phase.name,
+                phase.hits.len(),
+                state.unit
+            ));
+        }
+        if let Some(approx) = &state.approx {
+            let mut ids = approx
+                .targets()
+                .iter()
+                .chain(approx.weights().iter().map(|(e, _)| e));
+            if let Some(bad) = ids.find(|e| e.index() >= events) {
+                return misfit(format!(
+                    "targets event {}, but unit `{}` has {events} events",
+                    bad.index(),
+                    state.unit
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Runs every not-yet-completed stage, in order, then assembles the

@@ -14,7 +14,7 @@ use crate::objective::EvalStrategy;
 use crate::pool::pool_scope;
 use crate::session::TargetSpec;
 use crate::stages::regression_repository;
-use crate::{ApproxTarget, FlowError};
+use crate::{ApproxTarget, BatchRunner, FlowError};
 
 /// Name of the regression ("Before CDG") phase.
 pub const PHASE_BEFORE: &str = "Before CDG";
@@ -71,10 +71,12 @@ pub struct FlowConfig {
     /// Geometric decay of neighbor weights.
     pub neighbor_decay: f64,
     /// Batch environment worker threads (`0` = machine-sized, i.e. one
-    /// worker per available core — the convention throughout the crate).
+    /// worker per available core, as in [`pool_scope`]).
     ///
-    /// Every simulation phase of one run shares a single persistent worker
-    /// pool of this many threads.
+    /// Every simulation of one run — the regression included — runs on a
+    /// single persistent worker pool of this many threads, opened by the
+    /// [`CdgFlow`] entry points; an engine built by hand runs on the pool
+    /// it is given instead.
     pub threads: usize,
     /// Target-group flows a campaign keeps in flight concurrently over the
     /// shared worker pool (`1` = sequential sweep). Group seeds are salted
@@ -438,20 +440,23 @@ impl<E: VerifEnv> CdgFlow<E> {
         &self.env
     }
 
-    /// Runs the regression phase: simulates the whole stock library into a
-    /// fresh coverage repository (the "Before CDG" state).
+    /// Runs the regression phase on a scoped worker pool: simulates the
+    /// whole stock library into a fresh coverage repository (the "Before
+    /// CDG" state).
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::EmptyLibrary`] when there is nothing to run,
     /// or any batch error.
     pub fn run_regression(&self, seed: u64) -> Result<CoverageRepository, FlowError> {
-        regression_repository(
-            &self.env,
-            &self.config,
-            seed,
-            &ascdg_telemetry::Telemetry::disabled(),
-        )
+        pool_scope(self.config.threads, |pool| {
+            regression_repository(
+                &self.env,
+                &BatchRunner::new(pool),
+                self.config.regression_sims_per_template,
+                seed,
+            )
+        })
     }
 
     /// Runs a full engine session (all stages, including regression) on a

@@ -74,7 +74,7 @@ pub enum EvalStrategy {
 /// # Examples
 ///
 /// ```
-/// use ascdg_core::{ApproxTarget, BatchRunner, CdgObjective, Skeletonizer};
+/// use ascdg_core::{pool_scope, ApproxTarget, BatchRunner, CdgObjective, Skeletonizer};
 /// use ascdg_duv::{io_unit::IoEnv, VerifEnv};
 /// use ascdg_opt::Objective;
 ///
@@ -86,10 +86,12 @@ pub enum EvalStrategy {
 ///     &[env.coverage_model().id("crc_064").unwrap()],
 ///     0.5,
 /// ).unwrap();
-/// let mut obj = CdgObjective::new(&env, &skeleton, &target, 20, BatchRunner::new(1), 7);
-/// let value = obj.eval(&vec![0.5; obj.dim()]);
-/// assert!(value >= 0.0);
-/// assert_eq!(obj.phase_stats().sims, 20);
+/// pool_scope(1, |pool| {
+///     let mut obj = CdgObjective::new(&env, &skeleton, &target, 20, BatchRunner::new(pool), 7);
+///     let value = obj.eval(&vec![0.5; obj.dim()]);
+///     assert!(value >= 0.0);
+///     assert_eq!(obj.phase_stats().sims, 20);
+/// });
 /// ```
 pub struct CdgObjective<'a, 'env, E: VerifEnv> {
     env: &'env E,
@@ -605,43 +607,50 @@ mod tests {
     fn eval_returns_weighted_rates_and_accumulates() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let mut obj = CdgObjective::new(&env, &sk, &target, 10, BatchRunner::new(1), 3);
-        assert!(obj.best().is_none());
-        let v1 = obj.eval(&vec![0.8; sk.num_slots()]);
-        assert!(v1 > 0.0, "burst settings should hit some family members");
-        assert_eq!(obj.evals(), 1);
-        assert_eq!(obj.phase_stats().sims, 10);
-        let _ = obj.eval(&vec![0.2; sk.num_slots()]);
-        assert_eq!(obj.phase_stats().sims, 20);
-        let (best_x, best_v) = obj.best().unwrap();
-        assert_eq!(best_x.len(), sk.num_slots());
-        assert!(best_v >= v1);
+        pool_scope(1, |pool| {
+            let mut obj = CdgObjective::new(&env, &sk, &target, 10, BatchRunner::new(pool), 3);
+            assert!(obj.best().is_none());
+            let v1 = obj.eval(&vec![0.8; sk.num_slots()]);
+            assert!(v1 > 0.0, "burst settings should hit some family members");
+            assert_eq!(obj.evals(), 1);
+            assert_eq!(obj.phase_stats().sims, 10);
+            let _ = obj.eval(&vec![0.2; sk.num_slots()]);
+            assert_eq!(obj.phase_stats().sims, 20);
+            let (best_x, best_v) = obj.best().unwrap();
+            assert_eq!(best_x.len(), sk.num_slots());
+            assert!(best_v >= v1);
+        });
     }
 
     #[test]
     fn same_point_gives_dynamic_noise() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let mut obj = CdgObjective::new(&env, &sk, &target, 25, BatchRunner::new(1), 5);
-        let x = vec![0.7; sk.num_slots()];
-        let a = obj.eval(&x);
-        let b = obj.eval(&x);
-        // With 25 samples the estimates at a live point almost surely
-        // differ between evaluations.
-        assert_ne!(a, b, "expected dynamic noise between evaluations");
+        pool_scope(1, |pool| {
+            let mut obj = CdgObjective::new(&env, &sk, &target, 25, BatchRunner::new(pool), 5);
+            let x = vec![0.7; sk.num_slots()];
+            let a = obj.eval(&x);
+            let b = obj.eval(&x);
+            // With 25 samples the estimates at a live point almost surely
+            // differ between evaluations.
+            assert_ne!(a, b, "expected dynamic noise between evaluations");
+        });
     }
 
     #[test]
     fn reproducible_for_same_base_seed() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let x = vec![0.6; sk.num_slots()];
-        let run = |seed| {
-            let mut obj = CdgObjective::new(&env, &sk, &target, 15, BatchRunner::new(1), seed);
-            obj.eval(&x)
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11), run(12));
+        pool_scope(1, |pool| {
+            let x = vec![0.6; sk.num_slots()];
+            let run = |seed| {
+                let mut obj =
+                    CdgObjective::new(&env, &sk, &target, 15, BatchRunner::new(pool), seed);
+                obj.eval(&x)
+            };
+            assert_eq!(run(11), run(11));
+            assert_ne!(run(11), run(12));
+        });
     }
 
     #[test]
@@ -655,178 +664,183 @@ mod tests {
             .collect();
         xs.push(xs[2].clone());
 
-        let serial_runner = BatchRunner::new(1);
-        let serial_counters = Arc::clone(serial_runner.counters());
-        let mut serial_obj = CdgObjective::new(&env, &sk, &target, 9, serial_runner, 31);
-        let serial_values: Vec<f64> = xs.iter().map(|x| serial_obj.eval(x)).collect();
-
-        // One batch on a shared pool must reproduce the serial run exactly:
-        // values, accumulated stats, eval count, best point and hot-path
-        // counters.
-        let (batch_values, batch_stats, batch_evals, batch_best, batch_counters) =
-            pool_scope(test_threads(), |pool| {
-                let runner = BatchRunner::with_pool(pool);
+        let (serial_values, serial_stats, serial_evals, serial_best, serial_counters) =
+            pool_scope(1, |pool| {
+                let runner = BatchRunner::new(pool);
                 let counters = Arc::clone(runner.counters());
                 let mut obj = CdgObjective::new(&env, &sk, &target, 9, runner, 31);
-                let values = obj.eval_batch(&xs);
+                let values: Vec<f64> = xs.iter().map(|x| obj.eval(x)).collect();
                 let snap = counters.snapshot();
                 (values, obj.phase_stats(), obj.evals(), obj.best(), snap)
             });
 
-        assert_eq!(batch_values, serial_values);
-        assert_eq!(batch_stats, serial_obj.phase_stats());
-        assert_eq!(batch_evals, serial_obj.evals());
-        assert_eq!(batch_best, serial_obj.best());
-        assert_eq!(batch_counters, serial_counters.snapshot());
-        assert_eq!(batch_counters.resolve_misses, 7);
-        assert_eq!(batch_counters.resolve_hits, 1);
-    }
-
-    #[test]
-    fn eval_batch_without_pool_matches_too() {
-        let env = IoEnv::new();
-        let (sk, target) = fixture(&env);
-        let xs: Vec<Vec<f64>> = (0..4)
-            .map(|i| vec![(i as f64 + 0.5) / 4.0; sk.num_slots()])
-            .collect();
-        let mut serial_obj = CdgObjective::new(&env, &sk, &target, 6, BatchRunner::new(1), 13);
-        let serial: Vec<f64> = xs.iter().map(|x| serial_obj.eval(x)).collect();
-        let mut batch_obj =
-            CdgObjective::new(&env, &sk, &target, 6, BatchRunner::new(test_threads()), 13);
-        assert_eq!(batch_obj.eval_batch(&xs), serial);
-        assert_eq!(batch_obj.phase_stats(), serial_obj.phase_stats());
+        // One batch must reproduce the serial run exactly, on a one-thread
+        // pool (inline) and on a shared multi-thread pool: values,
+        // accumulated stats, eval count, best point and hot-path counters.
+        for threads in [1, test_threads()] {
+            let (batch_values, batch_stats, batch_evals, batch_best, batch_counters) =
+                pool_scope(threads, |pool| {
+                    let runner = BatchRunner::new(pool);
+                    let counters = Arc::clone(runner.counters());
+                    let mut obj = CdgObjective::new(&env, &sk, &target, 9, runner, 31);
+                    let values = obj.eval_batch(&xs);
+                    let snap = counters.snapshot();
+                    (values, obj.phase_stats(), obj.evals(), obj.best(), snap)
+                });
+            assert_eq!(batch_values, serial_values);
+            assert_eq!(batch_stats, serial_stats);
+            assert_eq!(batch_evals, serial_evals);
+            assert_eq!(batch_best, serial_best);
+            assert_eq!(batch_counters, serial_counters);
+            assert_eq!(batch_counters.resolve_misses, 7);
+            assert_eq!(batch_counters.resolve_hits, 1);
+        }
     }
 
     #[test]
     fn repeated_points_hit_the_resolve_cache() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let runner = BatchRunner::new(1);
-        let counters = Arc::clone(runner.counters());
-        let mut obj = CdgObjective::new(&env, &sk, &target, 5, runner, 7);
-        let x = vec![0.5; sk.num_slots()];
-        let _ = obj.eval(&x);
-        let _ = obj.eval(&x); // same point: must reuse the resolution
-        let _ = obj.eval(&vec![0.25; sk.num_slots()]);
-        let snap = counters.snapshot();
-        assert_eq!(snap.resolve_hits, 1);
-        assert_eq!(snap.resolve_misses, 2);
-        // The cached path stays byte-identical to a fresh objective.
-        let mut fresh = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(1), 7);
-        let a = fresh.eval(&x);
-        let b = fresh.eval(&x);
-        let mut again = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(1), 7);
-        assert_eq!(again.eval(&x), a);
-        assert_eq!(again.eval(&x), b);
+        pool_scope(1, |pool| {
+            let runner = BatchRunner::new(pool);
+            let counters = Arc::clone(runner.counters());
+            let mut obj = CdgObjective::new(&env, &sk, &target, 5, runner, 7);
+            let x = vec![0.5; sk.num_slots()];
+            let _ = obj.eval(&x);
+            let _ = obj.eval(&x); // same point: must reuse the resolution
+            let _ = obj.eval(&vec![0.25; sk.num_slots()]);
+            let snap = counters.snapshot();
+            assert_eq!(snap.resolve_hits, 1);
+            assert_eq!(snap.resolve_misses, 2);
+            // The cached path stays byte-identical to a fresh objective.
+            let mut fresh = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 7);
+            let a = fresh.eval(&x);
+            let b = fresh.eval(&x);
+            let mut again = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 7);
+            assert_eq!(again.eval(&x), a);
+            assert_eq!(again.eval(&x), b);
+        });
     }
 
     #[test]
     fn shared_cache_coalesces_across_objectives() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let x = vec![0.4; sk.num_slots()];
-        let cache = Arc::new(SharedEvalCache::new(99));
-        // Two objectives with *different* base seeds and origins: the
-        // shared cache must make their evaluations at the same point
-        // identical, and classify the second as a cross-group hit.
-        let mut a = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(1), 1)
-            .with_strategy(EvalStrategy::Coalesced)
-            .with_shared_cache(Arc::clone(&cache), 111);
-        let mut b = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(1), 2)
-            .with_strategy(EvalStrategy::Coalesced)
-            .with_shared_cache(Arc::clone(&cache), 222);
-        let va = a.eval(&x);
-        let vb = b.eval(&x);
-        assert_eq!(va, vb);
-        assert_eq!(cache.cross_group_hits(), 1);
-        assert_eq!(cache.in_group_hits(), 0);
-        assert_eq!(b.coalesced_evals(), 1);
-        assert_eq!(b.sims_saved(), 8);
-        // A hit is byte-identical to a miss: a third objective on a
-        // *fresh* cache with the same cache seed recomputes the same
-        // value and the same phase statistics.
-        let fresh = Arc::new(SharedEvalCache::new(99));
-        let mut c = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(1), 3)
-            .with_strategy(EvalStrategy::Coalesced)
-            .with_shared_cache(Arc::clone(&fresh), 333);
-        assert_eq!(c.eval(&x), va);
-        assert_eq!(c.phase_stats(), b.phase_stats());
-        assert_eq!(fresh.cross_group_hits(), 0);
+        pool_scope(1, |pool| {
+            let x = vec![0.4; sk.num_slots()];
+            let cache = Arc::new(SharedEvalCache::new(99));
+            // Two objectives with *different* base seeds and origins: the
+            // shared cache must make their evaluations at the same point
+            // identical, and classify the second as a cross-group hit.
+            let mut a = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(pool), 1)
+                .with_strategy(EvalStrategy::Coalesced)
+                .with_shared_cache(Arc::clone(&cache), 111);
+            let mut b = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(pool), 2)
+                .with_strategy(EvalStrategy::Coalesced)
+                .with_shared_cache(Arc::clone(&cache), 222);
+            let va = a.eval(&x);
+            let vb = b.eval(&x);
+            assert_eq!(va, vb);
+            assert_eq!(cache.cross_group_hits(), 1);
+            assert_eq!(cache.in_group_hits(), 0);
+            assert_eq!(b.coalesced_evals(), 1);
+            assert_eq!(b.sims_saved(), 8);
+            // A hit is byte-identical to a miss: a third objective on a
+            // *fresh* cache with the same cache seed recomputes the same
+            // value and the same phase statistics.
+            let fresh = Arc::new(SharedEvalCache::new(99));
+            let mut c = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(pool), 3)
+                .with_strategy(EvalStrategy::Coalesced)
+                .with_shared_cache(Arc::clone(&fresh), 333);
+            assert_eq!(c.eval(&x), va);
+            assert_eq!(c.phase_stats(), b.phase_stats());
+            assert_eq!(fresh.cross_group_hits(), 0);
+        });
     }
 
     #[test]
     fn shared_cache_replays_a_whole_phase_across_groups() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let bounds = Bounds::unit(sk.num_slots());
-        let optimizer = ImplicitFiltering::new(IfOptions {
-            n_directions: 4,
-            max_iters: 4,
-            ..IfOptions::default()
-        });
-        // One implicit-filtering phase as group `origin` on `cache`; the
-        // base seed differs per group, as it does across campaign groups.
-        let phase = |cache: &Arc<SharedEvalCache>, origin: u64| {
-            let mut obj = CdgObjective::new(&env, &sk, &target, 12, BatchRunner::new(1), origin)
-                .with_strategy(EvalStrategy::Coalesced)
-                .with_shared_cache(Arc::clone(cache), origin);
-            let result = optimizer.maximize(&mut obj, &bounds, &bounds.center(), 2);
-            (obj.phase_stats(), result.best_x, obj.sims_saved())
-        };
+        pool_scope(1, |pool| {
+            let bounds = Bounds::unit(sk.num_slots());
+            let optimizer = ImplicitFiltering::new(IfOptions {
+                n_directions: 4,
+                max_iters: 4,
+                ..IfOptions::default()
+            });
+            // One implicit-filtering phase as group `origin` on `cache`; the
+            // base seed differs per group, as it does across campaign groups.
+            let phase = |cache: &Arc<SharedEvalCache>, origin: u64| {
+                let mut obj =
+                    CdgObjective::new(&env, &sk, &target, 12, BatchRunner::new(pool), origin)
+                        .with_strategy(EvalStrategy::Coalesced)
+                        .with_shared_cache(Arc::clone(cache), origin);
+                let result = optimizer.maximize(&mut obj, &bounds, &bounds.center(), 2);
+                (obj.phase_stats(), result.best_x, obj.sims_saved())
+            };
 
-        let cache = Arc::new(SharedEvalCache::new(0xeca));
-        let (first_stats, first_best, _) = phase(&cache, 1);
-        assert!(cache.in_group_hits() > 0, "no revisited stencil center");
-        assert_eq!(cache.cross_group_hits(), 0);
-        // A second group on the same cache retraces the whole trajectory
-        // from the first group's entries, without simulating.
-        let misses = cache.misses();
-        let (second_stats, second_best, second_saved) = phase(&cache, 2);
-        assert!(cache.cross_group_hits() > 0, "no cross-group reuse");
-        assert_eq!(cache.misses(), misses, "the replay simulated");
-        assert_eq!(second_saved, second_stats.sims);
-        assert_eq!(second_stats, first_stats);
-        assert_eq!(second_best, first_best);
-        // A third group on a fresh cache with the same seed computes every
-        // entry itself and must land on the same bytes: who computed an
-        // entry never shapes the trajectory.
-        let fresh = Arc::new(SharedEvalCache::new(0xeca));
-        let (third_stats, third_best, _) = phase(&fresh, 3);
-        assert_eq!(fresh.cross_group_hits(), 0);
-        assert_eq!(third_stats, first_stats);
-        assert_eq!(third_best, first_best);
+            let cache = Arc::new(SharedEvalCache::new(0xeca));
+            let (first_stats, first_best, _) = phase(&cache, 1);
+            assert!(cache.in_group_hits() > 0, "no revisited stencil center");
+            assert_eq!(cache.cross_group_hits(), 0);
+            // A second group on the same cache retraces the whole trajectory
+            // from the first group's entries, without simulating.
+            let misses = cache.misses();
+            let (second_stats, second_best, second_saved) = phase(&cache, 2);
+            assert!(cache.cross_group_hits() > 0, "no cross-group reuse");
+            assert_eq!(cache.misses(), misses, "the replay simulated");
+            assert_eq!(second_saved, second_stats.sims);
+            assert_eq!(second_stats, first_stats);
+            assert_eq!(second_best, first_best);
+            // A third group on a fresh cache with the same seed computes every
+            // entry itself and must land on the same bytes: who computed an
+            // entry never shapes the trajectory.
+            let fresh = Arc::new(SharedEvalCache::new(0xeca));
+            let (third_stats, third_best, _) = phase(&fresh, 3);
+            assert_eq!(fresh.cross_group_hits(), 0);
+            assert_eq!(third_stats, first_stats);
+            assert_eq!(third_best, first_best);
+        });
     }
 
     #[test]
     fn attached_cache_is_inert_under_indexed_strategy() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let x = vec![0.3; sk.num_slots()];
-        let mut plain = CdgObjective::new(&env, &sk, &target, 6, BatchRunner::new(1), 17);
-        let expect = plain.eval(&x);
-        let cache = Arc::new(SharedEvalCache::new(4242));
-        let mut with_cache = CdgObjective::new(&env, &sk, &target, 6, BatchRunner::new(1), 17)
-            .with_shared_cache(Arc::clone(&cache), 5);
-        assert_eq!(with_cache.eval(&x), expect);
-        let _ = with_cache.eval(&x);
-        assert!(cache.is_empty(), "indexed strategy must never store");
-        assert_eq!(cache.misses(), 0, "indexed strategy must never look up");
+        pool_scope(1, |pool| {
+            let x = vec![0.3; sk.num_slots()];
+            let mut plain = CdgObjective::new(&env, &sk, &target, 6, BatchRunner::new(pool), 17);
+            let expect = plain.eval(&x);
+            let cache = Arc::new(SharedEvalCache::new(4242));
+            let mut with_cache =
+                CdgObjective::new(&env, &sk, &target, 6, BatchRunner::new(pool), 17)
+                    .with_shared_cache(Arc::clone(&cache), 5);
+            assert_eq!(with_cache.eval(&x), expect);
+            let _ = with_cache.eval(&x);
+            assert!(cache.is_empty(), "indexed strategy must never store");
+            assert_eq!(cache.misses(), 0, "indexed strategy must never look up");
+        });
     }
 
     #[test]
     fn mixed_eval_and_batch_keep_one_index_stream() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        let xs: Vec<Vec<f64>> = (0..3)
-            .map(|i| vec![i as f64 / 3.0; sk.num_slots()])
-            .collect();
-        let mut serial_obj = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(1), 19);
-        let mut expect = vec![serial_obj.eval(&xs[0])];
-        expect.extend(xs.iter().map(|x| serial_obj.eval(x)));
+        pool_scope(1, |pool| {
+            let xs: Vec<Vec<f64>> = (0..3)
+                .map(|i| vec![i as f64 / 3.0; sk.num_slots()])
+                .collect();
+            let mut serial_obj =
+                CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 19);
+            let mut expect = vec![serial_obj.eval(&xs[0])];
+            expect.extend(xs.iter().map(|x| serial_obj.eval(x)));
 
-        let mut mixed_obj = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(1), 19);
-        let mut got = vec![mixed_obj.eval(&xs[0])];
-        got.extend(mixed_obj.eval_batch(&xs));
-        assert_eq!(got, expect);
+            let mut mixed_obj =
+                CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 19);
+            let mut got = vec![mixed_obj.eval(&xs[0])];
+            got.extend(mixed_obj.eval_batch(&xs));
+            assert_eq!(got, expect);
+        });
     }
 }

@@ -3,9 +3,11 @@
 //! The paper's CDG-Runner submits whole batches of test-instances to a
 //! cluster batch environment that stays up for the duration of the flow.
 //! This module is the in-process analogue: [`pool_scope`] spins up a fixed
-//! set of worker threads **once**, every phase of a flow dispatches its
-//! point-batches onto the same workers through [`SimPool::run_ordered`],
-//! and the workers are joined when the scope ends.
+//! set of worker threads **once**, every phase of a flow — the regression
+//! included — dispatches its point-batches onto the same workers through
+//! [`SimPool::run_ordered`], and the workers are joined when the scope
+//! ends. Simulations run on no other threads: every
+//! [`BatchRunner`](crate::BatchRunner) is built from a pool handle.
 //!
 //! # Dispatch
 //!
@@ -381,9 +383,9 @@ fn worker_loop(shared: &Shared<'_>) {
 /// workers down and joins them.
 ///
 /// The pool lives exactly as long as the call; jobs may borrow anything
-/// declared before it. This is the once-per-flow entry point: the flow
-/// wraps all of its phases in one `pool_scope` and hands clones of the
-/// handle to every [`BatchRunner`](crate::BatchRunner) it creates.
+/// declared before it. This is the once-per-run entry point: a run wraps
+/// all of its phases in one `pool_scope` and hands clones of the handle
+/// to every [`BatchRunner`](crate::BatchRunner) it creates.
 ///
 /// # Examples
 ///
@@ -534,9 +536,15 @@ mod tests {
 
     #[test]
     fn pool_scope_with_records_pool_metrics() {
+        // Each job takes a millisecond, so the woken workers cannot drain
+        // the batch before the caller claims a job of its own.
+        let slow = |_, v: u64| {
+            std::thread::sleep(Duration::from_millis(1));
+            v + 1
+        };
         let telemetry = Telemetry::enabled();
         let out = pool_scope_with(4, &telemetry, |pool| {
-            pool.run_ordered((0..32u64).collect(), |_, v| v + 1)
+            pool.run_ordered((0..32u64).collect(), slow)
         });
         assert_eq!(out.len(), 32);
         let snap = telemetry.metrics().unwrap().snapshot();
@@ -555,7 +563,7 @@ mod tests {
         // A disabled handle records nothing and changes nothing.
         let quiet = Telemetry::disabled();
         let out2 = pool_scope_with(4, &quiet, |pool| {
-            pool.run_ordered((0..32u64).collect(), |_, v| v + 1)
+            pool.run_ordered((0..32u64).collect(), slow)
         });
         assert_eq!(out, out2);
     }

@@ -70,7 +70,7 @@ pub fn random_sample<E: VerifEnv>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ApproxTarget, BatchRunner, Skeletonizer};
+    use crate::{pool_scope, ApproxTarget, BatchRunner, Skeletonizer};
     use ascdg_duv::io_unit::IoEnv;
 
     #[test]
@@ -85,13 +85,15 @@ mod tests {
         let sk = Skeletonizer::new().skeletonize(&t).unwrap();
         let model = env.coverage_model();
         let target = ApproxTarget::auto(model, &[model.id("crc_064").unwrap()], 0.5).unwrap();
-        let mut obj = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(1), 1);
-        let out = random_sample(&mut obj, 12, 2);
-        assert_eq!(out.samples.len(), 12);
-        assert_eq!(out.best_settings.len(), sk.num_slots());
-        assert!(out.best_value >= out.samples.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max));
-        assert!(out.best_value > 0.0, "neighbors should show evidence");
-        assert_eq!(obj.phase_stats().sims, 12 * 8);
+        pool_scope(1, |pool| {
+            let mut obj = CdgObjective::new(&env, &sk, &target, 8, BatchRunner::new(pool), 1);
+            let out = random_sample(&mut obj, 12, 2);
+            assert_eq!(out.samples.len(), 12);
+            assert_eq!(out.best_settings.len(), sk.num_slots());
+            assert!(out.best_value >= out.samples.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max));
+            assert!(out.best_value > 0.0, "neighbors should show evidence");
+            assert_eq!(obj.phase_stats().sims, 12 * 8);
+        });
     }
 
     #[test]
@@ -106,12 +108,14 @@ mod tests {
         let sk = Skeletonizer::new().skeletonize(&t).unwrap();
         let model = env.coverage_model();
         let target = ApproxTarget::auto(model, &[model.id("crc_032").unwrap()], 0.5).unwrap();
-        let run = |seed| {
-            let mut obj = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(1), 9);
-            random_sample(&mut obj, 6, seed)
-        };
-        assert_eq!(run(4), run(4));
-        assert_ne!(run(4).samples, run(5).samples);
+        pool_scope(1, |pool| {
+            let run = |seed| {
+                let mut obj = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 9);
+                random_sample(&mut obj, 6, seed)
+            };
+            assert_eq!(run(4), run(4));
+            assert_ne!(run(4).samples, run(5).samples);
+        });
     }
 
     #[test]
@@ -127,7 +131,9 @@ mod tests {
         let sk = Skeletonizer::new().skeletonize(&t).unwrap();
         let model = env.coverage_model();
         let target = ApproxTarget::auto(model, &[model.id("crc_032").unwrap()], 0.5).unwrap();
-        let mut obj = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(1), 9);
-        let _ = random_sample(&mut obj, 0, 1);
+        pool_scope(1, |pool| {
+            let mut obj = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 9);
+            let _ = random_sample(&mut obj, 0, 1);
+        });
     }
 }

@@ -16,16 +16,14 @@ use ascdg_duv::VerifEnv;
 use ascdg_opt::{Bounds, IfOptions, ImplicitFiltering, Optimizer};
 use ascdg_stimgen::mix_seed;
 use ascdg_tac::{relevant_params, TacQuery};
-use ascdg_telemetry::Telemetry;
 use ascdg_template::Skeleton;
 
 use crate::events::FlowEvent;
-use crate::pool::pool_scope_with;
 use crate::sampling::random_sample;
 use crate::session::{SessionCx, TargetSpec};
 use crate::{
-    ApproxTarget, BatchRunner, CdgObjective, FlowConfig, FlowError, PhaseStats, PhaseTiming,
-    Skeletonizer, PHASE_BEST, PHASE_OPTIMIZATION, PHASE_REFINEMENT, PHASE_SAMPLING,
+    ApproxTarget, BatchRunner, CdgObjective, FlowError, PhaseStats, PhaseTiming, Skeletonizer,
+    PHASE_BEST, PHASE_OPTIMIZATION, PHASE_REFINEMENT, PHASE_SAMPLING,
 };
 
 /// Name of the [`Regression`] stage.
@@ -127,39 +125,38 @@ fn approx_of<E: VerifEnv>(
 /// Simulates the whole stock library into a fresh coverage repository —
 /// the "Before CDG" state the coarse search mines.
 ///
-/// Runs on its own interior pool scope because recording into the
-/// repository borrows it for the workers' lifetime; sessions seeded with a
-/// pre-built repository skip this stage entirely.
+/// Runs on the session's runner, so the regression shares the engine's
+/// pool with every other stage; sessions seeded with a pre-built
+/// repository skip this stage entirely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Regression;
 
 /// Shared regression body (also behind
-/// [`CdgFlow::run_regression`](crate::CdgFlow::run_regression)).
-pub(crate) fn regression_repository<E: VerifEnv>(
-    env: &E,
-    config: &FlowConfig,
+/// [`CdgFlow::run_regression`](crate::CdgFlow::run_regression) and
+/// [`FlowEngine::regression_checkpoint`](crate::FlowEngine::regression_checkpoint)):
+/// every stock template's run is merged into the repository once, on the
+/// calling thread.
+pub(crate) fn regression_repository<'env, E: VerifEnv>(
+    env: &'env E,
+    runner: &BatchRunner<'env>,
+    sims_per_template: u64,
     seed: u64,
-    telemetry: &Telemetry,
 ) -> Result<CoverageRepository, FlowError> {
     let lib = env.stock_library();
     if lib.is_empty() {
         return Err(FlowError::EmptyLibrary);
     }
     let repo = CoverageRepository::new(env.coverage_model().clone());
-    pool_scope_with(config.threads, telemetry, |pool| {
-        let runner = BatchRunner::with_pool(pool).with_telemetry(telemetry.clone());
-        for (idx, template) in lib.iter() {
-            runner.run_recorded(
-                env,
-                template,
-                config.regression_sims_per_template,
-                mix_seed(seed, idx as u64),
-                &repo,
-                TemplateId(idx as u32),
-            )?;
-        }
-        Ok::<_, FlowError>(())
-    })?;
+    for (idx, template) in lib.iter() {
+        runner.run_recorded(
+            env,
+            template,
+            sims_per_template,
+            mix_seed(seed, idx as u64),
+            &repo,
+            TemplateId(idx as u32),
+        )?;
+    }
     Ok(repo)
 }
 
@@ -170,7 +167,12 @@ impl<E: VerifEnv> Stage<E> for Regression {
 
     fn run(&self, cx: &mut SessionCx<'_, '_, E>) -> Result<StageOutput, FlowError> {
         let seed = cx.stage_seed(0xbef0);
-        let repo = regression_repository(cx.env(), cx.config(), seed, cx.telemetry())?;
+        let repo = regression_repository(
+            cx.env(),
+            &cx.runner(),
+            cx.config().regression_sims_per_template,
+            seed,
+        )?;
         let sims = repo.total_simulations();
         cx.set_repo(repo);
         Ok(StageOutput::simulated(sims))
@@ -602,5 +604,42 @@ impl<E: VerifEnv> Stage<E> for Harvest {
         );
         cx.state_mut().best_template = Some(best_template);
         Ok(StageOutput::simulated(stats.sims))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::pool_scope;
+    use crate::{FlowConfig, FlowEngine, TargetSpec};
+    use ascdg_duv::io_unit::IoEnv;
+
+    fn test_threads() -> usize {
+        std::env::var("ASCDG_TEST_THREADS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(4)
+    }
+
+    #[test]
+    fn regression_simulates_on_the_engines_pool() {
+        let env = IoEnv::new();
+        // Steps a regression-only engine on a fresh pool of `threads`;
+        // returns the repository and the jobs that pool was handed.
+        let regress = |threads: usize| {
+            let mut config = FlowConfig::quick();
+            config.threads = threads;
+            pool_scope(threads, |pool| {
+                let engine =
+                    FlowEngine::with_stages(&env, config, pool, vec![Box::new(Regression)]);
+                let mut cx = engine.session(TargetSpec::Uncovered, 5);
+                assert_eq!(engine.step(&mut cx).unwrap(), Some(STAGE_REGRESSION));
+                (cx.repo().unwrap().snapshot(), pool.jobs_dispatched())
+            })
+        };
+        let (serial, _) = regress(1);
+        let (pooled, jobs) = regress(test_threads().max(2));
+        assert!(jobs > 0, "the regression bypassed the engine's pool");
+        assert_eq!(pooled, serial);
     }
 }

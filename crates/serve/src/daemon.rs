@@ -4,7 +4,8 @@
 //! [`AdmissionQueue`] per built-in unit. Each incoming closure request is
 //! planned by the same [`CampaignPlan`] as a one-shot `ascdg campaign`:
 //! the request's regression-only checkpoint
-//! ([`CdgFlow::regression_checkpoint`]) goes through the planner, which
+//! ([`FlowEngine::regression_checkpoint`], run on the daemon's own pool)
+//! goes through the planner, which
 //! builds the per-group sessions with index-salted seeds and one
 //! request-scoped evaluation cache. The sessions are admitted to the
 //! unit's queue with the request's weight and priority class. Sessions
@@ -34,8 +35,8 @@ use std::time::Duration;
 
 use ascdg_core::{
     pool_scope_with, AdmissionQueue, AdmitSpec, CampaignPlan, CampaignProgress, CampaignReport,
-    CancelToken, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine, FlowError, GroupRun,
-    RunManifest, SessionState, SimPool, Telemetry,
+    CancelToken, CheckpointWriter, FlowConfig, FlowEngine, FlowError, GroupRun, RunManifest,
+    SessionState, SimPool, Telemetry,
 };
 use ascdg_duv::ifu::IfuEnv;
 use ascdg_duv::io_unit::IoEnv;
@@ -623,7 +624,9 @@ fn submit_request<'env>(
     if let Ok(json) = serde_json::to_string(&spec) {
         let _ = std::fs::write(daemon.request_path(id), json);
     }
-    let plan = CdgFlow::new(shard.env, config)
+    // The request's regression runs on the daemon's pool, on an untraced
+    // planning engine.
+    let plan = FlowEngine::new(shard.env, config, pool)
         .regression_checkpoint(spec.seed)
         .and_then(|start| plan_request(shard, pool, &start));
     match plan {

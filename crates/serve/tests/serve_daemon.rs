@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use ascdg_core::{CampaignProgress, CdgFlow, FlowConfig, Telemetry};
+use ascdg_core::{pool_scope, CampaignProgress, CdgFlow, FlowConfig, FlowEngine, Telemetry};
 use ascdg_coverage::EventId;
 use ascdg_duv::io_unit::IoEnv;
 use ascdg_serve::{serve, wait_for_addr, Client, Response, ServeOptions, SubmitSpec};
@@ -292,9 +292,11 @@ fn corrupted_orphan_fails_recovery_and_the_daemon_keeps_serving() {
     let dir = tmp_dir("bad-orphan");
     let mut config = FlowConfig::quick();
     config.threads = test_threads();
-    let mut orphan = CdgFlow::new(IoEnv::new(), config)
-        .regression_checkpoint(2021)
-        .expect("regression runs");
+    let env = IoEnv::new();
+    let mut orphan = pool_scope(config.threads, |pool| {
+        FlowEngine::new(&env, config.clone(), pool).regression_checkpoint(2021)
+    })
+    .expect("regression runs");
     orphan.groups[0].targets.push(EventId(99_999));
     std::fs::write(
         dir.join("req0.progress.json"),

@@ -54,8 +54,8 @@ use parking_lot::Mutex;
 ///
 /// Metric names: `stage.<stage>.sim_latency_ns` (per-simulation latency
 /// of each chunk, ns), `stage.<stage>.chunk_sims` (simulations per
-/// dispatched chunk) and `stage.<stage>.merge_ns` (repository bulk-merge
-/// latency, ns).
+/// dispatched chunk) and `stage.<stage>.merge_ns` (latency of a recorded
+/// run's one repository merge on the submitting thread, ns).
 #[derive(Clone, Debug)]
 pub struct StageMetrics {
     /// The stage these handles were resolved for.
@@ -64,7 +64,8 @@ pub struct StageMetrics {
     pub sim_latency_ns: Histogram,
     /// Simulations per executed chunk.
     pub chunk_sims: Histogram,
-    /// Coverage-repository bulk-merge latency, in nanoseconds.
+    /// Latency of each recorded run's one coverage-repository merge, in
+    /// nanoseconds.
     pub merge_ns: Histogram,
 }
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example hyperparameter_study
 //! ```
 
-use ascdg::core::{ApproxTarget, BatchRunner, CdgObjective, Skeletonizer};
+use ascdg::core::{pool_scope, ApproxTarget, BatchRunner, CdgObjective, Skeletonizer};
 use ascdg::duv::{synthetic::SyntheticEnv, VerifEnv};
 use ascdg::opt::{tune, Bounds, IfOptions};
 
@@ -22,23 +22,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = skeleton.num_slots();
     println!("objective: synthetic fam_08, {dim} settings dimensions");
 
-    let mut run_id = 0u64;
-    let cells = tune::sweep_if(
-        || {
-            run_id += 1;
-            CdgObjective::new(&env, &skeleton, &target, 20, BatchRunner::new(2), run_id)
-        },
-        &Bounds::unit(dim),
-        &vec![0.5; dim],
-        &IfOptions {
-            max_iters: 12,
-            ..IfOptions::default()
-        },
-        &[4, 8, 16],
-        &[0.1, 0.25, 0.4],
-        2,
-        2021,
-    );
+    // One pool serves every objective of the sweep.
+    let cells = pool_scope(2, |pool| {
+        let runner = BatchRunner::new(pool);
+        let mut run_id = 0u64;
+        tune::sweep_if(
+            || {
+                run_id += 1;
+                CdgObjective::new(&env, &skeleton, &target, 20, runner.clone(), run_id)
+            },
+            &Bounds::unit(dim),
+            &vec![0.5; dim],
+            &IfOptions {
+                max_iters: 12,
+                ..IfOptions::default()
+            },
+            &[4, 8, 16],
+            &[0.1, 0.25, 0.4],
+            2,
+            2021,
+        )
+    });
 
     println!(
         "{:>4} {:>6} {:>12} {:>12}",

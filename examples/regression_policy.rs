@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = L3Env::new();
     let mut config = FlowConfig::quick();
     config.regression_sims_per_template = 2000;
-    config.threads = ascdg::core::BatchRunner::parallel().threads();
+    config.threads = ascdg::core::machine_threads();
     let flow = CdgFlow::new(&env, config);
 
     println!("running the stock regression ...");

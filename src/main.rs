@@ -447,7 +447,7 @@ fn cmd_regress(args: &[String]) -> CliResult {
     let sims: u64 = flag_value(args, "--sims").map_or(Ok(1000), str::parse)?;
     let mut config = FlowConfig::quick();
     config.regression_sims_per_template = sims;
-    config.threads = ascdg::core::BatchRunner::parallel().threads();
+    config.threads = ascdg::core::machine_threads();
     let flow = CdgFlow::new(&env, config);
     let repo = flow.run_regression(1)?;
     let counts = repo.status_counts(StatusPolicy::default());

@@ -5,7 +5,9 @@
 
 use std::sync::mpsc;
 
-use ascdg::core::{CampaignProgress, CdgFlow, FlowConfig, FlowError, Telemetry};
+use ascdg::core::{
+    pool_scope, CampaignProgress, CdgFlow, FlowConfig, FlowEngine, FlowError, Telemetry,
+};
 use ascdg::coverage::EventId;
 use ascdg::duv::io_unit::IoEnv;
 
@@ -20,6 +22,16 @@ fn quick_config() -> FlowConfig {
     let mut config = FlowConfig::quick();
     config.threads = test_threads();
     config
+}
+
+/// A fresh io_unit campaign's regression-only checkpoint.
+fn regression_checkpoint(seed: u64) -> CampaignProgress {
+    let env = IoEnv::new();
+    let config = quick_config();
+    pool_scope(config.threads, |pool| {
+        FlowEngine::new(&env, config.clone(), pool).regression_checkpoint(seed)
+    })
+    .expect("regression runs")
 }
 
 /// Runs the reference campaign once, streaming every checkpoint.
@@ -49,9 +61,7 @@ fn resume_from_any_checkpoint_reproduces_the_uninterrupted_outcome() {
     // The regression-only checkpoint (the planner's fresh start), then
     // the first (one stage done), midway (partial groups), and last
     // (everything done) interruption points.
-    let fresh = CdgFlow::new(IoEnv::new(), quick_config())
-        .regression_checkpoint(2021)
-        .expect("regression runs");
+    let fresh = regression_checkpoint(2021);
     let picks = [0, snapshots.len() / 2, snapshots.len() - 1];
     let checkpoints = std::iter::once(("regression-only".to_owned(), &fresh))
         .chain(picks.iter().map(|&at| (at.to_string(), &snapshots[at])));
@@ -111,7 +121,7 @@ fn resume_rejects_group_targets_outside_the_unit_model() {
     // A corrupted checkpoint naming an event the unit does not have must
     // end in a typed error that names the group, not an index panic.
     let flow = CdgFlow::new(IoEnv::new(), quick_config());
-    let mut progress = flow.regression_checkpoint(3).expect("regression runs");
+    let mut progress = regression_checkpoint(3);
     assert!(
         !progress.groups.is_empty(),
         "io_unit leaves groups uncovered"

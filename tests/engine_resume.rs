@@ -8,8 +8,10 @@
 //! identity across worker counts.
 
 use ascdg::core::{
-    pool_scope, CdgFlow, FlowConfig, FlowEngine, FlowOutcome, SessionState, TargetSpec,
+    pool_scope, ApproxTarget, CdgFlow, FlowConfig, FlowEngine, FlowError, FlowOutcome,
+    SessionState, TargetSpec,
 };
+use ascdg::coverage::EventId;
 use ascdg::duv::io_unit::IoEnv;
 
 fn test_threads() -> usize {
@@ -130,4 +132,44 @@ fn resumed_outcome_is_identical_across_thread_counts() {
     let a = outcome_json(run_with(1));
     let b = outcome_json(run_with(test_threads().max(2)));
     assert_eq!(a, b);
+}
+
+#[test]
+fn resume_rejects_misfit_session_vectors() {
+    // A checkpoint whose vectors do not fit its skeleton or the unit's
+    // model must end in a typed error, not a panic in a later stage.
+    let env = IoEnv::new();
+    let mut cfg = FlowConfig::quick();
+    cfg.threads = test_threads();
+    pool_scope(cfg.threads, |pool| {
+        let engine = FlowEngine::new(&env, cfg.clone(), pool);
+        let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 11);
+        for _ in 0..4 {
+            engine.step(&mut cx).expect("stage runs");
+        }
+        let sampled = cx.snapshot();
+        assert!(sampled.is_completed("random-sample"));
+        type Corruption = (&'static str, fn(&mut SessionState));
+        let misfits: [Corruption; 3] = [
+            ("short start_settings", |s| {
+                s.start_settings.as_mut().expect("sampled").pop();
+            }),
+            ("narrow phase row", |s| {
+                s.phases[0].hits.pop();
+            }),
+            ("target outside the model", |s| {
+                s.approx = Some(ApproxTarget::from_weights(
+                    vec![EventId(99_999)],
+                    [(EventId(99_999), 1.0)],
+                ));
+            }),
+        ];
+        for (what, corrupt) in misfits {
+            let mut state = sampled.clone();
+            corrupt(&mut state);
+            let err = engine.resume(state).expect_err(what);
+            assert!(matches!(err, FlowError::Checkpoint(_)), "{what}: {err:?}");
+        }
+        engine.resume(sampled).expect("the intact snapshot resumes");
+    });
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use ascdg::core::BatchRunner;
+use ascdg::core::{pool_scope, BatchRunner};
 use ascdg::coverage::EventFamily;
 use ascdg::duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, synthetic::SyntheticEnv, VerifEnv};
 
@@ -80,8 +80,11 @@ proptest! {
         with_env(which, |env| {
             let lib = env.stock_library();
             let t = lib.get(tpl % lib.len()).unwrap().clone();
-            let serial = BatchRunner::new(1).run(&env, &t, 24, seed).unwrap();
-            let parallel = BatchRunner::new(threads).run(&env, &t, 24, seed).unwrap();
+            let run = |threads| {
+                pool_scope(threads, |pool| BatchRunner::new(pool).run(&env, &t, 24, seed))
+            };
+            let serial = run(1).unwrap();
+            let parallel = run(threads).unwrap();
             prop_assert_eq!(serial, parallel);
             Ok(())
         })?;
@@ -96,7 +99,7 @@ proptest! {
             let lib = env.stock_library();
             let t = lib.get(tpl % lib.len()).unwrap().clone();
             env.registry().validate(&t).unwrap();
-            let stats = BatchRunner::new(1).run(&env, &t, 10, 5).unwrap();
+            let stats = pool_scope(1, |pool| BatchRunner::new(pool).run(&env, &t, 10, 5)).unwrap();
             prop_assert!(
                 stats.hits.iter().any(|&h| h > 0),
                 "template `{}` hits nothing",
