@@ -8,7 +8,7 @@
 //! for uncovered events outside any family), and a unit-level summary of
 //! what closed, what resisted, and what it cost.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -20,13 +20,11 @@ use ascdg_stimgen::mix_seed;
 use ascdg_telemetry::Telemetry;
 use ascdg_template::TemplateLibrary;
 
+use crate::checkpoint::restore_snapshot;
 use crate::pool::{pool_scope_with, SimPool};
 use crate::scheduler::{self, GroupRun};
 use crate::session::{CampaignProgress, GroupProgress, SessionState};
-use crate::{
-    ApproxTarget, CdgFlow, FlowEngine, FlowError, FlowOutcome, SharedEvalCache, PHASE_BEFORE,
-    PHASE_BEST,
-};
+use crate::{ApproxTarget, CdgFlow, FlowEngine, FlowError, FlowOutcome, PHASE_BEFORE, PHASE_BEST};
 
 /// One target group's result within a campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -209,7 +207,6 @@ impl<E: VerifEnv> CdgFlow<E> {
         let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
             .with_telemetry(telemetry.clone());
         let mut plan = CampaignPlan::new(&engine, progress)?;
-        let engine = engine.with_shared_eval_cache(Arc::clone(plan.eval_cache()));
         let sessions = plan.take_sessions();
         let on_step = on_progress.map(|sink| {
             let plan = &plan;
@@ -222,14 +219,6 @@ impl<E: VerifEnv> CdgFlow<E> {
             plan.group_count(),
             on_step.as_ref().map(|f| f as _),
         );
-        if let Some(m) = telemetry.metrics() {
-            m.gauge("campaign.coalesced_evals")
-                .set(m.counter("objective.coalesced").value() as f64);
-            m.gauge("campaign.cross_group_hits")
-                .set(plan.eval_cache().cross_group_hits() as f64);
-            m.gauge("campaign.shared_cache_sims_saved")
-                .set(plan.eval_cache().sims_saved() as f64);
-        }
         Ok(plan.fold(runs))
     }
 }
@@ -252,7 +241,6 @@ pub struct CampaignPlan {
     /// One session per group ready to schedule; `None` where the group
     /// could not be prepared (its failure is in the checkpoint).
     sessions: Vec<Option<SessionState>>,
-    eval_cache: Arc<SharedEvalCache>,
     /// The live checkpoint: the planned groups, updated with every
     /// group's latest post-stage state by [`CampaignPlan::record_step`].
     checkpoint: Mutex<CampaignProgress>,
@@ -271,8 +259,8 @@ impl CampaignPlan {
     ///
     /// [`FlowError::SnapshotMismatch`] when the checkpoint belongs to a
     /// different unit; [`FlowError::Checkpoint`] when it has no regression
-    /// snapshot or a group targets an event outside the unit's model;
-    /// [`FlowError::Coverage`] when the snapshot does not fit the model.
+    /// snapshot, the snapshot does not fit the model or does not add up,
+    /// or a group targets an event outside the unit's model.
     pub fn new<E: VerifEnv>(
         engine: &FlowEngine<'_, E>,
         progress: &CampaignProgress,
@@ -305,7 +293,7 @@ impl CampaignPlan {
                 )));
             }
         }
-        let repo = CoverageRepository::from_snapshot(model.clone(), snap)?;
+        let repo = restore_snapshot(model, snap)?;
         let before = repo.status_counts(StatusPolicy::default());
         let mut checkpoint = CampaignProgress {
             config: Some(engine.config().clone()),
@@ -329,19 +317,10 @@ impl CampaignPlan {
                 }
             }
         }
-        // One completed-evaluation cache for the whole campaign: groups
-        // that visit the same point of the same skeleton (common when two
-        // families choose the same stock template) reuse each other's
-        // simulations instead of re-running them. Its seed roots every
-        // group's point-keyed evaluation seeds, which is what makes the
-        // reuse byte-exact — and the campaign outcome independent of the
-        // scheduler interleaving (a hit and a miss produce the same bytes).
-        let eval_cache = Arc::new(SharedEvalCache::new(mix_seed(progress.seed, 0xeca)));
         Ok(CampaignPlan {
             repo,
             before,
             sessions,
-            eval_cache,
             checkpoint: Mutex::new(checkpoint),
         })
     }
@@ -350,13 +329,6 @@ impl CampaignPlan {
     #[must_use]
     pub fn group_count(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// The campaign's shared completed-evaluation cache, to attach to
-    /// every group session.
-    #[must_use]
-    pub fn eval_cache(&self) -> &Arc<SharedEvalCache> {
-        &self.eval_cache
     }
 
     /// Hands over the sessions to schedule, as `(group index, state)`.
@@ -637,25 +609,6 @@ mod tests {
         let lib_len = flow.env().stock_library().len() as u64;
         let regression = lib_len * flow.config().regression_sims_per_template;
         assert_eq!(out.total_sims, regression + group_sims);
-    }
-
-    #[test]
-    fn shared_cache_keeps_campaign_identical_across_jobs() {
-        // Scheduler interleaving changes *when* the shared cache is
-        // populated, hence which lookups hit — but never the bytes:
-        // misses recompute the exact seed stream a hit would have
-        // returned. The whole campaign outcome must therefore be
-        // identical at any job count, coalesced strategy included.
-        let run = |jobs: usize| {
-            let mut cfg = FlowConfig::quick();
-            cfg.eval_strategy = crate::EvalStrategy::Coalesced;
-            cfg.campaign_jobs = jobs;
-            let out = CdgFlow::new(IoEnv::new(), cfg)
-                .run_campaign(9)
-                .expect("campaign runs");
-            serde_json::to_string(&out).unwrap()
-        };
-        assert_eq!(run(1), run(3));
     }
 
     /// Runs `f` on a quick io_unit engine over a two-thread pool.

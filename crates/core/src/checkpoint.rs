@@ -15,6 +15,7 @@
 
 use std::path::{Path, PathBuf};
 
+use ascdg_coverage::{CoverageModel, CoverageRepository, RepoSnapshot};
 use ascdg_telemetry::Telemetry;
 
 use crate::session::{CampaignProgress, SessionState};
@@ -129,11 +130,24 @@ pub fn read_campaign_checkpoint(path: impl AsRef<Path>) -> Result<CampaignProgre
     })
 }
 
+/// Restores a checkpoint's regression snapshot against `model`. A
+/// snapshot that does not fit the model, or whose counters do not add
+/// up, means a damaged checkpoint.
+pub(crate) fn restore_snapshot(
+    model: &CoverageModel,
+    snap: &RepoSnapshot,
+) -> Result<CoverageRepository, FlowError> {
+    CoverageRepository::from_snapshot(model.clone(), snap)
+        .map_err(|e| FlowError::Checkpoint(format!("checkpoint's regression snapshot: {e}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::TargetSpec;
-    use crate::FlowConfig;
+    use crate::{pool_scope, CdgFlow, FlowConfig, FlowEngine};
+    use ascdg_duv::io_unit::IoEnv;
+    use std::sync::Mutex;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ascdg-ckpt-{tag}-{}", std::process::id()));
@@ -194,6 +208,158 @@ mod tests {
             read_session_checkpoint(&path),
             Err(FlowError::Checkpoint(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A real io_unit campaign's outcome JSON and a checkpoint streamed
+    /// midway through it: the regression snapshot plus group sessions
+    /// part-way through their stages.
+    fn io_campaign() -> (String, CampaignProgress) {
+        let streamed = Mutex::new(Vec::new());
+        let report = CdgFlow::new(IoEnv::new(), FlowConfig::quick())
+            .run_campaign_with(
+                5,
+                &Telemetry::disabled(),
+                Some(&|p: &CampaignProgress| streamed.lock().unwrap().push(p.clone())),
+            )
+            .expect("campaign runs");
+        let mut streamed = streamed.into_inner().unwrap();
+        let mid = streamed.swap_remove(streamed.len() / 2);
+        (serde_json::to_string(&report.outcome).unwrap(), mid)
+    }
+
+    /// A session's flow outcome JSON, wall-clock timings dropped.
+    fn session_outcome(state: SessionState) -> Result<String, FlowError> {
+        let env = IoEnv::new();
+        pool_scope(1, |pool| {
+            let engine = FlowEngine::new(&env, state.config.clone(), pool);
+            let mut outcome = engine.run(&mut engine.resume(state)?)?;
+            outcome.timings.clear();
+            Ok(serde_json::to_string(&outcome).unwrap())
+        })
+    }
+
+    /// Every 64th prefix plus the one missing only the last byte, then a
+    /// copy per 61st byte of the first `"repo"` object with that byte's
+    /// low bit flipped.
+    fn damaged(clean: &str) -> Vec<Vec<u8>> {
+        let bytes = clean.as_bytes();
+        let mut cases: Vec<Vec<u8>> = (0..bytes.len())
+            .step_by(64)
+            .chain([bytes.len() - 1])
+            .map(|n| bytes[..n].to_vec())
+            .collect();
+        let start = clean.find("\"repo\":{").expect("checkpoint has a snapshot");
+        let mut depth = 0;
+        let end = start
+            + clean[start..]
+                .bytes()
+                .position(|b| {
+                    depth += i32::from(b == b'{') - i32::from(b == b'}');
+                    b == b'}' && depth == 0
+                })
+                .unwrap();
+        for at in (start..end).step_by(61) {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 1;
+            cases.push(flipped);
+        }
+        cases
+    }
+
+    /// Adds the field checkpoints carried while evaluations could be
+    /// coalesced to the config copies `pick` selects.
+    fn with_strategy(clean: &str, strategy: &str, pick: impl Fn(usize) -> bool) -> String {
+        let field = "\"campaign_jobs\":1";
+        let mut out = String::new();
+        for (i, part) in clean.split(field).enumerate() {
+            if i > 0 {
+                out.push_str(field);
+                if pick(i - 1) {
+                    out.push_str(&format!(",\"eval_strategy\":\"{strategy}\""));
+                }
+            }
+            out.push_str(part);
+        }
+        out
+    }
+
+    /// Damaged and legacy checkpoints, campaign and session alike, read
+    /// as a typed `FlowError::Checkpoint` or resume to the undamaged
+    /// outcome; none panics.
+    #[test]
+    fn damaged_and_legacy_checkpoints_fail_typed_or_resume_unchanged() {
+        let dir = tmp_dir("damaged");
+        let path = dir.join("ckpt.json");
+        let (reference, progress) = io_campaign();
+        let state = progress
+            .groups
+            .iter()
+            .find_map(|g| g.session.clone())
+            .expect("a group checkpointed mid-flight");
+        let session_reference = session_outcome(state.clone()).expect("session resumes");
+        let campaign_json = serde_json::to_string(&progress).unwrap();
+        let session_json = serde_json::to_string(&state).unwrap();
+        assert!(campaign_json.matches("\"campaign_jobs\":1").count() > 1);
+
+        let read_campaign = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            read_campaign_checkpoint(&path)
+        };
+        let read_session = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            read_session_checkpoint(&path)
+        };
+        let resume_campaign = |p: &CampaignProgress| {
+            CdgFlow::new(IoEnv::new(), FlowConfig::quick())
+                .resume_campaign(p, &Telemetry::disabled(), None)
+                .map(|r| serde_json::to_string(&r.outcome).unwrap())
+        };
+        let typed_or_unchanged =
+            |what: String, outcome: Result<String, FlowError>, want: &str| match outcome {
+                Ok(json) => assert_eq!(json, want, "{what} resumed to another outcome"),
+                Err(e) => assert!(matches!(e, FlowError::Checkpoint(_)), "{what}: {e:?}"),
+            };
+
+        for (i, bytes) in damaged(&campaign_json).iter().enumerate() {
+            let outcome = read_campaign(bytes).and_then(|p| {
+                if p == progress {
+                    Ok(reference.clone())
+                } else {
+                    resume_campaign(&p)
+                }
+            });
+            typed_or_unchanged(format!("campaign case {i}"), outcome, &reference);
+        }
+        for (i, bytes) in damaged(&session_json).iter().enumerate() {
+            let outcome = read_session(bytes).and_then(|s| {
+                if s == state {
+                    Ok(session_reference.clone())
+                } else {
+                    session_outcome(s)
+                }
+            });
+            typed_or_unchanged(format!("session case {i}"), outcome, &session_reference);
+        }
+
+        // The one seeding left loads from an old checkpoint as if the
+        // field were absent; the retired ones fail typed, also when only
+        // one group session's copy names them.
+        let legacy = with_strategy(&campaign_json, "Indexed", |_| true);
+        assert_eq!(read_campaign(legacy.as_bytes()).unwrap(), progress);
+        let legacy = with_strategy(&session_json, "Indexed", |_| true);
+        assert_eq!(read_session(legacy.as_bytes()).unwrap(), state);
+        for retired in ["Coalesced", "PointSeeded"] {
+            for pick in [|_| true, |i| i == 1] as [fn(usize) -> bool; 2] {
+                let bytes = with_strategy(&campaign_json, retired, pick);
+                let err = read_campaign(bytes.as_bytes()).unwrap_err();
+                assert!(matches!(err, FlowError::Checkpoint(_)), "{err:?}");
+                assert!(err.to_string().contains(retired), "{err}");
+            }
+            let bytes = with_strategy(&session_json, retired, |_| true);
+            let err = read_session(bytes.as_bytes()).unwrap_err();
+            assert!(matches!(err, FlowError::Checkpoint(_)), "{err:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

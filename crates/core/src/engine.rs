@@ -9,13 +9,12 @@
 //! a run resumed from any post-stage snapshot reproduces the identical
 //! outcome, because the skipped stages' products are already in the state.
 
-use std::sync::Arc;
-
 use ascdg_coverage::CoverageRepository;
 use ascdg_duv::VerifEnv;
 use ascdg_stimgen::mix_seed;
 use ascdg_telemetry::Telemetry;
 
+use crate::checkpoint::restore_snapshot;
 use crate::events::FlowEvent;
 use crate::pool::SimPool;
 use crate::session::{
@@ -24,7 +23,7 @@ use crate::session::{
 use crate::stages::{default_stages, regression_repository, Stage};
 use crate::{
     group_uncovered, ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats,
-    SharedEvalCache, PHASE_BEFORE,
+    PHASE_BEFORE,
 };
 
 /// Executes a stage list against flow sessions.
@@ -51,7 +50,6 @@ pub struct FlowEngine<'env, E: VerifEnv> {
     pool: SimPool<'env>,
     stages: Vec<Box<dyn Stage<E>>>,
     telemetry: Telemetry,
-    eval_cache: Option<Arc<SharedEvalCache>>,
 }
 
 impl<'env, E: VerifEnv> FlowEngine<'env, E> {
@@ -77,7 +75,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
             pool: pool.clone(),
             stages,
             telemetry: Telemetry::disabled(),
-            eval_cache: None,
         }
     }
 
@@ -96,17 +93,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Attaches a campaign-shared completed-evaluation cache: sessions
-    /// created afterwards hand it to their objectives, which consult it
-    /// under [`EvalStrategy::Coalesced`](crate::EvalStrategy::Coalesced)
-    /// (and ignore it otherwise). See [`SharedEvalCache`] for why sharing
-    /// one cache across differently-seeded sessions is exact.
-    #[must_use]
-    pub fn with_shared_eval_cache(mut self, cache: Arc<SharedEvalCache>) -> Self {
-        self.eval_cache = Some(cache);
-        self
     }
 
     /// The environment the engine runs against.
@@ -131,14 +117,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     #[must_use]
     pub fn session<'bus>(&self, spec: TargetSpec, seed: u64) -> SessionCx<'env, 'bus, E> {
         let state = SessionState::new(self.env.unit_name(), self.config.clone(), spec, seed);
-        SessionCx::from_parts(
-            self.env,
-            self.runner(),
-            None,
-            state,
-            self.telemetry.clone(),
-            self.eval_cache.clone(),
-        )
+        SessionCx::from_parts(self.env, self.runner(), None, state, self.telemetry.clone())
     }
 
     /// A batch runner on the engine's pool, sharing its telemetry handle.
@@ -183,7 +162,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
             Some(live),
             state,
             self.telemetry.clone(),
-            self.eval_cache.clone(),
         ))
     }
 
@@ -225,9 +203,9 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     /// # Errors
     ///
     /// [`FlowError::SnapshotMismatch`] when the snapshot belongs to a
-    /// different unit, [`FlowError::Coverage`] when its repository does
-    /// not match the environment's model, and [`FlowError::Checkpoint`]
-    /// when a settings vector does not fit its skeleton or a phase row or
+    /// different unit, and [`FlowError::Checkpoint`] when its repository
+    /// does not match the environment's model or does not add up, a
+    /// settings vector does not fit its skeleton, or a phase row or
     /// target event does not fit the model.
     pub fn resume<'bus>(&self, state: SessionState) -> Result<SessionCx<'env, 'bus, E>, FlowError> {
         if state.unit != self.env.unit_name() {
@@ -241,7 +219,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         let live = state
             .repo
             .as_ref()
-            .map(|snap| CoverageRepository::from_snapshot(self.env.coverage_model().clone(), snap))
+            .map(|snap| restore_snapshot(self.env.coverage_model(), snap))
             .transpose()?;
         Ok(SessionCx::from_parts(
             self.env,
@@ -249,7 +227,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
             live,
             state,
             self.telemetry.clone(),
-            self.eval_cache.clone(),
         ))
     }
 

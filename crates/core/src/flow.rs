@@ -1,6 +1,6 @@
 //! The CDG-Runner: end-to-end orchestration of the AS-CDG flow (Fig. 2).
 
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Content, DeError, Deserialize, Serialize};
 
 use ascdg_coverage::{
     CoverageModel, CoverageRepository, EventFamily, EventId, HitStats, StatusCounts, StatusPolicy,
@@ -10,7 +10,6 @@ use ascdg_opt::Trace;
 use ascdg_template::{Skeleton, TestTemplate};
 
 use crate::engine::FlowEngine;
-use crate::objective::EvalStrategy;
 use crate::pool::pool_scope;
 use crate::session::TargetSpec;
 use crate::stages::regression_repository;
@@ -34,7 +33,7 @@ pub const PHASE_BEST: &str = "Running best test";
 /// The presets encode the budgets the paper reports for each unit
 /// (Figs. 3-5); [`FlowConfig::scaled`] shrinks them proportionally for
 /// tests and benches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlowConfig {
     /// Simulations per stock template in the regression phase.
     pub regression_sims_per_template: u64,
@@ -83,19 +82,54 @@ pub struct FlowConfig {
     /// per group index before any scheduling happens, so the
     /// [`CampaignOutcome`](crate::CampaignOutcome) is byte-identical at
     /// any value.
-    #[serde(default = "default_campaign_jobs")]
     pub campaign_jobs: usize,
-    /// How [`CdgObjective`](crate::CdgObjective) evaluations derive their
-    /// seed streams (and whether duplicate points are coalesced). The
-    /// default, [`EvalStrategy::Indexed`], is the historical per-evaluation
-    /// scheme; switching strategy changes the sampled seeds and therefore
-    /// the outcome, so it is opt-in.
-    #[serde(default)]
-    pub eval_strategy: EvalStrategy,
 }
 
 fn default_campaign_jobs() -> usize {
     1
+}
+
+/// Deserialized by hand for one rule. Checkpoints written while
+/// evaluations could be coalesced carry an `eval_strategy` field.
+/// `"Indexed"`, the one seeding left, loads as if the field were absent.
+/// Any other value names seed streams this build cannot reproduce, so it
+/// is refused instead of silently resuming with indexed seeds. A
+/// campaign's config and every group session's copy pass through here.
+impl Deserialize for FlowConfig {
+    fn deserialize(content: &Content) -> Result<Self, DeError> {
+        if !matches!(content, Content::Map(_)) {
+            return Err(DeError::expected("map", content));
+        }
+        match content.get("eval_strategy") {
+            None => {}
+            Some(Content::Str(s)) if s == "Indexed" => {}
+            Some(Content::Str(s)) => {
+                return Err(DeError::custom(format!(
+                    "eval_strategy `{s}` was retired with evaluation coalescing; \
+                     only `Indexed` checkpoints can resume"
+                )))
+            }
+            Some(other) => return Err(DeError::expected("an eval_strategy name", other)),
+        }
+        Ok(FlowConfig {
+            regression_sims_per_template: de_field(content, "regression_sims_per_template")?,
+            tac_top_n: de_field(content, "tac_top_n")?,
+            sample_templates: de_field(content, "sample_templates")?,
+            sample_sims: de_field(content, "sample_sims")?,
+            opt_iterations: de_field(content, "opt_iterations")?,
+            opt_directions: de_field(content, "opt_directions")?,
+            opt_sims: de_field(content, "opt_sims")?,
+            opt_initial_step: de_field(content, "opt_initial_step")?,
+            opt_target_value: de_field(content, "opt_target_value")?,
+            refine_iterations: de_field(content, "refine_iterations")?,
+            best_sims: de_field(content, "best_sims")?,
+            subranges: de_field(content, "subranges")?,
+            include_zero_weights: de_field(content, "include_zero_weights")?,
+            neighbor_decay: de_field(content, "neighbor_decay")?,
+            threads: de_field(content, "threads")?,
+            campaign_jobs: de_field(content, "campaign_jobs")?,
+        })
+    }
 }
 
 impl FlowConfig {
@@ -119,7 +153,6 @@ impl FlowConfig {
             neighbor_decay: 0.5,
             threads: 1,
             campaign_jobs: default_campaign_jobs(),
-            eval_strategy: EvalStrategy::Indexed,
         }
     }
 
@@ -145,7 +178,6 @@ impl FlowConfig {
             neighbor_decay: 0.5,
             threads: 0,
             campaign_jobs: default_campaign_jobs(),
-            eval_strategy: EvalStrategy::Indexed,
         }
     }
 
@@ -170,7 +202,6 @@ impl FlowConfig {
             neighbor_decay: 0.5,
             threads: 0,
             campaign_jobs: default_campaign_jobs(),
-            eval_strategy: EvalStrategy::Indexed,
         }
     }
 
@@ -195,7 +226,6 @@ impl FlowConfig {
             neighbor_decay: 0.5,
             threads: 0,
             campaign_jobs: default_campaign_jobs(),
-            eval_strategy: EvalStrategy::Indexed,
         }
     }
 

@@ -46,7 +46,6 @@ mod campaign;
 mod checkpoint;
 mod engine;
 mod error;
-mod evalcache;
 mod events;
 mod flow;
 pub mod manifest;
@@ -67,7 +66,6 @@ pub use campaign::{group_uncovered, CampaignGroup, CampaignOutcome, CampaignPlan
 pub use checkpoint::{read_campaign_checkpoint, read_session_checkpoint, CheckpointWriter};
 pub use engine::FlowEngine;
 pub use error::FlowError;
-pub use evalcache::SharedEvalCache;
 pub use events::{EventBus, EventLog, FlowEvent, FlowSubscriber};
 pub use flow::{
     CdgFlow, FlowConfig, FlowOutcome, PhaseStats, PhaseTiming, PHASE_BEFORE, PHASE_BEST,
@@ -76,7 +74,7 @@ pub use flow::{
 pub use manifest::{CoverageSummary, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use multi_target::{MultiTargetOutcome, TargetGroupResult};
 pub use neighbors::ApproxTarget;
-pub use objective::{CdgObjective, EvalStrategy};
+pub use objective::CdgObjective;
 pub use pool::{machine_threads, pool_scope, pool_scope_with, SimPool};
 pub use report::{
     family_table_csv, render_cross_breakdown, render_family_table, render_status_chart,

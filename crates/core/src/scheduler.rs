@@ -26,7 +26,7 @@
 //! wall-clock attribution (timings, telemetry) varies.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use ascdg_duv::VerifEnv;
 use ascdg_telemetry::Telemetry;
@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::FlowEngine;
 use crate::session::{CancelToken, SessionState};
-use crate::{FlowError, FlowOutcome, SharedEvalCache};
+use crate::{FlowError, FlowOutcome};
 
 /// One scheduled session's result: the assembled outcome plus its final
 /// state (kept for manifests and per-group progress reporting).
@@ -106,10 +106,6 @@ pub struct AdmitSpec<'cb> {
     pub class: String,
     /// Cooperative-cancellation token shared with whoever may cancel.
     pub cancel: CancelToken,
-    /// A request-scoped completed-evaluation cache, attached to the
-    /// session at every resume (the shared engine's own cache, if any, is
-    /// replaced for this job).
-    pub eval_cache: Option<Arc<SharedEvalCache>>,
     /// Called with the job id and latest state after every completed
     /// stage — checkpoint/streaming hook; runs outside the queue lock.
     pub on_step: Option<StepFn<'cb>>,
@@ -124,7 +120,6 @@ impl AdmitSpec<'_> {
             weight: 1,
             class: "default".to_owned(),
             cancel: CancelToken::new(),
-            eval_cache: None,
             on_step: None,
         }
     }
@@ -156,7 +151,6 @@ struct Job<'cb> {
     completed_stages: usize,
     sims: u64,
     cancel: CancelToken,
-    eval_cache: Option<Arc<SharedEvalCache>>,
     on_step: Option<StepFn<'cb>>,
     result: Option<Box<GroupRun>>,
 }
@@ -243,7 +237,6 @@ impl<'cb> AdmissionQueue<'cb> {
             completed_stages: spec.state.completed.len(),
             sims: spec.state.stage_sims.iter().map(|s| s.sims).sum(),
             cancel: spec.cancel,
-            eval_cache: spec.eval_cache,
             on_step: spec.on_step,
             result: None,
         });
@@ -416,7 +409,7 @@ impl<'cb> AdmissionQueue<'cb> {
     /// run concurrently, on any thread that can borrow the engine.
     pub fn run_worker<E: VerifEnv>(&self, engine: &FlowEngine<'_, E>) {
         loop {
-            let (id, state, cancel, eval_cache, on_step) = {
+            let (id, state, cancel, on_step) = {
                 let mut inner = lock(&self.inner);
                 loop {
                     if inner.closed {
@@ -447,7 +440,6 @@ impl<'cb> AdmissionQueue<'cb> {
                         }
                         job.lifecycle = SessionLifecycle::Running;
                         let cancel = job.cancel.clone();
-                        let eval_cache = job.eval_cache.clone();
                         let on_step = job.on_step.take();
                         inner.in_flight += 1;
                         if let Some(m) = self.telemetry.metrics() {
@@ -455,7 +447,7 @@ impl<'cb> AdmissionQueue<'cb> {
                                 .set(inner.in_flight as f64);
                         }
                         self.update_depth_gauges(&inner);
-                        break (id, state, cancel, eval_cache, on_step);
+                        break (id, state, cancel, on_step);
                     }
                     if inner.sealed && inner.in_flight == 0 {
                         // Sealed, drained, and nobody can produce more
@@ -468,7 +460,7 @@ impl<'cb> AdmissionQueue<'cb> {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let stepped = step_once(engine, state, &cancel, eval_cache);
+            let stepped = step_once(engine, state, &cancel);
             if let Some(m) = self.telemetry.metrics() {
                 m.gauge("campaign.pool_occupancy")
                     .set(engine.pool().busy_workers() as f64);
@@ -637,15 +629,11 @@ fn step_once<E: VerifEnv>(
     engine: &FlowEngine<'_, E>,
     state: SessionState,
     cancel: &CancelToken,
-    eval_cache: Option<Arc<SharedEvalCache>>,
 ) -> Stepped {
     let mut cx = match engine.resume(state) {
         Ok(cx) => cx,
         Err(e) => return Stepped::Finished(Box::new(Err(e))),
     };
-    if let Some(cache) = eval_cache {
-        cx.set_shared_eval_cache(cache);
-    }
     cx.set_cancel_token(cancel.clone());
     match engine.step(&mut cx) {
         Err(e) => Stepped::Finished(Box::new(Err(e))),

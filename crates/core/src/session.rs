@@ -22,9 +22,7 @@ use ascdg_telemetry::Telemetry;
 use ascdg_template::{Skeleton, TestTemplate};
 
 use crate::events::{event_name, EventBus, FlowEvent, FlowSubscriber};
-use crate::{
-    ApproxTarget, BatchRunner, FlowConfig, FlowError, PhaseStats, PhaseTiming, SharedEvalCache,
-};
+use crate::{ApproxTarget, BatchRunner, FlowConfig, FlowError, PhaseStats, PhaseTiming};
 
 /// A streaming consumer of post-stage snapshots
 /// (see [`SessionCx::on_checkpoint`]).
@@ -265,7 +263,6 @@ pub struct SessionCx<'env, 'bus, E: VerifEnv> {
     state: SessionState,
     bus: EventBus<'bus>,
     telemetry: Telemetry,
-    eval_cache: Option<Arc<SharedEvalCache>>,
     cancel: Option<CancelToken>,
     checkpoints: Option<Vec<SessionState>>,
     checkpoint_sink: Option<CheckpointSink<'bus>>,
@@ -278,7 +275,6 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         repo: Option<CoverageRepository>,
         state: SessionState,
         telemetry: Telemetry,
-        eval_cache: Option<Arc<SharedEvalCache>>,
     ) -> Self {
         SessionCx {
             env,
@@ -287,7 +283,6 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
             state,
             bus: EventBus::new(),
             telemetry,
-            eval_cache,
             cancel: None,
             checkpoints: None,
             checkpoint_sink: None,
@@ -305,23 +300,6 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
     #[must_use]
     pub fn cancel_requested(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Attaches (or replaces) the campaign-shared completed-evaluation
-    /// cache for this session only — how the admission scheduler gives
-    /// each daemon request its own cache on one shared engine.
-    pub fn set_shared_eval_cache(&mut self, cache: Arc<SharedEvalCache>) {
-        self.eval_cache = Some(cache);
-    }
-
-    /// The campaign-shared completed-evaluation cache attached to this
-    /// session's engine, if any, paired with the session seed (the
-    /// objective's `origin` for in-group vs cross-group hit attribution).
-    #[must_use]
-    pub fn shared_eval_cache(&self) -> Option<(Arc<SharedEvalCache>, u64)> {
-        self.eval_cache
-            .as_ref()
-            .map(|cache| (Arc::clone(cache), self.state.seed))
     }
 
     /// The session's telemetry handle (disabled unless the engine was

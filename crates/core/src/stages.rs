@@ -333,11 +333,7 @@ impl<E: VerifEnv> Stage<E> for RandomSample {
             cfg.sample_sims,
             cx.runner(),
             cx.stage_seed(0x5a4c),
-        )
-        .with_strategy(cfg.eval_strategy);
-        if let Some((cache, origin)) = cx.shared_eval_cache() {
-            obj = obj.with_shared_cache(cache, origin);
-        }
+        );
         let counters_before = cx.counter_snapshot();
         let phase_clock = Instant::now();
         let sample = random_sample(&mut obj, cfg.sample_templates, cx.stage_seed(1));
@@ -394,11 +390,7 @@ impl<E: VerifEnv> Stage<E> for Optimize {
             cfg.opt_sims,
             cx.runner(),
             cx.stage_seed(0x0b7),
-        )
-        .with_strategy(cfg.eval_strategy);
-        if let Some((cache, origin)) = cx.shared_eval_cache() {
-            obj = obj.with_shared_cache(cache, origin);
-        }
+        );
         let optimizer = ImplicitFiltering::new(IfOptions {
             n_directions: cfg.opt_directions,
             initial_step: cfg.opt_initial_step,
@@ -492,11 +484,7 @@ impl<E: VerifEnv> Stage<E> for Refine {
             cfg.opt_sims,
             cx.runner(),
             cx.stage_seed(0x4ef1),
-        )
-        .with_strategy(cfg.eval_strategy);
-        if let Some((cache, origin)) = cx.shared_eval_cache() {
-            obj = obj.with_shared_cache(cache, origin);
-        }
+        );
         let counters_before = cx.counter_snapshot();
         let phase_clock = Instant::now();
         let refine_result = ImplicitFiltering::new(IfOptions {

@@ -21,6 +21,10 @@ pub enum CoverageError {
     EmptyFeature(String),
     /// A model was declared with no events.
     EmptyModel,
+    /// A repository snapshot's global row is not the sum of its template
+    /// rows, or a template appears twice: the snapshot was edited or
+    /// damaged after it was taken.
+    InconsistentSnapshot(String),
 }
 
 impl fmt::Display for CoverageError {
@@ -40,6 +44,9 @@ impl fmt::Display for CoverageError {
                 write!(f, "cross-product feature `{name}` has no values")
             }
             CoverageError::EmptyModel => write!(f, "coverage model declares no events"),
+            CoverageError::InconsistentSnapshot(why) => {
+                write!(f, "inconsistent repository snapshot: {why}")
+            }
         }
     }
 }

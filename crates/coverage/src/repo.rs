@@ -395,11 +395,28 @@ impl CoverageRepository {
             }
         };
         let global = row(snapshot.global_sims, &snapshot.global_hits)?;
-        let per_template = snapshot
+        let per_template: BTreeMap<TemplateId, Row> = snapshot
             .per_template
             .iter()
             .map(|(t, sims, hits)| Ok((*t, row(*sims, hits)?)))
             .collect::<Result<_, CoverageError>>()?;
+        // Every record lands in the global row and one template row, so
+        // the global row is their sum: one edited counter, or a dropped or
+        // duplicated template row, breaks it.
+        let mut sum = Row::new(model.len());
+        for r in per_template.values() {
+            sum.merge_counts(r.sims, &r.hits);
+        }
+        if per_template.len() != snapshot.per_template.len() {
+            return Err(CoverageError::InconsistentSnapshot(
+                "a template row appears twice".to_owned(),
+            ));
+        }
+        if sum.sims != global.sims || sum.hits != global.hits {
+            return Err(CoverageError::InconsistentSnapshot(
+                "the global row is not the sum of the template rows".to_owned(),
+            ));
+        }
         let rows = RwLock::new(Rows {
             global,
             per_template,
@@ -710,6 +727,36 @@ mod tests {
                 actual: 4
             })
         ));
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_counters_that_do_not_add_up() {
+        let m = model();
+        let repo = CoverageRepository::new(m.clone());
+        repo.record(TemplateId(0), &vec_hitting(&m, &["a"]));
+        repo.record(TemplateId(4), &vec_hitting(&m, &["a", "c"]));
+        let snap = repo.snapshot();
+        let restore = |edit: &dyn Fn(&mut RepoSnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            CoverageRepository::from_snapshot(m.clone(), &bad)
+        };
+        for edit in [
+            &(|s: &mut RepoSnapshot| s.global_sims += 1) as &dyn Fn(&mut RepoSnapshot),
+            &|s| s.global_hits[1] = 1,
+            &|s| s.per_template[1].2[2] = 0,
+            &|s| s.per_template[0].1 = 3,
+            &|s| s.per_template[1].0 = TemplateId(0),
+            &|s| {
+                s.per_template.pop();
+            },
+        ] {
+            assert!(matches!(
+                restore(edit),
+                Err(CoverageError::InconsistentSnapshot(_))
+            ));
+        }
+        assert!(restore(&|_| {}).is_ok());
     }
 
     #[test]

@@ -536,7 +536,6 @@ fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
         .filter(|m| {
             m.name.starts_with("serve.")
                 || m.name.starts_with("campaign.")
-                || m.name.starts_with("objective.cross_group")
                 || m.name.starts_with("pool.")
         })
         .map(|m| GaugeReading {
@@ -725,7 +724,6 @@ fn run_plan(
             weight: spec.weight,
             class: class.clone(),
             cancel: CancelToken::new(),
-            eval_cache: Some(Arc::clone(plan.eval_cache())),
             on_step: Some(Box::new(move |_, state: &SessionState| {
                 let (written, group) = hook_plan.record_step(slot, state, |p| {
                     (ckpt.write_campaign(p), p.groups[slot].name.clone())

@@ -99,7 +99,7 @@ pub struct RatesReport {
     /// Per-series rates between the two newest samples: counters by
     /// name, histograms as `<name>.count` (sims/s is
     /// `batch.sims_recorded`, merges/s is `batch.repo_merges`,
-    /// coalesced/s is `objective.coalesced`, per-tenant sims/s are
+    /// evaluations/s is `objective.evals`, per-tenant sims/s are
     /// `serve.tenant_sims.<class>`).
     pub rates: Vec<RateSample>,
 }

@@ -493,4 +493,88 @@ mod tests {
         .unwrap();
         assert!(typed.contains("Oversized"), "typed code on the wire");
     }
+
+    /// One stream segment: a valid request, raw bytes (newlines
+    /// included), invalid UTF-8, a line past `MAX_LINE_BYTES`, or
+    /// whitespace; `payload` seeds its bytes.
+    fn segment(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let pick = payload.first().copied().unwrap_or(0);
+        match kind {
+            0 => {
+                let request = match pick % 4 {
+                    0 => Request::Status,
+                    1 => Request::Shutdown,
+                    2 => Request::Cancel {
+                        request: u64::from(pick),
+                    },
+                    _ => Request::Submit(SubmitSpec {
+                        unit: "io".to_owned(),
+                        scale: 0.5,
+                        seed: u64::from(pick),
+                        profile: "quick".to_owned(),
+                        weight: 1,
+                        class: String::new(),
+                    }),
+                };
+                serde_json::to_string(&request).unwrap().into_bytes()
+            }
+            1 => payload.to_vec(),
+            2 => [&[0xff][..], payload].concat(),
+            3 => vec![b'{'; MAX_LINE_BYTES + 1 + payload.len()],
+            _ => b" \r\t".repeat(usize::from(pick % 3)),
+        }
+    }
+
+    /// What `read_line` must yield for one line of a stream, newline
+    /// excluded: nothing for a blank line, else a request or a code.
+    fn expected(line: &[u8]) -> Option<Result<Request, ErrorCode>> {
+        if line.len() > MAX_LINE_BYTES {
+            return Some(Err(ErrorCode::Oversized));
+        }
+        let Ok(text) = std::str::from_utf8(line) else {
+            return Some(Err(ErrorCode::InvalidUtf8));
+        };
+        let text = text.trim();
+        (!text.is_empty()).then(|| serde_json::from_str(text).map_err(|_| ErrorCode::Malformed))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 48 })]
+
+        /// Arbitrary byte streams through `read_line`, on buffers small
+        /// enough to split lines: every line is a request or a typed
+        /// violation, in stream order, never a panic, and each oversized
+        /// line is drained so the reader resynchronizes at its newline.
+        #[test]
+        fn arbitrary_streams_read_as_requests_or_typed_violations(
+            segments in proptest::collection::vec(
+                (0u8..5, proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48), proptest::prelude::any::<bool>()),
+                0..10,
+            ),
+            capacity in 1usize..4096,
+        ) {
+            let mut stream = Vec::new();
+            for (kind, payload, newline) in &segments {
+                stream.extend(segment(*kind, payload));
+                if *newline {
+                    stream.push(b'\n');
+                }
+            }
+            let mut lines: Vec<&[u8]> = stream.split(|&b| b == b'\n').collect();
+            if stream.last() == Some(&b'\n') {
+                lines.pop();
+            }
+            let want: Vec<_> = lines.into_iter().filter_map(expected).collect();
+            let mut reader = std::io::BufReader::with_capacity(capacity, &stream[..]);
+            let mut got = Vec::new();
+            while let Some(line) = read_line::<Request>(&mut reader)
+                .map_err(|e| violation_code(&e))
+                .transpose()
+            {
+                proptest::prop_assert!(got.len() < want.len(), "more lines than the stream holds");
+                got.push(line);
+            }
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
 }

@@ -282,11 +282,11 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A corrupted orphan — a group target outside the unit's model — fails
-/// its recovery with a typed error logged on stderr instead of panicking
-/// a daemon thread: the daemon still starts, writes no outcome for the
-/// orphan, serves a new request with its one-shot bytes, and shuts down
-/// cleanly.
+/// Corrupted orphans — a group target outside the unit's model, a config
+/// naming a retired evaluation seeding, a truncated file — fail their
+/// recovery with a typed error logged on stderr instead of panicking a
+/// daemon thread: the daemon still starts, writes no outcome for them,
+/// serves a new request with its one-shot bytes, and shuts down cleanly.
 #[test]
 fn corrupted_orphan_fails_recovery_and_the_daemon_keeps_serving() {
     let dir = tmp_dir("bad-orphan");
@@ -297,12 +297,21 @@ fn corrupted_orphan_fails_recovery_and_the_daemon_keeps_serving() {
         FlowEngine::new(&env, config.clone(), pool).regression_checkpoint(2021)
     })
     .expect("regression runs");
+    let clean = serde_json::to_string(&orphan).unwrap();
     orphan.groups[0].targets.push(EventId(99_999));
-    std::fs::write(
-        dir.join("req0.progress.json"),
+    let retired = clean.replace(
+        "\"campaign_jobs\":1",
+        "\"campaign_jobs\":1,\"eval_strategy\":\"Coalesced\"",
+    );
+    assert_ne!(retired, clean);
+    let orphans = [
         serde_json::to_string(&orphan).unwrap(),
-    )
-    .unwrap();
+        retired,
+        clean[..clean.len() / 2].to_owned(),
+    ];
+    for (id, json) in orphans.iter().enumerate() {
+        std::fs::write(dir.join(format!("req{id}.progress.json")), json).unwrap();
+    }
 
     let (addr, handle) = start_daemon(&dir);
     let mut client = Client::connect(&addr).expect("connects");
@@ -319,12 +328,14 @@ fn corrupted_orphan_fails_recovery_and_the_daemon_keeps_serving() {
             |_| {},
         )
         .expect("fresh request completes");
-    assert!(request > 0, "restart must not reuse the orphan's id");
+    assert!(request > 2, "restart must not reuse an orphan's id");
     assert_eq!(outcome_json, one_shot_outcome_json(1.0, 5));
-    assert!(
-        !dir.join("req0.outcome.json").exists(),
-        "the corrupted orphan must not produce an outcome"
-    );
+    for id in 0..orphans.len() {
+        assert!(
+            !dir.join(format!("req{id}.outcome.json")).exists(),
+            "corrupted orphan {id} must not produce an outcome"
+        );
+    }
     client.shutdown().expect("daemon drains");
     handle
         .join()

@@ -105,8 +105,8 @@ pub struct RateSample {
 ///
 /// Counters and histogram sample counts are monotonic, so their
 /// first differences are meaningful rates — sims/s
-/// (`batch.sims_recorded`), merges/s (`batch.repo_merges`), coalesced
-/// evaluations/s (`objective.coalesced`), per-tenant sims/s
+/// (`batch.sims_recorded`), merges/s (`batch.repo_merges`), objective
+/// evaluations/s (`objective.evals`), per-tenant sims/s
 /// (`serve.tenant_sims.*`). Gauges are skipped (their current value
 /// *is* the observation). The first feed seeds the baseline and
 /// returns no samples.

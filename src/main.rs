@@ -11,9 +11,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use ascdg::core::{
-    pool_scope_with, read_campaign_checkpoint, ApproxTarget, CampaignOutcome, CampaignProgress,
-    CdgFlow, CheckpointWriter, EvalStrategy, FlowConfig, FlowEngine, FlowEvent, RunManifest,
-    SessionLifecycle, SessionState, TargetSpec, Telemetry,
+    pool_scope_with, read_campaign_checkpoint, read_session_checkpoint, ApproxTarget,
+    CampaignOutcome, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine,
+    FlowEvent, RunManifest, SessionLifecycle, SessionState, TargetSpec, Telemetry,
 };
 use ascdg::coverage::{CoverageRepository, EventFamily, RepoSnapshot, StatusPolicy};
 use ascdg::duv::VerifEnv;
@@ -25,29 +25,37 @@ use ascdg::template::TestTemplate;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("units") => cmd_units(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("skeletonize") => cmd_skeletonize(&args[1..]),
-        Some("regress") => cmd_regress(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}").into()),
-    };
-    match result {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+fn dispatch(args: &[String]) -> CliResult {
+    let Some((cmd, rest)) = args.split_first() else {
+        print!("{USAGE}");
+        return Ok(());
+    };
+    check_flags(cmd, rest)?;
+    match cmd.as_str() {
+        "units" => cmd_units(),
+        "run" => cmd_run(rest),
+        "skeletonize" => cmd_skeletonize(rest),
+        "regress" => cmd_regress(rest),
+        "campaign" => cmd_campaign(rest),
+        "trace" => cmd_trace(rest),
+        "serve" => cmd_serve(rest),
+        "submit" => cmd_submit(rest),
+        "status" => cmd_status(rest),
+        "top" => cmd_top(rest),
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     }
 }
 
@@ -59,7 +67,7 @@ USAGE:
       List the built-in simulated units and their environments.
   ascdg run --unit <io|l3|ifu|synthetic> [--family <stem>] [--scale <f>] [--seed <n>]
             [--snapshot <path>] [--checkpoint <path>] [--resume <path>] [--json <path>]
-            [--metrics-out <base>] [--threads <n>] [--campaign-jobs <n>] [--coalesce]
+            [--metrics-out <base>] [--threads <n>] [--campaign-jobs <n>]
       Run the full AS-CDG flow. Without --family, targets every event
       still uncovered after regression (the IFU cross-product usage).
       --scale multiplies the paper's simulation budgets (default 0.1);
@@ -70,16 +78,13 @@ USAGE:
       --metrics-out enables telemetry and writes <base>.manifest.json
       (run manifest) plus <base>.trace.jsonl (span/metric trace);
       --threads overrides the configured worker-pool size.
-      --coalesce switches objective evaluations to point-seeded
-      coalescing: duplicate points are simulated once and replayed from
-      cache (a different — but equally deterministic — seed stream).
   ascdg skeletonize <file> [--subranges <n>] [--include-zero-weights]
       Parse a test-template file and print its skeleton.
   ascdg regress --unit <io|l3|ifu|synthetic> [--sims <n>] [--save <path>]
       Run the stock regression only and print the coverage status;
       --save writes the repository snapshot for later `run --snapshot`.
   ascdg campaign --unit <io|l3|ifu|synthetic> [--scale <f>] [--seed <n>] [--json <path>]
-            [--campaign-jobs <n>] [--threads <n>] [--coalesce]
+            [--campaign-jobs <n>] [--threads <n>]
             [--metrics-out <base>] [--checkpoint <path>] [--resume <path>]
       Sweep every uncovered family of the unit with one flow run each
       (the paper's per-unit deployment) and print the closure summary.
@@ -122,7 +127,7 @@ USAGE:
             [--iterations <n>] [--once]
       Live view of a daemon's introspection plane: polls GET /status and
       GET /rates and redraws a terminal table of per-series rates
-      (sims/s, merges/s, coalesced/s), per-unit queue depths
+      (sims/s, merges/s, evaluations/s), per-unit queue depths
       by priority class, and every tracked request. --addr is the HTTP
       address (serve.http.addr, not serve.addr); --once prints a single
       frame without clearing the screen (what scripts and CI use);
@@ -152,6 +157,47 @@ fn progress_events() -> impl FnMut(&FlowEvent) {
             eprintln!("{}: done ({} simulations)", stats.name, stats.sims);
         }
         _ => {}
+    }
+}
+
+/// The flags `USAGE` documents for subcommand `cmd`: every `--flag` on
+/// its synopsis lines (each `ascdg <cmd>` line and the `[...]` lines
+/// under it), or `None` when `USAGE` has no such subcommand.
+fn documented_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let mut flags = None;
+    let mut in_cmd = false;
+    for line in USAGE.lines().map(str::trim_start) {
+        if let Some(rest) = line.strip_prefix("ascdg ") {
+            in_cmd = rest.split_whitespace().next() == Some(cmd);
+        } else if !line.starts_with('[') {
+            in_cmd = false;
+        }
+        if in_cmd {
+            flags.get_or_insert_with(Vec::new).extend(
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter(|word| word.starts_with("--")),
+            );
+        }
+    }
+    flags
+}
+
+/// Rejects any `--flag` in `args` that `USAGE` does not document for
+/// subcommand `cmd`, so a typo or a retired flag is a usage error naming
+/// it instead of a silently different run. Unknown subcommands pass
+/// through to the dispatcher's own error.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let Some(known) = documented_flags(cmd) else {
+        return Ok(());
+    };
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(bad) => Err(format!(
+            "unknown flag `{bad}` for `ascdg {cmd}` (see `ascdg help`)"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -245,7 +291,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     };
 
     let (mut config, start) = if let Some(resume_path) = flag_value(args, "--resume") {
-        let state: SessionState = serde_json::from_str(&std::fs::read_to_string(resume_path)?)?;
+        let state = read_session_checkpoint(resume_path)?;
         eprintln!(
             "resuming `{}` after {:?} (seed {})",
             state.unit, state.completed, state.seed
@@ -288,9 +334,6 @@ fn cmd_run(args: &[String]) -> CliResult {
     }
     if let Some(n) = flag_value(args, "--campaign-jobs") {
         config.campaign_jobs = n.parse()?;
-    }
-    if has_flag(args, "--coalesce") {
-        config.eval_strategy = EvalStrategy::Coalesced;
     }
 
     let (outcome, final_state) = pool_scope_with(config.threads, &telemetry, |pool| {
@@ -501,9 +544,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     }
     if let Some(n) = flag_value(args, "--campaign-jobs") {
         config.campaign_jobs = n.parse()?;
-    }
-    if has_flag(args, "--coalesce") {
-        config.eval_strategy = EvalStrategy::Coalesced;
     }
     let metrics_out = flag_value(args, "--metrics-out").map(str::to_owned);
     let telemetry = if metrics_out.is_some() {
@@ -838,4 +878,28 @@ fn render_top(addr: &str, tick: u64, status: &DaemonStatus, rates: &RatesReport)
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        // The flag retired with evaluation coalescing.
+        let coalesce = concat!("--", "coalesce");
+        let retired = check_flags("campaign", &args(&["--unit", "io", coalesce]));
+        assert!(retired.unwrap_err().contains(&format!("`{coalesce}`")));
+        let typo = check_flags("run", &args(&["--unit", "io", "--thread", "2"]));
+        assert!(typo.unwrap_err().contains("`--thread`"));
+        assert!(check_flags("run", &args(&["--unit", "io", "--threads", "2"])).is_ok());
+        // Both `trace` synopsis lines count, and flag values pass.
+        assert!(check_flags("trace", &args(&["--manifest", "m.json"])).is_ok());
+        assert!(check_flags("units", &args(&["--unit"])).is_err());
+        assert!(check_flags("no-such-command", &args(&["--x"])).is_ok());
+    }
 }
