@@ -8,8 +8,6 @@
 //! for uncovered events outside any family), and a unit-level summary of
 //! what closed, what resisted, and what it cost.
 
-use std::sync::{Mutex, PoisonError};
-
 use serde::{Deserialize, Serialize};
 
 use ascdg_coverage::{
@@ -23,7 +21,7 @@ use ascdg_template::TemplateLibrary;
 use crate::checkpoint::restore_snapshot;
 use crate::pool::{pool_scope_with, SimPool};
 use crate::scheduler::{self, GroupRun};
-use crate::session::{CampaignProgress, GroupProgress, SessionState};
+use crate::session::{CampaignEntry, CampaignProgress, CampaignSink, GroupProgress, SessionState};
 use crate::{ApproxTarget, CdgFlow, FlowEngine, FlowError, FlowOutcome, PHASE_BEFORE, PHASE_BEST};
 
 /// One target group's result within a campaign.
@@ -145,10 +143,13 @@ impl<E: VerifEnv> CdgFlow<E> {
 
     /// Like [`CdgFlow::run_campaign`], with telemetry recording and the
     /// per-group final session states in the returned report (for
-    /// per-group run manifests). With `on_progress`, a whole-campaign
-    /// [`CampaignProgress`] checkpoint is streamed to it after every
-    /// completed group stage; the sink may be called from any scheduler
-    /// worker (calls are serialized, states are consistent snapshots).
+    /// per-group run manifests). With `on_progress`, the campaign's
+    /// checkpoint stream goes to it: the planned campaign once, then one
+    /// [`CampaignEntry::Step`] per completed group stage, from whichever
+    /// scheduler worker ran it. A [`CheckpointWriter`] records the stream
+    /// as an append-only log.
+    ///
+    /// [`CheckpointWriter`]: crate::CheckpointWriter
     ///
     /// A fresh campaign is a resume from its
     /// [`regression_checkpoint`](FlowEngine::regression_checkpoint),
@@ -161,7 +162,7 @@ impl<E: VerifEnv> CdgFlow<E> {
         &self,
         seed: u64,
         telemetry: &Telemetry,
-        on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
+        on_progress: Option<&CampaignSink<'_>>,
     ) -> Result<CampaignReport, FlowError> {
         pool_scope_with(self.config().threads, telemetry, |pool| {
             let start = FlowEngine::new(self.env(), self.config().clone(), pool)
@@ -178,7 +179,9 @@ impl<E: VerifEnv> CdgFlow<E> {
     /// groups that never reached a checkpoint are rebuilt from their
     /// recorded targets with the same salted seeds. The result is
     /// byte-identical to the uninterrupted campaign at any
-    /// `campaign_jobs`/thread count.
+    /// `campaign_jobs`/thread count. `on_progress` gets the same stream as
+    /// in [`CdgFlow::run_campaign_with`], starting with the re-planned
+    /// campaign.
     ///
     /// # Errors
     ///
@@ -187,7 +190,7 @@ impl<E: VerifEnv> CdgFlow<E> {
         &self,
         progress: &CampaignProgress,
         telemetry: &Telemetry,
-        on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
+        on_progress: Option<&CampaignSink<'_>>,
     ) -> Result<CampaignReport, FlowError> {
         pool_scope_with(self.config().threads, telemetry, |pool| {
             self.run_planned(pool, progress, telemetry, on_progress)
@@ -202,15 +205,17 @@ impl<E: VerifEnv> CdgFlow<E> {
         pool: &SimPool<'env>,
         progress: &CampaignProgress,
         telemetry: &Telemetry,
-        on_progress: Option<&(dyn Fn(&CampaignProgress) + Sync)>,
+        on_progress: Option<&CampaignSink<'_>>,
     ) -> Result<CampaignReport, FlowError> {
         let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
             .with_telemetry(telemetry.clone());
         let mut plan = CampaignPlan::new(&engine, progress)?;
         let sessions = plan.take_sessions();
+        if let Some(sink) = on_progress {
+            sink(CampaignEntry::Plan(plan.checkpoint()));
+        }
         let on_step = on_progress.map(|sink| {
-            let plan = &plan;
-            move |i: usize, state: &SessionState| plan.record_step(i, state, sink)
+            move |group: usize, state: &SessionState| sink(CampaignEntry::Step { group, state })
         });
         let runs = scheduler::run_interleaved(
             &engine,
@@ -241,19 +246,20 @@ pub struct CampaignPlan {
     /// One session per group ready to schedule; `None` where the group
     /// could not be prepared (its failure is in the checkpoint).
     sessions: Vec<Option<SessionState>>,
-    /// The live checkpoint: the planned groups, updated with every
-    /// group's latest post-stage state by [`CampaignPlan::record_step`].
-    checkpoint: Mutex<CampaignProgress>,
+    /// The planned campaign, the header of its checkpoint log: the
+    /// regression snapshot once, group sessions without their own copy.
+    checkpoint: CampaignProgress,
 }
 
 impl CampaignPlan {
     /// Plans a campaign from `progress` on `engine`'s environment and
     /// configuration: restores the regression snapshot, keeps each
     /// checkpointed group's session, and rebuilds every other group with
-    /// its index-salted seed `mix_seed(seed, 0xc0 + i)`. A group that
-    /// cannot be prepared (no evidence, ...) is recorded with its failure
-    /// instead of failing the plan; failures stored in `progress` are
-    /// recomputed, not trusted.
+    /// its index-salted seed `mix_seed(seed, 0xc0 + i)`. A checkpointed
+    /// session without a `repo` of its own runs on the campaign's
+    /// snapshot. A group that cannot be prepared (no evidence, ...) is
+    /// recorded with its failure instead of failing the plan; failures
+    /// stored in `progress` are recomputed, not trusted.
     ///
     /// # Errors
     ///
@@ -302,8 +308,14 @@ impl CampaignPlan {
         let mut sessions = Vec::with_capacity(checkpoint.groups.len());
         for (i, group) in checkpoint.groups.iter_mut().enumerate() {
             group.failure = None;
-            if let Some(state) = &group.session {
-                sessions.push(Some(state.clone()));
+            if let Some(state) = &mut group.session {
+                // The header keeps the snapshot once; a session from a
+                // checkpoint that predates the log carries its own copy.
+                let own = state.repo.take();
+                sessions.push(Some(SessionState {
+                    repo: Some(own.unwrap_or_else(|| snap.clone())),
+                    ..state.clone()
+                }));
                 continue;
             }
             let seed = mix_seed(progress.seed, 0xc0 + i as u64);
@@ -321,7 +333,7 @@ impl CampaignPlan {
             repo,
             before,
             sessions,
-            checkpoint: Mutex::new(checkpoint),
+            checkpoint,
         })
     }
 
@@ -340,45 +352,24 @@ impl CampaignPlan {
             .collect()
     }
 
-    /// Runs `f` on the live checkpoint.
-    pub fn checkpoint<R>(&self, f: impl FnOnce(&CampaignProgress) -> R) -> R {
-        f(&self
-            .checkpoint
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Records group `group`'s latest post-stage state in the live
-    /// checkpoint and runs `sink` on the result while still holding it,
-    /// so concurrent steps reach the sink one at a time, each with a
-    /// consistent snapshot.
-    pub fn record_step<R>(
-        &self,
-        group: usize,
-        state: &SessionState,
-        sink: impl FnOnce(&CampaignProgress) -> R,
-    ) -> R {
-        let mut progress = self
-            .checkpoint
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        progress.groups[group].session = Some(state.clone());
-        sink(&progress)
+    /// The planned campaign, as [`CampaignEntry::Plan`] streams it.
+    #[must_use]
+    pub fn checkpoint(&self) -> &CampaignProgress {
+        &self.checkpoint
     }
 
     /// Folds the finished runs (indexed by group; `None` for groups that
     /// never ran) into the campaign's report through `fold_campaign`.
     #[must_use]
     pub fn fold(&self, runs: Vec<Option<GroupRun>>) -> CampaignReport {
-        self.checkpoint(|progress| {
-            fold_campaign(
-                &progress.unit,
-                &self.repo,
-                self.before,
-                &progress.groups,
-                runs,
-            )
-        })
+        let progress = &self.checkpoint;
+        fold_campaign(
+            &progress.unit,
+            &self.repo,
+            self.before,
+            &progress.groups,
+            runs,
+        )
     }
 }
 
@@ -641,13 +632,9 @@ mod tests {
             for (i, state) in &sessions {
                 assert_eq!(state.seed, mix_seed(11, 0xc0 + *i as u64));
             }
-            plan.checkpoint(|live| {
-                assert!(live.groups.iter().all(|g| g.failure.is_none()));
-                assert!(
-                    live.config.is_some(),
-                    "the live checkpoint embeds its config"
-                );
-            });
+            let planned = plan.checkpoint();
+            assert!(planned.groups.iter().all(|g| g.failure.is_none()));
+            assert!(planned.config.is_some(), "the plan embeds its config");
         });
     }
 

@@ -199,8 +199,10 @@ pub struct GroupProgress {
     #[serde(default)]
     pub targets: Vec<EventId>,
     /// The latest post-stage session snapshot (the same [`SessionState`]
-    /// format single-flow checkpoints use); `None` until the group's first
-    /// stage completes, or when the group failed before scheduling.
+    /// format single-flow checkpoints use, without its own copy of the
+    /// regression snapshot: the campaign's `repo` stands in for it);
+    /// `None` until the group's first stage completes, or when the group
+    /// failed before scheduling.
     #[serde(default)]
     pub session: Option<SessionState>,
     /// The failure that kept the group from being scheduled, if any.
@@ -208,9 +210,10 @@ pub struct GroupProgress {
     pub failure: Option<String>,
 }
 
-/// A whole-campaign checkpoint: per-group session progress, streamed by
-/// the campaign scheduler after every completed stage (see
-/// [`CdgFlow::run_campaign_with`](crate::CdgFlow::run_campaign_with)), and
+/// A whole-campaign checkpoint: the regression snapshot and per-group
+/// session progress, folded from the campaign's checkpoint stream (see
+/// [`CampaignEntry`] and
+/// [`read_campaign_checkpoint`](crate::read_campaign_checkpoint)), and
 /// the input of the [`CampaignPlan`](crate::CampaignPlan) every campaign
 /// is planned from.
 ///
@@ -237,18 +240,28 @@ pub struct CampaignProgress {
     pub groups: Vec<GroupProgress>,
 }
 
-impl CampaignProgress {
-    /// Completed stages across all groups — a cheap monotone progress
-    /// measure for logging.
-    #[must_use]
-    pub fn completed_stages(&self) -> usize {
-        self.groups
-            .iter()
-            .filter_map(|g| g.session.as_ref())
-            .map(|s| s.completed.len())
-            .sum()
-    }
+/// One entry of a campaign's checkpoint stream: the plan once, when a
+/// campaign starts or resumes, then one step per completed group stage.
+/// Folding the entries in order gives the campaign's latest
+/// [`CampaignProgress`].
+#[derive(Debug, Clone, Copy)]
+pub enum CampaignEntry<'a> {
+    /// The planned campaign: its regression snapshot and every group's
+    /// progress so far (group sessions carry no `repo`).
+    Plan(&'a CampaignProgress),
+    /// A group's session state after one more completed stage.
+    Step {
+        /// The group's index in [`CampaignProgress::groups`].
+        group: usize,
+        /// The group's post-stage state (as run: with its `repo`).
+        state: &'a SessionState,
+    },
 }
+
+/// A consumer of a campaign's checkpoint stream. Steps may arrive
+/// concurrently from several scheduler workers, but one group's steps
+/// arrive in stage order, each after the one before it returned.
+pub type CampaignSink<'a> = dyn Fn(CampaignEntry<'_>) + Sync + 'a;
 
 /// The mutable context a [`FlowEngine`](crate::FlowEngine) threads through
 /// its stages.

@@ -17,13 +17,16 @@
 //! admission and the plan folds the finished runs, so a request's outcome
 //! is byte-identical to the equivalent one-shot campaign — no matter what
 //! else the daemon is running, and no matter how often it was restarted
-//! mid-request. Durability comes from the same checkpoint stream the CLI
-//! uses: after every completed group stage the plan's live
-//! [`CampaignProgress`] is rewritten atomically under the daemon's state
-//! directory; on startup, any progress file without a matching outcome
-//! file is planned again from that checkpoint and runs to the same final
+//! mid-request. Durability comes from the same checkpoint log the CLI
+//! writes ([`CheckpointWriter`]): the planned [`CampaignProgress`] is its
+//! header, and every completed group stage appends one line to it under
+//! the daemon's state directory; on startup, any progress file without a
+//! matching outcome file is planned again from that checkpoint (which
+//! rewrites the header, compacting the log) and runs to the same final
 //! outcome. The daemon itself only adds request files, streamed
-//! `Progress` lines and the outcome and manifest files.
+//! `Progress` lines and the outcome and manifest files, written through
+//! the same writer, so every failed state-directory write is counted on
+//! `checkpoint.write_failures`.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -183,6 +186,20 @@ impl Daemon {
     fn manifest_path(&self, id: u64, slot: usize) -> PathBuf {
         self.state_dir
             .join(format!("req{id}.group{slot}.manifest.json"))
+    }
+
+    /// Writes one state-directory file through a [`CheckpointWriter`]; a
+    /// failure is logged and counted on `checkpoint.write_failures`, and
+    /// the request goes on without the file.
+    fn persist(
+        &self,
+        id: u64,
+        path: PathBuf,
+        write: impl FnOnce(&CheckpointWriter) -> Result<(), FlowError>,
+    ) {
+        if let Err(e) = write(&CheckpointWriter::new(path, self.telemetry.clone())) {
+            eprintln!("serve: req{id}: {e}");
+        }
     }
 }
 
@@ -620,9 +637,7 @@ fn submit_request<'env>(
         m.counter("serve.requests_total").add(1);
     }
     // The request file makes weight/class survive a restart.
-    if let Ok(json) = serde_json::to_string(&spec) {
-        let _ = std::fs::write(daemon.request_path(id), json);
-    }
+    daemon.persist(id, daemon.request_path(id), |w| w.write_json(&spec, false));
     // The request's regression runs on the daemon's pool, on an untraced
     // planning engine.
     let plan = FlowEngine::new(shard.env, config, pool)
@@ -703,20 +718,19 @@ fn run_plan(
     };
     let n = plan.group_count();
     let sessions = plan.take_sessions();
-    let plan = Arc::new(plan);
     let ckpt = Arc::new(CheckpointWriter::new(
         daemon.progress_path(id),
         daemon.telemetry.clone(),
     ));
-    // Checkpoint before the first stage so even an immediate crash
+    // Start the log before the first stage so even an immediate crash
     // leaves a recoverable request behind.
-    if let Err(e) = plan.checkpoint(|p| ckpt.write_campaign(p)) {
+    if let Err(e) = ckpt.write_campaign(plan.checkpoint()) {
         eprintln!("serve: req{id}: {e}");
     }
 
     let mut jobs: Vec<(usize, u64)> = Vec::new();
     for (slot, state) in sessions {
-        let hook_plan = Arc::clone(&plan);
+        let group = plan.checkpoint().groups[slot].name.clone();
         let ckpt = Arc::clone(&ckpt);
         let stream = Arc::clone(out);
         let admitted = shard.queue.admit(AdmitSpec {
@@ -725,17 +739,14 @@ fn run_plan(
             class: class.clone(),
             cancel: CancelToken::new(),
             on_step: Some(Box::new(move |_, state: &SessionState| {
-                let (written, group) = hook_plan.record_step(slot, state, |p| {
-                    (ckpt.write_campaign(p), p.groups[slot].name.clone())
-                });
-                if let Err(e) = written {
+                if let Err(e) = ckpt.append_step(slot, state) {
                     eprintln!("serve: req{id}: {e}");
                 }
                 send(
                     &stream,
                     &Response::Progress {
                         request: id,
-                        group,
+                        group: group.clone(),
                         completed_stages: state.completed.len(),
                         sims: state.stage_sims.iter().map(|s| s.sims).sum(),
                     },
@@ -819,14 +830,9 @@ fn finish_request(daemon: &Daemon, id: u64, report: &CampaignReport, out: &Outbo
             );
             return;
         }
-        match manifest.to_json() {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(daemon.manifest_path(id, slot), json) {
-                    eprintln!("serve: req{id}: could not write group {slot} manifest: {e}");
-                }
-            }
-            Err(e) => eprintln!("serve: req{id}: group {slot} manifest: {e}"),
-        }
+        daemon.persist(id, daemon.manifest_path(id, slot), |w| {
+            w.write_json(&manifest, true)
+        });
     }
     let outcome_json = match serde_json::to_string(&report.outcome) {
         Ok(json) => json,
@@ -841,14 +847,9 @@ fn finish_request(daemon: &Daemon, id: u64, report: &CampaignReport, out: &Outbo
             return;
         }
     };
-    // Atomic like the checkpoints: recovery must never see half an
+    // Atomic like every state file: recovery must never see half an
     // outcome file and skip a request that was not actually done.
-    let path = daemon.outcome_path(id);
-    let tmp = daemon.state_dir.join(format!("req{id}.outcome.json.tmp"));
-    let written = std::fs::write(&tmp, &outcome_json).and_then(|()| std::fs::rename(&tmp, &path));
-    if let Err(e) = written {
-        eprintln!("serve: req{id}: could not write outcome: {e}");
-    }
+    daemon.persist(id, daemon.outcome_path(id), |w| w.write_file(&outcome_json));
     {
         let mut registry = daemon
             .registry

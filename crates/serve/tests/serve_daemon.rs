@@ -3,10 +3,13 @@
 //! protocol's status/cancel paths must behave.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ascdg_core::{pool_scope, CampaignProgress, CdgFlow, FlowConfig, FlowEngine, Telemetry};
+use ascdg_core::{
+    pool_scope, CampaignEntry, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine,
+    Telemetry,
+};
 use ascdg_coverage::EventId;
 use ascdg_duv::io_unit::IoEnv;
 use ascdg_serve::{serve, wait_for_addr, Client, Response, ServeOptions, SubmitSpec};
@@ -190,9 +193,10 @@ fn six_tiny_tenants_all_match_their_one_shots() {
 }
 
 /// Restart recovery: a request whose daemon died mid-run (here: a
-/// checkpoint snapshotted mid-campaign, planted as an orphan) is
-/// re-admitted on startup and finishes with the same bytes the
-/// uninterrupted run produces.
+/// checkpoint captured mid-campaign, planted as an orphan) is re-admitted
+/// on startup and finishes with the same bytes the uninterrupted run
+/// produces — from a single-object checkpoint written before the log
+/// format, and from a log whose last append was torn.
 #[test]
 fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
     let dir = tmp_dir("recovery");
@@ -201,23 +205,38 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
     let mut config = FlowConfig::quick().scaled(scale);
     config.threads = test_threads();
 
-    // Capture a genuinely mid-flight campaign checkpoint: the snapshot
-    // streamed after roughly half the group stages.
-    let (tx, rx) = mpsc::channel::<CampaignProgress>();
+    // Log the campaign, and fold its stream into the whole-progress
+    // snapshots (group sessions with their own `repo`) that checkpoints
+    // were before the log.
+    let log_path = dir.join("campaign.log");
+    let writer = CheckpointWriter::new(&log_path, Telemetry::disabled());
+    // Each snapshot pairs the folded progress with the log's bytes.
+    let snapshots: Mutex<Vec<(CampaignProgress, Vec<u8>)>> = Mutex::new(Vec::new());
     let flow = CdgFlow::new(IoEnv::new(), config);
     let report = flow
         .run_campaign_with(
             seed,
             &Telemetry::disabled(),
-            Some(&move |progress: &CampaignProgress| {
-                let _ = tx.send(progress.clone());
+            Some(&|entry: CampaignEntry<'_>| {
+                writer.record(entry).expect("log writes");
+                let mut snapshots = snapshots.lock().unwrap();
+                let progress = match entry {
+                    CampaignEntry::Plan(p) => p.clone(),
+                    CampaignEntry::Step { group, state } => {
+                        let mut progress =
+                            snapshots.last().expect("the plan comes first").0.clone();
+                        progress.groups[group].session = Some(state.clone());
+                        progress
+                    }
+                };
+                snapshots.push((progress, std::fs::read(&log_path).unwrap()));
             }),
         )
         .expect("campaign runs");
     let reference = serde_json::to_string(&report.outcome).unwrap();
-    let snapshots: Vec<CampaignProgress> = rx.try_iter().collect();
+    let snapshots = snapshots.into_inner().unwrap();
     assert!(snapshots.len() > 2, "campaign must checkpoint repeatedly");
-    let midway = &snapshots[snapshots.len() / 2];
+    let (midway, log) = &snapshots[snapshots.len() / 2];
     assert!(
         midway
             .groups
@@ -226,41 +245,53 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
         "midway checkpoint should have partial group progress"
     );
 
-    // Plant it as an interrupted request, with its request file, the way
-    // a SIGTERM'd daemon leaves them behind.
-    std::fs::write(
-        dir.join("req3.progress.json"),
-        serde_json::to_string(midway).unwrap(),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("req3.request.json"),
-        serde_json::to_string(&SubmitSpec {
-            unit: "io".to_owned(),
-            scale,
-            seed,
-            profile: "quick".to_owned(),
-            weight: 3,
-            class: "recovered".to_owned(),
-        })
-        .unwrap(),
-    )
-    .unwrap();
+    // Plant both as interrupted requests, with their request files, the
+    // way a killed daemon leaves them behind.
+    let last_line = log[..log.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("the log has step lines")
+        + 1;
+    let orphans = [
+        serde_json::to_string(midway).unwrap().into_bytes(),
+        log[..last_line + (log.len() - last_line) / 2].to_vec(),
+    ];
+    for (id, bytes) in (3..).zip(&orphans) {
+        std::fs::write(dir.join(format!("req{id}.progress.json")), bytes).unwrap();
+        std::fs::write(
+            dir.join(format!("req{id}.request.json")),
+            serde_json::to_string(&SubmitSpec {
+                unit: "io".to_owned(),
+                scale,
+                seed,
+                profile: "quick".to_owned(),
+                weight: 3,
+                class: "recovered".to_owned(),
+            })
+            .unwrap(),
+        )
+        .unwrap();
+    }
 
     let (addr, handle) = start_daemon(&dir);
-    // The daemon recovers the orphan in the background; wait for its
-    // outcome file.
-    let outcome_path = dir.join("req3.outcome.json");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while !outcome_path.exists() {
-        assert!(Instant::now() < deadline, "recovery never finished");
-        std::thread::sleep(Duration::from_millis(50));
+    // The daemon recovers the orphans in the background; wait for their
+    // outcome files.
+    for id in [3, 4] {
+        let outcome_path = dir.join(format!("req{id}.outcome.json"));
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !outcome_path.exists() {
+            assert!(
+                Instant::now() < deadline,
+                "recovery of req{id} never finished"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let recovered = std::fs::read_to_string(&outcome_path).unwrap();
+        assert_eq!(
+            recovered, reference,
+            "req{id}'s recovered outcome must be byte-identical to the uninterrupted run"
+        );
     }
-    let recovered = std::fs::read_to_string(&outcome_path).unwrap();
-    assert_eq!(
-        recovered, reference,
-        "recovered outcome must be byte-identical to the uninterrupted run"
-    );
     // New ids allocated after restart never collide with recovered ones.
     let mut client = Client::connect(&addr).expect("connects");
     let (request, _) = client
@@ -276,7 +307,7 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
             |_| {},
         )
         .expect("fresh request completes");
-    assert!(request > 3, "restart must not reuse recovered ids");
+    assert!(request > 4, "restart must not reuse recovered ids");
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);
@@ -341,6 +372,61 @@ fn corrupted_orphan_fails_recovery_and_the_daemon_keeps_serving() {
         .join()
         .expect("daemon exits without a panicked thread");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state directory that vanishes mid-request: every write after that
+/// fails and is counted on `checkpoint.write_failures`, the request still
+/// ends `Done` with its one-shot bytes, and the daemon answers the next
+/// request.
+#[test]
+fn lost_state_dir_counts_write_failures_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("lost-state");
+    let telemetry = Telemetry::enabled();
+    let opts = ServeOptions {
+        addr: "127.0.0.1:0".to_owned(),
+        state_dir: dir.clone(),
+        threads: test_threads(),
+        telemetry: telemetry.clone(),
+        http_addr: None,
+        sample_interval_ms: 0,
+    };
+    let handle = std::thread::spawn(move || serve(&opts).expect("daemon runs"));
+    let addr = wait_for_addr(&dir, Duration::from_secs(10)).expect("daemon binds");
+    let spec = |seed| SubmitSpec {
+        unit: "io".to_owned(),
+        scale: 1.0,
+        seed,
+        profile: "quick".to_owned(),
+        weight: 1,
+        class: String::new(),
+    };
+    let mut client = Client::connect(&addr).expect("connects");
+    let mut removed = false;
+    let (_, outcome_json) = client
+        .submit(spec(2021), |resp| {
+            if !removed && matches!(resp, Response::Progress { .. }) {
+                // Retry: the daemon may create a file while the tree goes.
+                while dir.exists() {
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+                removed = true;
+            }
+        })
+        .expect("request completes without its state dir");
+    assert!(removed, "the request streamed no progress");
+    assert_eq!(outcome_json, one_shot_outcome_json(1.0, 2021));
+    let (_, next) = client
+        .submit(spec(5), |_| {})
+        .expect("the next request completes");
+    assert_eq!(next, one_shot_outcome_json(1.0, 5));
+    let failures = telemetry
+        .metrics()
+        .expect("telemetry is on")
+        .counter("checkpoint.write_failures")
+        .value();
+    assert!(failures > 0, "lost state-dir writes went uncounted");
+    client.shutdown().expect("daemon drains");
+    handle.join().expect("daemon exits");
 }
 
 #[test]

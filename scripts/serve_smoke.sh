@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Serve-mode smoke: a real daemon process, two tenants with different
-# budgets and priorities, validated per-group manifests, a SIGTERM
-# mid-run, and a restart that recovers the interrupted request to the
-# byte-identical outcome a fresh daemon produces. Also exercises the CLI
-# campaign --checkpoint/--resume identity.
+# budgets and priorities, validated per-group manifests, a SIGTERM and a
+# SIGKILL mid-run, and restarts that recover each interrupted request to
+# the byte-identical outcome a fresh daemon produces. Also exercises the
+# CLI campaign --checkpoint/--resume identity, from a whole and from a
+# torn checkpoint log.
 #
 # Also probes the daemon's HTTP introspection plane: /healthz and
 # /metrics must answer on the live daemon, the exposition must carry the
@@ -97,26 +98,58 @@ if [ -f "$WORK/stateA/req2.outcome.json" ]; then
 fi
 
 "$ASCDG" serve --state-dir "$WORK/stateA" --threads 4 &
+DAEMON=$!
 wait_for_file "$WORK/stateA/req2.outcome.json" 180
+
+echo "== SIGKILL mid-run, restart recovers the checkpoint log to identical bytes =="
+# A bigger budget (about a second of work) so the kill lands mid-request.
+"$ASCDG" submit --unit io --profile quick --scale 12.0 --seed 123 \
+  --state-dir "$WORK/stateA" 2>/dev/null >/dev/null &
+SUB4=$!
+wait_for_file "$WORK/stateA/req3.progress.json" 60
+# Kill as soon as the log holds its header and a first stage line.
+until [ "$(wc -l <"$WORK/stateA/req3.progress.json")" -ge 2 ]; do sleep 0.02; done
+kill -KILL "$DAEMON"
+wait "$DAEMON" 2>/dev/null || true
+wait "$SUB4" 2>/dev/null || true
+if [ -f "$WORK/stateA/req3.outcome.json" ]; then
+  echo "the request outran SIGKILL; recovering it from its complete log"
+  rm "$WORK/stateA/req3.outcome.json"
+fi
+echo "killed with $(wc -l <"$WORK/stateA/req3.progress.json") checkpoint line(s) on disk"
+
+"$ASCDG" serve --state-dir "$WORK/stateA" --threads 4 &
+wait_for_file "$WORK/stateA/req3.outcome.json" 180
 "$ASCDG" status --state-dir "$WORK/stateA" --shutdown
 wait
 
-# Reference: the same request on a fresh daemon, different worker count.
+# Reference: the same requests on a fresh daemon, different worker count.
 "$ASCDG" serve --state-dir "$WORK/stateB" --threads 2 &
 wait_for_file "$WORK/stateB/serve.addr" 30
-"$ASCDG" submit --unit io --profile quick --scale 4.0 --seed 99 \
-  --state-dir "$WORK/stateB" 2>/dev/null >/dev/null
+for run in "4.0 99" "12.0 123"; do
+  set -- $run
+  "$ASCDG" submit --unit io --profile quick --scale "$1" --seed "$2" \
+    --state-dir "$WORK/stateB" 2>/dev/null >/dev/null
+done
 "$ASCDG" status --state-dir "$WORK/stateB" --shutdown
 wait
 cmp "$WORK/stateA/req2.outcome.json" "$WORK/stateB/req0.outcome.json"
-echo "recovered outcome is byte-identical to the fresh daemon's"
+echo "SIGTERM-recovered outcome is byte-identical to the fresh daemon's"
+cmp "$WORK/stateA/req3.outcome.json" "$WORK/stateB/req1.outcome.json"
+echo "SIGKILL-recovered outcome is byte-identical to the fresh daemon's"
 
 echo "== CLI campaign --checkpoint / --resume identity =="
 "$ASCDG" campaign --unit io --scale 0.02 --seed 11 --threads 4 \
   --json "$WORK/ref.json" --checkpoint "$WORK/ck.json" >/dev/null
+# A log whose last append was torn: cut inside its final line.
+head -c -64 "$WORK/ck.json" >"$WORK/torn.json"
 "$ASCDG" campaign --resume "$WORK/ck.json" --threads 2 \
   --json "$WORK/resumed.json" >/dev/null
 cmp "$WORK/ref.json" "$WORK/resumed.json"
 echo "resumed campaign is byte-identical to the uninterrupted run"
+"$ASCDG" campaign --resume "$WORK/torn.json" --threads 2 \
+  --json "$WORK/torn-resumed.json" >/dev/null
+cmp "$WORK/ref.json" "$WORK/torn-resumed.json"
+echo "campaign resumed from a torn log is byte-identical too"
 
 echo "serve smoke OK"

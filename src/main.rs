@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use ascdg::core::{
     pool_scope_with, read_campaign_checkpoint, read_session_checkpoint, ApproxTarget,
-    CampaignOutcome, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine,
-    FlowEvent, RunManifest, SessionLifecycle, SessionState, TargetSpec, Telemetry,
+    CampaignEntry, CampaignOutcome, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig,
+    FlowEngine, FlowEvent, RunManifest, SessionLifecycle, SessionState, TargetSpec, Telemetry,
 };
 use ascdg::coverage::{CoverageRepository, EventFamily, RepoSnapshot, StatusPolicy};
 use ascdg::duv::VerifEnv;
@@ -91,12 +91,12 @@ USAGE:
       --campaign-jobs keeps up to <n> group flows in flight at once over
       the shared worker pool; the outcome is byte-identical at any value.
       --metrics-out writes one <base>.group<i>.manifest.json per finished
-      group plus the shared <base>.trace.jsonl; --checkpoint streams a
-      whole-campaign progress snapshot to <path> after every group stage.
-      --resume restarts from such a snapshot: the regression is restored,
-      checkpointed groups continue mid-flight, completed groups replay
-      for free, and the outcome is byte-identical to the uninterrupted
-      campaign.
+      group plus the shared <base>.trace.jsonl; --checkpoint logs the
+      campaign to <path>: its plan, then one appended line per group
+      stage. --resume restarts from such a log (a torn last line is
+      skipped): the regression is restored, checkpointed groups continue
+      mid-flight, completed groups replay for free, and the outcome is
+      byte-identical to the uninterrupted campaign.
   ascdg serve [--addr <host:port>] [--state-dir <dir>] [--threads <n>]
             [--http <host:port|off>] [--sample-ms <n>]
       Run the long-lived closure daemon: accepts Submit/Status/Cancel/
@@ -564,15 +564,16 @@ fn cmd_campaign(args: &[String]) -> CliResult {
             "running campaign (regression + one flow per uncovered family, {jobs} group(s) in flight) ..."
         ),
     }
-    // Stream a whole-campaign progress snapshot after every completed
-    // group stage. A resumed run keeps checkpointing to its own file
-    // unless `--checkpoint` redirects it; failures are typed and counted
-    // (`checkpoint.write_failures`) but keep warn-and-continue semantics.
+    // Log the campaign: its plan once, then one appended line per
+    // completed group stage. A resumed run rewrites its own log's header
+    // (compacting it) unless `--checkpoint` redirects it; failures are
+    // typed and counted (`checkpoint.write_failures`) but keep
+    // warn-and-continue semantics.
     let checkpoint_path = flag_value(args, "--checkpoint").or_else(|| flag_value(args, "--resume"));
     let writer = checkpoint_path.map(|path| CheckpointWriter::new(path, telemetry.clone()));
     let sink = writer.map(|writer| {
-        move |progress: &CampaignProgress| {
-            if let Err(e) = writer.write_campaign(progress) {
+        move |entry: CampaignEntry<'_>| {
+            if let Err(e) = writer.record(entry) {
                 eprintln!("warning: {e}");
             }
         }

@@ -1,12 +1,13 @@
-//! Campaign resume identity: restarting a campaign from any streamed
-//! checkpoint must reproduce the uninterrupted outcome byte-for-byte,
-//! regardless of the worker or job counts used on either side of the
-//! interruption.
+//! Campaign resume identity: restarting a campaign from its checkpoint
+//! log, read back after any group stage, must reproduce the uninterrupted
+//! outcome byte-for-byte, regardless of the worker or job counts used on
+//! either side of the interruption.
 
-use std::sync::mpsc;
+use std::sync::Mutex;
 
 use ascdg::core::{
-    pool_scope, CampaignProgress, CdgFlow, FlowConfig, FlowEngine, FlowError, Telemetry,
+    pool_scope, read_campaign_checkpoint, CampaignEntry, CampaignProgress, CdgFlow,
+    CheckpointWriter, FlowConfig, FlowEngine, FlowError, Telemetry,
 };
 use ascdg::coverage::EventId;
 use ascdg::duv::io_unit::IoEnv;
@@ -34,21 +35,32 @@ fn regression_checkpoint(seed: u64) -> CampaignProgress {
     .expect("regression runs")
 }
 
-/// Runs the reference campaign once, streaming every checkpoint.
+/// Runs the reference campaign once, logging it through a
+/// `CheckpointWriter` and reading the log back after every group stage.
 fn reference_with_snapshots(seed: u64) -> (String, Vec<CampaignProgress>) {
-    let (tx, rx) = mpsc::channel::<CampaignProgress>();
+    let path = std::env::temp_dir().join(format!(
+        "ascdg-campaign-resume-{seed}-{}.log",
+        std::process::id()
+    ));
+    let writer = CheckpointWriter::new(&path, Telemetry::disabled());
+    let snapshots = Mutex::new(Vec::new());
     let flow = CdgFlow::new(IoEnv::new(), quick_config());
     let report = flow
         .run_campaign_with(
             seed,
             &Telemetry::disabled(),
-            Some(&move |progress: &CampaignProgress| {
-                let _ = tx.send(progress.clone());
+            Some(&|entry: CampaignEntry<'_>| {
+                writer.record(entry).expect("log writes");
+                if let CampaignEntry::Step { .. } = entry {
+                    let progress = read_campaign_checkpoint(&path).expect("log reads");
+                    snapshots.lock().unwrap().push(progress);
+                }
             }),
         )
         .expect("reference campaign runs");
+    let _ = std::fs::remove_file(&path);
     let reference = serde_json::to_string(&report.outcome).unwrap();
-    (reference, rx.try_iter().collect())
+    (reference, snapshots.into_inner().unwrap())
 }
 
 #[test]
@@ -135,4 +147,76 @@ fn resume_rejects_group_targets_outside_the_unit_model() {
         err.to_string().contains(&progress.groups[0].name),
         "error should name the group: {err}"
     );
+}
+
+/// `ascdg campaign --resume` gives the uninterrupted `--json` bytes from
+/// a log with its last append torn, and from the single-object
+/// checkpoint format that predates the log.
+#[test]
+fn cli_resumes_torn_logs_and_single_object_checkpoints() {
+    let dir = std::env::temp_dir().join(format!("ascdg-cli-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let campaign = |args: &[&str], json: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ascdg"))
+            .arg("campaign")
+            .args(args)
+            .args(["--threads", "2", "--json", &path(json)])
+            .output()
+            .expect("the CLI starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        std::fs::read(dir.join(json)).unwrap()
+    };
+    let reference = campaign(
+        &["--unit", "io", "--scale", "0.02", "--seed", "11"],
+        "ref.json",
+    );
+    let log = path("log.json");
+    campaign(
+        &[
+            "--unit",
+            "io",
+            "--scale",
+            "0.02",
+            "--seed",
+            "11",
+            "--checkpoint",
+            &log,
+        ],
+        "logged.json",
+    );
+    let bytes = std::fs::read(&log).unwrap();
+    assert!(
+        bytes.iter().filter(|&&b| b == b'\n').count() > 2,
+        "one line per group stage"
+    );
+
+    // Torn inside the last line: that stage runs again.
+    std::fs::write(dir.join("torn.json"), &bytes[..bytes.len() - 64]).unwrap();
+    assert_eq!(
+        campaign(&["--resume", &path("torn.json")], "torn-out.json"),
+        reference
+    );
+
+    // The progress after half the stages as one object, every session
+    // with its own copy of the regression snapshot.
+    let newlines: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+    let half = &bytes[..=newlines[newlines.len() / 2]];
+    std::fs::write(dir.join("half.json"), half).unwrap();
+    let mut legacy = read_campaign_checkpoint(dir.join("half.json")).expect("the log reads");
+    for group in &mut legacy.groups {
+        if let Some(session) = &mut group.session {
+            session.repo = legacy.repo.clone();
+        }
+    }
+    let legacy_json = serde_json::to_string(&legacy).unwrap();
+    assert!(legacy_json.matches("\"repo\":{").count() > 2);
+    std::fs::write(dir.join("legacy.json"), legacy_json).unwrap();
+    assert_eq!(
+        campaign(&["--resume", &path("legacy.json")], "legacy-out.json"),
+        reference
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
