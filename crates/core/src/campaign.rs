@@ -8,6 +8,8 @@
 //! for uncovered events outside any family), and a unit-level summary of
 //! what closed, what resisted, and what it cost.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use ascdg_coverage::{
@@ -21,7 +23,9 @@ use ascdg_template::TemplateLibrary;
 use crate::checkpoint::restore_snapshot;
 use crate::pool::{pool_scope_with, SimPool};
 use crate::scheduler::{self, GroupRun};
-use crate::session::{CampaignEntry, CampaignProgress, CampaignSink, GroupProgress, SessionState};
+use crate::session::{
+    CampaignEntry, CampaignProgress, CampaignSink, DetachedSession, SessionState,
+};
 use crate::{ApproxTarget, CdgFlow, FlowEngine, FlowError, FlowOutcome, PHASE_BEFORE, PHASE_BEST};
 
 /// One target group's result within a campaign.
@@ -124,11 +128,11 @@ impl<E: VerifEnv> CdgFlow<E> {
     /// run per family with uncovered members, then one combined run for
     /// any uncovered events outside families.
     ///
-    /// With `campaign_jobs > 1` in the configuration, the groups' flows
-    /// are interleaved stage by stage over the shared worker pool (see
-    /// the `scheduler` module); each group's seed is salted by its index
-    /// before any scheduling happens, so the outcome is byte-identical to
-    /// the sequential sweep.
+    /// The groups' flows are interleaved stage by stage over the shared
+    /// worker pool by up to `campaign_jobs` scheduler workers (see the
+    /// `scheduler` module); each group's seed is salted by its index
+    /// before any scheduling happens, so the outcome is byte-identical at
+    /// any `campaign_jobs` value.
     ///
     /// Groups that fail (no evidence, empty skeleton, ...) are recorded
     /// with their failure instead of aborting the campaign.
@@ -234,18 +238,21 @@ impl<E: VerifEnv> CdgFlow<E> {
 /// campaign's is its [`FlowEngine::regression_checkpoint`]).
 ///
 /// Every group's session is built — and its seed salted by its group
-/// index — **before** any scheduling happens, the sessions share no
-/// mutable state (each gets its own copy of the regression snapshot),
-/// and [`CampaignPlan::fold`] walks the finished runs in group order.
-/// That is the whole identity argument: nothing about the result depends
-/// on which worker stepped which group when, so any scheduler and any
-/// `campaign_jobs` value produces the same bytes.
+/// index — **before** any scheduling happens, the sessions share nothing
+/// mutable (they all read the campaign's one regression repository,
+/// which no stage writes to), and [`CampaignPlan::fold`] walks the
+/// finished runs in group order. That is the whole identity argument:
+/// nothing about the result depends on which worker stepped which group
+/// when, so any scheduler and any `campaign_jobs` value produces the same
+/// bytes.
 pub struct CampaignPlan {
-    repo: CoverageRepository,
+    /// The regression repository, restored once from the checkpoint and
+    /// shared by every group session.
+    repo: Arc<CoverageRepository>,
     before: StatusCounts,
     /// One session per group ready to schedule; `None` where the group
     /// could not be prepared (its failure is in the checkpoint).
-    sessions: Vec<Option<SessionState>>,
+    sessions: Vec<Option<DetachedSession>>,
     /// The planned campaign, the header of its checkpoint log: the
     /// regression snapshot once, group sessions without their own copy.
     checkpoint: CampaignProgress,
@@ -253,13 +260,16 @@ pub struct CampaignPlan {
 
 impl CampaignPlan {
     /// Plans a campaign from `progress` on `engine`'s environment and
-    /// configuration: restores the regression snapshot, keeps each
+    /// configuration: restores the regression snapshot once, keeps each
     /// checkpointed group's session, and rebuilds every other group with
-    /// its index-salted seed `mix_seed(seed, 0xc0 + i)`. A checkpointed
-    /// session without a `repo` of its own runs on the campaign's
-    /// snapshot. A group that cannot be prepared (no evidence, ...) is
-    /// recorded with its failure instead of failing the plan; failures
-    /// stored in `progress` are recomputed, not trusted.
+    /// its index-salted seed `mix_seed(seed, 0xc0 + i)`; every session
+    /// shares the one restored repository. A checkpointed session gets
+    /// the checks [`FlowEngine::resume`] makes (its unit, its vectors,
+    /// and a `repo` of its own, from a checkpoint that predates the log,
+    /// must be the campaign's). A group that cannot be prepared (no
+    /// evidence, a misfit session, ...) is recorded with its failure
+    /// instead of failing the plan; failures stored in `progress` are
+    /// recomputed, not trusted.
     ///
     /// # Errors
     ///
@@ -299,7 +309,7 @@ impl CampaignPlan {
                 )));
             }
         }
-        let repo = restore_snapshot(model, snap)?;
+        let repo = Arc::new(restore_snapshot(model, snap)?);
         let before = repo.status_counts(StatusPolicy::default());
         let mut checkpoint = CampaignProgress {
             config: Some(engine.config().clone()),
@@ -307,27 +317,31 @@ impl CampaignPlan {
         };
         let mut sessions = Vec::with_capacity(checkpoint.groups.len());
         for (i, group) in checkpoint.groups.iter_mut().enumerate() {
-            group.failure = None;
-            if let Some(state) = &mut group.session {
+            let prep = match &mut group.session {
                 // The header keeps the snapshot once; a session from a
-                // checkpoint that predates the log carries its own copy.
-                let own = state.repo.take();
-                sessions.push(Some(SessionState {
-                    repo: Some(own.unwrap_or_else(|| snap.clone())),
-                    ..state.clone()
-                }));
-                continue;
-            }
-            let seed = mix_seed(progress.seed, 0xc0 + i as u64);
-            let prep = ApproxTarget::auto(model, &group.targets, engine.config().neighbor_decay)
-                .and_then(|approx| engine.session_with_repo(&repo, approx, seed));
-            match prep {
-                Ok(cx) => sessions.push(Some(cx.into_state())),
-                Err(e) => {
-                    group.failure = Some(e.to_string());
-                    sessions.push(None);
+                // checkpoint that predates the log carries its own copy,
+                // which must be the campaign's.
+                Some(state) => {
+                    let own = state.repo.take();
+                    engine.check(state).and_then(|()| match own {
+                        Some(own) if own != *snap => Err(FlowError::Checkpoint(
+                            "session checkpoint's regression snapshot is not the campaign's"
+                                .to_owned(),
+                        )),
+                        _ => Ok(state.clone()),
+                    })
                 }
-            }
+                None => {
+                    let seed = mix_seed(progress.seed, 0xc0 + i as u64);
+                    ApproxTarget::auto(model, &group.targets, engine.config().neighbor_decay)
+                        .map(|approx| engine.weighted_state(&repo, approx, seed))
+                }
+            };
+            group.failure = prep.as_ref().err().map(ToString::to_string);
+            sessions.push(prep.ok().map(|state| DetachedSession {
+                state,
+                repo: Some(Arc::clone(&repo)),
+            }));
         }
         Ok(CampaignPlan {
             repo,
@@ -343,8 +357,8 @@ impl CampaignPlan {
         self.sessions.len()
     }
 
-    /// Hands over the sessions to schedule, as `(group index, state)`.
-    pub fn take_sessions(&mut self) -> Vec<(usize, SessionState)> {
+    /// Hands over the sessions to schedule, as `(group index, session)`.
+    pub fn take_sessions(&mut self) -> Vec<(usize, DetachedSession)> {
         self.sessions
             .iter_mut()
             .enumerate()
@@ -362,14 +376,7 @@ impl CampaignPlan {
     /// never ran) into the campaign's report through `fold_campaign`.
     #[must_use]
     pub fn fold(&self, runs: Vec<Option<GroupRun>>) -> CampaignReport {
-        let progress = &self.checkpoint;
-        fold_campaign(
-            &progress.unit,
-            &self.repo,
-            self.before,
-            &progress.groups,
-            runs,
-        )
+        fold_campaign(&self.checkpoint, &self.repo, self.before, runs)
     }
 }
 
@@ -415,16 +422,18 @@ pub fn group_uncovered(
 /// Folds finished group runs into a [`CampaignReport`], walking the runs
 /// in group order (the harvested-name collision suffix and the summary
 /// are order-sensitive; the hit union is commutative anyway). A group
-/// without a run reports its recorded prep failure. With no groups at
+/// without a run reports its recorded prep failure. Each reported
+/// session gets the campaign's regression snapshot back as its `repo`,
+/// so its run manifest carries the coverage section. With no groups at
 /// all this is the regression-only outcome: `after == before` and an
 /// empty library.
 fn fold_campaign(
-    unit: &str,
+    progress: &CampaignProgress,
     repo: &CoverageRepository,
     before: StatusCounts,
-    groups: &[GroupProgress],
     mut runs: Vec<Option<GroupRun>>,
 ) -> CampaignReport {
+    let groups = &progress.groups;
     let policy = StatusPolicy::default();
     let n = groups.len();
     let mut out_groups = Vec::with_capacity(n);
@@ -485,7 +494,10 @@ fn fold_campaign(
         }
         match harvested.push(outcome.best_template.renamed(&template_name)) {
             Ok(_) => {
-                sessions[i] = Some(state);
+                sessions[i] = Some(SessionState {
+                    repo: progress.repo.clone(),
+                    ..state
+                });
                 out_groups.push(CampaignGroup {
                     name,
                     targets,
@@ -513,7 +525,7 @@ fn fold_campaign(
 
     CampaignReport {
         outcome: CampaignOutcome {
-            unit: unit.to_owned(),
+            unit: progress.unit.clone(),
             before,
             after,
             groups: out_groups,
@@ -629,8 +641,8 @@ mod tests {
         with_plan(&progress, |mut plan| {
             let sessions = plan.take_sessions();
             assert_eq!(sessions.len(), progress.groups.len());
-            for (i, state) in &sessions {
-                assert_eq!(state.seed, mix_seed(11, 0xc0 + *i as u64));
+            for (i, session) in &sessions {
+                assert_eq!(session.state.seed, mix_seed(11, 0xc0 + *i as u64));
             }
             let planned = plan.checkpoint();
             assert!(planned.groups.iter().all(|g| g.failure.is_none()));
@@ -648,6 +660,39 @@ mod tests {
         assert!(out.groups.is_empty() && out.harvested.is_empty());
         let repo = progress.repo.expect("snapshot");
         assert_eq!(out.total_sims, repo.global_sims);
+    }
+
+    /// Every planned group session, fresh or checkpointed, reads the
+    /// plan's one repository, and a whole campaign leaves it equal to the
+    /// header's snapshot: no stage writes to it.
+    #[test]
+    fn group_sessions_share_one_repository_that_no_stage_writes() {
+        let mut progress = regression_checkpoint(11);
+        on_engine(|engine| {
+            let mut plan = CampaignPlan::new(engine, &progress).expect("plans");
+            let sessions = plan.take_sessions();
+            assert_eq!(sessions.len(), progress.groups.len());
+            for (_, session) in &sessions {
+                let repo = session.repo.as_ref().expect("a planned session has a repo");
+                assert!(Arc::ptr_eq(repo, &plan.repo));
+                assert!(session.state.repo.is_none());
+            }
+            let runs = scheduler::run_interleaved(engine, 2, sessions, plan.group_count(), None);
+            let report = plan.fold(runs);
+            assert!(report.outcome.groups.iter().any(|g| g.failure.is_none()));
+            assert_eq!(Some(plan.repo.snapshot()), progress.repo);
+            // Reported sessions get the snapshot back for their manifests.
+            for state in report.sessions.iter().flatten() {
+                assert_eq!(state.repo, progress.repo);
+            }
+            // A checkpointed group shares the repository of its new plan.
+            progress.groups[0].session = report.sessions[0].clone();
+            let mut plan = CampaignPlan::new(engine, &progress).expect("plans");
+            assert!(plan.checkpoint().groups[0].session.is_some());
+            for (_, session) in plan.take_sessions() {
+                assert!(Arc::ptr_eq(session.repo.as_ref().unwrap(), &plan.repo));
+            }
+        });
     }
 
     #[test]

@@ -116,9 +116,10 @@ impl CheckpointWriter {
         self.write_file(&json)
     }
 
-    /// Appends group `group`'s post-stage `state`, without its `repo`, as
-    /// one line to the campaign log [`CheckpointWriter::write_campaign`]
-    /// started.
+    /// Appends group `group`'s post-stage `state` as one line to the
+    /// campaign log [`CheckpointWriter::write_campaign`] started. The
+    /// state is written as given: a campaign group's carries no `repo`,
+    /// the header holds the one snapshot.
     ///
     /// # Errors
     ///
@@ -126,11 +127,8 @@ impl CheckpointWriter {
     /// them a log that no longer exists (also counted on
     /// `checkpoint.write_failures`).
     pub fn append_step(&self, group: usize, state: &SessionState) -> Result<(), FlowError> {
-        let session = serde_json::to_string(&SessionState {
-            repo: None,
-            ..state.clone()
-        })
-        .map_err(|e| self.failure(format!("checkpoint step did not serialize: {e}")))?;
+        let session = serde_json::to_string(state)
+            .map_err(|e| self.failure(format!("checkpoint step did not serialize: {e}")))?;
         let mut line = format!("{{\"group\":{group},\"session\":{session}");
         let sum = fnv1a(line.as_bytes());
         let _ = writeln!(line, ",\"sum\":\"{sum:016x}\"}}");

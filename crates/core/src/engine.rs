@@ -9,6 +9,8 @@
 //! a run resumed from any post-stage snapshot reproduces the identical
 //! outcome, because the skipped stages' products are already in the state.
 
+use std::sync::Arc;
+
 use ascdg_coverage::CoverageRepository;
 use ascdg_duv::VerifEnv;
 use ascdg_stimgen::mix_seed;
@@ -18,7 +20,8 @@ use crate::checkpoint::restore_snapshot;
 use crate::events::FlowEvent;
 use crate::pool::SimPool;
 use crate::session::{
-    CampaignProgress, GroupProgress, SessionCx, SessionState, StageSims, TargetSpec,
+    CampaignProgress, DetachedSession, GroupProgress, SessionCx, SessionState, StageSims,
+    TargetSpec,
 };
 use crate::stages::{default_stages, regression_repository, Stage};
 use crate::{
@@ -117,7 +120,16 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     #[must_use]
     pub fn session<'bus>(&self, spec: TargetSpec, seed: u64) -> SessionCx<'env, 'bus, E> {
         let state = SessionState::new(self.env.unit_name(), self.config.clone(), spec, seed);
-        SessionCx::from_parts(self.env, self.runner(), None, state, self.telemetry.clone())
+        self.attach(DetachedSession { state, repo: None })
+    }
+
+    /// Puts a [`DetachedSession`] back together on this engine, sharing
+    /// its repository instead of copying it. Checks nothing: the session
+    /// was either built by this engine's environment or checked when it
+    /// was loaded (see [`FlowEngine::resume`]).
+    #[must_use]
+    pub(crate) fn attach<'bus>(&self, session: DetachedSession) -> SessionCx<'env, 'bus, E> {
+        SessionCx::from_parts(self.env, self.runner(), session, self.telemetry.clone())
     }
 
     /// A batch runner on the engine's pool, sharing its telemetry handle.
@@ -141,28 +153,34 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     ) -> Result<SessionCx<'env, 'bus, E>, FlowError> {
         let snapshot = repo.snapshot();
         let live = CoverageRepository::from_snapshot(self.env.coverage_model().clone(), &snapshot)?;
-        let mut state = SessionState::new(
-            self.env.unit_name(),
-            self.config.clone(),
-            TargetSpec::Weighted(approx.clone()),
-            seed,
-        );
-        state.stage_sims.push(StageSims {
-            stage: crate::stages::STAGE_REGRESSION.to_owned(),
-            sims: snapshot.global_sims,
-        });
+        let mut state = self.weighted_state(&live, approx, seed);
         state.repo = Some(snapshot);
-        state.approx = Some(approx);
-        state
-            .completed
-            .push(crate::stages::STAGE_REGRESSION.to_owned());
-        Ok(SessionCx::from_parts(
-            self.env,
-            self.runner(),
-            Some(live),
+        Ok(self.attach(DetachedSession {
             state,
-            self.telemetry.clone(),
-        ))
+            repo: Some(Arc::new(live)),
+        }))
+    }
+
+    /// The state of a session that starts after the regression recorded
+    /// in `repo`, aimed at `approx`: the regression stage is marked
+    /// completed, and the state carries no `repo` of its own.
+    pub(crate) fn weighted_state(
+        &self,
+        repo: &CoverageRepository,
+        approx: ApproxTarget,
+        seed: u64,
+    ) -> SessionState {
+        let regression = crate::stages::STAGE_REGRESSION.to_owned();
+        let spec = TargetSpec::Weighted(approx.clone());
+        SessionState {
+            completed: vec![regression.clone()],
+            stage_sims: vec![StageSims {
+                stage: regression,
+                sims: repo.total_simulations(),
+            }],
+            approx: Some(approx),
+            ..SessionState::new(self.env.unit_name(), self.config.clone(), spec, seed)
+        }
     }
 
     /// The checkpoint every fresh campaign starts from: the shared
@@ -208,6 +226,21 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     /// settings vector does not fit its skeleton, or a phase row or
     /// target event does not fit the model.
     pub fn resume<'bus>(&self, state: SessionState) -> Result<SessionCx<'env, 'bus, E>, FlowError> {
+        self.check(&state)?;
+        let repo = state
+            .repo
+            .as_ref()
+            .map(|snap| restore_snapshot(self.env.coverage_model(), snap).map(Arc::new))
+            .transpose()?;
+        Ok(self.attach(DetachedSession { state, repo }))
+    }
+
+    /// The checks [`FlowEngine::resume`] makes of a snapshot before its
+    /// repository: it belongs to this engine's unit, and no vector in it
+    /// would make a later stage panic (a settings vector of the wrong
+    /// dimension for its skeleton, a phase row of the wrong width, or a
+    /// target event outside the model).
+    pub(crate) fn check(&self, state: &SessionState) -> Result<(), FlowError> {
         if state.unit != self.env.unit_name() {
             return Err(FlowError::SnapshotMismatch(format!(
                 "snapshot is for unit `{}`, engine runs `{}`",
@@ -215,25 +248,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
                 self.env.unit_name()
             )));
         }
-        self.check_fit(&state)?;
-        let live = state
-            .repo
-            .as_ref()
-            .map(|snap| restore_snapshot(self.env.coverage_model(), snap))
-            .transpose()?;
-        Ok(SessionCx::from_parts(
-            self.env,
-            self.runner(),
-            live,
-            state,
-            self.telemetry.clone(),
-        ))
-    }
-
-    /// Rejects a snapshot whose vectors would make a later stage panic: a
-    /// settings vector of the wrong dimension for its skeleton, a phase
-    /// row of the wrong width, or a target event outside the model.
-    fn check_fit(&self, state: &SessionState) -> Result<(), FlowError> {
         let misfit = |why: String| Err(FlowError::Checkpoint(format!("session checkpoint {why}")));
         if let Some(slots) = state.skeleton.as_ref().map(|sk| sk.num_slots()) {
             for (field, settings) in [
@@ -295,7 +309,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         // The flow span is attributed the whole run's simulations,
         // including stages completed before a resume.
         flow_span.finish(cx.state().stage_sims.iter().map(|s| s.sims).sum());
-        self.outcome(cx)
+        self.finish(cx)
     }
 
     /// The first stage of the engine's list the session has not yet
@@ -355,6 +369,11 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         Ok(Some(name))
     }
 
+    /// The engine's worker pool handle (for occupancy observability).
+    pub(crate) fn pool(&self) -> &SimPool<'env> {
+        &self.pool
+    }
+
     /// Assembles the [`FlowOutcome`] of a session whose stages have all
     /// run (i.e. [`FlowEngine::step`] returned `None`).
     ///
@@ -363,16 +382,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     /// [`FlowError::MissingStageState`] when a required stage product is
     /// absent from the session state.
     pub fn finish(&self, cx: &SessionCx<'_, '_, E>) -> Result<FlowOutcome, FlowError> {
-        self.outcome(cx)
-    }
-
-    /// The engine's worker pool handle (for occupancy observability).
-    pub(crate) fn pool(&self) -> &SimPool<'env> {
-        &self.pool
-    }
-
-    /// Assembles the outcome from a session whose stages all ran.
-    fn outcome(&self, cx: &SessionCx<'_, '_, E>) -> Result<FlowOutcome, FlowError> {
         fn missing(what: &'static str) -> FlowError {
             FlowError::MissingStageState {
                 stage: "outcome",
@@ -482,20 +491,21 @@ mod tests {
     fn engine_emits_structured_events_and_checkpoints() {
         let env = IoEnv::new();
         let mut log = EventLog::new();
+        let mut snaps = Vec::new();
         let cfg = config();
         pool_scope(cfg.threads, |pool| {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
             let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 3);
-            cx.enable_checkpoints();
+            cx.on_checkpoint(|snap| snaps.push(snap.clone()));
             cx.subscribe(&mut log);
             let out = engine.run(&mut cx).expect("flow runs");
             assert_eq!(out.phases.len(), 4);
-            assert_eq!(cx.checkpoints().len(), 7);
-            // Each checkpoint extends the previous one's completed list.
-            for (i, snap) in cx.checkpoints().iter().enumerate() {
-                assert_eq!(snap.completed.len(), i + 1);
-            }
         });
+        assert_eq!(snaps.len(), 7);
+        // Each checkpoint extends the previous one's completed list.
+        for (i, snap) in snaps.iter().enumerate() {
+            assert_eq!(snap.completed.len(), i + 1);
+        }
         assert_eq!(
             log.completed_stages(),
             vec![
@@ -527,12 +537,12 @@ mod tests {
     fn resume_from_every_checkpoint_reproduces_the_outcome() {
         let env = IoEnv::new();
         let cfg = config();
-        let (baseline, snapshots) = pool_scope(cfg.threads, |pool| {
+        let mut snapshots = Vec::new();
+        let baseline = pool_scope(cfg.threads, |pool| {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
             let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 11);
-            cx.enable_checkpoints();
-            let out = engine.run(&mut cx).expect("flow runs");
-            (out, cx.checkpoints().to_vec())
+            cx.on_checkpoint(|snap| snapshots.push(snap.clone()));
+            engine.run(&mut cx).expect("flow runs")
         });
         let golden = serde_json::to_string(&strip_timings(baseline)).unwrap();
         for (i, snap) in snapshots.into_iter().enumerate() {

@@ -77,9 +77,10 @@ pub struct FlowConfig {
     /// [`CdgFlow`] entry points; an engine built by hand runs on the pool
     /// it is given instead.
     pub threads: usize,
-    /// Target-group flows a campaign keeps in flight concurrently over the
-    /// shared worker pool (`1` = sequential sweep). Group seeds are salted
-    /// per group index before any scheduling happens, so the
+    /// Scheduler workers a campaign steps its target-group flows with over
+    /// the shared worker pool (`1` = the calling thread alone, still
+    /// round-robin stage by stage). Group seeds are salted per group
+    /// index before any scheduling happens, so the
     /// [`CampaignOutcome`](crate::CampaignOutcome) is byte-identical at
     /// any value.
     pub campaign_jobs: usize,

@@ -82,8 +82,8 @@ pub use report::{
 };
 pub use scheduler::{AdmissionQueue, AdmitSpec, GroupRun, JobStatus, SessionLifecycle};
 pub use session::{
-    CampaignEntry, CampaignProgress, CampaignSink, CancelToken, GroupProgress, SessionCx,
-    SessionState, StageSims, TargetSpec,
+    CampaignEntry, CampaignProgress, CampaignSink, CancelToken, DetachedSession, GroupProgress,
+    SessionCx, SessionState, StageSims, TargetSpec,
 };
 pub use skeletonizer::{Skeletonizer, SubrangeSpan};
 pub use stages::{

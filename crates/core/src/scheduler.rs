@@ -16,14 +16,16 @@
 //! weight can starve another job: every ready job is dispatched at least
 //! once per `sum(weights)` quanta.
 //!
-//! Determinism: the job passed between workers is the serializable
-//! [`SessionState`] (the live [`SessionCx`](crate::SessionCx) holds
-//! non-`Send` machinery and is rebuilt per step via
-//! [`FlowEngine::resume`]). Every session's seeds are salted *before*
-//! scheduling begins and sessions share no mutable state, so each job's
-//! [`FlowOutcome`] — and any order-independent fold over them — is
-//! byte-identical at any worker count or weight assignment. Only
-//! wall-clock attribution (timings, telemetry) varies.
+//! Determinism: the job passed between workers is a [`DetachedSession`],
+//! the serializable state beside the live repository it reads (the
+//! [`SessionCx`](crate::SessionCx) holds non-`Send` machinery and is put
+//! back together per step by `FlowEngine::attach`, which copies and
+//! checks nothing). Every session's seeds are salted *before* scheduling
+//! begins, and the one thing sessions share, the regression repository,
+//! no stage writes to, so each job's [`FlowOutcome`] — and any
+//! order-independent fold over them — is byte-identical at any worker
+//! count or weight assignment. Only wall-clock attribution (timings,
+//! telemetry) varies.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -33,7 +35,7 @@ use ascdg_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::FlowEngine;
-use crate::session::{CancelToken, SessionState};
+use crate::session::{CancelToken, DetachedSession, SessionState};
 use crate::{FlowError, FlowOutcome};
 
 /// One scheduled session's result: the assembled outcome plus its final
@@ -60,7 +62,7 @@ pub enum SessionLifecycle {
     Draining,
     /// All stages ran and the outcome was assembled.
     Complete,
-    /// A stage (or resume) failed; the job retired with its error.
+    /// A stage failed; the job retired with its error.
     Failed,
     /// The job retired through cancellation.
     Cancelled,
@@ -96,7 +98,7 @@ impl std::fmt::Display for SessionLifecycle {
 pub struct AdmitSpec<'cb> {
     /// The session to run (stages already completed are skipped, so a
     /// checkpointed state resumes where it left off).
-    pub state: SessionState,
+    pub session: DetachedSession,
     /// Deficit-round-robin weight: consecutive stage quanta granted per
     /// rotation. Clamped to at least 1; all-equal weights reproduce the
     /// exact unweighted round-robin order.
@@ -114,9 +116,9 @@ pub struct AdmitSpec<'cb> {
 impl AdmitSpec<'_> {
     /// A weight-1 `"default"`-class admission with a fresh cancel token.
     #[must_use]
-    pub fn new(state: SessionState) -> Self {
+    pub fn new(session: DetachedSession) -> Self {
         AdmitSpec {
-            state,
+            session,
             weight: 1,
             class: "default".to_owned(),
             cancel: CancelToken::new(),
@@ -157,8 +159,8 @@ struct Job<'cb> {
 
 struct QueueInner<'cb> {
     jobs: Vec<Job<'cb>>,
-    /// `(job, state)` ready to be stepped, drained deficit-round-robin.
-    ready: VecDeque<(u64, SessionState)>,
+    /// `(job, session)` ready to be stepped, drained deficit-round-robin.
+    ready: VecDeque<(u64, DetachedSession)>,
     /// Jobs currently being stepped by a worker.
     in_flight: usize,
     /// Admitted and not yet terminal (spans queued + running).
@@ -175,7 +177,7 @@ struct QueueInner<'cb> {
 /// indirection costs nothing and keeps the enum pointer-sized.
 enum Stepped {
     /// The session has stages left; back on the ready queue it goes.
-    Pending(Box<SessionState>),
+    Pending(Box<DetachedSession>),
     /// The session finished (or failed); its slot is done.
     Finished(Box<GroupRun>),
 }
@@ -234,13 +236,13 @@ impl<'cb> AdmissionQueue<'cb> {
             weight: spec.weight.max(1),
             deficit: 0,
             lifecycle: SessionLifecycle::Queued,
-            completed_stages: spec.state.completed.len(),
-            sims: spec.state.stage_sims.iter().map(|s| s.sims).sum(),
+            completed_stages: spec.session.state.completed.len(),
+            sims: spec.session.state.stage_sims.iter().map(|s| s.sims).sum(),
             cancel: spec.cancel,
             on_step: spec.on_step,
             result: None,
         });
-        inner.ready.push_back((id, spec.state));
+        inner.ready.push_back((id, spec.session));
         inner.active += 1;
         self.update_depth_gauges(&inner);
         drop(inner);
@@ -351,21 +353,12 @@ impl<'cb> AdmissionQueue<'cb> {
     #[must_use]
     pub fn ready_depths_by_class(&self) -> Vec<(String, usize)> {
         let inner = lock(&self.inner);
-        let mut seen: Vec<(String, usize)> = Vec::new();
-        for (id, _) in &inner.ready {
-            let class = inner.jobs[*id as usize].class.as_str();
-            match seen.iter_mut().find(|(c, _)| c == class) {
-                Some((_, n)) => *n += 1,
-                None => seen.push((class.to_owned(), 1)),
-            }
-        }
-        for job in &inner.jobs {
-            if !seen.iter().any(|(c, _)| c == &job.class) {
-                seen.push((job.class.clone(), 0));
-            }
-        }
-        seen.sort();
-        seen
+        let mut depths: Vec<(String, usize)> = depths_by_class(&inner)
+            .into_iter()
+            .map(|(class, depth)| (class.to_owned(), depth))
+            .collect();
+        depths.sort();
+        depths
     }
 
     /// Jobs a worker is stepping at this instant.
@@ -383,21 +376,7 @@ impl<'cb> AdmissionQueue<'cb> {
         };
         m.gauge("campaign.ready_queue_depth")
             .set(inner.ready.len() as f64);
-        // Few classes in practice; recount rather than carry state.
-        let mut seen: Vec<(&str, usize)> = Vec::new();
-        for (id, _) in &inner.ready {
-            let class = inner.jobs[*id as usize].class.as_str();
-            match seen.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, n)) => *n += 1,
-                None => seen.push((class, 1)),
-            }
-        }
-        for job in &inner.jobs {
-            if !seen.iter().any(|(c, _)| *c == job.class) {
-                seen.push((job.class.as_str(), 0));
-            }
-        }
-        for (class, depth) in seen {
+        for (class, depth) in depths_by_class(inner) {
             m.gauge(&format!("campaign.ready_queue_depth.{class}"))
                 .set(depth as f64);
         }
@@ -409,13 +388,13 @@ impl<'cb> AdmissionQueue<'cb> {
     /// run concurrently, on any thread that can borrow the engine.
     pub fn run_worker<E: VerifEnv>(&self, engine: &FlowEngine<'_, E>) {
         loop {
-            let (id, state, cancel, on_step) = {
+            let (id, session, cancel, on_step) = {
                 let mut inner = lock(&self.inner);
                 loop {
                     if inner.closed {
                         return;
                     }
-                    if let Some((id, state)) = inner.ready.pop_front() {
+                    if let Some((id, session)) = inner.ready.pop_front() {
                         let job = &mut inner.jobs[id as usize];
                         if job.cancel.is_cancelled() {
                             Self::retire(
@@ -447,7 +426,7 @@ impl<'cb> AdmissionQueue<'cb> {
                                 .set(inner.in_flight as f64);
                         }
                         self.update_depth_gauges(&inner);
-                        break (id, state, cancel, on_step);
+                        break (id, session, cancel, on_step);
                     }
                     if inner.sealed && inner.in_flight == 0 {
                         // Sealed, drained, and nobody can produce more
@@ -460,21 +439,18 @@ impl<'cb> AdmissionQueue<'cb> {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let stepped = step_once(engine, state, &cancel);
+            let stepped = step_once(engine, session, &cancel);
             if let Some(m) = self.telemetry.metrics() {
                 m.gauge("campaign.pool_occupancy")
                     .set(engine.pool().busy_workers() as f64);
             }
+            let state = match &stepped {
+                Stepped::Pending(session) => Some(&session.state),
+                Stepped::Finished(run) => run.as_ref().as_ref().ok().map(|(_, state)| state),
+            };
             // Report progress outside the queue lock: sinks may do I/O.
-            if let Some(sink) = &on_step {
-                match &stepped {
-                    Stepped::Pending(state) => sink(id, state),
-                    Stepped::Finished(run) => {
-                        if let Ok((_, state)) = run.as_ref() {
-                            sink(id, state);
-                        }
-                    }
-                }
+            if let (Some(sink), Some(state)) = (&on_step, state) {
+                sink(id, state);
             }
             let mut inner = lock(&self.inner);
             inner.in_flight -= 1;
@@ -484,23 +460,16 @@ impl<'cb> AdmissionQueue<'cb> {
             if let Some(m) = self.telemetry.metrics() {
                 // Attribute the quantum's simulations to the job's class
                 // (the per-tenant consumption counter).
-                let after = match &stepped {
-                    Stepped::Pending(state) => state.stage_sims.iter().map(|s| s.sims).sum(),
-                    Stepped::Finished(run) => run
-                        .as_ref()
-                        .as_ref()
-                        .map(|(_, state)| state.stage_sims.iter().map(|s| s.sims).sum())
-                        .unwrap_or(job.sims),
-                };
+                let after = state.map_or(job.sims, |s| s.stage_sims.iter().map(|s| s.sims).sum());
                 m.counter(&format!("serve.tenant_sims.{}", job.class))
                     .add(after.saturating_sub(job.sims));
                 job.sims = after;
                 m.gauge("campaign.in_flight_groups").set(in_flight as f64);
             }
             match stepped {
-                Stepped::Pending(state) => {
+                Stepped::Pending(session) => {
                     let job = &mut inner.jobs[id as usize];
-                    job.completed_stages = state.completed.len();
+                    job.completed_stages = session.state.completed.len();
                     job.deficit -= 1;
                     job.lifecycle = if job.cancel.is_cancelled() {
                         SessionLifecycle::Draining
@@ -510,12 +479,12 @@ impl<'cb> AdmissionQueue<'cb> {
                     if job.deficit > 0 {
                         // Still inside its weighted grant: stay at the
                         // front for the next consecutive quantum.
-                        inner.ready.push_front((id, *state));
+                        inner.ready.push_front((id, *session));
                     } else {
                         // Grant exhausted: rotate to the back, so no job
                         // starves — every ready job runs at least once
                         // per sum-of-weights quanta.
-                        inner.ready.push_back((id, *state));
+                        inner.ready.push_back((id, *session));
                     }
                 }
                 Stepped::Finished(run) => {
@@ -551,37 +520,41 @@ impl<'cb> AdmissionQueue<'cb> {
     }
 }
 
-/// Runs the given sessions to completion over the engine, keeping up to
-/// `jobs` of them in flight at once, and returns their runs in a
-/// `n_slots`-sized vector indexed by each session's slot (slots without a
-/// session stay `None`).
-///
-/// `jobs <= 1` degenerates to a sequential sweep in slot order — the exact
-/// historical campaign behavior — while still stepping stage by stage so
-/// `on_step` fires identically. `jobs > 1` runs an equal-weight
-/// [`AdmissionQueue`] crew, which dispatches in the same round-robin
-/// rotation the pre-admission scheduler used.
+/// The ready-queue depth of every class that ever admitted a job, in
+/// first-seen order (few classes in practice: recounted, not carried).
+fn depths_by_class<'q>(inner: &'q QueueInner<'_>) -> Vec<(&'q str, usize)> {
+    let mut seen: Vec<(&str, usize)> = Vec::new();
+    let ready = inner.ready.iter().map(|(id, _)| (*id, 1));
+    let all = (0..inner.jobs.len() as u64).map(|id| (id, 0));
+    for (id, n) in ready.chain(all) {
+        let class = inner.jobs[id as usize].class.as_str();
+        match seen.iter_mut().find(|(c, _)| *c == class) {
+            Some((_, depth)) => *depth += n,
+            None => seen.push((class, n)),
+        }
+    }
+    seen
+}
+
+/// Runs the given sessions to completion over the engine on an
+/// equal-weight [`AdmissionQueue`] crew of up to `jobs` workers (the
+/// caller is one of them, so `jobs = 1` steps every session on the
+/// calling thread in the same round-robin rotation), and returns their
+/// runs in a `n_slots`-sized vector indexed by each session's slot
+/// (slots without a session stay `None`).
 pub(crate) fn run_interleaved<'env, E: VerifEnv>(
     engine: &FlowEngine<'env, E>,
     jobs: usize,
-    sessions: Vec<(usize, SessionState)>,
+    sessions: Vec<(usize, DetachedSession)>,
     n_slots: usize,
     on_step: Option<StepSink<'_>>,
 ) -> Vec<Option<GroupRun>> {
-    let jobs = jobs.max(1).min(sessions.len().max(1));
-    if jobs <= 1 {
-        let mut done: Vec<Option<GroupRun>> =
-            std::iter::repeat_with(|| None).take(n_slots).collect();
-        for (slot, state) in sessions {
-            done[slot] = Some(run_to_completion(engine, slot, state, on_step));
-        }
-        return done;
-    }
+    let jobs = jobs.min(sessions.len());
     let queue = AdmissionQueue::new(engine.telemetry().clone());
     let ids: Vec<(usize, u64)> = sessions
         .into_iter()
-        .map(|(slot, state)| {
-            let mut spec = AdmitSpec::new(state);
+        .map(|(slot, session)| {
+            let mut spec = AdmitSpec::new(session);
             if let Some(sink) = on_step {
                 spec.on_step = Some(Box::new(move |_, state: &SessionState| sink(slot, state)));
             }
@@ -605,35 +578,15 @@ pub(crate) fn run_interleaved<'env, E: VerifEnv>(
     done
 }
 
-/// The sequential (`jobs = 1`) path: steps one session to exhaustion.
-fn run_to_completion<E: VerifEnv>(
-    engine: &FlowEngine<'_, E>,
-    slot: usize,
-    state: SessionState,
-    on_step: Option<StepSink<'_>>,
-) -> GroupRun {
-    let mut cx = engine.resume(state)?;
-    while engine.step(&mut cx)?.is_some() {
-        if let Some(sink) = on_step {
-            sink(slot, cx.state());
-        }
-    }
-    let outcome = engine.finish(&cx)?;
-    Ok((outcome, cx.into_state()))
-}
-
-/// Resumes a session from its state, runs exactly one stage, and reports
-/// whether it still has work. A job's failure retires the job, never the
+/// Attaches a parked session, runs exactly one stage, and reports whether
+/// it still has work. A job's failure retires the job, never the
 /// scheduler.
 fn step_once<E: VerifEnv>(
     engine: &FlowEngine<'_, E>,
-    state: SessionState,
+    session: DetachedSession,
     cancel: &CancelToken,
 ) -> Stepped {
-    let mut cx = match engine.resume(state) {
-        Ok(cx) => cx,
-        Err(e) => return Stepped::Finished(Box::new(Err(e))),
-    };
+    let mut cx = engine.attach(session);
     cx.set_cancel_token(cancel.clone());
     match engine.step(&mut cx) {
         Err(e) => Stepped::Finished(Box::new(Err(e))),
@@ -641,7 +594,7 @@ fn step_once<E: VerifEnv>(
             let outcome = engine.finish(&cx);
             Stepped::Finished(Box::new(outcome.map(|o| (o, cx.into_state()))))
         }
-        Ok(_) => Stepped::Pending(Box::new(cx.into_state())),
+        Ok(_) => Stepped::Pending(Box::new(cx.detach())),
     }
 }
 
@@ -666,8 +619,9 @@ mod tests {
         outcome
     }
 
-    /// Two independent family sessions interleaved at jobs=2 must each
-    /// reproduce their sequential outcome bit for bit.
+    /// Two independent family sessions interleaved by a crew of 1, 2 or
+    /// 8 workers must each reproduce their plain `FlowEngine::run`
+    /// outcome bit for bit.
     #[test]
     fn interleaved_sessions_match_sequential_runs() {
         let env = IoEnv::new();
@@ -677,15 +631,27 @@ mod tests {
             TargetSpec::Family("crc_".to_owned()),
             TargetSpec::Family("qdepth_".to_owned()),
         ];
+        let outcome_json = |outcome| serde_json::to_string(&strip_timings(outcome)).unwrap();
+        let sequential: Vec<String> = pool_scope(cfg.threads, |pool| {
+            let engine = FlowEngine::new(&env, cfg.clone(), pool);
+            specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| {
+                    let mut cx = engine.session(spec.clone(), mix_seed(17, i as u64));
+                    outcome_json(engine.run(&mut cx).expect("flow runs"))
+                })
+                .collect()
+        });
         let run_at = |jobs: usize| {
             pool_scope(cfg.threads, |pool| {
                 let engine = FlowEngine::new(&env, cfg.clone(), pool);
-                let sessions: Vec<(usize, SessionState)> = specs
+                let sessions: Vec<(usize, DetachedSession)> = specs
                     .iter()
                     .enumerate()
                     .map(|(i, spec)| {
                         let cx = engine.session(spec.clone(), mix_seed(17, i as u64));
-                        (i, cx.into_state())
+                        (i, cx.detach())
                     })
                     .collect();
                 run_interleaved(&engine, jobs, sessions, specs.len(), None)
@@ -693,14 +659,14 @@ mod tests {
                     .map(|run| {
                         let (outcome, state) = run.expect("slot scheduled").expect("flow runs");
                         assert!(engine.next_stage(&state).is_none());
-                        serde_json::to_string(&strip_timings(outcome)).unwrap()
+                        outcome_json(outcome)
                     })
                     .collect::<Vec<_>>()
             })
         };
-        let sequential = run_at(1);
-        assert_eq!(run_at(2), sequential);
-        assert_eq!(run_at(8), sequential);
+        for jobs in [1, 2, 8] {
+            assert_eq!(run_at(jobs), sequential, "{jobs} workers");
+        }
     }
 
     /// A session that cannot run (no targets) retires its own slot; the
@@ -717,7 +683,7 @@ mod tests {
             let runs = run_interleaved(
                 &engine,
                 2,
-                vec![(0, bad.into_state()), (1, good.into_state())],
+                vec![(0, bad.detach()), (1, good.detach())],
                 2,
                 None,
             );
@@ -744,7 +710,7 @@ mod tests {
                         TargetSpec::Family(families[i % families.len()].to_owned()),
                         mix_seed(23, i as u64),
                     );
-                    let mut spec = AdmitSpec::new(cx.into_state());
+                    let mut spec = AdmitSpec::new(cx.detach());
                     spec.weight = w;
                     spec.class = format!("w{w}");
                     spec.on_step = Some(Box::new(|id, _| {
@@ -847,7 +813,7 @@ mod tests {
             let victim_token = CancelToken::new();
             let victim = {
                 let cx = engine.session(TargetSpec::Family("crc_".to_owned()), 7);
-                let mut spec = AdmitSpec::new(cx.into_state());
+                let mut spec = AdmitSpec::new(cx.detach());
                 spec.cancel = victim_token.clone();
                 let token = victim_token;
                 // Cancel after the victim's second completed stage.
@@ -860,7 +826,7 @@ mod tests {
             };
             let healthy = {
                 let cx = engine.session(TargetSpec::Family("qdepth_".to_owned()), 7);
-                queue.admit(AdmitSpec::new(cx.into_state())).expect("open")
+                queue.admit(AdmitSpec::new(cx.detach())).expect("open")
             };
             queue.seal();
             queue.run_worker(&engine);
@@ -897,7 +863,7 @@ mod tests {
                     TargetSpec::Family(["crc_", "qdepth_"][i % 2].to_owned()),
                     mix_seed(31, i as u64),
                 );
-                let mut spec = AdmitSpec::new(cx.into_state());
+                let mut spec = AdmitSpec::new(cx.detach());
                 spec.class = (*class).to_owned();
                 ids.push(queue.admit(spec).expect("open queue"));
             }
@@ -933,19 +899,13 @@ mod tests {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
             let queue = AdmissionQueue::new(Telemetry::disabled());
             let cx = engine.session(TargetSpec::Family("crc_".to_owned()), 3);
-            let id = queue.admit(AdmitSpec::new(cx.into_state())).expect("open");
+            let id = queue.admit(AdmitSpec::new(cx.detach())).expect("open");
             queue.close();
             // Workers started after (or during) close exit promptly.
             queue.run_worker(&engine);
             assert!(queue.wait(id).is_none());
-            assert!(queue
-                .admit(AdmitSpec::new(SessionState::new(
-                    "io_unit",
-                    cfg.clone(),
-                    TargetSpec::Uncovered,
-                    1
-                )))
-                .is_none());
+            let late = engine.session(TargetSpec::Uncovered, 1);
+            assert!(queue.admit(AdmitSpec::new(late.detach())).is_none());
         });
     }
 }

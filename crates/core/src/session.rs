@@ -28,6 +28,23 @@ use crate::{ApproxTarget, BatchRunner, FlowConfig, FlowError, PhaseStats, PhaseT
 /// (see [`SessionCx::on_checkpoint`]).
 type CheckpointSink<'bus> = Box<dyn FnMut(&SessionState) + 'bus>;
 
+/// A session between two stages: its serializable state and the live
+/// regression repository it reads, once the regression has run.
+///
+/// This is what the scheduler queues and hands between workers (the
+/// [`SessionCx`] itself holds non-`Send` machinery): it takes a session
+/// apart after each stage and puts it back together for the next one,
+/// without copying the repository. The sessions of one campaign all
+/// share its one repository.
+#[derive(Debug)]
+pub struct DetachedSession {
+    /// The accumulated session data.
+    pub state: SessionState,
+    /// The regression repository the session reads; `None` before the
+    /// regression stage ran.
+    pub repo: Option<Arc<CoverageRepository>>,
+}
+
 /// A shared cooperative-cancellation flag for one session.
 ///
 /// Cancellation is *cooperative*: flipping the token never interrupts a
@@ -199,10 +216,9 @@ pub struct GroupProgress {
     #[serde(default)]
     pub targets: Vec<EventId>,
     /// The latest post-stage session snapshot (the same [`SessionState`]
-    /// format single-flow checkpoints use, without its own copy of the
-    /// regression snapshot: the campaign's `repo` stands in for it);
-    /// `None` until the group's first stage completes, or when the group
-    /// failed before scheduling.
+    /// format single-flow checkpoints use, without a `repo`: the group
+    /// runs on the campaign's one regression repository); `None` until
+    /// the group's first stage completes.
     #[serde(default)]
     pub session: Option<SessionState>,
     /// The failure that kept the group from being scheduled, if any.
@@ -219,8 +235,7 @@ pub struct GroupProgress {
 ///
 /// Unlike a single flow's checkpoint (one [`SessionState`]), a campaign
 /// interleaves several sessions, so its progress is one snapshot per
-/// group — each individually resumable through
-/// [`FlowEngine::resume`](crate::FlowEngine::resume).
+/// group, all of them reading the one regression snapshot in `repo`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignProgress {
     /// The unit the campaign runs against.
@@ -253,7 +268,8 @@ pub enum CampaignEntry<'a> {
     Step {
         /// The group's index in [`CampaignProgress::groups`].
         group: usize,
-        /// The group's post-stage state (as run: with its `repo`).
+        /// The group's post-stage state (without a `repo`, like every
+        /// campaign group's).
         state: &'a SessionState,
     },
 }
@@ -268,16 +284,16 @@ pub type CampaignSink<'a> = dyn Fn(CampaignEntry<'_>) + Sync + 'a;
 ///
 /// Couples the serializable [`SessionState`] with the run-time machinery
 /// stages need: the environment, a [`BatchRunner`] on the engine's worker
-/// pool, the live coverage repository, and the event bus.
+/// pool, the live coverage repository (shared, read-only once built),
+/// and the event bus.
 pub struct SessionCx<'env, 'bus, E: VerifEnv> {
     env: &'env E,
     runner: BatchRunner<'env>,
-    repo: Option<CoverageRepository>,
+    repo: Option<Arc<CoverageRepository>>,
     state: SessionState,
     bus: EventBus<'bus>,
     telemetry: Telemetry,
     cancel: Option<CancelToken>,
-    checkpoints: Option<Vec<SessionState>>,
     checkpoint_sink: Option<CheckpointSink<'bus>>,
 }
 
@@ -285,19 +301,17 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
     pub(crate) fn from_parts(
         env: &'env E,
         runner: BatchRunner<'env>,
-        repo: Option<CoverageRepository>,
-        state: SessionState,
+        session: DetachedSession,
         telemetry: Telemetry,
     ) -> Self {
         SessionCx {
             env,
             runner,
-            repo,
-            state,
+            repo: session.repo,
+            state: session.state,
             bus: EventBus::new(),
             telemetry,
             cancel: None,
-            checkpoints: None,
             checkpoint_sink: None,
         }
     }
@@ -381,7 +395,7 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
     /// [`FlowError::MissingStageState`] when the regression stage has not
     /// run (and the session was not seeded with a repository).
     pub fn repo(&self) -> Result<&CoverageRepository, FlowError> {
-        self.repo.as_ref().ok_or(FlowError::MissingStageState {
+        self.repo.as_deref().ok_or(FlowError::MissingStageState {
             stage: crate::stages::STAGE_COARSE,
             missing: "regression repository",
         })
@@ -391,7 +405,7 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
     /// the serializable state).
     pub fn set_repo(&mut self, repo: CoverageRepository) {
         self.state.repo = Some(repo.snapshot());
-        self.repo = Some(repo);
+        self.repo = Some(Arc::new(repo));
     }
 
     /// Adds an event subscriber for the rest of the session.
@@ -414,38 +428,28 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         self.bus.emit(event);
     }
 
-    /// Starts collecting a [`SessionState`] snapshot after every completed
-    /// stage (retrieve them with [`SessionCx::checkpoints`]).
-    pub fn enable_checkpoints(&mut self) {
-        self.checkpoints.get_or_insert_with(Vec::new);
-    }
-
     /// Streams every post-stage snapshot to `sink` as it is taken — e.g.
     /// to persist checkpoints to disk while the run is still going.
     pub fn on_checkpoint(&mut self, sink: impl FnMut(&SessionState) + 'bus) {
         self.checkpoint_sink = Some(Box::new(sink));
     }
 
-    /// The post-stage snapshots collected so far (empty unless
-    /// [`SessionCx::enable_checkpoints`] was called).
-    #[must_use]
-    pub fn checkpoints(&self) -> &[SessionState] {
-        self.checkpoints.as_deref().unwrap_or(&[])
-    }
-
-    /// A snapshot of the current session data.
-    #[must_use]
-    pub fn snapshot(&self) -> SessionState {
-        self.state.clone()
-    }
-
     /// Consumes the context, returning the accumulated session data
-    /// without cloning — how the campaign scheduler hands a session
-    /// between workers (the context itself holds non-`Send` machinery,
-    /// the state is plain serde).
+    /// without cloning.
     #[must_use]
     pub fn into_state(self) -> SessionState {
         self.state
+    }
+
+    /// Consumes the context, returning its state and live repository
+    /// without copying either: how the scheduler parks a session between
+    /// stages.
+    #[must_use]
+    pub(crate) fn detach(self) -> DetachedSession {
+        DetachedSession {
+            state: self.state,
+            repo: self.repo,
+        }
     }
 
     /// Records a finished simulation phase: appends its statistics and
@@ -483,19 +487,13 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         self.state.phases.push(stats);
     }
 
-    /// Takes a post-stage checkpoint if any checkpoint consumer is
-    /// installed; emits [`FlowEvent::Checkpoint`] when one is taken.
+    /// Hands the post-stage state to the checkpoint sink, if one is
+    /// installed; emits [`FlowEvent::Checkpoint`] when it does.
     pub(crate) fn take_checkpoint(&mut self, stage: &str) {
-        if self.checkpoints.is_none() && self.checkpoint_sink.is_none() {
+        let Some(sink) = &mut self.checkpoint_sink else {
             return;
-        }
-        let snap = self.snapshot();
-        if let Some(sink) = &mut self.checkpoint_sink {
-            sink(&snap);
-        }
-        if let Some(log) = &mut self.checkpoints {
-            log.push(snap);
-        }
+        };
+        sink(&self.state);
         self.emit(FlowEvent::Checkpoint {
             stage: stage.to_owned(),
         });

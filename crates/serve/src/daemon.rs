@@ -6,8 +6,8 @@
 //! the request's regression-only checkpoint
 //! ([`FlowEngine::regression_checkpoint`], run on the daemon's own pool)
 //! goes through the planner, which
-//! builds the per-group sessions with index-salted seeds and one
-//! request-scoped evaluation cache. The sessions are admitted to the
+//! builds the per-group sessions with index-salted seeds, all reading the
+//! request's one regression repository. The sessions are admitted to the
 //! unit's queue with the request's weight and priority class. Sessions
 //! from different tenants interleave stage by stage under deficit
 //! round-robin, all funneling their simulation batches into the shared
@@ -26,7 +26,8 @@
 //! outcome. The daemon itself only adds request files, streamed
 //! `Progress` lines and the outcome and manifest files, written through
 //! the same writer, so every failed state-directory write is counted on
-//! `checkpoint.write_failures`.
+//! `checkpoint.write_failures`. A state directory lost while the daemon
+//! runs is recreated, handshake files included, by the next submit.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -160,6 +161,9 @@ struct RequestEntry {
 struct Daemon {
     telemetry: Telemetry,
     state_dir: PathBuf,
+    /// The handshake files (`serve.addr`, `serve.http.addr`) and the
+    /// bound addresses they hold.
+    handshakes: Vec<(PathBuf, String)>,
     threads: usize,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -169,6 +173,19 @@ struct Daemon {
 impl Daemon {
     fn alloc_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Recreates a lost state directory and rewrites any missing
+    /// handshake file, so request `id` keeps its files and clients can
+    /// still find the daemon.
+    fn restore_state_dir(&self, id: u64) {
+        // Should this fail, every write below fails, logged and counted.
+        let _ = std::fs::create_dir_all(&self.state_dir);
+        for (path, addr) in &self.handshakes {
+            if !path.exists() {
+                self.persist(id, path.clone(), |w| w.write_file(addr));
+            }
+        }
     }
 
     fn request_path(&self, id: u64) -> PathBuf {
@@ -228,23 +245,28 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
     std::fs::create_dir_all(&opts.state_dir)?;
     let listener = TcpListener::bind(&opts.addr)?;
     listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
     // The bound address is the daemon's handshake file: `port 0` callers
     // (tests, scripts) poll it to find the actual port.
-    std::fs::write(opts.state_dir.join("serve.addr"), local.to_string())?;
+    let mut handshakes = vec![(
+        opts.state_dir.join("serve.addr"),
+        listener.local_addr()?.to_string(),
+    )];
     let http_listener = match &opts.http_addr {
         Some(addr) => {
             let http = TcpListener::bind(addr)?;
             http.set_nonblocking(true)?;
             // Same handshake pattern as the line protocol, second file.
-            std::fs::write(
+            handshakes.push((
                 opts.state_dir.join("serve.http.addr"),
                 http.local_addr()?.to_string(),
-            )?;
+            ));
             Some(http)
         }
         None => None,
     };
+    for (path, addr) in &handshakes {
+        std::fs::write(path, addr)?;
+    }
     let sample_interval = Duration::from_millis(if opts.sample_interval_ms == 0 {
         DEFAULT_SAMPLE_INTERVAL_MS
     } else {
@@ -263,6 +285,7 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
     let daemon = Daemon {
         telemetry: opts.telemetry.clone(),
         state_dir: opts.state_dir.clone(),
+        handshakes,
         threads: opts.threads,
         next_id: AtomicU64::new(next_request_id(&opts.state_dir)),
         shutdown: AtomicBool::new(false),
@@ -524,8 +547,8 @@ fn status_snapshot(daemon: &Daemon, shards: &[Shard<'_>]) -> Vec<RequestStatus> 
 }
 
 /// Builds the `GET /status` answer: the line protocol's request view
-/// plus per-unit shard/queue state and the serve- and campaign-scoped
-/// scalar readings (among them the shared-cache hit counters).
+/// plus per-unit shard/queue state and the serve-, campaign- and
+/// pool-scoped scalar readings.
 fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
     let units = shards
         .iter()
@@ -636,6 +659,7 @@ fn submit_request<'env>(
     if let Some(m) = daemon.telemetry.metrics() {
         m.counter("serve.requests_total").add(1);
     }
+    daemon.restore_state_dir(id);
     // The request file makes weight/class survive a restart.
     daemon.persist(id, daemon.request_path(id), |w| w.write_json(&spec, false));
     // The request's regression runs on the daemon's pool, on an untraced
@@ -729,12 +753,12 @@ fn run_plan(
     }
 
     let mut jobs: Vec<(usize, u64)> = Vec::new();
-    for (slot, state) in sessions {
+    for (slot, session) in sessions {
         let group = plan.checkpoint().groups[slot].name.clone();
         let ckpt = Arc::clone(&ckpt);
         let stream = Arc::clone(out);
         let admitted = shard.queue.admit(AdmitSpec {
-            state,
+            session,
             weight: spec.weight,
             class: class.clone(),
             cancel: CancelToken::new(),

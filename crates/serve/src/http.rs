@@ -58,8 +58,8 @@ pub struct UnitStatus {
     pub jobs: Vec<JobStatus>,
 }
 
-/// One scalar registry reading included in `GET /status` (the serve- and
-/// campaign-scoped gauges plus the shared-cache hit counters).
+/// One scalar registry reading included in `GET /status` (the serve-,
+/// campaign- and pool-scoped gauges and counters).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaugeReading {
     /// Dotted registry name.
@@ -77,8 +77,7 @@ pub struct DaemonStatus {
     pub requests: Vec<RequestStatus>,
     /// Per-unit shard state.
     pub units: Vec<UnitStatus>,
-    /// Scalar registry readings (`serve.*`, `campaign.*`, shared-cache
-    /// hit counters).
+    /// Scalar registry readings (`serve.*`, `campaign.*`, `pool.*`).
     pub gauges: Vec<GaugeReading>,
 }
 

@@ -374,10 +374,11 @@ fn corrupted_orphan_fails_recovery_and_the_daemon_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A state directory that vanishes mid-request: every write after that
-/// fails and is counted on `checkpoint.write_failures`, the request still
-/// ends `Done` with its one-shot bytes, and the daemon answers the next
-/// request.
+/// A state directory that vanishes mid-request: every later write of
+/// that request fails and is counted on `checkpoint.write_failures`, the
+/// request still ends `Done` with its one-shot bytes, and the next
+/// request recreates the directory: its outcome lands on disk and
+/// `serve.addr` finds the daemon again.
 #[test]
 fn lost_state_dir_counts_write_failures_and_the_daemon_keeps_serving() {
     let dir = tmp_dir("lost-state");
@@ -415,10 +416,17 @@ fn lost_state_dir_counts_write_failures_and_the_daemon_keeps_serving() {
         .expect("request completes without its state dir");
     assert!(removed, "the request streamed no progress");
     assert_eq!(outcome_json, one_shot_outcome_json(1.0, 2021));
-    let (_, next) = client
+    let (next_id, next) = client
         .submit(spec(5), |_| {})
         .expect("the next request completes");
     assert_eq!(next, one_shot_outcome_json(1.0, 5));
+    let on_disk = std::fs::read_to_string(dir.join(format!("req{next_id}.outcome.json")))
+        .expect("the next request's outcome is on disk");
+    assert_eq!(on_disk, next);
+    assert_eq!(
+        wait_for_addr(&dir, Duration::from_secs(10)).expect("serve.addr is back"),
+        addr
+    );
     let failures = telemetry
         .metrics()
         .expect("telemetry is on")
@@ -427,6 +435,7 @@ fn lost_state_dir_counts_write_failures_and_the_daemon_keeps_serving() {
     assert!(failures > 0, "lost state-dir writes went uncounted");
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -67,7 +67,7 @@ USAGE:
       List the built-in simulated units and their environments.
   ascdg run --unit <io|l3|ifu|synthetic> [--family <stem>] [--scale <f>] [--seed <n>]
             [--snapshot <path>] [--checkpoint <path>] [--resume <path>] [--json <path>]
-            [--metrics-out <base>] [--threads <n>] [--campaign-jobs <n>]
+            [--metrics-out <base>] [--threads <n>]
       Run the full AS-CDG flow. Without --family, targets every event
       still uncovered after regression (the IFU cross-product usage).
       --scale multiplies the paper's simulation budgets (default 0.1);
@@ -332,9 +332,6 @@ fn cmd_run(args: &[String]) -> CliResult {
     if let Some(n) = flag_value(args, "--threads") {
         config.threads = n.parse()?;
     }
-    if let Some(n) = flag_value(args, "--campaign-jobs") {
-        config.campaign_jobs = n.parse()?;
-    }
 
     let (outcome, final_state) = pool_scope_with(config.threads, &telemetry, |pool| {
         let engine = FlowEngine::new(&env, config.clone(), pool).with_telemetry(telemetry.clone());
@@ -349,6 +346,8 @@ fn cmd_run(args: &[String]) -> CliResult {
         if let Some(path) = checkpoint_path.clone() {
             let checkpoint_telemetry = telemetry.clone();
             let writer = CheckpointWriter::new(&path, telemetry.clone());
+            let manifest_writer =
+                CheckpointWriter::new(format!("{path}.manifest.json"), telemetry.clone());
             cx.on_checkpoint(move |snap| {
                 // The CLI keeps warn-and-continue semantics; the typed
                 // error still bumps `checkpoint.write_failures` so a
@@ -361,11 +360,8 @@ fn cmd_run(args: &[String]) -> CliResult {
                 // so interrupted runs leave a comparable artifact behind.
                 if checkpoint_telemetry.is_enabled() {
                     let manifest = RunManifest::from_state(snap, &checkpoint_telemetry);
-                    let mpath = format!("{path}.manifest.json");
-                    match manifest.to_json().map(|json| std::fs::write(&mpath, json)) {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => eprintln!("warning: could not write {mpath}: {e}"),
-                        Err(e) => eprintln!("warning: manifest did not serialize: {e}"),
+                    if let Err(e) = manifest_writer.write_json(&manifest, true) {
+                        eprintln!("warning: {e}");
                     }
                 }
             });
@@ -387,7 +383,7 @@ fn cmd_run(args: &[String]) -> CliResult {
             .validate()
             .map_err(|e| format!("run manifest failed validation: {e}"))?;
         let mpath = format!("{base}.manifest.json");
-        std::fs::write(&mpath, manifest.to_json()?)?;
+        CheckpointWriter::new(&mpath, telemetry.clone()).write_json(&manifest, true)?;
         eprintln!("wrote {mpath}");
         let trace = telemetry.export_trace(&final_state.unit, final_state.seed);
         let tpath = format!("{base}.trace.jsonl");
@@ -593,7 +589,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
                 .validate()
                 .map_err(|e| format!("group {i} manifest failed validation: {e}"))?;
             let mpath = format!("{base}.group{i}.manifest.json");
-            std::fs::write(&mpath, manifest.to_json()?)?;
+            CheckpointWriter::new(&mpath, telemetry.clone()).write_json(&manifest, true)?;
             eprintln!("wrote {mpath}");
         }
         let trace = telemetry.export_trace(&report.outcome.unit, seed);
@@ -897,6 +893,9 @@ mod tests {
         assert!(retired.unwrap_err().contains(&format!("`{coalesce}`")));
         let typo = check_flags("run", &args(&["--unit", "io", "--thread", "2"]));
         assert!(typo.unwrap_err().contains("`--thread`"));
+        // A single flow has no groups to keep in flight.
+        let jobs = check_flags("run", &args(&["--unit", "io", "--campaign-jobs", "2"]));
+        assert!(jobs.unwrap_err().contains("`--campaign-jobs`"));
         assert!(check_flags("run", &args(&["--unit", "io", "--threads", "2"])).is_ok());
         // Both `trace` synopsis lines count, and flag values pass.
         assert!(check_flags("trace", &args(&["--manifest", "m.json"])).is_ok());

@@ -6,8 +6,8 @@
 use std::sync::Mutex;
 
 use ascdg::core::{
-    pool_scope, read_campaign_checkpoint, CampaignEntry, CampaignProgress, CdgFlow,
-    CheckpointWriter, FlowConfig, FlowEngine, FlowError, Telemetry,
+    pool_scope, read_campaign_checkpoint, CampaignEntry, CampaignOutcome, CampaignProgress,
+    CdgFlow, CheckpointWriter, FlowConfig, FlowEngine, FlowError, GroupProgress, Telemetry,
 };
 use ascdg::coverage::EventId;
 use ascdg::duv::io_unit::IoEnv;
@@ -147,6 +147,65 @@ fn resume_rejects_group_targets_outside_the_unit_model() {
         err.to_string().contains(&progress.groups[0].name),
         "error should name the group: {err}"
     );
+}
+
+/// A complete, checksummed step line whose `best_settings` does not fit
+/// its skeleton fails its own group with the text `FlowEngine::resume`
+/// gives such a session, without a panic; every other group finishes as
+/// in the uninterrupted run.
+#[test]
+fn misfit_step_fails_only_its_own_group() {
+    let (reference, snapshots) = reference_with_snapshots(13);
+    let reference: CampaignOutcome = serde_json::from_str(&reference).unwrap();
+    let done = snapshots.last().expect("the campaign checkpointed");
+    let (bad, mut state) = done
+        .groups
+        .iter()
+        .enumerate()
+        .find_map(|(i, g)| {
+            g.session
+                .clone()
+                .filter(|s| s.best_settings.is_some())
+                .map(|s| (i, s))
+        })
+        .expect("a group optimized");
+    state.best_settings.as_mut().unwrap().push(0.5);
+    let header = CampaignProgress {
+        groups: done
+            .groups
+            .iter()
+            .map(|g| GroupProgress {
+                session: None,
+                ..g.clone()
+            })
+            .collect(),
+        ..done.clone()
+    };
+    let path = std::env::temp_dir().join(format!("ascdg-misfit-step-{}.log", std::process::id()));
+    let writer = CheckpointWriter::new(&path, Telemetry::disabled());
+    writer.write_campaign(&header).expect("the header writes");
+    writer.append_step(bad, &state).expect("the step appends");
+    let progress = read_campaign_checkpoint(&path).expect("the log reads");
+    let _ = std::fs::remove_file(&path);
+    let report = CdgFlow::new(IoEnv::new(), quick_config())
+        .resume_campaign(&progress, &Telemetry::disabled(), None)
+        .expect("resume runs");
+    let groups = &report.outcome.groups;
+    assert_eq!(groups.len(), reference.groups.len());
+    for (i, (group, want)) in groups.iter().zip(&reference.groups).enumerate() {
+        if i == bad {
+            let failure = group.failure.as_deref().expect("the misfit group fails");
+            assert!(failure.contains("session checkpoint"), "{failure}");
+            assert!(failure.contains("best_settings"), "{failure}");
+            assert!(report.sessions[i].is_none());
+        } else {
+            assert_eq!(
+                serde_json::to_string(group).unwrap(),
+                serde_json::to_string(want).unwrap(),
+                "group {i}"
+            );
+        }
+    }
 }
 
 /// `ascdg campaign --resume` gives the uninterrupted `--json` bytes from

@@ -112,13 +112,15 @@ fn resumed_outcome_is_identical_across_thread_counts() {
     let env = IoEnv::new();
     let mut cfg = config();
     cfg.threads = 1;
-    let snap = pool_scope(cfg.threads, |pool| {
+    let mut snaps = Vec::new();
+    pool_scope(cfg.threads, |pool| {
         let engine = FlowEngine::new(&env, cfg.clone(), pool);
         let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 33);
-        cx.enable_checkpoints();
+        cx.on_checkpoint(|snap| snaps.push(snap.clone()));
         engine.run(&mut cx).expect("flow runs");
-        cx.checkpoints()[4].clone() // after "optimize"
     });
+    let snap = snaps.swap_remove(4); // after "optimize"
+
     assert!(snap.is_completed("optimize"));
     let run_with = |threads: usize| {
         let mut c = cfg.clone();
@@ -147,7 +149,7 @@ fn resume_rejects_misfit_session_vectors() {
         for _ in 0..4 {
             engine.step(&mut cx).expect("stage runs");
         }
-        let sampled = cx.snapshot();
+        let sampled = cx.state().clone();
         assert!(sampled.is_completed("random-sample"));
         type Corruption = (&'static str, fn(&mut SessionState));
         let misfits: [Corruption; 3] = [
