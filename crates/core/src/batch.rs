@@ -290,7 +290,8 @@ impl CounterSnapshot {
 pub struct BatchRunner<'env> {
     pool: SimPool<'env>,
     counters: Arc<BatchCounters>,
-    telemetry: Telemetry,
+    /// The session scopes it per flow and stage (`SessionCx::scoped`).
+    pub(crate) telemetry: Telemetry,
 }
 
 impl<'env> BatchRunner<'env> {

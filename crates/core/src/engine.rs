@@ -129,7 +129,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     /// was loaded (see [`FlowEngine::resume`]).
     #[must_use]
     pub(crate) fn attach<'bus>(&self, session: DetachedSession) -> SessionCx<'env, 'bus, E> {
-        SessionCx::from_parts(self.env, self.runner(), session, self.telemetry.clone())
+        SessionCx::from_parts(self.env, self.runner(), session)
     }
 
     /// A batch runner on the engine's pool, sharing its telemetry handle.
@@ -296,7 +296,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     /// when the stage list (or a resumed snapshot) left a required product
     /// missing.
     pub fn run(&self, cx: &mut SessionCx<'_, '_, E>) -> Result<FlowOutcome, FlowError> {
-        let flow_span = self.telemetry.scope_span("flow", &cx.state().unit);
+        let flow_span = cx.telemetry().scope_span("flow", &cx.state().unit);
         for stage in &self.stages {
             let name = stage.name();
             if cx.state().is_completed(name) {
@@ -305,7 +305,10 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
                 });
             }
         }
-        while self.step(cx)?.is_some() {}
+        cx.scoped(flow_span.telemetry(), |cx| {
+            while self.step(cx)?.is_some() {}
+            Ok::<_, FlowError>(())
+        })?;
         // The flow span is attributed the whole run's simulations,
         // including stages completed before a resume.
         flow_span.finish(cx.state().stage_sims.iter().map(|s| s.sims).sum());
@@ -350,11 +353,11 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         cx.emit(FlowEvent::StageStarted {
             stage: name.to_owned(),
         });
-        self.telemetry.set_stage(name);
-        let stage_span = self.telemetry.scope_span("stage", name);
-        let result = stage.run(cx);
+        // The stage runs on a handle of its own: its chunks and objective
+        // evaluations parent-link to its span and record into its metrics.
+        let stage_span = cx.telemetry().for_stage(name).scope_span("stage", name);
+        let result = cx.scoped(stage_span.telemetry(), |cx| stage.run(cx));
         stage_span.finish(result.as_ref().map_or(0, |o| o.sims));
-        self.telemetry.clear_stage();
         let output = result?;
         cx.state_mut().completed.push(name.to_owned());
         cx.state_mut().stage_sims.push(StageSims {

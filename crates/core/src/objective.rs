@@ -1,7 +1,7 @@
 //! The CDG objective: settings vector → estimated approximated target.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ascdg_duv::VerifEnv;
 use ascdg_opt::Objective;
@@ -137,25 +137,24 @@ impl<'a, 'env, E: VerifEnv> CdgObjective<'a, 'env, E> {
         }
     }
 
+    /// The evaluation state; a worker that panicked holding it leaves it
+    /// readable.
+    fn state(&self) -> MutexGuard<'_, EvalState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Per-event hits accumulated over every evaluation so far (the
     /// phase-level statistics reported in the paper's tables).
     #[must_use]
     pub fn phase_stats(&self) -> BatchStats {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .accum
-            .clone()
+        self.state().accum.clone()
     }
 
     /// The best `(settings, value)` pair observed so far, if any
     /// evaluation happened.
     #[must_use]
     pub fn best(&self) -> Option<(Vec<f64>, f64)> {
-        let s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let s = self.state();
         if s.best_settings.is_empty() {
             None
         } else {
@@ -166,23 +165,14 @@ impl<'a, 'env, E: VerifEnv> CdgObjective<'a, 'env, E> {
     /// Number of evaluations so far.
     #[must_use]
     pub fn evals(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .evals
+        self.state().evals
     }
 
     /// Resolves the parameters for point `x` at most once per distinct bit
     /// pattern.
     fn resolved_params(&self, x: &[f64]) -> Arc<ResolvedParams> {
         let key = point_key(x);
-        let cached = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .resolve_cache
-            .get(&key)
-            .cloned();
+        let cached = self.state().resolve_cache.get(&key).cloned();
         match cached {
             Some(params) => {
                 self.runner.counters().note_resolve_hit();
@@ -200,10 +190,7 @@ impl<'a, 'env, E: VerifEnv> CdgObjective<'a, 'env, E> {
                         .expect("skeleton-derived template must validate"),
                 );
                 self.runner.counters().note_resolve_miss();
-                let mut s = self
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut s = self.state();
                 evict_at_cap(&mut s.resolve_cache);
                 s.resolve_cache.insert(key, Arc::clone(&params));
                 params
@@ -233,10 +220,7 @@ impl<'a, 'env, E: VerifEnv> CdgObjective<'a, 'env, E> {
     /// share, so their state transitions are identical.
     fn absorb(&self, x: &[f64], stats: &BatchStats) -> f64 {
         let value = self.target.value(|e| stats.rate(e));
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut s = self.state();
         s.accum.merge(stats);
         if value > s.best_value {
             s.best_value = value;
@@ -259,10 +243,7 @@ impl<E: VerifEnv> Objective for CdgObjective<'_, '_, E> {
     fn eval(&mut self, x: &[f64]) -> f64 {
         let clock = self.runner.telemetry().timed();
         let eval_idx = {
-            let mut s = self
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut s = self.state();
             s.evals += 1;
             s.evals
         };
@@ -296,10 +277,7 @@ impl<E: VerifEnv> Objective for CdgObjective<'_, '_, E> {
         }
         let clock = self.runner.telemetry().timed();
         let first_idx = {
-            let mut s = self
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut s = self.state();
             let first = s.evals + 1;
             s.evals += xs.len() as u64;
             first

@@ -159,6 +159,8 @@ struct Job<'cb> {
 
 struct QueueInner<'cb> {
     jobs: Vec<Job<'cb>>,
+    /// Every priority class that ever admitted a job, in first-seen order.
+    classes: Vec<String>,
     /// `(job, session)` ready to be stepped, drained deficit-round-robin.
     ready: VecDeque<(u64, DetachedSession)>,
     /// Jobs currently being stepped by a worker.
@@ -211,6 +213,7 @@ impl<'cb> AdmissionQueue<'cb> {
         AdmissionQueue {
             inner: Mutex::new(QueueInner {
                 jobs: Vec::new(),
+                classes: Vec::new(),
                 ready: VecDeque::new(),
                 in_flight: 0,
                 active: 0,
@@ -231,6 +234,9 @@ impl<'cb> AdmissionQueue<'cb> {
             return None;
         }
         let id = inner.jobs.len() as u64;
+        if !inner.classes.contains(&spec.class) {
+            inner.classes.push(spec.class.clone());
+        }
         inner.jobs.push(Job {
             class: spec.class,
             weight: spec.weight.max(1),
@@ -521,19 +527,16 @@ impl<'cb> AdmissionQueue<'cb> {
 }
 
 /// The ready-queue depth of every class that ever admitted a job, in
-/// first-seen order (few classes in practice: recounted, not carried).
+/// first-seen order; only the ready queue is walked.
 fn depths_by_class<'q>(inner: &'q QueueInner<'_>) -> Vec<(&'q str, usize)> {
-    let mut seen: Vec<(&str, usize)> = Vec::new();
-    let ready = inner.ready.iter().map(|(id, _)| (*id, 1));
-    let all = (0..inner.jobs.len() as u64).map(|id| (id, 0));
-    for (id, n) in ready.chain(all) {
-        let class = inner.jobs[id as usize].class.as_str();
-        match seen.iter_mut().find(|(c, _)| *c == class) {
-            Some((_, depth)) => *depth += n,
-            None => seen.push((class, n)),
+    let mut depths: Vec<(&str, usize)> = inner.classes.iter().map(|c| (c.as_str(), 0)).collect();
+    for (id, _) in &inner.ready {
+        let class = inner.jobs[*id as usize].class.as_str();
+        if let Some((_, depth)) = depths.iter_mut().find(|(c, _)| *c == class) {
+            *depth += 1;
         }
     }
-    seen
+    depths
 }
 
 /// Runs the given sessions to completion over the engine on an

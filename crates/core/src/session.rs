@@ -284,15 +284,14 @@ pub type CampaignSink<'a> = dyn Fn(CampaignEntry<'_>) + Sync + 'a;
 ///
 /// Couples the serializable [`SessionState`] with the run-time machinery
 /// stages need: the environment, a [`BatchRunner`] on the engine's worker
-/// pool, the live coverage repository (shared, read-only once built),
-/// and the event bus.
+/// pool (whose telemetry handle is the session's), the live coverage
+/// repository (shared, read-only once built), and the event bus.
 pub struct SessionCx<'env, 'bus, E: VerifEnv> {
     env: &'env E,
     runner: BatchRunner<'env>,
     repo: Option<Arc<CoverageRepository>>,
     state: SessionState,
     bus: EventBus<'bus>,
-    telemetry: Telemetry,
     cancel: Option<CancelToken>,
     checkpoint_sink: Option<CheckpointSink<'bus>>,
 }
@@ -302,7 +301,6 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         env: &'env E,
         runner: BatchRunner<'env>,
         session: DetachedSession,
-        telemetry: Telemetry,
     ) -> Self {
         SessionCx {
             env,
@@ -310,7 +308,6 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
             repo: session.repo,
             state: session.state,
             bus: EventBus::new(),
-            telemetry,
             cancel: None,
             checkpoint_sink: None,
         }
@@ -329,11 +326,22 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// The session's telemetry handle (disabled unless the engine was
-    /// built with one).
+    /// The session's telemetry handle, its runner's (disabled unless the
+    /// engine was built with one). While a stage runs, it is scoped to
+    /// that stage's span and metrics.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.runner.telemetry()
+    }
+
+    /// Runs `f` with `telemetry` as the session's handle, then puts the
+    /// previous handle back: how the engine scopes a run to its flow
+    /// span and a stage to its stage span.
+    pub(crate) fn scoped<R>(&mut self, telemetry: Telemetry, f: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = std::mem::replace(&mut self.runner.telemetry, telemetry);
+        let result = f(self);
+        self.runner.telemetry = outer;
+        result
     }
 
     /// The environment the session runs against.
@@ -421,9 +429,9 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
     /// Emits an event to every subscriber (and mirrors it into the
     /// telemetry trace when one is recording).
     pub fn emit(&mut self, event: FlowEvent) {
-        if self.telemetry.is_enabled() {
+        if self.telemetry().is_enabled() {
             let detail = serde_json::to_string(&event).unwrap_or_default();
-            self.telemetry.event(event_name(&event), &detail);
+            self.telemetry().event(event_name(&event), &detail);
         }
         self.bus.emit(event);
     }
@@ -460,7 +468,7 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
     /// throughput that was too fast for the wall clock to resolve is
     /// backfilled from the stage's sim-latency histogram.
     pub fn record_phase(&mut self, stats: PhaseStats, mut timing: PhaseTiming) {
-        if let Some(m) = self.telemetry.metrics() {
+        if let Some(m) = self.telemetry().metrics() {
             m.counter("batch.repo_merges").add(timing.repo_merges);
             m.counter("batch.sims_recorded").add(timing.sims_recorded);
             m.counter("batch.resolve_hits").add(timing.resolve_hits);
@@ -471,7 +479,7 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
             }
         }
         if timing.sims_per_sec.is_none() {
-            if let Some(stage) = self.telemetry.stage_metrics() {
+            if let Some(stage) = self.telemetry().stage_metrics() {
                 let snap = stage.sim_latency_ns.snapshot();
                 if snap.count > 0 && snap.sum > 0 {
                     // Mean per-sim latency inverts to sims/s even when the

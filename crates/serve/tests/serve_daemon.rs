@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use ascdg_core::{
     pool_scope, CampaignEntry, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine,
-    Telemetry,
+    RunManifest, Telemetry, STAGE_REGRESSION,
 };
 use ascdg_coverage::EventId;
 use ascdg_duv::io_unit::IoEnv;
@@ -35,11 +35,19 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// Starts a daemon on a free port in a background thread; returns its
 /// address and a handle that joins on drop.
 fn start_daemon(state_dir: &std::path::Path) -> (String, std::thread::JoinHandle<()>) {
+    start_daemon_with(state_dir, Telemetry::enabled())
+}
+
+/// [`start_daemon`] recording into the given telemetry handle.
+fn start_daemon_with(
+    state_dir: &std::path::Path,
+    telemetry: Telemetry,
+) -> (String, std::thread::JoinHandle<()>) {
     let opts = ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         state_dir: state_dir.to_path_buf(),
         threads: test_threads(),
-        telemetry: Telemetry::enabled(),
+        telemetry,
         http_addr: None,
         sample_interval_ms: 0,
     };
@@ -104,10 +112,15 @@ fn daemon_outcome_is_byte_identical_to_one_shot_campaign() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two concurrent tenants: both outcomes match their one-shots, and the
+/// per-stage chunk series count exactly the simulations the group
+/// manifests account (the regression runs on the untraced planning
+/// engine, so it has no series to compare).
 #[test]
 fn two_tenants_with_different_weights_both_match_their_one_shots() {
     let dir = tmp_dir("tenants");
-    let (addr, handle) = start_daemon(&dir);
+    let telemetry = Telemetry::enabled();
+    let (addr, handle) = start_daemon_with(&dir, telemetry.clone());
     // Two concurrent tenants on different connections, different budgets
     // and priorities, same shared pool.
     let submit = |weight: u32, class: &str, seed: u64| {
@@ -141,6 +154,31 @@ fn two_tenants_with_different_weights_both_match_their_one_shots() {
     assert!(statuses.iter().all(|s| s.done));
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
+
+    let mut ledger: Vec<(String, u64)> = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if !name.ends_with(".manifest.json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(entry.path()).unwrap();
+        let manifest = RunManifest::from_json(&text).expect("manifest parses");
+        for entry in manifest.stage_sims {
+            match ledger.iter_mut().find(|(stage, _)| *stage == entry.stage) {
+                Some((_, sims)) => *sims += entry.sims,
+                None => ledger.push((entry.stage, entry.sims)),
+            }
+        }
+    }
+    assert!(ledger.len() > 1, "the requests left group manifests");
+    let metrics = telemetry.metrics().expect("telemetry is on");
+    for (stage, sims) in ledger.iter().filter(|(s, _)| s != STAGE_REGRESSION) {
+        let series = metrics
+            .histogram(&format!("stage.{stage}.chunk_sims"))
+            .snapshot()
+            .sum;
+        assert_eq!(series, *sims, "stage.{stage}.chunk_sims");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

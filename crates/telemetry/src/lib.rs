@@ -39,8 +39,8 @@ pub use metrics::{
 };
 pub use provenance::{detect_git_commit, Provenance};
 pub use trace::{
-    parse_jsonl, render_trace, write_jsonl, EventRecord, OptIterRecord, SpanRecord, TraceMeta,
-    TraceRecord, TRACE_SCHEMA_VERSION,
+    check_span_accounting, parse_jsonl, render_trace, write_jsonl, EventRecord, OptIterRecord,
+    SpanRecord, TraceMeta, TraceRecord, TRACE_SCHEMA_VERSION,
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,8 +58,6 @@ use parking_lot::Mutex;
 /// run's one repository merge on the submitting thread, ns).
 #[derive(Clone, Debug)]
 pub struct StageMetrics {
-    /// The stage these handles were resolved for.
-    pub stage: String,
     /// Per-simulation latency within a chunk, in nanoseconds.
     pub sim_latency_ns: Histogram,
     /// Simulations per executed chunk.
@@ -73,28 +71,32 @@ pub struct StageMetrics {
 struct Inner {
     epoch: Instant,
     next_span: AtomicU64,
-    /// Innermost scoped span (0 = none); chunk/objective spans created
-    /// anywhere in the process parent-link to it.
-    current_parent: AtomicU64,
     records: Mutex<Vec<TraceRecord>>,
     metrics: MetricsRegistry,
-    stage: Mutex<Option<Arc<StageMetrics>>>,
 }
 
 /// The shared telemetry handle threaded through the flow.
 ///
-/// Cloning shares the same tracer and registry. The [`Default`] handle is
-/// disabled: all recording methods are no-ops behind one `Option` branch.
+/// Cloning shares the same tracer and registry. A handle also carries
+/// its *scope*: the span its spans parent-link to (see
+/// [`Span::telemetry`]) and the stage metrics its chunks record into
+/// (see [`Telemetry::for_stage`]). The scope is a value of the handle,
+/// never process-wide, so concurrent sessions sharing one tracer each
+/// keep their own span tree. The [`Default`] handle is disabled: all
+/// recording methods are no-ops behind one `Option` branch.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
+    /// Span id new spans parent-link to (0 = none).
+    parent: u64,
+    stage: Option<Arc<StageMetrics>>,
 }
 
 impl Telemetry {
     /// A disabled handle: every instrumentation call is a no-op.
     #[must_use]
     pub fn disabled() -> Self {
-        Telemetry { inner: None }
+        Telemetry::default()
     }
 
     /// A live handle with a fresh tracer and registry; "now" becomes the
@@ -105,11 +107,10 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
                 next_span: AtomicU64::new(1),
-                current_parent: AtomicU64::new(0),
                 records: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::new(),
-                stage: Mutex::new(None),
             })),
+            ..Telemetry::default()
         }
     }
 
@@ -137,47 +138,48 @@ impl Telemetry {
         inner.epoch.elapsed().as_micros() as u64
     }
 
-    /// Records an already-finished span that started at `start` (from
-    /// [`Telemetry::timed`]), parented to the innermost scoped span.
-    /// No-op when disabled or `start` is `None`.
-    pub fn closed_span(&self, kind: &str, name: &str, start: Option<Instant>, sims: u64) {
-        let (Some(inner), Some(start)) = (self.inner.as_deref(), start) else {
+    /// Records a span parented to this handle's span, from `start` to now.
+    fn record_span(&self, id: u64, kind: &str, name: String, start: Instant, sims: u64) {
+        let Some(inner) = self.inner.as_deref() else {
             return;
         };
-        let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent = match inner.current_parent.load(Ordering::Relaxed) {
-            0 => None,
-            p => Some(p),
-        };
-        let start_us = start
-            .checked_duration_since(inner.epoch)
-            .map_or(0, |d| d.as_micros() as u64);
         let record = TraceRecord::Span(SpanRecord {
             id,
-            parent,
+            parent: Some(self.parent).filter(|&p| p != 0),
             kind: kind.to_owned(),
-            name: name.to_owned(),
-            start_us,
+            name,
+            start_us: start
+                .checked_duration_since(inner.epoch)
+                .map_or(0, |d| d.as_micros() as u64),
             dur_us: start.elapsed().as_micros() as u64,
             sims,
         });
         inner.records.lock().push(record);
     }
 
-    /// Opens a *scoped* span: until the returned guard is finished (or
-    /// dropped), spans recorded by any thread parent-link to it. Scoped
-    /// spans must nest LIFO (the engine opens one per stage).
-    #[must_use]
-    pub fn scope_span(&self, kind: &'static str, name: &str) -> Span {
-        let Some(inner) = self.inner.as_deref() else {
-            return Span::inert();
+    /// Records an already-finished span that started at `start` (from
+    /// [`Telemetry::timed`]), parented to this handle's span. No-op when
+    /// disabled or `start` is `None`.
+    pub fn closed_span(&self, kind: &str, name: &str, start: Option<Instant>, sims: u64) {
+        let (Some(inner), Some(start)) = (self.inner.as_deref(), start) else {
+            return;
         };
         let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let prev = inner.current_parent.swap(id, Ordering::Relaxed);
+        self.record_span(id, kind, name.to_owned(), start, sims);
+    }
+
+    /// Opens a span parented to this handle's span; it is recorded when
+    /// finished or dropped. Spans recorded through its
+    /// [`Span::telemetry`] handle parent-link to it.
+    #[must_use]
+    pub fn scope_span(&self, kind: &'static str, name: &str) -> Span {
+        let (id, name) = match self.inner.as_deref() {
+            Some(inner) => (inner.next_span.fetch_add(1, Ordering::Relaxed), name),
+            None => (0, ""),
+        };
         Span {
             telemetry: self.clone(),
             id,
-            parent: prev,
             kind,
             name: name.to_owned(),
             start: Instant::now(),
@@ -185,36 +187,28 @@ impl Telemetry {
         }
     }
 
-    /// Installs the pre-resolved per-stage metric handles for `stage`
-    /// (see [`StageMetrics`] for the naming convention).
-    pub fn set_stage(&self, stage: &str) {
-        let Some(inner) = self.inner.as_deref() else {
-            return;
-        };
-        let handles = StageMetrics {
-            stage: stage.to_owned(),
-            sim_latency_ns: inner
-                .metrics
-                .histogram(&format!("stage.{stage}.sim_latency_ns")),
-            chunk_sims: inner
-                .metrics
-                .histogram(&format!("stage.{stage}.chunk_sims")),
-            merge_ns: inner.metrics.histogram(&format!("stage.{stage}.merge_ns")),
-        };
-        *inner.stage.lock() = Some(Arc::new(handles));
-    }
-
-    /// Uninstalls the per-stage metric handles.
-    pub fn clear_stage(&self) {
-        if let Some(inner) = self.inner.as_deref() {
-            *inner.stage.lock() = None;
+    /// This handle with the pre-resolved per-stage metric handles for
+    /// `stage` (see [`StageMetrics`] for the naming convention). Handles
+    /// for the same stage name share their histograms.
+    #[must_use]
+    pub fn for_stage(&self, stage: &str) -> Telemetry {
+        let stage = self.metrics().map(|m| {
+            Arc::new(StageMetrics {
+                sim_latency_ns: m.histogram(&format!("stage.{stage}.sim_latency_ns")),
+                chunk_sims: m.histogram(&format!("stage.{stage}.chunk_sims")),
+                merge_ns: m.histogram(&format!("stage.{stage}.merge_ns")),
+            })
+        });
+        Telemetry {
+            stage,
+            ..self.clone()
         }
     }
 
-    /// The currently installed per-stage handles, if any.
+    /// The per-stage handles this handle carries, if any.
     #[must_use]
-    pub fn stage_metrics(&self) -> Option<Arc<StageMetrics>> {
-        self.inner.as_deref().and_then(|i| i.stage.lock().clone())
+    pub fn stage_metrics(&self) -> Option<&StageMetrics> {
+        self.stage.as_deref()
     }
 
     /// Mirrors a structured flow event into the trace.
@@ -284,13 +278,13 @@ impl Telemetry {
     }
 }
 
-/// Guard for a scoped span (see [`Telemetry::scope_span`]). Recorded when
-/// finished or dropped; restores the previous scoped parent either way.
+/// Guard for an open span (see [`Telemetry::scope_span`]), recorded
+/// when finished or dropped.
 #[derive(Debug)]
 pub struct Span {
+    /// The handle the span was opened from: its scope is the span's.
     telemetry: Telemetry,
     id: u64,
-    parent: u64,
     kind: &'static str,
     name: String,
     start: Instant,
@@ -298,22 +292,20 @@ pub struct Span {
 }
 
 impl Span {
-    fn inert() -> Self {
-        Span {
-            telemetry: Telemetry::disabled(),
-            id: 0,
-            parent: 0,
-            kind: "",
-            name: String::new(),
-            start: Instant::now(),
-            sims: 0,
-        }
-    }
-
     /// This span's id (0 for inert spans from a disabled handle).
     #[must_use]
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// A handle whose spans parent-link to this span, carrying the same
+    /// stage metrics as the handle the span was opened from.
+    #[must_use]
+    pub fn telemetry(&self) -> Telemetry {
+        Telemetry {
+            parent: self.id,
+            ..self.telemetry.clone()
+        }
     }
 
     /// Attributes `sims` simulations and closes the span.
@@ -324,27 +316,9 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(inner) = self.telemetry.inner.as_deref() else {
-            return;
-        };
-        inner.current_parent.store(self.parent, Ordering::Relaxed);
-        let start_us = self
-            .start
-            .checked_duration_since(inner.epoch)
-            .map_or(0, |d| d.as_micros() as u64);
-        let record = TraceRecord::Span(SpanRecord {
-            id: self.id,
-            parent: match self.parent {
-                0 => None,
-                p => Some(p),
-            },
-            kind: self.kind.to_owned(),
-            name: std::mem::take(&mut self.name),
-            start_us,
-            dur_us: self.start.elapsed().as_micros() as u64,
-            sims: self.sims,
-        });
-        inner.records.lock().push(record);
+        let name = std::mem::take(&mut self.name);
+        self.telemetry
+            .record_span(self.id, self.kind, name, self.start, self.sims);
     }
 }
 
@@ -367,27 +341,35 @@ mod tests {
         assert!(t.stage_metrics().is_none());
     }
 
-    #[test]
-    fn spans_nest_and_restore_parents() {
-        let t = Telemetry::enabled();
-        let flow = t.scope_span("flow", "u");
-        let flow_id = flow.id();
-        let stage = t.scope_span("stage", "regression");
-        let stage_id = stage.id();
-        t.closed_span("chunk", "", t.timed(), 25);
-        stage.finish(25);
-        // After the stage closes, new spans parent to the flow again.
-        t.closed_span("objective", "eval", t.timed(), 5);
-        flow.finish(30);
-
-        let trace = t.export_trace("u", 7);
-        let spans: Vec<&SpanRecord> = trace
+    fn spans_of(trace: &[TraceRecord]) -> Vec<&SpanRecord> {
+        trace
             .iter()
             .filter_map(|r| match r {
                 TraceRecord::Span(s) => Some(s),
                 _ => None,
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn spans_nest_and_restore_parents() {
+        let t = Telemetry::enabled();
+        let flow = t.scope_span("flow", "u");
+        let flow_id = flow.id();
+        let in_flow = flow.telemetry();
+        let stage = in_flow
+            .for_stage("regression")
+            .scope_span("stage", "regression");
+        let stage_id = stage.id();
+        let in_stage = stage.telemetry();
+        in_stage.closed_span("chunk", "", in_stage.timed(), 25);
+        stage.finish(25);
+        // After the stage, the flow's handle still parents to the flow.
+        in_flow.closed_span("objective", "eval", in_flow.timed(), 5);
+        flow.finish(30);
+
+        let trace = t.export_trace("u", 7);
+        let spans = spans_of(&trace);
         assert_eq!(spans.len(), 4);
         let chunk = spans.iter().find(|s| s.kind == "chunk").unwrap();
         assert_eq!(chunk.parent, Some(stage_id));
@@ -403,16 +385,42 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_spans_keep_their_own_children() {
+        // Two sessions' stages open and close out of LIFO order on one
+        // tracer; each chunk still parents to its own stage.
+        let t = Telemetry::enabled();
+        let a = t.scope_span("stage", "a");
+        let b = t.scope_span("stage", "b");
+        let (in_a, in_b) = (a.telemetry(), b.telemetry());
+        a.finish(0);
+        in_b.closed_span("chunk", "b", in_b.timed(), 2);
+        in_a.closed_span("chunk", "a", in_a.timed(), 1);
+        b.finish(0);
+        let trace = t.export_trace("u", 1);
+        let spans = spans_of(&trace);
+        for name in ["a", "b"] {
+            let stage = spans.iter().find(|s| s.kind == "stage" && s.name == name);
+            let chunk = spans.iter().find(|s| s.kind == "chunk" && s.name == name);
+            assert_eq!(chunk.unwrap().parent, Some(stage.unwrap().id), "{name}");
+            assert_eq!(stage.unwrap().parent, None);
+        }
+    }
+
+    #[test]
     fn stage_metrics_are_shared_per_name() {
         let t = Telemetry::enabled();
-        t.set_stage("regression");
-        let sm = t.stage_metrics().unwrap();
-        assert_eq!(sm.stage, "regression");
-        sm.chunk_sims.record(100);
-        // Re-installing the same stage resolves the same histograms.
-        t.set_stage("regression");
-        assert_eq!(t.stage_metrics().unwrap().chunk_sims.count(), 1);
-        t.clear_stage();
+        assert!(t.stage_metrics().is_none());
+        let first = t.for_stage("regression");
+        first.stage_metrics().unwrap().chunk_sims.record(100);
+        // A second handle for the same stage resolves the same histograms.
+        let second = t.for_stage("regression");
+        assert_eq!(second.stage_metrics().unwrap().chunk_sims.count(), 1);
+        // Spans opened under a stage hand its metrics to their children.
+        let span = second.scope_span("stage", "regression");
+        assert_eq!(
+            span.telemetry().stage_metrics().unwrap().chunk_sims.count(),
+            1
+        );
         assert!(t.stage_metrics().is_none());
         let snap = t.metrics().unwrap().snapshot();
         assert!(snap

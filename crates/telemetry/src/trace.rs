@@ -7,6 +7,8 @@
 //! and types of each kind are pinned by a golden test; bump
 //! [`TRACE_SCHEMA_VERSION`] when changing them.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{MetricKind, MetricSnapshot};
@@ -129,18 +131,22 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, serde_json::Error> {
     Ok(records)
 }
 
-/// Renders a parsed trace as a human-readable span tree plus metric and
-/// event summaries (the `ascdg trace` output).
-#[must_use]
-pub fn render_trace(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    let spans: Vec<&SpanRecord> = records
+fn spans_of(records: &[TraceRecord]) -> Vec<&SpanRecord> {
+    records
         .iter()
         .filter_map(|r| match r {
             TraceRecord::Span(s) => Some(s),
             _ => None,
         })
-        .collect();
+        .collect()
+}
+
+/// Renders a parsed trace as a human-readable span tree plus metric and
+/// event summaries (the `ascdg trace` output).
+#[must_use]
+pub fn render_trace(records: &[TraceRecord]) -> String {
+    let mut out = String::new();
+    let spans = spans_of(records);
     let events: Vec<&EventRecord> = records
         .iter()
         .filter_map(|r| match r {
@@ -210,21 +216,88 @@ pub fn render_trace(records: &[TraceRecord]) -> String {
     out
 }
 
+/// Checks a trace's span accounting, the invariants every session's
+/// span tree keeps however many sessions share the tracer:
+///
+/// - span ids are unique, and every span's `parent` is a span of the
+///   trace;
+/// - every `chunk` and `objective` span's parent is a `stage` span;
+/// - a `stage` span that reports simulations has exactly that many in
+///   its `chunk` children.
+///
+/// Flow spans are not summed: a resumed run attributes the stages it
+/// skipped to its flow span.
+///
+/// # Errors
+///
+/// The first violation, described.
+pub fn check_span_accounting(records: &[TraceRecord]) -> Result<(), String> {
+    let spans = spans_of(records);
+    let mut by_id: HashMap<u64, &SpanRecord> = HashMap::with_capacity(spans.len());
+    for span in &spans {
+        if by_id.insert(span.id, span).is_some() {
+            return Err(format!("span id {} is used twice", span.id));
+        }
+    }
+    let mut chunk_sims: HashMap<u64, u64> = HashMap::new();
+    for span in &spans {
+        let parent = match span.parent {
+            Some(p) => Some(*by_id.get(&p).ok_or_else(|| {
+                format!(
+                    "{} span {} has parent {p}, which is not in the trace",
+                    span.kind, span.id
+                )
+            })?),
+            None => None,
+        };
+        if matches!(span.kind.as_str(), "chunk" | "objective")
+            && parent.is_none_or(|p| p.kind != "stage")
+        {
+            return Err(format!(
+                "{} span {} is not parented to a stage span (parent: {})",
+                span.kind,
+                span.id,
+                parent.map_or("none".to_owned(), |p| format!("{} span {}", p.kind, p.id))
+            ));
+        }
+        if let (Some(p), "chunk") = (parent, span.kind.as_str()) {
+            let sum = chunk_sims.entry(p.id).or_default();
+            *sum = sum.saturating_add(span.sims);
+        }
+    }
+    for span in spans.iter().filter(|s| s.kind == "stage" && s.sims > 0) {
+        let chunks = chunk_sims.get(&span.id).copied().unwrap_or(0);
+        if chunks != span.sims {
+            return Err(format!(
+                "stage span {} (`{}`) reports {} sims, but its chunk spans hold {chunks}",
+                span.id, span.name, span.sims
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Indented span tree; sibling runs of the same (kind, name) are
 /// aggregated (chunk spans come in the hundreds) while distinctly-named
-/// `flow`/`stage` spans render individually.
+/// `flow`/`stage` spans render individually. Each span renders once, so
+/// a damaged trace whose ids repeat or loop still terminates.
 fn render_span_tree(out: &mut String, spans: &[&SpanRecord]) {
-    let roots: Vec<&SpanRecord> = spans
-        .iter()
-        .copied()
-        .filter(|s| s.parent.is_none())
-        .collect();
-    for root in roots {
-        render_span(out, spans, root, 0);
+    let mut rendered = vec![false; spans.len()];
+    for (i, root) in spans.iter().enumerate() {
+        if root.parent.is_none() {
+            rendered[i] = true;
+            render_span(out, spans, &mut rendered, root, 0);
+        }
     }
 }
 
-fn render_span(out: &mut String, spans: &[&SpanRecord], span: &SpanRecord, depth: usize) {
+fn render_span(
+    out: &mut String,
+    spans: &[&SpanRecord],
+    rendered: &mut [bool],
+    span: &SpanRecord,
+    depth: usize,
+) {
     let indent = "  ".repeat(depth);
     let label = if span.name.is_empty() {
         span.kind.clone()
@@ -236,18 +309,19 @@ fn render_span(out: &mut String, spans: &[&SpanRecord], span: &SpanRecord, depth
         span.dur_us as f64 / 1e3,
         span.sims
     ));
-    let children: Vec<&SpanRecord> = spans
-        .iter()
-        .copied()
-        .filter(|s| s.parent == Some(span.id))
+    let children: Vec<usize> = (0..spans.len())
+        .filter(|&i| !rendered[i] && spans[i].parent == Some(span.id))
         .collect();
+    for &i in &children {
+        rendered[i] = true;
+    }
     // Group same-(kind, name) siblings: singletons render (and recurse)
     // individually — so the seven distinctly-named stage spans each get
     // a line — while repeated groups (chunk spans come in the hundreds,
     // objective evals in the dozens) render as one aggregate line.
     let mut keys: Vec<(&str, &str)> = Vec::new();
-    for child in &children {
-        let key = (child.kind.as_str(), child.name.as_str());
+    for &i in &children {
+        let key = (spans[i].kind.as_str(), spans[i].name.as_str());
         if !keys.contains(&key) {
             keys.push(key);
         }
@@ -255,14 +329,14 @@ fn render_span(out: &mut String, spans: &[&SpanRecord], span: &SpanRecord, depth
     for (kind, name) in keys {
         let group: Vec<&SpanRecord> = children
             .iter()
-            .copied()
+            .map(|&i| spans[i])
             .filter(|s| s.kind == kind && s.name == name)
             .collect();
         if group.len() == 1 {
-            render_span(out, spans, group[0], depth + 1);
+            render_span(out, spans, rendered, group[0], depth + 1);
         } else {
-            let dur: u64 = group.iter().map(|s| s.dur_us).sum();
-            let sims: u64 = group.iter().map(|s| s.sims).sum();
+            let dur = group.iter().fold(0u64, |a, s| a.saturating_add(s.dur_us));
+            let sims = group.iter().fold(0u64, |a, s| a.saturating_add(s.sims));
             let indent = "  ".repeat(depth + 1);
             let label = if name.is_empty() {
                 format!("{kind} x{}", group.len())
@@ -313,19 +387,20 @@ mod tests {
         assert!(format!("{err}").contains("line 2"), "{err}");
     }
 
+    fn mk(id: u64, parent: Option<u64>, kind: &str, sims: u64) -> TraceRecord {
+        TraceRecord::Span(SpanRecord {
+            id,
+            parent,
+            kind: kind.to_owned(),
+            name: String::new(),
+            start_us: 0,
+            dur_us: 1000,
+            sims,
+        })
+    }
+
     #[test]
     fn render_aggregates_same_kind_siblings() {
-        let mk = |id, parent, kind: &str, sims| {
-            TraceRecord::Span(SpanRecord {
-                id,
-                parent,
-                kind: kind.to_owned(),
-                name: String::new(),
-                start_us: 0,
-                dur_us: 1000,
-                sims,
-            })
-        };
         let records = vec![
             mk(1, None, "stage", 30),
             mk(2, Some(1), "chunk", 10),
@@ -337,5 +412,36 @@ mod tests {
             !text.contains("chunk  "),
             "chunks rendered individually:\n{text}"
         );
+    }
+
+    #[test]
+    fn span_accounting_flags_each_rule() {
+        let good = vec![
+            mk(1, None, "flow", 30),
+            mk(2, Some(1), "stage", 30),
+            mk(3, Some(2), "chunk", 10),
+            mk(4, Some(2), "chunk", 20),
+            mk(5, Some(2), "objective", 30),
+            mk(6, Some(1), "stage", 0),
+        ];
+        assert_eq!(check_span_accounting(&good), Ok(()));
+        let with = |span| {
+            let mut records = good.clone();
+            records.push(span);
+            check_span_accounting(&records).unwrap_err()
+        };
+        assert!(with(mk(7, Some(9), "stage", 0)).contains("not in the trace"));
+        assert!(with(mk(7, None, "chunk", 5)).contains("not parented to a stage"));
+        assert!(with(mk(7, Some(1), "objective", 5)).contains("flow span 1"));
+        assert!(with(mk(7, Some(2), "chunk", 5)).contains("chunk spans hold 35"));
+        assert!(with(mk(4, Some(2), "chunk", 0)).contains("used twice"));
+    }
+
+    #[test]
+    fn render_terminates_on_repeated_ids() {
+        // A damaged trace where a span's id is its own parent's.
+        let records = vec![mk(1, None, "stage", 5), mk(1, Some(1), "chunk", 5)];
+        assert_eq!(render_trace(&records).lines().count(), 2);
+        assert!(check_span_accounting(&records).is_err());
     }
 }

@@ -134,7 +134,9 @@ USAGE:
       --iterations stops after <n> frames.
   ascdg trace <file.trace.jsonl>
       Render a `--metrics-out` trace: span tree with wall-clock and
-      simulation attribution, event counts and the metric table.
+      simulation attribution, event counts and the metric table; then
+      check its span accounting (parents present, chunk and objective
+      spans under a stage, each stage's sims in its chunks).
   ascdg trace --manifest <file.manifest.json>
       Print a run-manifest summary and check its internal accounting.
 ";
@@ -448,6 +450,9 @@ fn cmd_trace(args: &[String]) -> CliResult {
         .ok_or("missing trace file (or --manifest <file>)")?;
     let records = ascdg::telemetry::parse_jsonl(&std::fs::read_to_string(path)?)?;
     print!("{}", ascdg::telemetry::render_trace(&records));
+    ascdg::telemetry::check_span_accounting(&records)
+        .map_err(|e| format!("span accounting: {e}"))?;
+    println!("span accounting OK");
     Ok(())
 }
 
