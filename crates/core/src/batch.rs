@@ -11,7 +11,6 @@
 
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ascdg_coverage::{CoveragePlane, CoverageRepository, CoverageVector, TemplateId};
@@ -19,7 +18,6 @@ use ascdg_duv::{SimScratch, VerifEnv};
 use ascdg_stimgen::{name_hash, SeedStream};
 use ascdg_telemetry::Telemetry;
 use ascdg_template::{ResolvedParams, TestTemplate};
-use serde::{Deserialize, Serialize};
 
 use crate::pool::SimPool;
 use crate::FlowError;
@@ -175,95 +173,12 @@ impl ResolvedTemplate {
     }
 }
 
-/// Shared hot-path counters: how often the repository lock was taken, how
-/// many simulations flowed through it, and how the resolve cache behaved.
-///
-/// Counters are monotonic across a runner's lifetime (clones of a
-/// [`BatchRunner`] share one set); phases report deltas between
-/// [`BatchCounters::snapshot`]s. Updates are relaxed atomics — observability
-/// only, never synchronization.
-#[derive(Debug, Default)]
-pub struct BatchCounters {
-    repo_merges: AtomicU64,
-    sims_recorded: AtomicU64,
-    resolve_hits: AtomicU64,
-    resolve_misses: AtomicU64,
-}
-
-impl BatchCounters {
-    /// A point-in-time copy of all counters.
-    #[must_use]
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            repo_merges: self.repo_merges.load(Ordering::Relaxed),
-            sims_recorded: self.sims_recorded.load(Ordering::Relaxed),
-            resolve_hits: self.resolve_hits.load(Ordering::Relaxed),
-            resolve_misses: self.resolve_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Notes one bulk merge of `sims` simulations into the repository.
-    fn add_merge(&self, sims: u64) {
-        self.repo_merges.fetch_add(1, Ordering::Relaxed);
-        self.sims_recorded.fetch_add(sims, Ordering::Relaxed);
-    }
-
-    /// Notes a resolve-cache hit (a template re-used without re-resolution).
-    pub fn note_resolve_hit(&self) {
-        self.resolve_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Notes a registry resolution actually performed.
-    pub fn note_resolve_miss(&self) {
-        self.resolve_misses.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A plain-number snapshot of [`BatchCounters`], serializable into reports.
-///
-/// Snapshots are compared with [`CounterSnapshot::delta_since`], which
-/// saturates per field — see its documentation for the exact contract on
-/// out-of-order pairs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// Repository write-lock acquisitions ([`CoverageRepository::merge_counts`] calls).
-    pub repo_merges: u64,
-    /// Simulations folded into the repository through those merges.
-    pub sims_recorded: u64,
-    /// Resolve-cache hits (template instantiations served without resolving).
-    pub resolve_hits: u64,
-    /// Registry resolutions performed.
-    pub resolve_misses: u64,
-}
-
-impl CounterSnapshot {
-    /// The counter movement since `earlier`.
-    ///
-    /// **Saturation contract:** each field subtracts independently with
-    /// [`u64::saturating_sub`], so a pair passed out of order (or two
-    /// snapshots from unrelated counter sets) degrades each regressed
-    /// field to `0` instead of wrapping to a huge value. The result is
-    /// therefore always a plausible (possibly understated) delta, never
-    /// garbage; callers that need to detect misordered pairs must compare
-    /// the snapshots themselves. Since [`BatchCounters`] is monotonic,
-    /// snapshots taken in order on one runner never saturate.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            repo_merges: self.repo_merges.saturating_sub(earlier.repo_merges),
-            sims_recorded: self.sims_recorded.saturating_sub(earlier.sims_recorded),
-            resolve_hits: self.resolve_hits.saturating_sub(earlier.resolve_hits),
-            resolve_misses: self.resolve_misses.saturating_sub(earlier.resolve_misses),
-        }
-    }
-}
-
 /// Runs batches of simulations on a persistent [`SimPool`].
 ///
 /// Every runner dispatches onto the pool it was built from, so one set of
 /// workers serves the whole run: the regression, the sampling and
 /// optimization objectives and the harvest all submit to the same farm.
-/// Clones share the pool, the [`BatchCounters`] and the telemetry handle.
+/// Clones share the pool and the telemetry handle.
 ///
 /// Results are byte-identical at every pool size: instance `i` of a run
 /// always uses the seed a [`SeedStream`] derives for it, fixed before
@@ -272,8 +187,8 @@ impl CounterSnapshot {
 /// Workers touch no shared state: each chunk accumulates into its own
 /// [`BatchStats`] shard, and a recorded run merges its total into the
 /// repository once, on the submitting thread
-/// ([`CoverageRepository::merge_counts`]). Hot-path activity is visible
-/// through the runner's [`BatchCounters`].
+/// ([`CoverageRepository::merge_counts`]), counted on the runner's
+/// telemetry handle (`batch.repo_merges`, `batch.sims_recorded`).
 ///
 /// # Examples
 ///
@@ -289,7 +204,6 @@ impl CounterSnapshot {
 #[derive(Debug, Clone)]
 pub struct BatchRunner<'env> {
     pool: SimPool<'env>,
-    counters: Arc<BatchCounters>,
     /// The session scopes it per flow and stage (`SessionCx::scoped`).
     pub(crate) telemetry: Telemetry,
 }
@@ -301,7 +215,6 @@ impl<'env> BatchRunner<'env> {
     pub fn new(pool: &SimPool<'env>) -> Self {
         BatchRunner {
             pool: pool.clone(),
-            counters: Arc::new(BatchCounters::default()),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -324,19 +237,6 @@ impl<'env> BatchRunner<'env> {
         &self.telemetry
     }
 
-    /// The runner's hot-path counters. Clones of a runner share one set, so
-    /// a phase can snapshot before/after a batch and report the delta.
-    #[must_use]
-    pub fn counters(&self) -> &Arc<BatchCounters> {
-        &self.counters
-    }
-
-    /// Convenience for `counters().snapshot()`.
-    #[must_use]
-    pub fn counter_snapshot(&self) -> CounterSnapshot {
-        self.counters.snapshot()
-    }
-
     /// Simulates `sims` instances of `template` and accumulates coverage.
     ///
     /// Instance `i` uses the seed the template's [`SeedStream`] derives for
@@ -353,7 +253,6 @@ impl<'env> BatchRunner<'env> {
         base_seed: u64,
     ) -> Result<BatchStats, FlowError> {
         let rt = ResolvedTemplate::resolve(env, template)?;
-        self.counters.note_resolve_miss();
         self.run_resolved(env, &rt, sims, base_seed)
     }
 
@@ -397,7 +296,9 @@ impl<'env> BatchRunner<'env> {
     /// chunk finished ([`CoverageRepository::merge_counts`]). Per-event
     /// counting is commutative, so the repository is byte-identical to
     /// recording every simulation individually, at any pool size; and the
-    /// repository need not outlive the pool.
+    /// repository need not outlive the pool. Each merge adds 1 to
+    /// `batch.repo_merges` and its simulations to `batch.sims_recorded` on
+    /// the runner's telemetry handle.
     ///
     /// # Errors
     ///
@@ -418,9 +319,12 @@ impl<'env> BatchRunner<'env> {
             let merge_clock = self.telemetry.timed();
             repo.merge_counts(template_id, stats.sims, &stats.hits)
                 .map_err(FlowError::Coverage)?;
-            self.counters.add_merge(stats.sims);
             if let (Some(t0), Some(stage)) = (merge_clock, self.telemetry.stage_metrics()) {
                 stage.merge_ns.record(t0.elapsed().as_nanos() as u64);
+            }
+            if let Some(m) = self.telemetry.metrics() {
+                m.counter("batch.repo_merges").add(1);
+                m.counter("batch.sims_recorded").add(stats.sims);
             }
         }
         Ok(stats)
@@ -720,18 +624,20 @@ mod tests {
         let t = env.stock_library().get(3).unwrap().clone();
         let reference = per_sim_reference(&env, 3, 96, 17);
         // Sharded: chunk-local accumulation at the CI matrix thread count,
-        // then one merge of the run's total on the submitting thread.
+        // then one merge of the run's total on the submitting thread,
+        // counted once on the runner's telemetry handle.
         let repo = CoverageRepository::new(env.coverage_model().clone());
-        let counters = on_pool(test_threads(), |runner| {
+        let telemetry = Telemetry::enabled();
+        on_pool(test_threads(), |runner| {
             runner
+                .with_telemetry(telemetry.clone())
                 .run_recorded(&env, &t, 96, 17, &repo, TemplateId(3))
                 .unwrap();
-            runner.counter_snapshot()
         });
         assert_eq!(repo.snapshot(), reference.snapshot());
-        assert_eq!(counters.sims_recorded, 96);
-        assert_eq!(counters.repo_merges, 1);
-        assert_eq!(counters.resolve_misses, 1);
+        let m = telemetry.metrics().unwrap();
+        assert_eq!(m.counter("batch.repo_merges").value(), 1);
+        assert_eq!(m.counter("batch.sims_recorded").value(), 96);
     }
 
     #[test]
@@ -832,70 +738,6 @@ mod tests {
                 ]
             );
         });
-    }
-
-    #[test]
-    fn counter_snapshots_delta() {
-        let a = CounterSnapshot {
-            repo_merges: 3,
-            sims_recorded: 100,
-            resolve_hits: 2,
-            resolve_misses: 5,
-        };
-        let b = CounterSnapshot {
-            repo_merges: 5,
-            sims_recorded: 180,
-            resolve_hits: 6,
-            resolve_misses: 5,
-        };
-        let d = b.delta_since(&a);
-        assert_eq!(d.repo_merges, 2);
-        assert_eq!(d.sims_recorded, 80);
-        assert_eq!(d.resolve_hits, 4);
-        assert_eq!(d.resolve_misses, 0);
-        // Out-of-order pairs saturate to zero instead of wrapping.
-        assert_eq!(a.delta_since(&b), CounterSnapshot::default());
-    }
-
-    #[test]
-    fn counter_snapshot_delta_saturates_per_field() {
-        // Partially out-of-order pair (snapshots from unrelated counter
-        // sets): fields that moved forward report their delta, fields
-        // that regressed saturate to 0 independently — never wrap.
-        let a = CounterSnapshot {
-            repo_merges: 9,
-            sims_recorded: 50,
-            resolve_hits: 1,
-            resolve_misses: 7,
-        };
-        let b = CounterSnapshot {
-            repo_merges: 4,
-            sims_recorded: 120,
-            resolve_hits: 3,
-            resolve_misses: 7,
-        };
-        let d = b.delta_since(&a);
-        assert_eq!(
-            d,
-            CounterSnapshot {
-                repo_merges: 0,
-                sims_recorded: 70,
-                resolve_hits: 2,
-                resolve_misses: 0,
-            }
-        );
-        let r = a.delta_since(&b);
-        assert_eq!(
-            r,
-            CounterSnapshot {
-                repo_merges: 5,
-                sims_recorded: 0,
-                resolve_hits: 0,
-                resolve_misses: 0,
-            }
-        );
-        // Delta against the default (zero) snapshot is the identity.
-        assert_eq!(a.delta_since(&CounterSnapshot::default()), a);
     }
 
     #[test]

@@ -296,7 +296,7 @@ pub(crate) fn restore_snapshot(
 mod tests {
     use super::*;
     use crate::session::TargetSpec;
-    use crate::{pool_scope, CdgFlow, FlowConfig, FlowEngine};
+    use crate::{pool_scope, CdgFlow, FlowConfig, FlowEngine, RunManifest};
     use ascdg_duv::io_unit::IoEnv;
     use std::cell::RefCell;
 
@@ -477,9 +477,20 @@ mod tests {
         out
     }
 
+    /// Adds the four per-phase counters timings carried before the
+    /// telemetry registry became the only counter store to every timing
+    /// in `json`.
+    fn with_retired_timing_keys(json: &str) -> String {
+        json.replace(
+            "\"wall_ms\":",
+            "\"repo_merges\":1,\"sims_recorded\":96,\"resolve_hits\":2,\
+             \"resolve_misses\":7,\"wall_ms\":",
+        )
+    }
+
     /// Damaged and legacy checkpoints, campaign log and session alike,
     /// read as a typed `FlowError::Checkpoint` or resume to the undamaged
-    /// outcome; none panics.
+    /// outcome; none panics. Legacy manifests still validate.
     #[test]
     fn damaged_and_legacy_checkpoints_fail_typed_or_resume_unchanged() {
         let dir = tmp_dir("damaged");
@@ -622,6 +633,36 @@ mod tests {
             let err = read_session(bytes.as_bytes()).unwrap_err();
             assert!(matches!(err, FlowError::Checkpoint(_)), "{err:?}");
         }
+
+        // Timings that still carry the four retired counters load as if
+        // the keys were absent: in checksummed step lines, in a session
+        // checkpoint and in a manifest.
+        assert!(!state.timings.is_empty());
+        let mut old_log = String::new();
+        for line in text.lines() {
+            if line.starts_with("{\"group\":") {
+                let body = with_retired_timing_keys(&line[..line.len() - SUM_TAIL]);
+                let sum = fnv1a(body.as_bytes());
+                let _ = writeln!(old_log, "{body},\"sum\":\"{sum:016x}\"}}");
+            } else {
+                let _ = writeln!(old_log, "{line}");
+            }
+        }
+        assert!(old_log
+            .lines()
+            .any(|l| l.starts_with("{\"group\":") && l.contains("\"resolve_misses\":7")));
+        let back = read_campaign(old_log.as_bytes()).expect("a log with the retired keys reads");
+        assert_eq!(back, read_campaign(&log).unwrap());
+        assert_eq!(resume_campaign(back).unwrap(), reference);
+        let old_session = with_retired_timing_keys(&session_json);
+        let back = read_session(old_session.as_bytes()).expect("a session with the keys reads");
+        assert_eq!(back, state);
+        assert_eq!(session_outcome(back).unwrap(), session_reference);
+        let manifest = RunManifest::from_state(&state, &Telemetry::disabled());
+        let old_manifest = with_retired_timing_keys(&manifest.to_json().unwrap());
+        let back = RunManifest::from_json(&old_manifest).expect("a manifest with the keys parses");
+        back.validate().expect("a manifest with the keys validates");
+        assert_eq!(back, manifest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

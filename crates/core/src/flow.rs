@@ -304,24 +304,9 @@ pub struct PhaseTiming {
     #[serde(default)]
     pub sims: u64,
     /// Simulation throughput (simulations per wall-clock second). `None`
-    /// when the phase finished too fast for the wall clock to resolve —
-    /// the session backfills it from the telemetry sim-latency histogram
-    /// when one is recording.
+    /// when the phase took exactly zero seconds on the wall clock.
     #[serde(default)]
     pub sims_per_sec: Option<f64>,
-    /// Repository write-lock acquisitions during the phase (bulk merges).
-    #[serde(default)]
-    pub repo_merges: u64,
-    /// Simulations folded into the repository through those merges.
-    #[serde(default)]
-    pub sims_recorded: u64,
-    /// Resolve-cache hits during the phase (instantiations served without
-    /// a registry resolution).
-    #[serde(default)]
-    pub resolve_hits: u64,
-    /// Registry resolutions performed during the phase.
-    #[serde(default)]
-    pub resolve_misses: u64,
 }
 
 impl PhaseTiming {
@@ -335,22 +320,7 @@ impl PhaseTiming {
             wall_ms: secs * 1e3,
             sims,
             sims_per_sec: (secs > 0.0).then(|| sims as f64 / secs),
-            repo_merges: 0,
-            sims_recorded: 0,
-            resolve_hits: 0,
-            resolve_misses: 0,
         }
-    }
-
-    /// Attaches the phase's hot-path counter movement (a
-    /// [`CounterSnapshot`](crate::CounterSnapshot) delta) to the record.
-    #[must_use]
-    pub fn with_counters(mut self, counters: crate::CounterSnapshot) -> Self {
-        self.repo_merges = counters.repo_merges;
-        self.sims_recorded = counters.sims_recorded;
-        self.resolve_hits = counters.resolve_hits;
-        self.resolve_misses = counters.resolve_misses;
-        self
     }
 }
 

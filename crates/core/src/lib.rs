@@ -61,7 +61,7 @@ mod skeletonizer;
 mod stages;
 
 pub use ascdg_telemetry::Telemetry;
-pub use batch::{BatchCounters, BatchRunner, BatchStats, CounterSnapshot, ResolvedTemplate};
+pub use batch::{BatchRunner, BatchStats, ResolvedTemplate};
 pub use campaign::{group_uncovered, CampaignGroup, CampaignOutcome, CampaignPlan, CampaignReport};
 pub use checkpoint::{read_campaign_checkpoint, read_session_checkpoint, CheckpointWriter};
 pub use engine::FlowEngine;

@@ -1,20 +1,13 @@
 //! The CDG objective: settings vector → estimated approximated target.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ascdg_duv::VerifEnv;
 use ascdg_opt::Objective;
 use ascdg_stimgen::mix_seed;
-use ascdg_template::{ResolvedParams, Skeleton};
+use ascdg_template::Skeleton;
 
 use crate::{ApproxTarget, BatchRunner, BatchStats, ResolvedTemplate};
-
-/// Backstop bound on the per-phase resolve cache. Implicit filtering
-/// revisits only a handful of stencil centers, so the cache stays tiny in
-/// practice; at the bound one arbitrary entry is evicted (it holds
-/// pure-function results, so an evicted entry only costs a recompute).
-const RESOLVE_CACHE_CAP: usize = 256;
 
 /// The noisy objective the optimizer maximizes (Section IV-E).
 ///
@@ -83,26 +76,6 @@ struct EvalState {
     accum: BatchStats,
     best_value: f64,
     best_settings: Vec<f64>,
-    // Settings-vector (bit pattern) → resolved parameters. Instantiation
-    // and resolution are pure functions of `x`, so re-evaluated points
-    // (implicit filtering resamples its center every iteration) reuse the
-    // resolved set instead of rebuilding the full parameter map.
-    resolve_cache: HashMap<Vec<u64>, Arc<ResolvedParams>>,
-}
-
-/// Evicts one arbitrary entry once the cache reaches the cap, keeping the
-/// other hot entries instead of clearing the whole map.
-fn evict_at_cap<V>(cache: &mut HashMap<Vec<u64>, V>) {
-    if cache.len() >= RESOLVE_CACHE_CAP {
-        if let Some(victim) = cache.keys().next().cloned() {
-            cache.remove(&victim);
-        }
-    }
-}
-
-/// The settings vector's bit pattern — the resolve cache's key.
-fn point_key(x: &[f64]) -> Vec<u64> {
-    x.iter().map(|v| v.to_bits()).collect()
 }
 
 impl<'a, 'env, E: VerifEnv> CdgObjective<'a, 'env, E> {
@@ -132,7 +105,6 @@ impl<'a, 'env, E: VerifEnv> CdgObjective<'a, 'env, E> {
                 accum: BatchStats::empty(events),
                 best_value: f64::NEG_INFINITY,
                 best_settings: Vec::new(),
-                resolve_cache: HashMap::new(),
             }),
         }
     }
@@ -168,49 +140,26 @@ impl<'a, 'env, E: VerifEnv> CdgObjective<'a, 'env, E> {
         self.state().evals
     }
 
-    /// Resolves the parameters for point `x` at most once per distinct bit
-    /// pattern.
-    fn resolved_params(&self, x: &[f64]) -> Arc<ResolvedParams> {
-        let key = point_key(x);
-        let cached = self.state().resolve_cache.get(&key).cloned();
-        match cached {
-            Some(params) => {
-                self.runner.counters().note_resolve_hit();
-                params
-            }
-            None => {
-                let template = self
-                    .skeleton
-                    .instantiate(x)
-                    .expect("settings dimension matches skeleton");
-                let params = Arc::new(
-                    self.env
-                        .registry()
-                        .resolve(&template)
-                        .expect("skeleton-derived template must validate"),
-                );
-                self.runner.counters().note_resolve_miss();
-                let mut s = self.state();
-                evict_at_cap(&mut s.resolve_cache);
-                s.resolve_cache.insert(key, Arc::clone(&params));
-                params
-            }
-        }
-    }
-
-    /// Prepares evaluation `eval_idx` at point `x` for the hot path:
-    /// parameters resolved at most once per distinct `x` (cached by the
-    /// settings vector's bit pattern), and a `(template, seed)` identity
-    /// that follows the evaluation index, `mix_seed(base_seed, eval_idx)`,
-    /// so a revisited point draws fresh noise. The name and seed are
-    /// byte-identical to the historical `renamed(...)` + per-sim
-    /// string-hash derivation, with the name hashed once per evaluation
-    /// instead of once per simulation.
+    /// Prepares evaluation `eval_idx` at point `x` for the hot path: the
+    /// skeleton instantiated and resolved once for the evaluation's `N`
+    /// simulations, and a `(template, seed)` identity that follows the
+    /// evaluation index, `mix_seed(base_seed, eval_idx)`, so a revisited
+    /// point draws fresh noise. The name and seed are byte-identical to the
+    /// historical `renamed(...)` + per-sim string-hash derivation, with the
+    /// name hashed once per evaluation instead of once per simulation.
     fn resolved_point(&self, x: &[f64], eval_idx: u64) -> (ResolvedTemplate, u64) {
-        let params = self.resolved_params(x);
+        let template = self
+            .skeleton
+            .instantiate(x)
+            .expect("settings dimension matches skeleton");
+        let params = self
+            .env
+            .registry()
+            .resolve(&template)
+            .expect("skeleton-derived template must validate");
         let name = format!("{}__p{eval_idx}", self.skeleton.name());
         (
-            ResolvedTemplate::from_parts(name, params),
+            ResolvedTemplate::from_parts(name, Arc::new(params)),
             mix_seed(self.base_seed, eval_idx),
         )
     }
@@ -364,6 +313,11 @@ mod tests {
             // With 25 samples the estimates at a live point almost surely
             // differ between evaluations.
             assert_ne!(a, b, "expected dynamic noise between evaluations");
+            // The noise follows the evaluation index: a fresh objective
+            // reproduces both values at the revisited point.
+            let mut again = CdgObjective::new(&env, &sk, &target, 25, BatchRunner::new(pool), 5);
+            assert_eq!(again.eval(&x), a);
+            assert_eq!(again.eval(&x), b);
         });
     }
 
@@ -387,69 +341,35 @@ mod tests {
     fn eval_batch_is_byte_identical_to_serial_evals() {
         let env = IoEnv::new();
         let (sk, target) = fixture(&env);
-        // Seven distinct points plus one revisit, so the resolve cache
-        // both misses and hits.
+        // Seven distinct points plus one revisit, which must draw the
+        // revisit's own fresh seed in both paths.
         let mut xs: Vec<Vec<f64>> = (0..7)
             .map(|i| vec![i as f64 / 7.0; sk.num_slots()])
             .collect();
         xs.push(xs[2].clone());
 
-        let (serial_values, serial_stats, serial_evals, serial_best, serial_counters) =
-            pool_scope(1, |pool| {
-                let runner = BatchRunner::new(pool);
-                let counters = Arc::clone(runner.counters());
-                let mut obj = CdgObjective::new(&env, &sk, &target, 9, runner, 31);
-                let values: Vec<f64> = xs.iter().map(|x| obj.eval(x)).collect();
-                let snap = counters.snapshot();
-                (values, obj.phase_stats(), obj.evals(), obj.best(), snap)
-            });
+        let (serial_values, serial_stats, serial_evals, serial_best) = pool_scope(1, |pool| {
+            let mut obj = CdgObjective::new(&env, &sk, &target, 9, BatchRunner::new(pool), 31);
+            let values: Vec<f64> = xs.iter().map(|x| obj.eval(x)).collect();
+            (values, obj.phase_stats(), obj.evals(), obj.best())
+        });
 
         // One batch must reproduce the serial run exactly, on a one-thread
         // pool (inline) and on a shared multi-thread pool: values,
-        // accumulated stats, eval count, best point and hot-path counters.
+        // accumulated stats, eval count and best point.
         for threads in [1, test_threads()] {
-            let (batch_values, batch_stats, batch_evals, batch_best, batch_counters) =
+            let (batch_values, batch_stats, batch_evals, batch_best) =
                 pool_scope(threads, |pool| {
-                    let runner = BatchRunner::new(pool);
-                    let counters = Arc::clone(runner.counters());
-                    let mut obj = CdgObjective::new(&env, &sk, &target, 9, runner, 31);
+                    let mut obj =
+                        CdgObjective::new(&env, &sk, &target, 9, BatchRunner::new(pool), 31);
                     let values = obj.eval_batch(&xs);
-                    let snap = counters.snapshot();
-                    (values, obj.phase_stats(), obj.evals(), obj.best(), snap)
+                    (values, obj.phase_stats(), obj.evals(), obj.best())
                 });
             assert_eq!(batch_values, serial_values);
             assert_eq!(batch_stats, serial_stats);
             assert_eq!(batch_evals, serial_evals);
             assert_eq!(batch_best, serial_best);
-            assert_eq!(batch_counters, serial_counters);
-            assert_eq!(batch_counters.resolve_misses, 7);
-            assert_eq!(batch_counters.resolve_hits, 1);
         }
-    }
-
-    #[test]
-    fn repeated_points_hit_the_resolve_cache() {
-        let env = IoEnv::new();
-        let (sk, target) = fixture(&env);
-        pool_scope(1, |pool| {
-            let runner = BatchRunner::new(pool);
-            let counters = Arc::clone(runner.counters());
-            let mut obj = CdgObjective::new(&env, &sk, &target, 5, runner, 7);
-            let x = vec![0.5; sk.num_slots()];
-            let _ = obj.eval(&x);
-            let _ = obj.eval(&x); // same point: must reuse the resolution
-            let _ = obj.eval(&vec![0.25; sk.num_slots()]);
-            let snap = counters.snapshot();
-            assert_eq!(snap.resolve_hits, 1);
-            assert_eq!(snap.resolve_misses, 2);
-            // The cached path stays byte-identical to a fresh objective.
-            let mut fresh = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 7);
-            let a = fresh.eval(&x);
-            let b = fresh.eval(&x);
-            let mut again = CdgObjective::new(&env, &sk, &target, 5, BatchRunner::new(pool), 7);
-            assert_eq!(again.eval(&x), a);
-            assert_eq!(again.eval(&x), b);
-        });
     }
 
     #[test]

@@ -356,15 +356,6 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         self.runner.clone()
     }
 
-    /// A snapshot of the session runner's hot-path counters. Every runner
-    /// handed out by [`SessionCx::runner`] shares one counter set, so a
-    /// stage can diff the snapshots taken around a phase and attach the
-    /// movement to its [`PhaseTiming`].
-    #[must_use]
-    pub fn counter_snapshot(&self) -> crate::CounterSnapshot {
-        self.runner.counter_snapshot()
-    }
-
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &FlowConfig {
@@ -462,32 +453,7 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
 
     /// Records a finished simulation phase: appends its statistics and
     /// timing and emits [`FlowEvent::PhaseFinished`].
-    ///
-    /// With telemetry recording, the timing's counter movement is folded
-    /// into the metrics registry (`batch.*`, `resolve.hit_rate_pct`) and a
-    /// throughput that was too fast for the wall clock to resolve is
-    /// backfilled from the stage's sim-latency histogram.
-    pub fn record_phase(&mut self, stats: PhaseStats, mut timing: PhaseTiming) {
-        if let Some(m) = self.telemetry().metrics() {
-            m.counter("batch.repo_merges").add(timing.repo_merges);
-            m.counter("batch.sims_recorded").add(timing.sims_recorded);
-            m.counter("batch.resolve_hits").add(timing.resolve_hits);
-            m.counter("batch.resolve_misses").add(timing.resolve_misses);
-            let lookups = timing.resolve_hits + timing.resolve_misses;
-            if let Some(rate) = (timing.resolve_hits * 100).checked_div(lookups) {
-                m.histogram("resolve.hit_rate_pct").record(rate);
-            }
-        }
-        if timing.sims_per_sec.is_none() {
-            if let Some(stage) = self.telemetry().stage_metrics() {
-                let snap = stage.sim_latency_ns.snapshot();
-                if snap.count > 0 && snap.sum > 0 {
-                    // Mean per-sim latency inverts to sims/s even when the
-                    // phase's total wall time rounded to zero.
-                    timing.sims_per_sec = Some(1e9 * snap.count as f64 / snap.sum as f64);
-                }
-            }
-        }
+    pub fn record_phase(&mut self, stats: PhaseStats, timing: PhaseTiming) {
         self.state.timings.push(timing);
         self.emit(FlowEvent::PhaseFinished {
             stats: stats.clone(),

@@ -334,12 +334,10 @@ impl<E: VerifEnv> Stage<E> for RandomSample {
             cx.runner(),
             cx.stage_seed(0x5a4c),
         );
-        let counters_before = cx.counter_snapshot();
         let phase_clock = Instant::now();
         let sample = random_sample(&mut obj, cfg.sample_templates, cx.stage_seed(1));
         let stats = obj.phase_stats();
-        let timing = PhaseTiming::measure(PHASE_SAMPLING, stats.sims, phase_clock.elapsed())
-            .with_counters(cx.counter_snapshot().delta_since(&counters_before));
+        let timing = PhaseTiming::measure(PHASE_SAMPLING, stats.sims, phase_clock.elapsed());
         cx.emit(FlowEvent::BestObjective {
             phase: PHASE_SAMPLING.to_owned(),
             iteration: 0,
@@ -401,7 +399,6 @@ impl<E: VerifEnv> Stage<E> for Optimize {
             resample_center: true,
             direction_mode: Default::default(),
         });
-        let counters_before = cx.counter_snapshot();
         let phase_clock = Instant::now();
         let result = optimizer.maximize(
             &mut obj,
@@ -410,8 +407,7 @@ impl<E: VerifEnv> Stage<E> for Optimize {
             cx.stage_seed(2),
         );
         let stats = obj.phase_stats();
-        let timing = PhaseTiming::measure(PHASE_OPTIMIZATION, stats.sims, phase_clock.elapsed())
-            .with_counters(cx.counter_snapshot().delta_since(&counters_before));
+        let timing = PhaseTiming::measure(PHASE_OPTIMIZATION, stats.sims, phase_clock.elapsed());
         ascdg_opt::record_trace(STAGE_OPTIMIZE, &result.trace, cx.telemetry());
         for rec in &result.trace {
             cx.emit(FlowEvent::BestObjective {
@@ -485,7 +481,6 @@ impl<E: VerifEnv> Stage<E> for Refine {
             cx.runner(),
             cx.stage_seed(0x4ef1),
         );
-        let counters_before = cx.counter_snapshot();
         let phase_clock = Instant::now();
         let refine_result = ImplicitFiltering::new(IfOptions {
             n_directions: cfg.opt_directions,
@@ -502,8 +497,7 @@ impl<E: VerifEnv> Stage<E> for Refine {
             cx.stage_seed(0x4ef2),
         );
         let stats = obj.phase_stats();
-        let timing = PhaseTiming::measure(PHASE_REFINEMENT, stats.sims, phase_clock.elapsed())
-            .with_counters(cx.counter_snapshot().delta_since(&counters_before));
+        let timing = PhaseTiming::measure(PHASE_REFINEMENT, stats.sims, phase_clock.elapsed());
         ascdg_opt::record_trace(STAGE_REFINE, &refine_result.trace, cx.telemetry());
         for rec in &refine_result.trace {
             cx.emit(FlowEvent::BestObjective {
@@ -572,7 +566,6 @@ impl<E: VerifEnv> Stage<E> for Harvest {
             skeleton
                 .instantiate(&best_x)?
                 .renamed(format!("{}_{}", skeleton.name(), self.suffix));
-        let counters_before = cx.counter_snapshot();
         let phase_clock = Instant::now();
         let stats = cx.runner().run(
             cx.env(),
@@ -580,8 +573,7 @@ impl<E: VerifEnv> Stage<E> for Harvest {
             cfg.best_sims,
             cx.stage_seed(0xbe57),
         )?;
-        let timing = PhaseTiming::measure(PHASE_BEST, stats.sims, phase_clock.elapsed())
-            .with_counters(cx.counter_snapshot().delta_since(&counters_before));
+        let timing = PhaseTiming::measure(PHASE_BEST, stats.sims, phase_clock.elapsed());
         cx.record_phase(
             PhaseStats {
                 name: PHASE_BEST.to_owned(),

@@ -96,10 +96,10 @@ pub struct RatesReport {
     /// Ring capacity (oldest samples are evicted past this).
     pub ring_capacity: usize,
     /// Per-series rates between the two newest samples: counters by
-    /// name, histograms as `<name>.count` (sims/s is
-    /// `batch.sims_recorded`, merges/s is `batch.repo_merges`,
-    /// evaluations/s is `objective.evals`, per-tenant sims/s are
-    /// `serve.tenant_sims.<class>`).
+    /// name, histograms as `<name>.count` (serve's sims/s per tenant
+    /// class are `serve.tenant_sims.<class>`, evaluations/s is
+    /// `objective.evals`; `batch.sims_recorded` and `batch.repo_merges`
+    /// move only on traced regressions, and the daemon's run untraced).
     pub rates: Vec<RateSample>,
 }
 
@@ -199,50 +199,82 @@ pub(crate) fn run_sampler(
     }
 }
 
-/// Serves one HTTP connection: parse the request line, drain the
-/// headers, route, respond, close.
+/// Why a request head gets an error status instead of a route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rejection {
+    /// `400`: the request line is not UTF-8, or not `<method> <path> ...`.
+    BadRequest(&'static str),
+    /// `405`: a method other than `GET`.
+    NotAllowed,
+}
+
+/// Reads a request head: the request line (at most [`MAX_HTTP_LINE`]
+/// bytes), then header lines up to the blank line, discarded undecoded
+/// and bounded per line; a read error ends the head where it stands.
+/// Every byte stream yields the `GET` path or a [`Rejection`], so every
+/// connection gets a status line.
+fn read_head(reader: &mut impl BufRead) -> Result<String, Rejection> {
+    let mut request_line = Vec::new();
+    if reader
+        .by_ref()
+        .take(MAX_HTTP_LINE)
+        .read_until(b'\n', &mut request_line)
+        .is_err()
+    {
+        return Err(Rejection::BadRequest("unreadable request line"));
+    }
+    let mut header = Vec::new();
+    loop {
+        header.clear();
+        match reader
+            .by_ref()
+            .take(MAX_HTTP_LINE)
+            .read_until(b'\n', &mut header)
+        {
+            Ok(n) if n > 0 && !header.trim_ascii().is_empty() => {}
+            _ => break,
+        }
+    }
+    let request_line = std::str::from_utf8(&request_line)
+        .map_err(|_| Rejection::BadRequest("request line is not UTF-8"))?;
+    let mut parts = request_line.split_whitespace();
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return Err(Rejection::BadRequest("malformed request line"));
+    };
+    if method != "GET" {
+        return Err(Rejection::NotAllowed);
+    }
+    Ok(path.to_owned())
+}
+
+/// Serves one HTTP connection: read the head, route, respond, close.
 fn handle_http(stream: TcpStream, plane: &HttpPlane<'_>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    Read::by_ref(&mut reader)
-        .take(MAX_HTTP_LINE)
-        .read_line(&mut request_line)?;
-    // Discard headers up to the blank line (bounded per line).
-    loop {
-        let mut header = String::new();
-        let n = Read::by_ref(&mut reader)
-            .take(MAX_HTTP_LINE)
-            .read_line(&mut header)?;
-        if n == 0 || header.trim().is_empty() {
-            break;
-        }
-    }
+    let head = read_head(&mut BufReader::new(stream.try_clone()?));
     let mut stream = stream;
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m, p),
-        _ => {
+    let path = match head {
+        Ok(path) => path,
+        Err(Rejection::BadRequest(why)) => {
             return respond(
                 &mut stream,
                 400,
                 "Bad Request",
                 "application/json",
-                b"{\"error\":\"malformed request line\"}\n",
+                format!("{{\"error\":\"{why}\"}}\n").as_bytes(),
+            )
+        }
+        Err(Rejection::NotAllowed) => {
+            return respond(
+                &mut stream,
+                405,
+                "Method Not Allowed",
+                "application/json",
+                b"{\"error\":\"only GET is served\"}\n",
             )
         }
     };
-    if method != "GET" {
-        return respond(
-            &mut stream,
-            405,
-            "Method Not Allowed",
-            "application/json",
-            b"{\"error\":\"only GET is served\"}\n",
-        );
-    }
-    match path {
+    match path.as_str() {
         "/healthz" => respond(&mut stream, 200, "OK", "text/plain; charset=utf-8", b"ok\n"),
         "/metrics" => {
             let families = plane
@@ -327,4 +359,98 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
         .and_then(|code| code.parse().ok())
         .ok_or_else(|| std::io::Error::other(format!("bad status line in: {head}")))?;
     Ok((status, body.to_owned()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn head_of(bytes: &[u8]) -> Result<String, Rejection> {
+        read_head(&mut BufReader::new(bytes))
+    }
+
+    #[test]
+    fn undecodable_heads_get_typed_answers() {
+        assert_eq!(
+            head_of(b"\xff\xfe /healthz HTTP/1.0\r\n\r\n"),
+            Err(Rejection::BadRequest("request line is not UTF-8"))
+        );
+        assert_eq!(
+            head_of(b"GET /healthz HTTP/1.0\r\nX-Junk: \xff\r\n\r\n"),
+            Ok("/healthz".to_owned())
+        );
+        assert_eq!(
+            head_of(b""),
+            Err(Rejection::BadRequest("malformed request line"))
+        );
+        assert_eq!(
+            head_of(b"POST /metrics HTTP/1.0\r\n\r\n"),
+            Err(Rejection::NotAllowed)
+        );
+    }
+
+    /// Request-line beginnings the arbitrary streams start from, so they
+    /// reach every branch of the head parse, not only the `400`s.
+    const PREFIXES: [&[u8]; 5] = [
+        b"",
+        b"GET /",
+        b"GET /healthz HTTP/1.0\r\n",
+        b"POST / ",
+        b"GET",
+    ];
+    const METHODS: [&str; 3] = ["GET", "POST", "HEAD"];
+    const PATHS: [&str; 3] = ["/healthz", "/", "/nope"];
+
+    proptest! {
+        /// Any byte stream reads as a path or a typed rejection, and the
+        /// rejection is a `400` exactly when the first line is not UTF-8
+        /// or lacks a method and a path.
+        #[test]
+        fn every_byte_stream_gets_a_route_or_a_typed_error(
+            prefix in 0..PREFIXES.len(),
+            tail in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let bytes = [PREFIXES[prefix], &tail].concat();
+            let first = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+            let well_formed = std::str::from_utf8(first)
+                .is_ok_and(|line| line.split_whitespace().nth(1).is_some());
+            let head = head_of(&bytes);
+            prop_assert_eq!(
+                matches!(head, Err(Rejection::BadRequest(_))),
+                !well_formed,
+                "{:?}",
+                head
+            );
+        }
+
+        /// A well-formed request line yields the same answer whatever
+        /// bytes its headers carry.
+        #[test]
+        fn header_bytes_never_change_the_route(
+            method in 0..METHODS.len(),
+            path in 0..PATHS.len(),
+            headers in proptest::collection::vec(
+                proptest::collection::vec(
+                    any::<u8>().prop_map(|b| if b == b'\n' { b'x' } else { b }),
+                    1..40,
+                ),
+                0..4,
+            ),
+        ) {
+            let (method, path) = (METHODS[method], PATHS[path]);
+            let mut bytes = format!("{method} {path} HTTP/1.0\r\n").into_bytes();
+            for header in &headers {
+                bytes.extend_from_slice(header);
+                bytes.push(b'\n');
+            }
+            bytes.extend_from_slice(b"\r\n");
+            let want = if method == "GET" {
+                Ok(path.to_owned())
+            } else {
+                Err(Rejection::NotAllowed)
+            };
+            prop_assert_eq!(head_of(&bytes), want);
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //! outcome: the daemon's bytes stay identical to a one-shot campaign
 //! with the plane enabled and scraped mid-run.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -52,6 +52,15 @@ fn start_daemon_with_http(
     let addr = wait_for_addr(state_dir, Duration::from_secs(10)).expect("daemon binds");
     let http = wait_for_http_addr(state_dir, Duration::from_secs(10)).expect("http plane binds");
     (addr, http, handle)
+}
+
+/// Sends `head` to the HTTP plane as is and returns the raw answer.
+fn raw_http(http: &str, head: &[u8]) -> String {
+    let mut stream = TcpStream::connect(http).expect("connects");
+    stream.write_all(head).expect("writes");
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).expect("reads");
+    String::from_utf8_lossy(&answer).into_owned()
 }
 
 fn shutdown(addr: &str, handle: std::thread::JoinHandle<()>) {
@@ -189,12 +198,13 @@ fn endpoints_answer_while_serving_and_outcome_stays_byte_identical() {
     );
 
     shutdown(&addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn live_daemon_rejects_bad_lines_with_typed_errors_and_keeps_serving() {
     let dir = tmp_dir("typed-errors");
-    let (addr, _http, handle) = start_daemon_with_http(&dir);
+    let (addr, http, handle) = start_daemon_with_http(&dir);
 
     let mut stream = TcpStream::connect(&addr).expect("connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clones"));
@@ -248,5 +258,21 @@ fn live_daemon_rejects_bad_lines_with_typed_errors_and_keeps_serving() {
     }
     drop(stream);
 
+    // The HTTP plane answers an undecodable request line with a typed
+    // 400 and skips undecodable header bytes.
+    let answer = raw_http(&http, b"\xff\xfe /healthz HTTP/1.0\r\n\r\n");
+    assert!(
+        answer.starts_with("HTTP/1.0 400 Bad Request\r\n"),
+        "{answer}"
+    );
+    assert!(
+        answer.ends_with("{\"error\":\"request line is not UTF-8\"}\n"),
+        "{answer}"
+    );
+    let answer = raw_http(&http, b"GET /healthz HTTP/1.0\r\nX-Junk: \xff\r\n\r\n");
+    assert!(answer.starts_with("HTTP/1.0 200 OK\r\n"), "{answer}");
+    assert!(answer.ends_with("\r\n\r\nok\n"), "{answer}");
+
     shutdown(&addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -104,10 +104,11 @@ pub struct RateSample {
 /// Diffs successive registry snapshots into rates.
 ///
 /// Counters and histogram sample counts are monotonic, so their
-/// first differences are meaningful rates — sims/s
-/// (`batch.sims_recorded`), merges/s (`batch.repo_merges`), objective
-/// evaluations/s (`objective.evals`), per-tenant sims/s
-/// (`serve.tenant_sims.*`). Gauges are skipped (their current value
+/// first differences are meaningful rates — serve's sims/s per tenant
+/// class (`serve.tenant_sims.*`), objective evaluations/s
+/// (`objective.evals`), and recorded sims/s and merges/s
+/// (`batch.sims_recorded`, `batch.repo_merges`), which move only on
+/// traced regressions. Gauges are skipped (their current value
 /// *is* the observation). The first feed seeds the baseline and
 /// returns no samples.
 #[derive(Debug, Default)]

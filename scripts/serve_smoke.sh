@@ -8,8 +8,8 @@
 #
 # Also probes the daemon's HTTP introspection plane: /healthz and
 # /metrics must answer on the live daemon, the exposition must carry the
-# stable ascdg_* counter names, and `ascdg top --once` must render a
-# frame from /status + /rates.
+# stable ascdg_* counter names with both tenants' sims counted, and
+# `ascdg top --once` must render a frame from /status + /rates.
 #
 # Usage: scripts/serve_smoke.sh [path-to-ascdg-binary]
 set -euo pipefail
@@ -77,6 +77,15 @@ grep -q '^ascdg_serve_requests_total 2$' "$WORK/metrics.txt" \
   || { echo "/metrics missing the request counter"; cat "$WORK/metrics.txt"; exit 1; }
 grep -q '^# TYPE ascdg_up gauge$' "$WORK/metrics.txt" \
   || { echo "/metrics is not Prometheus text exposition"; exit 1; }
+# serve's sims/s series: each tenant class's counter moved.
+for class in batch interactive; do
+  grep -Eq "^ascdg_serve_tenant_sims_${class} [1-9][0-9]*$" "$WORK/metrics.txt" \
+    || { echo "/metrics has no positive ${class} tenant sims"; cat "$WORK/metrics.txt"; exit 1; }
+done
+# The resolve-cache counters were removed with the cache.
+if grep -q '^ascdg_batch_resolve_' "$WORK/metrics.txt"; then
+  echo "/metrics still exports the removed resolve-cache counters"; exit 1
+fi
 "$ASCDG" top --state-dir "$WORK/stateA" --once >"$WORK/top.txt"
 grep -q '^units:' "$WORK/top.txt" && grep -q 'io_unit' "$WORK/top.txt" \
   || { echo "ascdg top rendered no unit table"; cat "$WORK/top.txt"; exit 1; }

@@ -127,7 +127,7 @@ USAGE:
             [--iterations <n>] [--once]
       Live view of a daemon's introspection plane: polls GET /status and
       GET /rates and redraws a terminal table of per-series rates
-      (sims/s, merges/s, evaluations/s), per-unit queue depths
+      (per-tenant sims/s, evaluations/s), per-unit queue depths
       by priority class, and every tracked request. --addr is the HTTP
       address (serve.http.addr, not serve.addr); --once prints a single
       frame without clearing the screen (what scripts and CI use);

@@ -13,6 +13,7 @@ use ascdg::core::{
     TargetSpec, Telemetry, STAGE_REGRESSION,
 };
 use ascdg::duv::io_unit::IoEnv;
+use ascdg::duv::VerifEnv;
 use ascdg::telemetry::{
     check_span_accounting, parse_jsonl, render_trace, write_jsonl, SpanRecord, TraceRecord,
 };
@@ -120,6 +121,12 @@ fn spans_manifest_and_ledger_agree_on_every_simulation() {
         .expect("regression ledger entry");
     let coverage = manifest.coverage.as_ref().expect("coverage summary");
     assert_eq!(coverage.total_sims, reg.sims);
+    // The regression's merges are counted where they happen: one per
+    // stock template, folding in every regression simulation.
+    let m = telemetry.metrics().expect("recording");
+    let templates = IoEnv::new().stock_library().len() as u64;
+    assert_eq!(m.counter("batch.repo_merges").value(), templates);
+    assert_eq!(m.counter("batch.sims_recorded").value(), reg.sims);
 
     // Span tree vs the ledger: every stage span carries exactly its
     // stage's simulations, parented to the flow span which carries the
