@@ -1,128 +1,132 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
+//! Every arm is a [`FlowEngine`] session. An L3 study steps one session
+//! on the `byp_reqs` family through the shared prefix (regression, coarse
+//! search, skeletonize), then resumes an edited copy of that state once
+//! per arm. Paired arms share the session seed and differ only in their
+//! edit, and each arm is assessed by its own harvest phase.
+//!
 //! * [`no_approx`] (A1) — optimize the *real* target directly instead of
-//!   the approximated target: the landscape is flat and the search stalls.
+//!   the approximated target.
 //! * [`no_sample`] (A2) — skip the random-sample phase: the optimizer
-//!   starts in the flat far-field.
+//!   starts at the box center with the sampling budget as extra
+//!   iterations.
 //! * [`optimizers`] (A3) — implicit filtering vs the baseline optimizers
-//!   on the live CDG objective under an equal evaluation budget.
+//!   in the optimize stage, under an equal evaluation budget.
 //! * [`noise_n`] (A4) — the effect of `N` (simulations per point) under a
 //!   fixed total simulation budget.
 //! * [`multi_target`] (E1) — the paper's future-work extension: one shared
 //!   search for several target groups vs one search per group.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use ascdg_core::{
-    pool_scope, sampling::random_sample, ApproxTarget, BatchRunner, CdgFlow, CdgObjective,
-    FlowConfig, FlowError, Skeletonizer,
+    default_stages, pool_scope, ApproxTarget, CdgFlow, FlowConfig, FlowEngine, FlowError,
+    FlowOutcome, Optimize, Regression, SessionState, SimPool, Stage, TargetSpec, PHASE_BEST,
+    STAGE_OPTIMIZE, STAGE_SAMPLE,
 };
-use ascdg_coverage::EventId;
+use ascdg_coverage::CoverageRepository;
 use ascdg_duv::{io_unit::IoEnv, l3cache::L3Env, VerifEnv};
 use ascdg_opt::{
     Bounds, CompassOptions, CompassSearch, IfBfgsOptions, IfOptions, ImplicitFiltering,
     ImplicitFilteringBfgs, NelderMead, NmOptions, Optimizer, RandomSearch, RsOptions, Spsa,
     SpsaOptions,
 };
-use ascdg_template::Skeleton;
+use ascdg_stimgen::mix_seed;
 
-/// Everything the L3-based ablations share: environment, regression
-/// repository, chosen skeleton, approximated target and real targets.
-pub struct L3Setup {
-    /// The L3 environment.
-    pub env: L3Env,
-    /// The skeleton of the TAC-chosen template.
-    pub skeleton: Skeleton,
-    /// The approximated target over family neighbors.
-    pub approx: ApproxTarget,
-    /// The real (uncovered) target events.
-    pub targets: Vec<EventId>,
-    /// Flow configuration (scaled).
-    pub config: FlowConfig,
-}
+/// An optimizer an optimize stage can share across arms.
+type SharedOptimizer = Arc<dyn Optimizer + Send + Sync>;
 
-/// Builds the shared L3 setup at the given scale: regression, target
-/// discovery, neighbor weighting, coarse TAC search and skeletonization —
-/// everything up to (but not including) the fine-grained search.
-///
-/// # Errors
-///
-/// Propagates regression/TAC/skeletonization failures.
-pub fn l3_setup(scale: f64, seed: u64) -> Result<L3Setup, FlowError> {
-    use ascdg_coverage::EventFamily;
-    use ascdg_tac::TacQuery;
+/// Independent repeats per A3 contender and per A4 setting: single runs
+/// of a noisy search are themselves noisy.
+const REPEATS: u64 = 3;
 
-    let env = L3Env::new();
-    let config = FlowConfig::paper_l3().scaled(scale);
-    let flow = CdgFlow::new(env.clone(), config.clone());
-    let repo = flow.run_regression(seed)?;
-    let model = env.coverage_model();
-    let family = EventFamily::discover(model)
-        .into_iter()
-        .find(|f| f.stem() == "byp_reqs")
-        .expect("L3 model declares the byp_reqs family");
-    let targets: Vec<EventId> = family
-        .events()
-        .into_iter()
-        .filter(|&e| repo.global_stats(e).hits == 0)
-        .collect();
-    if targets.is_empty() {
-        return Err(FlowError::NoTargets(
-            "byp_reqs family already covered at this scale".to_owned(),
-        ));
-    }
-    let approx = ApproxTarget::auto(model, &targets, config.neighbor_decay)?;
-    let ranking = TacQuery::new(approx.weights().iter().copied()).top_n(&repo, 1);
-    let chosen = ranking.first().ok_or(FlowError::NoEvidence)?;
-    let template = env
-        .stock_library()
-        .get(chosen.template.index())
-        .expect("TAC ranks recorded templates")
-        .clone();
-    let skeleton = Skeletonizer::new()
-        .with_subranges(config.subranges)
-        .skeletonize(&template)?;
-    Ok(L3Setup {
-        env,
-        skeleton,
-        approx,
-        targets,
-        config,
-    })
-}
-
-fn real_only_target(targets: &[EventId]) -> ApproxTarget {
-    ApproxTarget::from_weights(targets.to_vec(), targets.iter().map(|&e| (e, 1.0)))
-}
-
-fn if_options(config: &FlowConfig) -> IfOptions {
-    IfOptions {
-        n_directions: config.opt_directions,
-        initial_step: config.opt_initial_step,
-        max_iters: config.opt_iterations,
-        ..IfOptions::default()
-    }
-}
-
-/// Re-assesses a settings vector with an independent batch, so optimizers
-/// with different evaluation counts are compared without the upward bias
-/// of "max over noisy samples".
-fn assess<'env>(
-    setup: &'env L3Setup,
-    runner: &BatchRunner<'env>,
-    x: &[f64],
-    sims: u64,
+/// Steps a fresh session through `stages` and returns its state.
+fn prefix<'env, E: VerifEnv>(
+    env: &'env E,
+    config: &FlowConfig,
+    pool: &SimPool<'env>,
+    spec: TargetSpec,
     seed: u64,
-) -> f64 {
-    let template = setup
-        .skeleton
-        .instantiate(x)
-        .expect("dimensions match")
-        .renamed("ablation_assess");
-    let stats = runner
-        .run(&setup.env, &template, sims, seed)
-        .expect("skeleton templates simulate");
-    setup.approx.value(|e| stats.rate(e))
+    stages: Vec<Box<dyn Stage<E>>>,
+) -> Result<SessionState, FlowError> {
+    let engine = FlowEngine::with_stages(env, config.clone(), pool, stages);
+    let mut cx = engine.session(spec, seed);
+    while engine.step(&mut cx)?.is_some() {}
+    Ok(cx.into_state())
+}
+
+/// The environment and worker pool an L3 study's arms share.
+struct L3Study<'s, 'env> {
+    env: &'env L3Env,
+    pool: &'s SimPool<'env>,
+}
+
+impl L3Study<'_, '_> {
+    /// Runs a study on the paper's L3 budget at `scale`, with at least
+    /// `assess_sims` simulations in the harvest phase that scores an arm.
+    /// Steps one session on the `byp_reqs` family through regression,
+    /// coarse search and skeletonize (and the random sample when `sample`
+    /// is set), then hands its state to `arms`.
+    fn run<R>(
+        scale: f64,
+        seed: u64,
+        assess_sims: u64,
+        sample: bool,
+        arms: impl FnOnce(&L3Study<'_, '_>, SessionState) -> Result<R, FlowError>,
+    ) -> Result<R, FlowError> {
+        let env = L3Env::new();
+        let mut config = FlowConfig::paper_l3().scaled(scale);
+        config.best_sims = config.best_sims.max(assess_sims);
+        pool_scope(config.threads, |pool| {
+            // The flow's first stages: regression, coarse search,
+            // skeletonize, then the random sample.
+            let prefix_len = 3 + usize::from(sample);
+            let stages = default_stages().into_iter().take(prefix_len).collect();
+            let spec = TargetSpec::Family("byp_reqs".to_owned());
+            let base = prefix(&env, &config, pool, spec, seed, stages)?;
+            arms(&L3Study { env: &env, pool }, base)
+        })
+    }
+
+    /// Resumes an arm's edited `state` on the default stage list, without
+    /// the random sample unless `sample` is set and with `optimizer` in
+    /// the optimize stage when one is given, and runs it to its outcome.
+    fn arm(
+        &self,
+        state: SessionState,
+        sample: bool,
+        optimizer: Option<&SharedOptimizer>,
+    ) -> Result<FlowOutcome, FlowError> {
+        let stages = default_stages()
+            .into_iter()
+            .filter(|s| sample || s.name() != STAGE_SAMPLE)
+            .map(|s| match optimizer {
+                Some(o) if s.name() == STAGE_OPTIMIZE => Box::new(Optimize::with(Arc::clone(o))),
+                _ => s,
+            })
+            .collect();
+        let engine = FlowEngine::with_stages(self.env, state.config.clone(), self.pool, stages);
+        let mut cx = engine.resume(state)?;
+        engine.run(&mut cx)
+    }
+}
+
+/// `target`'s value on the hit rates of an arm's harvested template.
+fn assessed(out: &FlowOutcome, target: &ApproxTarget) -> f64 {
+    let best = out
+        .phase(PHASE_BEST)
+        .expect("every arm ends with the harvest");
+    target.value(|e| best.stats(e).rate())
+}
+
+/// The center of the prefix's settings box: the start of an arm without
+/// the random sample.
+fn box_center(state: &SessionState) -> Vec<f64> {
+    let skeleton = state.skeleton.as_ref().expect("the prefix skeletonized");
+    Bounds::unit(skeleton.num_slots()).center()
 }
 
 /// Outcome of the A1 ablation.
@@ -135,59 +139,36 @@ pub struct NoApproxResult {
     pub without_approx_target_rate: f64,
 }
 
-/// A1: optimize with vs without the approximated target.
+/// A1: the default flow with vs without the approximated target. The
+/// "without" arm replaces the session's target by the real targets at
+/// weight 1, for the random sample and the optimization alike.
 ///
 /// # Errors
 ///
-/// Propagates setup failures.
+/// Any flow error of the prefix or an arm.
 pub fn no_approx(scale: f64, seed: u64) -> Result<NoApproxResult, FlowError> {
-    let setup = l3_setup(scale, seed)?;
-    Ok(pool_scope(setup.config.threads, |pool| {
-        let run = |objective_target: &ApproxTarget| -> f64 {
-            let runner = BatchRunner::new(pool);
-            let mut sample_obj = CdgObjective::new(
-                &setup.env,
-                &setup.skeleton,
-                objective_target,
-                setup.config.sample_sims,
-                runner.clone(),
-                seed ^ 0xa1,
-            );
-            let sample = random_sample(&mut sample_obj, setup.config.sample_templates, seed ^ 0xa2);
-            let mut opt_obj = CdgObjective::new(
-                &setup.env,
-                &setup.skeleton,
-                objective_target,
-                setup.config.opt_sims,
-                runner.clone(),
-                seed ^ 0xa3,
-            );
-            let result = ImplicitFiltering::new(if_options(&setup.config)).maximize(
-                &mut opt_obj,
-                &Bounds::unit(setup.skeleton.num_slots()),
-                &sample.best_settings,
-                seed ^ 0xa4,
-            );
-            // Assess the harvested template on the REAL targets either way.
-            let best = setup
-                .skeleton
-                .instantiate(&result.best_x)
-                .expect("dimensions match")
-                .renamed("ablation_best");
-            let stats = runner
-                .run(&setup.env, &best, setup.config.best_sims, seed ^ 0xa5)
-                .expect("skeleton templates simulate");
-            setup.targets.iter().map(|&e| stats.rate(e)).sum()
+    L3Study::run(scale, seed, 1, false, |study, with| {
+        let approx = with.approx.as_ref().expect("the coarse search ran");
+        let targets = approx.targets();
+        let real = ApproxTarget::from_weights(targets.to_vec(), targets.iter().map(|&e| (e, 1.0)));
+        let without = SessionState {
+            approx: Some(real.clone()),
+            ..with.clone()
         };
-        NoApproxResult {
-            with_approx_target_rate: run(&setup.approx),
-            without_approx_target_rate: run(&real_only_target(&setup.targets)),
-        }
-    }))
+        let rate = |state| {
+            study
+                .arm(state, true, None)
+                .map(|out| assessed(&out, &real))
+        };
+        Ok(NoApproxResult {
+            with_approx_target_rate: rate(with)?,
+            without_approx_target_rate: rate(without)?,
+        })
+    })
 }
 
-/// Outcome of the A2 ablation. Both values are independent re-assessments
-/// of the final point, so the comparison is unbiased.
+/// Outcome of the A2 ablation. Both values are the harvest phase's
+/// approximated-target value, an assessment independent of the search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NoSampleResult {
     /// Final-point target value when starting from the sampling phase's
@@ -199,71 +180,31 @@ pub struct NoSampleResult {
     pub without_sampling: f64,
 }
 
-/// A2: skip the random-sample phase.
+/// A2: the default flow vs one without the random-sample stage, which
+/// starts at the box center and spends the sampling budget on extra
+/// optimizer iterations.
 ///
 /// # Errors
 ///
-/// Propagates setup failures.
+/// Any flow error of the prefix or an arm.
 pub fn no_sample(scale: f64, seed: u64) -> Result<NoSampleResult, FlowError> {
-    let setup = l3_setup(scale, seed)?;
-    Ok(pool_scope(setup.config.threads, |pool| {
-        let runner = BatchRunner::new(pool);
-        let bounds = Bounds::unit(setup.skeleton.num_slots());
-
-        // With sampling: n x N sampling sims + the optimization budget.
-        let mut sample_obj = CdgObjective::new(
-            &setup.env,
-            &setup.skeleton,
-            &setup.approx,
-            setup.config.sample_sims,
-            runner.clone(),
-            seed ^ 0xb1,
-        );
-        let sample = random_sample(&mut sample_obj, setup.config.sample_templates, seed ^ 0xb2);
-        let mut opt_obj = CdgObjective::new(
-            &setup.env,
-            &setup.skeleton,
-            &setup.approx,
-            setup.config.opt_sims,
-            runner.clone(),
-            seed ^ 0xb3,
-        );
-        let with = ImplicitFiltering::new(if_options(&setup.config)).maximize(
-            &mut opt_obj,
-            &bounds,
-            &sample.best_settings,
-            seed ^ 0xb4,
-        );
-
-        // Without sampling: same total simulation budget, all given to the
-        // optimizer, starting from the box center.
-        let sample_budget = setup.config.sample_templates as u64 * setup.config.sample_sims;
-        let extra_iters = (sample_budget
-            / (setup.config.opt_sims * (setup.config.opt_directions as u64 + 1)))
-            as usize;
-        let mut opts = if_options(&setup.config);
-        opts.max_iters += extra_iters;
-        let mut cold_obj = CdgObjective::new(
-            &setup.env,
-            &setup.skeleton,
-            &setup.approx,
-            setup.config.opt_sims,
-            runner.clone(),
-            seed ^ 0xb5,
-        );
-        let without = ImplicitFiltering::new(opts).maximize(
-            &mut cold_obj,
-            &bounds,
-            &bounds.center(),
-            seed ^ 0xb6,
-        );
-
-        let assess_sims = 500.max(setup.config.best_sims);
-        NoSampleResult {
-            with_sampling: assess(&setup, &runner, &with.best_x, assess_sims, seed ^ 0xb7),
-            without_sampling: assess(&setup, &runner, &without.best_x, assess_sims, seed ^ 0xb8),
-        }
-    }))
+    L3Study::run(scale, seed, 500, false, |study, with| {
+        let mut without = with.clone();
+        let cfg = &mut without.config;
+        let sample_budget = cfg.sample_templates as u64 * cfg.sample_sims;
+        cfg.opt_iterations +=
+            (sample_budget / (cfg.opt_sims * (cfg.opt_directions as u64 + 1))) as usize;
+        without.start_settings = Some(box_center(&without));
+        let value = |state, sample| {
+            study
+                .arm(state, sample, None)
+                .map(|out| assessed(&out, &out.approx_target))
+        };
+        Ok(NoSampleResult {
+            with_sampling: value(with, true)?,
+            without_sampling: value(without, false)?,
+        })
+    })
 }
 
 /// One optimizer's row in the A3 comparison.
@@ -271,99 +212,76 @@ pub fn no_sample(scale: f64, seed: u64) -> Result<NoSampleResult, FlowError> {
 pub struct OptimizerRow {
     /// Optimizer name.
     pub name: String,
-    /// Independent re-assessment of the optimizer's final point.
+    /// The harvest phase's approximated-target value, averaged over the
+    /// repeats.
     pub best_value: f64,
     /// Objective evaluations spent.
     pub evals: u64,
 }
 
-/// A3: optimizer comparison under an equal evaluation budget.
+/// A3: each contender runs the optimize stage from the one shared random
+/// sample, under an equal evaluation budget; a repeat salts the session
+/// seed.
 ///
 /// # Errors
 ///
-/// Propagates setup failures.
+/// Any flow error of the prefix or an arm.
 pub fn optimizers(scale: f64, seed: u64) -> Result<Vec<OptimizerRow>, FlowError> {
-    let setup = l3_setup(scale, seed)?;
-    let bounds = Bounds::unit(setup.skeleton.num_slots());
-    let budget = (setup.config.opt_iterations as u64) * (setup.config.opt_directions as u64 + 1);
-
-    Ok(pool_scope(setup.config.threads, |pool| {
-        let start = {
-            let runner = BatchRunner::new(pool);
-            let mut obj = CdgObjective::new(
-                &setup.env,
-                &setup.skeleton,
-                &setup.approx,
-                setup.config.sample_sims,
-                runner,
-                seed ^ 0xc0,
-            );
-            random_sample(&mut obj, setup.config.sample_templates, seed ^ 0xc1).best_settings
-        };
-
-        let contenders: Vec<Box<dyn Optimizer>> = vec![
-            Box::new(ImplicitFiltering::new(IfOptions {
+    L3Study::run(scale, seed, 500, true, |study, base| {
+        let cfg = &base.config;
+        let budget = (cfg.opt_iterations as u64) * (cfg.opt_directions as u64 + 1);
+        let contenders: Vec<SharedOptimizer> = vec![
+            Arc::new(ImplicitFiltering::new(IfOptions {
                 max_evals: budget,
                 max_iters: usize::MAX,
-                n_directions: setup.config.opt_directions,
+                n_directions: cfg.opt_directions,
                 ..IfOptions::default()
             })),
-            Box::new(RandomSearch::new(RsOptions {
+            Arc::new(RandomSearch::new(RsOptions {
                 samples: budget,
                 target_value: None,
             })),
-            Box::new(CompassSearch::new(CompassOptions {
+            Arc::new(CompassSearch::new(CompassOptions {
                 max_evals: budget,
                 max_iters: usize::MAX,
                 ..CompassOptions::default()
             })),
-            Box::new(NelderMead::new(NmOptions {
+            Arc::new(NelderMead::new(NmOptions {
                 max_evals: budget,
                 max_iters: usize::MAX,
                 ..NmOptions::default()
             })),
-            Box::new(Spsa::new(SpsaOptions {
+            Arc::new(Spsa::new(SpsaOptions {
                 max_evals: budget,
                 max_iters: usize::MAX,
                 ..SpsaOptions::default()
             })),
-            Box::new(ImplicitFilteringBfgs::new(IfBfgsOptions {
+            Arc::new(ImplicitFilteringBfgs::new(IfBfgsOptions {
                 max_evals: budget,
                 max_iters: usize::MAX,
                 ..IfBfgsOptions::default()
             })),
         ];
-
-        // Single runs of a noisy search are themselves noisy; average each
-        // contender over several independent repeats.
-        const REPEATS: u64 = 3;
         let mut rows = Vec::new();
-        for opt in contenders {
-            let runner = BatchRunner::new(pool);
-            let assess_sims = 500.max(setup.config.best_sims);
-            let mut total_value = 0.0;
-            let mut total_evals = 0;
+        for optimizer in &contenders {
+            let (mut value, mut evals) = (0.0, 0);
             for rep in 0..REPEATS {
-                let mut obj = CdgObjective::new(
-                    &setup.env,
-                    &setup.skeleton,
-                    &setup.approx,
-                    setup.config.opt_sims,
-                    runner.clone(),
-                    seed ^ 0xc2 ^ (rep << 8),
-                );
-                let r = opt.maximize(&mut obj, &bounds, &start, seed ^ 0xc3 ^ rep);
-                total_value += assess(&setup, &runner, &r.best_x, assess_sims, seed ^ 0xc4 ^ rep);
-                total_evals += r.evals;
+                let state = SessionState {
+                    seed: mix_seed(seed, rep),
+                    ..base.clone()
+                };
+                let out = study.arm(state, true, Some(optimizer))?;
+                value += assessed(&out, &out.approx_target);
+                evals += out.trace.last().map_or(0, |r| r.evals);
             }
             rows.push(OptimizerRow {
-                name: opt.name().to_owned(),
-                best_value: total_value / REPEATS as f64,
-                evals: total_evals / REPEATS,
+                name: optimizer.name().to_owned(),
+                best_value: value / REPEATS as f64,
+                evals: evals / REPEATS,
             });
         }
-        rows
-    }))
+        Ok(rows)
+    })
 }
 
 /// One `N` setting's row in the A4 study.
@@ -371,67 +289,54 @@ pub fn optimizers(scale: f64, seed: u64) -> Result<Vec<OptimizerRow>, FlowError>
 pub struct NoiseRow {
     /// Simulations per point.
     pub n: u64,
-    /// Best value re-assessed with a large independent batch (so rows are
-    /// comparable despite their different per-eval noise).
+    /// The harvest phase's approximated-target value, averaged over the
+    /// repeats (comparable across rows despite their per-eval noise).
     pub assessed_value: f64,
     /// Optimizer iterations completed within the budget.
     pub iterations: usize,
 }
 
 /// A4: the `N` (samples per point) noise/budget trade-off under a fixed
-/// total simulation budget.
+/// total simulation budget. Each setting runs `N` simulations per
+/// evaluation and implicit filtering capped at `total / N` evaluations,
+/// from the box center.
 ///
 /// # Errors
 ///
-/// Propagates setup failures.
+/// Any flow error of the prefix or an arm.
 pub fn noise_n(scale: f64, seed: u64, ns: &[u64]) -> Result<Vec<NoiseRow>, FlowError> {
-    let setup = l3_setup(scale, seed)?;
-    let bounds = Bounds::unit(setup.skeleton.num_slots());
-    let total_sims = setup.config.opt_iterations as u64
-        * (setup.config.opt_directions as u64 + 1)
-        * setup.config.opt_sims;
-    Ok(pool_scope(setup.config.threads, |pool| {
-        let runner = BatchRunner::new(pool);
-        const REPEATS: u64 = 3;
+    L3Study::run(scale, seed, 400, false, |study, base| {
+        let cfg = &base.config;
+        let total_sims = cfg.opt_iterations as u64 * (cfg.opt_directions as u64 + 1) * cfg.opt_sims;
+        let center = box_center(&base);
         let mut rows = Vec::new();
         for &n in ns {
-            let evals = (total_sims / n.max(1)).max(1);
-            let mut total_value = 0.0;
-            let mut iterations = 0;
+            let optimizer: SharedOptimizer = Arc::new(ImplicitFiltering::new(IfOptions {
+                max_evals: (total_sims / n.max(1)).max(1),
+                max_iters: usize::MAX,
+                n_directions: cfg.opt_directions,
+                ..IfOptions::default()
+            }));
+            let (mut value, mut iterations) = (0.0, 0);
             for rep in 0..REPEATS {
-                let mut obj = CdgObjective::new(
-                    &setup.env,
-                    &setup.skeleton,
-                    &setup.approx,
-                    n,
-                    runner.clone(),
-                    seed ^ 0xd1 ^ n ^ (rep << 8),
-                );
-                let r = ImplicitFiltering::new(IfOptions {
-                    max_evals: evals,
-                    max_iters: usize::MAX,
-                    n_directions: setup.config.opt_directions,
-                    ..IfOptions::default()
-                })
-                .maximize(&mut obj, &bounds, &bounds.center(), seed ^ 0xd2 ^ rep);
-                // Re-assess the winner with an independent large batch.
-                total_value += assess(
-                    &setup,
-                    &runner,
-                    &r.best_x,
-                    400.max(setup.config.best_sims),
-                    seed ^ 0xd3 ^ rep,
-                );
-                iterations += r.trace.len();
+                let mut state = SessionState {
+                    seed: mix_seed(seed, rep),
+                    start_settings: Some(center.clone()),
+                    ..base.clone()
+                };
+                state.config.opt_sims = n;
+                let out = study.arm(state, false, Some(&optimizer))?;
+                value += assessed(&out, &out.approx_target);
+                iterations += out.trace.len();
             }
             rows.push(NoiseRow {
                 n,
-                assessed_value: total_value / REPEATS as f64,
+                assessed_value: value / REPEATS as f64,
                 iterations: iterations / REPEATS as usize,
             });
         }
-        rows
-    }))
+        Ok(rows)
+    })
 }
 
 /// Outcome of the E1 extension study.
@@ -448,17 +353,22 @@ pub struct MultiTargetStudy {
 }
 
 /// E1: shared-simulation multi-target search vs one search per group,
-/// on the I/O unit's deep CRC events.
+/// on the I/O unit's deep CRC events, both from one regression session.
 ///
 /// # Errors
 ///
 /// Propagates flow failures.
 pub fn multi_target(scale: f64, seed: u64) -> Result<MultiTargetStudy, FlowError> {
-    let env = IoEnv::new();
     let config = FlowConfig::paper_io().scaled(scale);
-    let flow = CdgFlow::new(env, config.clone());
-    let repo = flow.run_regression(seed ^ 0xe0)?;
+    let flow = CdgFlow::new(IoEnv::new(), config.clone());
     let model = flow.env().coverage_model();
+    let regressed = pool_scope(config.threads, |pool| {
+        let stages: Vec<Box<dyn Stage<IoEnv>>> = vec![Box::new(Regression)];
+        let spec = TargetSpec::Uncovered;
+        prefix(flow.env(), &config, pool, spec, seed ^ 0xe0, stages)
+    })?;
+    let snapshot = regressed.repo.expect("the regression ran");
+    let repo = CoverageRepository::from_snapshot(model.clone(), &snapshot)?;
     let groups = vec![
         vec![model.id("crc_032")?, model.id("crc_064")?],
         vec![model.id("crc_096")?],
@@ -488,4 +398,47 @@ pub fn multi_target(scale: f64, seed: u64) -> Result<MultiTargetStudy, FlowError
         separate_sims,
         separate_targets_hit,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_study_runs_at_a_tiny_scale() {
+        const SCALE: f64 = 0.002;
+        const SEED: u64 = 1;
+        let a1 = no_approx(SCALE, SEED).unwrap();
+        let a2 = no_sample(SCALE, SEED).unwrap();
+        let a3 = optimizers(SCALE, SEED).unwrap();
+        let a4 = noise_n(SCALE, SEED, &[1, 5, 25]).unwrap();
+        let e1 = multi_target(SCALE, SEED).unwrap();
+        let names: Vec<&str> = a3.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "implicit-filtering",
+                "random-search",
+                "compass-search",
+                "nelder-mead",
+                "spsa",
+                "implicit-filtering-bfgs"
+            ]
+        );
+        assert_eq!(a4.iter().map(|r| r.n).collect::<Vec<_>>(), [1, 5, 25]);
+        let values = [
+            a1.with_approx_target_rate,
+            a1.without_approx_target_rate,
+            a2.with_sampling,
+            a2.without_sampling,
+        ]
+        .into_iter()
+        .chain(a3.iter().map(|r| r.best_value))
+        .chain(a4.iter().map(|r| r.assessed_value));
+        for v in values {
+            assert!(v.is_finite() && v >= 0.0, "{v}");
+        }
+        assert!(a3.iter().all(|r| r.evals > 0));
+        assert!(e1.shared_sims > 0 && e1.separate_sims > 0);
+    }
 }

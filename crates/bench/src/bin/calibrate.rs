@@ -7,8 +7,8 @@
 //! `ifu` or `all` (default), and `--sims` is the per-template simulation
 //! count (default 2000).
 
-use ascdg_core::{pool_scope, BatchRunner, BatchStats};
-use ascdg_coverage::EventFamily;
+use ascdg_core::{pool_scope, FlowConfig, FlowEngine, Regression, TargetSpec};
+use ascdg_coverage::{CoverageRepository, EventFamily, EventId, TemplateId};
 use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, VerifEnv};
 
 fn main() {
@@ -36,6 +36,23 @@ fn main() {
     }
 }
 
+/// A regression session over `env`'s stock library, `sims` per template;
+/// its repository keeps every template's statistics apart.
+fn regression<E: VerifEnv>(env: &E, sims: u64) -> CoverageRepository {
+    let config = FlowConfig {
+        regression_sims_per_template: sims,
+        ..FlowConfig::quick()
+    };
+    let state = pool_scope(0, |pool| {
+        let engine = FlowEngine::with_stages(env, config, pool, vec![Box::new(Regression)]);
+        let mut cx = engine.session(TargetSpec::Uncovered, 1);
+        engine.step(&mut cx).expect("simulate");
+        cx.into_state()
+    });
+    let snapshot = state.repo.expect("the regression recorded its repository");
+    CoverageRepository::from_snapshot(env.coverage_model().clone(), &snapshot).expect("own model")
+}
+
 fn family_rates<E: VerifEnv>(env: &E, stem: &str, sims: u64) {
     let model = env.coverage_model();
     let family = EventFamily::discover(model)
@@ -52,23 +69,20 @@ fn family_rates<E: VerifEnv>(env: &E, stem: &str, sims: u64) {
         print!(" {:>9}", model.name(e).trim_start_matches(stem));
     }
     println!();
-    let total = pool_scope(0, |pool| {
-        let runner = BatchRunner::new(pool);
-        let mut total = BatchStats::empty(model.len());
-        for (i, t) in env.stock_library().iter() {
-            let stats = runner.run(env, t, sims, 1000 + i as u64).expect("simulate");
-            print!("{:<22}", t.name());
-            for &e in &events {
-                print!(" {:>9.5}", stats.rate(e));
-            }
-            println!();
-            total.merge(&stats);
+    let repo = regression(env, sims);
+    for (i, t) in env.stock_library().iter() {
+        print!("{:<22}", t.name());
+        for &e in &events {
+            print!(
+                " {:>9.5}",
+                repo.template_stats(TemplateId(i as u32), e).rate()
+            );
         }
-        total
-    });
+        println!();
+    }
     print!("{:<22}", "AGGREGATE");
     for &e in &events {
-        print!(" {:>9.5}", total.rate(e));
+        print!(" {:>9.5}", repo.global_stats(e).rate());
     }
     println!();
 }
@@ -81,33 +95,27 @@ fn ifu_depth(env: &IfuEnv, sims: u64) {
         "{:<22} per-entry hit rate (any thread/sector/branch)",
         "template"
     );
-    let total = pool_scope(0, |pool| {
-        let runner = BatchRunner::new(pool);
-        let mut total = BatchStats::empty(model.len());
-        for (i, t) in env.stock_library().iter() {
-            let stats = runner.run(env, t, sims, 2000 + i as u64).expect("simulate");
-            print!("{:<22}", t.name());
-            for entry in 0..8 {
-                let hits: u64 = cp
-                    .slice(0, entry)
-                    .iter()
-                    .map(|e| stats.hits[e.index()])
-                    .sum();
-                print!(" e{entry}:{:>8.5}", hits as f64 / sims as f64);
-            }
-            println!();
-            total.merge(&stats);
+    let repo = regression(env, sims);
+    let rate = |hits: &dyn Fn(EventId) -> u64, sims: u64, entry: usize| {
+        cp.slice(0, entry).iter().map(|&e| hits(e)).sum::<u64>() as f64 / sims as f64
+    };
+    for (i, t) in env.stock_library().iter() {
+        let template = TemplateId(i as u32);
+        print!("{:<22}", t.name());
+        for entry in 0..8 {
+            let hits = |e| repo.template_stats(template, e).hits;
+            let sims = repo.template_simulations(template);
+            print!(" e{entry}:{:>8.5}", rate(&hits, sims, entry));
         }
-        total
-    });
+        println!();
+    }
     print!("{:<22}", "AGGREGATE");
     for entry in 0..8 {
-        let hits: u64 = cp
-            .slice(0, entry)
-            .iter()
-            .map(|e| total.hits[e.index()])
-            .sum();
-        print!(" e{entry}:{:>8.5}", hits as f64 / total.sims as f64);
+        let hits = |e| repo.global_stats(e).hits;
+        print!(
+            " e{entry}:{:>8.5}",
+            rate(&hits, repo.total_simulations(), entry)
+        );
     }
     println!();
 }

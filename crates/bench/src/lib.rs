@@ -66,28 +66,49 @@ pub fn fig6(scale: f64, seed: u64) -> Result<Trace, FlowError> {
     Ok(fig4(scale, seed)?.trace)
 }
 
-/// Parses `--scale <f>` and `--seed <n>` style CLI arguments shared by the
-/// experiment binaries; returns `(scale, seed)` with the given defaults.
-#[must_use]
-pub fn parse_cli(default_scale: f64, default_seed: u64) -> (f64, u64) {
-    let mut scale = default_scale;
-    let mut seed = default_seed;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().unwrap_or(default_scale);
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or(default_seed);
-                i += 2;
-            }
-            _ => i += 1,
+/// Parses the `--scale <f>` and `--seed <n>` flags the experiment
+/// binaries share from `args` (the arguments after the program name),
+/// defaulting to `scale` and `seed`; other arguments are left to the
+/// caller.
+///
+/// # Errors
+///
+/// A flag without a value, a seed that is not an unsigned integer, or a
+/// scale that is not a positive finite number.
+pub fn parse_args(args: &[String], scale: f64, seed: u64) -> Result<(f64, u64), String> {
+    let (mut scale, mut seed) = (scale, seed);
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if flag != "--scale" && flag != "--seed" {
+            continue;
+        }
+        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if flag == "--seed" {
+            seed = value
+                .parse()
+                .map_err(|_| format!("--seed must be an unsigned integer, got `{value}`"))?;
+        } else {
+            scale = value
+                .parse()
+                .ok()
+                .filter(|s: &f64| *s > 0.0 && s.is_finite())
+                .ok_or_else(|| {
+                    format!("--scale must be a positive finite number, got `{value}`")
+                })?;
         }
     }
-    (scale, seed)
+    Ok((scale, seed))
+}
+
+/// [`parse_args`] over the process arguments; on a bad flag, prints the
+/// error and exits with status 2.
+#[must_use]
+pub fn parse_cli(default_scale: f64, default_seed: u64) -> (f64, u64) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(&args, default_scale, default_seed).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -99,6 +120,36 @@ mod tests {
         let out = fig3(0.002, 3).unwrap();
         assert_eq!(out.unit, "io_unit");
         assert_eq!(out.phases.len(), 4);
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn parse_args_reads_flags_and_keeps_defaults() {
+        assert_eq!(parse_args(&[], 0.5, 7), Ok((0.5, 7)));
+        assert_eq!(
+            parse_args(&args("all --seed 3 --scale 0.25"), 1.0, 7),
+            Ok((0.25, 3))
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_bad_flags() {
+        for line in [
+            "--scale abc",
+            "--scale 0",
+            "--scale -1",
+            "--scale inf",
+            "--scale NaN",
+            "--seed x",
+            "--seed -3",
+            "--scale",
+            "no-approx --seed",
+        ] {
+            assert!(parse_args(&args(line), 1.0, 7).is_err(), "{line} accepted");
+        }
     }
 
     #[test]

@@ -582,7 +582,12 @@ mod tests {
         let env = IoEnv::new();
         let cfg = config();
         pool_scope(1, |pool| {
-            let engine = FlowEngine::with_stages(&env, cfg.clone(), pool, vec![Box::new(Optimize)]);
+            let engine = FlowEngine::with_stages(
+                &env,
+                cfg.clone(),
+                pool,
+                vec![Box::new(Optimize::default())],
+            );
             let mut cx = engine.session(TargetSpec::Uncovered, 1);
             assert!(matches!(
                 engine.run(&mut cx),

@@ -168,7 +168,7 @@ fn multi_target_stages<E: VerifEnv>() -> Vec<Box<dyn Stage<E>>> {
         Box::new(CoarseSearch),
         Box::new(Skeletonize),
         Box::new(RandomSample),
-        Box::new(Optimize),
+        Box::new(Optimize::default()),
         Box::new(Harvest::with_suffix("multi_best")),
     ]
 }

@@ -9,11 +9,12 @@
 //! pipelines compose their own list (the multi-target flow reuses the
 //! shared prefix without [`Refine`]).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ascdg_coverage::{CoverageRepository, EventFamily, EventId, TemplateId};
 use ascdg_duv::VerifEnv;
-use ascdg_opt::{Bounds, IfOptions, ImplicitFiltering, Optimizer};
+use ascdg_opt::{Bounds, IfOptions, ImplicitFiltering, OptResult, Optimizer};
 use ascdg_stimgen::mix_seed;
 use ascdg_tac::{relevant_params, TacQuery};
 use ascdg_template::Skeleton;
@@ -89,7 +90,7 @@ pub fn default_stages<E: VerifEnv>() -> Vec<Box<dyn Stage<E>>> {
         Box::new(CoarseSearch),
         Box::new(Skeletonize),
         Box::new(RandomSample),
-        Box::new(Optimize),
+        Box::new(Optimize::default()),
         Box::new(Refine),
         Box::new(Harvest::default()),
     ]
@@ -356,10 +357,96 @@ impl<E: VerifEnv> Stage<E> for RandomSample {
     }
 }
 
-/// Section IV-E: implicit filtering over the noisy simulation objective,
-/// started from the sampling phase's best point.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Optimize;
+/// One fine-search phase as [`Optimize`] and [`Refine`] run it: its
+/// iteration budget, the objective's target, the starting point, and the
+/// salts of the objective's and the optimizer's seed streams.
+struct FineSearch<'a> {
+    stage: &'static str,
+    phase: &'static str,
+    iterations: usize,
+    target: &'a ApproxTarget,
+    start: &'a [f64],
+    salts: (u64, u64),
+}
+
+impl FineSearch<'_> {
+    /// Announces the phase, maximizes the objective over the session's
+    /// skeleton with `optimizer`, and records the trace, the per-iteration
+    /// best values and the phase statistics. Returns the optimizer's
+    /// result and the phase's simulations.
+    fn run<E: VerifEnv>(
+        self,
+        cx: &mut SessionCx<'_, '_, E>,
+        optimizer: &dyn Optimizer,
+    ) -> Result<(OptResult, u64), FlowError> {
+        let skeleton = skeleton_of(cx, self.stage)?;
+        let cfg = cx.config().clone();
+        let planned_sims = self.iterations as u64 * (cfg.opt_directions as u64 + 1) * cfg.opt_sims;
+        cx.emit(FlowEvent::PhaseStarted {
+            phase: self.phase.to_owned(),
+            planned_sims,
+        });
+        let mut obj = CdgObjective::new(
+            cx.env(),
+            &skeleton,
+            self.target,
+            cfg.opt_sims,
+            cx.runner(),
+            cx.stage_seed(self.salts.0),
+        );
+        let phase_clock = Instant::now();
+        let result = optimizer.maximize(
+            &mut obj,
+            &Bounds::unit(skeleton.num_slots()),
+            self.start,
+            cx.stage_seed(self.salts.1),
+        );
+        let stats = obj.phase_stats();
+        let timing = PhaseTiming::measure(self.phase, stats.sims, phase_clock.elapsed());
+        ascdg_opt::record_trace(self.stage, &result.trace, cx.telemetry());
+        for rec in &result.trace {
+            cx.emit(FlowEvent::BestObjective {
+                phase: self.phase.to_owned(),
+                iteration: rec.iter,
+                value: rec.running_best,
+            });
+        }
+        cx.record_phase(
+            PhaseStats {
+                name: self.phase.to_owned(),
+                sims: stats.sims,
+                hits: stats.hits,
+            },
+            timing,
+        );
+        Ok((result, stats.sims))
+    }
+}
+
+/// Section IV-E: the fine-grained search over the noisy simulation
+/// objective, started from the sampling phase's best point. By default
+/// the search is the paper's implicit filtering (Algorithm 1), configured
+/// from the session's [`FlowConfig`](crate::FlowConfig).
+#[derive(Clone, Default)]
+pub struct Optimize {
+    optimizer: Option<Arc<dyn Optimizer + Send + Sync>>,
+}
+
+impl Optimize {
+    /// An optimize stage that runs `optimizer` in place of the configured
+    /// implicit filtering, with the default stage's objective, seed
+    /// streams and announced budget.
+    ///
+    /// A session's state records which stages ran, not which optimizer
+    /// ran them: a checkpoint from a session on such a stage list resumes
+    /// only on an engine with the same stage list.
+    #[must_use]
+    pub fn with(optimizer: Arc<dyn Optimizer + Send + Sync>) -> Self {
+        Optimize {
+            optimizer: Some(optimizer),
+        }
+    }
+}
 
 impl<E: VerifEnv> Stage<E> for Optimize {
     fn name(&self) -> &'static str {
@@ -367,67 +454,37 @@ impl<E: VerifEnv> Stage<E> for Optimize {
     }
 
     fn run(&self, cx: &mut SessionCx<'_, '_, E>) -> Result<StageOutput, FlowError> {
-        let skeleton = skeleton_of(cx, STAGE_OPTIMIZE)?;
         let approx = approx_of(cx, STAGE_OPTIMIZE)?;
         let start = cx
             .state()
             .start_settings
             .clone()
             .ok_or_else(|| missing(STAGE_OPTIMIZE, "sampling-phase starting point"))?;
-        let cfg = cx.config().clone();
-        cx.emit(FlowEvent::PhaseStarted {
-            phase: PHASE_OPTIMIZATION.to_owned(),
-            planned_sims: cfg.opt_iterations as u64
-                * (cfg.opt_directions as u64 + 1)
-                * cfg.opt_sims,
+        let cfg = cx.config();
+        let optimizer = self.optimizer.clone().unwrap_or_else(|| {
+            Arc::new(ImplicitFiltering::new(IfOptions {
+                n_directions: cfg.opt_directions,
+                initial_step: cfg.opt_initial_step,
+                min_step: 1e-4,
+                max_iters: cfg.opt_iterations,
+                target_value: cfg.opt_target_value,
+                resample_center: true,
+                ..IfOptions::default()
+            }))
         });
-        let mut obj = CdgObjective::new(
-            cx.env(),
-            &skeleton,
-            &approx,
-            cfg.opt_sims,
-            cx.runner(),
-            cx.stage_seed(0x0b7),
-        );
-        let optimizer = ImplicitFiltering::new(IfOptions {
-            n_directions: cfg.opt_directions,
-            initial_step: cfg.opt_initial_step,
-            min_step: 1e-4,
-            max_iters: cfg.opt_iterations,
-            max_evals: 0,
-            target_value: cfg.opt_target_value,
-            resample_center: true,
-            direction_mode: Default::default(),
-        });
-        let phase_clock = Instant::now();
-        let result = optimizer.maximize(
-            &mut obj,
-            &Bounds::unit(skeleton.num_slots()),
-            &start,
-            cx.stage_seed(2),
-        );
-        let stats = obj.phase_stats();
-        let timing = PhaseTiming::measure(PHASE_OPTIMIZATION, stats.sims, phase_clock.elapsed());
-        ascdg_opt::record_trace(STAGE_OPTIMIZE, &result.trace, cx.telemetry());
-        for rec in &result.trace {
-            cx.emit(FlowEvent::BestObjective {
-                phase: PHASE_OPTIMIZATION.to_owned(),
-                iteration: rec.iter,
-                value: rec.running_best,
-            });
+        let (result, sims) = FineSearch {
+            stage: STAGE_OPTIMIZE,
+            phase: PHASE_OPTIMIZATION,
+            iterations: cfg.opt_iterations,
+            target: &approx,
+            start: &start,
+            salts: (0x0b7, 2),
         }
-        cx.record_phase(
-            PhaseStats {
-                name: PHASE_OPTIMIZATION.to_owned(),
-                sims: stats.sims,
-                hits: stats.hits,
-            },
-            timing,
-        );
+        .run(cx, optimizer.as_ref())?;
         let state = cx.state_mut();
         state.best_settings = Some(result.best_x);
         state.trace = Some(result.trace);
-        Ok(StageOutput::simulated(stats.sims))
+        Ok(StageOutput::simulated(sims))
     }
 }
 
@@ -448,78 +505,44 @@ impl<E: VerifEnv> Stage<E> for Refine {
         if cfg.refine_iterations == 0 {
             return Ok(StageOutput::idle());
         }
-        let approx = approx_of(cx, STAGE_REFINE)?;
-        let targets = approx.targets().to_vec();
+        let targets = approx_of(cx, STAGE_REFINE)?.targets().to_vec();
         let opt_stats = cx
             .state()
             .phase(PHASE_OPTIMIZATION)
-            .ok_or_else(|| missing(STAGE_REFINE, "optimization-phase statistics"))?
-            .clone();
-        let evidence = targets.iter().any(|e| opt_stats.hits[e.index()] > 0);
-        if !evidence {
+            .ok_or_else(|| missing(STAGE_REFINE, "optimization-phase statistics"))?;
+        if !targets.iter().any(|e| opt_stats.hits[e.index()] > 0) {
             return Ok(StageOutput::idle());
         }
-        let skeleton = skeleton_of(cx, STAGE_REFINE)?;
         let best_x = cx
             .state()
             .best_settings
             .clone()
             .ok_or_else(|| missing(STAGE_REFINE, "optimized settings"))?;
-        cx.emit(FlowEvent::PhaseStarted {
-            phase: PHASE_REFINEMENT.to_owned(),
-            planned_sims: cfg.refine_iterations as u64
-                * (cfg.opt_directions as u64 + 1)
-                * cfg.opt_sims,
-        });
         let real_target =
             ApproxTarget::from_weights(targets.clone(), targets.iter().map(|&e| (e, 1.0)));
-        let mut obj = CdgObjective::new(
-            cx.env(),
-            &skeleton,
-            &real_target,
-            cfg.opt_sims,
-            cx.runner(),
-            cx.stage_seed(0x4ef1),
-        );
-        let phase_clock = Instant::now();
-        let refine_result = ImplicitFiltering::new(IfOptions {
+        let optimizer = ImplicitFiltering::new(IfOptions {
             n_directions: cfg.opt_directions,
             initial_step: cfg.opt_initial_step / 2.0,
             min_step: 1e-4,
             max_iters: cfg.refine_iterations,
             resample_center: true,
             ..IfOptions::default()
-        })
-        .maximize(
-            &mut obj,
-            &Bounds::unit(skeleton.num_slots()),
-            &best_x,
-            cx.stage_seed(0x4ef2),
-        );
-        let stats = obj.phase_stats();
-        let timing = PhaseTiming::measure(PHASE_REFINEMENT, stats.sims, phase_clock.elapsed());
-        ascdg_opt::record_trace(STAGE_REFINE, &refine_result.trace, cx.telemetry());
-        for rec in &refine_result.trace {
-            cx.emit(FlowEvent::BestObjective {
-                phase: PHASE_REFINEMENT.to_owned(),
-                iteration: rec.iter,
-                value: rec.running_best,
-            });
+        });
+        let (result, sims) = FineSearch {
+            stage: STAGE_REFINE,
+            phase: PHASE_REFINEMENT,
+            iterations: cfg.refine_iterations,
+            target: &real_target,
+            start: &best_x,
+            salts: (0x4ef1, 0x4ef2),
         }
-        cx.record_phase(
-            PhaseStats {
-                name: PHASE_REFINEMENT.to_owned(),
-                sims: stats.sims,
-                hits: stats.hits,
-            },
-            timing,
-        );
+        .run(cx, &optimizer)?;
         // Keep the refined point only if it genuinely improved the real
         // target (the refinement may wander when evidence is thin).
-        if refine_result.best_value > 0.0 {
-            cx.state_mut().best_settings = Some(refine_result.best_x);
+        if result.best_value > 0.0 {
+            cx.state_mut().best_settings = Some(result.best_x);
         }
-        Ok(StageOutput::simulated(stats.sims))
+        Ok(StageOutput::simulated(sims))
     }
 }
 
@@ -599,6 +622,82 @@ mod tests {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(4)
+    }
+
+    fn strip_timings(mut outcome: crate::FlowOutcome) -> String {
+        outcome.timings.clear();
+        serde_json::to_string(&outcome).unwrap()
+    }
+
+    /// The default stage list with `optimizer` in the optimize stage.
+    fn stages_with(optimizer: Arc<dyn Optimizer + Send + Sync>) -> Vec<Box<dyn Stage<IoEnv>>> {
+        default_stages()
+            .into_iter()
+            .map(|s| match s.name() {
+                STAGE_OPTIMIZE => Box::new(Optimize::with(Arc::clone(&optimizer))),
+                _ => s,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn optimize_with_the_configured_if_options_matches_the_default() {
+        let env = IoEnv::new();
+        let cfg = FlowConfig::quick();
+        let explicit = Arc::new(ImplicitFiltering::new(IfOptions {
+            n_directions: cfg.opt_directions,
+            initial_step: cfg.opt_initial_step,
+            min_step: 1e-4,
+            max_iters: cfg.opt_iterations,
+            max_evals: 0,
+            target_value: cfg.opt_target_value,
+            resample_center: true,
+            direction_mode: Default::default(),
+        }));
+        let run = |stages: Vec<Box<dyn Stage<IoEnv>>>| {
+            pool_scope(2, |pool| {
+                let engine = FlowEngine::with_stages(&env, cfg.clone(), pool, stages);
+                let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 9);
+                strip_timings(engine.run(&mut cx).unwrap())
+            })
+        };
+        assert_eq!(run(stages_with(explicit)), run(default_stages()));
+    }
+
+    #[test]
+    fn optimize_with_spsa_keeps_its_budget_and_resumes() {
+        const BUDGET: u64 = 9;
+        let env = IoEnv::new();
+        let cfg = FlowConfig::quick();
+        let spsa = Arc::new(ascdg_opt::Spsa::new(ascdg_opt::SpsaOptions {
+            max_evals: BUDGET,
+            max_iters: usize::MAX,
+            ..Default::default()
+        }));
+        let mut after_optimize = None;
+        let (golden, evals) = pool_scope(2, |pool| {
+            let engine =
+                FlowEngine::with_stages(&env, cfg.clone(), pool, stages_with(spsa.clone()));
+            let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 4);
+            cx.on_checkpoint(|snap| {
+                if snap.completed.last().map(String::as_str) == Some(STAGE_OPTIMIZE) {
+                    after_optimize = Some(snap.clone());
+                }
+            });
+            let out = engine.run(&mut cx).unwrap();
+            let evals = out.trace.last().map_or(0, |r| r.evals);
+            (strip_timings(out), evals)
+        });
+        assert!(
+            evals > 0 && evals <= BUDGET,
+            "SPSA spent {evals} evaluations"
+        );
+        let resumed = pool_scope(2, |pool| {
+            let engine = FlowEngine::with_stages(&env, cfg.clone(), pool, stages_with(spsa));
+            let mut cx = engine.resume(after_optimize.unwrap()).unwrap();
+            strip_timings(engine.run(&mut cx).unwrap())
+        });
+        assert_eq!(resumed, golden);
     }
 
     #[test]
