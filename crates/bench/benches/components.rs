@@ -1,12 +1,13 @@
 //! Criterion micro-benches for the individual AS-CDG components:
 //! simulator throughput per unit (one instance, and 64-seed plane blocks
-//! of a stock and a tuned template), the optimizer's per-iteration cost on
+//! of a stock and a tuned template, and those blocks against the
+//! sequential loop they replaced), the optimizer's per-iteration cost on
 //! a synthetic objective, template parsing, and skeleton instantiation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use ascdg_core::Skeletonizer;
+use ascdg_core::{BatchStats, Skeletonizer};
 use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, SimScratch, VerifEnv};
 use ascdg_opt::{testfn, Bounds, IfOptions, ImplicitFiltering, Optimizer};
 use ascdg_stimgen::{instance_seed, SeedStream};
@@ -137,6 +138,51 @@ fn bench_plane_blocks(c: &mut Criterion) {
     g.finish();
 }
 
+/// The bit-plane path against the sequential loop it replaced, per unit,
+/// for the stock and tuned templates of [`bench_plane_blocks`], on the
+/// same 64 seeds, with the statistics fold included on both sides:
+/// `simulate_plane` + [`BatchStats::fold_plane`] (`.../plane`) against
+/// 64 `simulate_seeded` calls + [`BatchStats::record`] (`.../loop`).
+fn bench_plane_vs_loop(c: &mut Criterion) {
+    let mut g = c.benchmark_group("plane_vs_loop_64");
+    g.throughput(Throughput::Elements(64));
+    let envs: [Box<dyn VerifEnv>; 3] = [
+        Box::new(IoEnv::new()),
+        Box::new(L3Env::new()),
+        Box::new(IfuEnv::new()),
+    ];
+    for (env, tuned) in envs.iter().zip(TUNED) {
+        let stock = env.stock_library().get(0).unwrap().clone();
+        let tuned = TestTemplate::parse(tuned).unwrap();
+        let events = env.coverage_model().len();
+        for (kind, t) in [("stock", stock), ("tuned", tuned)] {
+            let resolved = env.registry().resolve(&t).unwrap();
+            let stream = SeedStream::new(1, t.name());
+            let seeds: [u64; 64] = std::array::from_fn(|i| stream.sampler_seed(i as u64));
+            let mut scratch = SimScratch::new();
+            g.bench_function(&format!("{}/{kind}/plane", env.unit_name()), |b| {
+                b.iter(|| {
+                    let mut stats = BatchStats::empty(events);
+                    env.simulate_plane(&resolved, black_box(&seeds), &mut scratch)
+                        .unwrap();
+                    stats.fold_plane(scratch.plane());
+                    stats
+                })
+            });
+            g.bench_function(&format!("{}/{kind}/loop", env.unit_name()), |b| {
+                b.iter(|| {
+                    let mut stats = BatchStats::empty(events);
+                    for &seed in black_box(&seeds) {
+                        stats.record(&env.simulate_seeded(&resolved, seed).unwrap());
+                    }
+                    stats
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_optimizer(c: &mut Criterion) {
     c.bench_function("implicit_filtering_100_iters_dim8", |b| {
         b.iter(|| {
@@ -173,6 +219,7 @@ fn bench_template_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = components;
     config = Criterion::default().sample_size(20);
-    targets = bench_simulators, bench_plane_blocks, bench_optimizer, bench_template_pipeline
+    targets = bench_simulators, bench_plane_blocks, bench_plane_vs_loop, bench_optimizer,
+        bench_template_pipeline
 }
 criterion_main!(components);

@@ -5,26 +5,21 @@
 //!
 //! Usage: `calibrate [unit] [--sims <n>]` where `unit` is `io`, `l3`,
 //! `ifu` or `all` (default), and `--sims` is the per-template simulation
-//! count (default 2000).
+//! count (default 2000). An unknown unit or flag, or a `--sims` that is
+//! not a positive integer, prints the usage line and exits with status 2.
 
 use ascdg_core::{pool_scope, FlowConfig, FlowEngine, Regression, TargetSpec};
 use ascdg_coverage::{CoverageRepository, EventFamily, EventId, TemplateId};
 use ascdg_duv::{ifu::IfuEnv, io_unit::IoEnv, l3cache::L3Env, VerifEnv};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let unit = args
-        .get(1)
-        .filter(|s| !s.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_owned());
-    let sims = args
-        .iter()
-        .position(|a| a == "--sims")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000u64);
+const USAGE: &str = "usage: calibrate [io|l3|ifu|all] [--sims <n>]";
 
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (unit, sims) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     if unit == "all" || unit == "io" {
         family_rates(&IoEnv::new(), "crc_", sims);
     }
@@ -34,6 +29,32 @@ fn main() {
     if unit == "all" || unit == "ifu" {
         ifu_depth(&IfuEnv::new(), sims);
     }
+}
+
+/// The unit (default `all`) and per-template sims (default 2000) that
+/// `args`, the arguments after the program name, ask for.
+///
+/// # Errors
+///
+/// An unknown unit, a flag other than `--sims`, or a `--sims` that is
+/// missing, not an unsigned integer, or zero.
+fn parse_args(args: &[String]) -> Result<(&str, u64), String> {
+    let (mut unit, mut sims) = ("all", 2000);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--sims" => {
+                let value = args.next().ok_or("--sims needs a value")?;
+                sims =
+                    value.parse().ok().filter(|&n: &u64| n > 0).ok_or_else(|| {
+                        format!("--sims must be a positive integer, got `{value}`")
+                    })?;
+            }
+            "io" | "l3" | "ifu" | "all" => unit = arg,
+            other => return Err(format!("unknown unit or flag `{other}`")),
+        }
+    }
+    Ok((unit, sims))
 }
 
 /// A regression session over `env`'s stock library, `sims` per template;
@@ -118,4 +139,34 @@ fn ifu_depth(env: &IfuEnv, sims: u64) {
         );
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn parse_args_reads_unit_and_sims_and_keeps_defaults() {
+        assert_eq!(parse_args(&[]), Ok(("all", 2000)));
+        assert_eq!(parse_args(&args("l3 --sims 500")), Ok(("l3", 500)));
+        assert_eq!(parse_args(&args("--sims 7 ifu")), Ok(("ifu", 7)));
+    }
+
+    #[test]
+    fn parse_args_rejects_bad_arguments() {
+        for line in [
+            "bogus",
+            "--sims abc",
+            "--sims 0",
+            "--sims -3",
+            "--sims",
+            "io --seed 3",
+        ] {
+            assert!(parse_args(&args(line)).is_err(), "{line} accepted");
+        }
+    }
 }

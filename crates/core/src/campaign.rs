@@ -21,12 +21,15 @@ use ascdg_telemetry::Telemetry;
 use ascdg_template::TemplateLibrary;
 
 use crate::checkpoint::restore_snapshot;
-use crate::pool::{pool_scope_with, SimPool};
-use crate::scheduler::{self, GroupRun};
+use crate::pool::pool_scope_with;
+use crate::scheduler::{AdmissionQueue, AdmitSpec, GroupRun, StepFn};
 use crate::session::{
     CampaignEntry, CampaignProgress, CampaignSink, DetachedSession, SessionState,
 };
-use crate::{ApproxTarget, CdgFlow, FlowEngine, FlowError, FlowOutcome, PHASE_BEFORE, PHASE_BEST};
+use crate::{
+    ApproxTarget, CdgFlow, FlowEngine, FlowError, FlowOutcome, RunManifest, PHASE_BEFORE,
+    PHASE_BEST,
+};
 
 /// One target group's result within a campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -156,8 +159,9 @@ impl<E: VerifEnv> CdgFlow<E> {
     /// [`CheckpointWriter`]: crate::CheckpointWriter
     ///
     /// A fresh campaign is a resume from its
-    /// [`regression_checkpoint`](FlowEngine::regression_checkpoint),
-    /// run untraced on the same pool as the groups.
+    /// [`regression_checkpoint`](FlowEngine::regression_checkpoint), run
+    /// under a `regression` stage span on the engine that then schedules
+    /// the groups.
     ///
     /// # Errors
     ///
@@ -168,10 +172,8 @@ impl<E: VerifEnv> CdgFlow<E> {
         telemetry: &Telemetry,
         on_progress: Option<&CampaignSink<'_>>,
     ) -> Result<CampaignReport, FlowError> {
-        pool_scope_with(self.config().threads, telemetry, |pool| {
-            let start = FlowEngine::new(self.env(), self.config().clone(), pool)
-                .regression_checkpoint(seed)?;
-            self.run_planned(pool, &start, telemetry, on_progress)
+        self.run_planned(telemetry, on_progress, |engine| {
+            CampaignPlan::new(engine, &engine.regression_checkpoint(seed)?)
         })
     }
 
@@ -196,51 +198,59 @@ impl<E: VerifEnv> CdgFlow<E> {
         telemetry: &Telemetry,
         on_progress: Option<&CampaignSink<'_>>,
     ) -> Result<CampaignReport, FlowError> {
-        pool_scope_with(self.config().threads, telemetry, |pool| {
-            self.run_planned(pool, progress, telemetry, on_progress)
+        self.run_planned(telemetry, on_progress, |engine| {
+            CampaignPlan::new(engine, progress)
         })
     }
 
-    /// Plans `progress` and schedules its groups on one traced engine
-    /// over `pool`: all groups share the one persistent worker pool
-    /// instead of spinning a pool up per group.
-    fn run_planned<'env>(
-        &'env self,
-        pool: &SimPool<'env>,
-        progress: &CampaignProgress,
+    /// Plans a campaign with `plan` on one traced engine over a fresh
+    /// pool, admits it to a private equal-weight queue, and steps its
+    /// groups with a crew of up to `campaign_jobs` workers (the caller is
+    /// worker zero) until the queue drains: all groups share the one
+    /// persistent worker pool instead of spinning a pool up per group.
+    fn run_planned(
+        &self,
         telemetry: &Telemetry,
         on_progress: Option<&CampaignSink<'_>>,
+        plan: impl FnOnce(&FlowEngine<'_, E>) -> Result<CampaignPlan, FlowError>,
     ) -> Result<CampaignReport, FlowError> {
-        let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
-            .with_telemetry(telemetry.clone());
-        let mut plan = CampaignPlan::new(&engine, progress)?;
-        let sessions = plan.take_sessions();
-        if let Some(sink) = on_progress {
-            sink(CampaignEntry::Plan(plan.checkpoint()));
-        }
-        let on_step = on_progress.map(|sink| {
-            move |group: usize, state: &SessionState| sink(CampaignEntry::Step { group, state })
-        });
-        let runs = scheduler::run_interleaved(
-            &engine,
-            self.config().campaign_jobs,
-            sessions,
-            plan.group_count(),
-            on_step.as_ref().map(|f| f as _),
-        );
-        Ok(plan.fold(runs))
+        pool_scope_with(self.config().threads, telemetry, |pool| {
+            let engine = FlowEngine::new(self.env(), self.config().clone(), pool)
+                .with_telemetry(telemetry.clone());
+            let mut plan = plan(&engine)?;
+            let queue = AdmissionQueue::new(telemetry.clone());
+            let sink = on_progress.map(|sink| Arc::new(sink) as Arc<CampaignSink<'_>>);
+            let jobs = plan
+                .admit(&queue, 1, "default", sink)
+                .expect("a fresh queue admits")
+                .len();
+            queue.seal();
+            // The workers only coordinate; the simulations inside each
+            // step still fan out over the engine's pool.
+            std::thread::scope(|scope| {
+                for _ in 1..self.config().campaign_jobs.min(jobs) {
+                    scope.spawn(|| queue.run_worker(&engine));
+                }
+                queue.run_worker(&engine);
+            });
+            Ok(plan.collect(&queue).expect("a sealed queue runs every job"))
+        })
     }
 }
 
-/// The one campaign planner: every campaign — fresh or resumed, run by
-/// the batch scheduler or by the serve daemon's admission queue — is
-/// planned here from a [`CampaignProgress`] checkpoint (a fresh
-/// campaign's is its [`FlowEngine::regression_checkpoint`]).
+/// The one campaign driver: every campaign — fresh or resumed, one-shot
+/// or served by the daemon — is planned here from a [`CampaignProgress`]
+/// checkpoint (a fresh campaign's is its
+/// [`FlowEngine::regression_checkpoint`]), [admitted](CampaignPlan::admit)
+/// to an [`AdmissionQueue`] with its checkpoint stream, and
+/// [collected](CampaignPlan::collect) into its report. A one-shot
+/// campaign admits to a private queue it crews itself; the daemon admits
+/// to its unit's shared queue.
 ///
 /// Every group's session is built — and its seed salted by its group
 /// index — **before** any scheduling happens, the sessions share nothing
 /// mutable (they all read the campaign's one regression repository,
-/// which no stage writes to), and [`CampaignPlan::fold`] walks the
+/// which no stage writes to), and [`CampaignPlan::collect`] walks the
 /// finished runs in group order. That is the whole identity argument:
 /// nothing about the result depends on which worker stepped which group
 /// when, so any scheduler and any `campaign_jobs` value produces the same
@@ -256,6 +266,8 @@ pub struct CampaignPlan {
     /// The planned campaign, the header of its checkpoint log: the
     /// regression snapshot once, group sessions without their own copy.
     checkpoint: CampaignProgress,
+    /// `(group index, job id)` of every session admitted to the queue.
+    jobs: Vec<(usize, u64)>,
 }
 
 impl CampaignPlan {
@@ -348,6 +360,7 @@ impl CampaignPlan {
             before,
             sessions,
             checkpoint,
+            jobs: Vec::new(),
         })
     }
 
@@ -358,7 +371,7 @@ impl CampaignPlan {
     }
 
     /// Hands over the sessions to schedule, as `(group index, session)`.
-    pub fn take_sessions(&mut self) -> Vec<(usize, DetachedSession)> {
+    fn take_sessions(&mut self) -> Vec<(usize, DetachedSession)> {
         self.sessions
             .iter_mut()
             .enumerate()
@@ -372,11 +385,79 @@ impl CampaignPlan {
         &self.checkpoint
     }
 
-    /// Folds the finished runs (indexed by group; `None` for groups that
-    /// never ran) into the campaign's report through `fold_campaign`.
+    /// Streams the planned campaign to `sink` (a checkpoint log's
+    /// header, written before any stage runs), then admits every prepared
+    /// group session to `queue` with `weight` and `class`. Each admitted
+    /// group streams a [`CampaignEntry::Step`] to `sink` after every
+    /// stage it completes, in stage order. Returns the `(group index, job
+    /// id)` of every admitted session, or `None` when the queue refused
+    /// one (it was sealed or closed).
+    pub fn admit<'cb>(
+        &mut self,
+        queue: &AdmissionQueue<'cb>,
+        weight: u32,
+        class: &str,
+        sink: Option<Arc<CampaignSink<'cb>>>,
+    ) -> Option<&[(usize, u64)]> {
+        if let Some(sink) = &sink {
+            sink(CampaignEntry::Plan(&self.checkpoint));
+        }
+        for (group, session) in self.take_sessions() {
+            let on_step = sink.clone().map(|sink| {
+                Box::new(move |state: &SessionState| sink(CampaignEntry::Step { group, state }))
+                    as StepFn<'cb>
+            });
+            let id = queue.admit(AdmitSpec {
+                session,
+                weight,
+                class: class.to_owned(),
+                on_step,
+            })?;
+            self.jobs.push((group, id));
+        }
+        Some(&self.jobs)
+    }
+
+    /// Waits for every admitted group's run on `queue` and folds the runs
+    /// in group order: a group that was never admitted reports its
+    /// recorded prep failure. Returns `None` when the queue closed before
+    /// a group finished (its checkpoint is the recovery path).
     #[must_use]
-    pub fn fold(&self, runs: Vec<Option<GroupRun>>) -> CampaignReport {
-        fold_campaign(&self.checkpoint, &self.repo, self.before, runs)
+    pub fn collect(&self, queue: &AdmissionQueue<'_>) -> Option<CampaignReport> {
+        let mut runs: Vec<Option<GroupRun>> = std::iter::repeat_with(|| None)
+            .take(self.sessions.len())
+            .collect();
+        for &(group, id) in &self.jobs {
+            runs[group] = Some(queue.wait(id)?);
+        }
+        Some(fold_campaign(
+            &self.checkpoint,
+            &self.repo,
+            self.before,
+            runs,
+        ))
+    }
+}
+
+impl CampaignReport {
+    /// One validated run manifest per group that ran, as `(group index,
+    /// manifest)`, in group order.
+    ///
+    /// # Errors
+    ///
+    /// `group <i> manifest failed validation: <why>` for the first group
+    /// whose manifest fails [`RunManifest::validate`].
+    pub fn manifests(&self, telemetry: &Telemetry) -> Result<Vec<(usize, RunManifest)>, String> {
+        let mut manifests = Vec::new();
+        for (i, state) in self.sessions.iter().enumerate() {
+            let Some(state) = state else { continue };
+            let manifest = RunManifest::from_state(state, telemetry);
+            manifest
+                .validate()
+                .map_err(|e| format!("group {i} manifest failed validation: {e}"))?;
+            manifests.push((i, manifest));
+        }
+        Ok(manifests)
     }
 }
 
@@ -566,6 +647,7 @@ mod tests {
     use crate::FlowConfig;
     use ascdg_duv::io_unit::IoEnv;
     use ascdg_duv::l3cache::L3Env;
+    use std::sync::Mutex;
 
     fn config() -> FlowConfig {
         let mut c = FlowConfig::quick().scaled(3.0);
@@ -654,12 +736,32 @@ mod tests {
     fn plan_without_groups_folds_to_the_regression_only_outcome() {
         let mut progress = regression_checkpoint(11);
         progress.groups.clear();
-        let report = with_plan(&progress, |plan| plan.fold(Vec::new()));
-        let out = report.outcome;
+        let report = with_plan(&progress, |plan| {
+            plan.collect(&AdmissionQueue::new(Telemetry::disabled()))
+        });
+        let out = report.expect("nothing to wait for").outcome;
         assert_eq!(out.after, out.before);
         assert!(out.groups.is_empty() && out.harvested.is_empty());
         let repo = progress.repo.expect("snapshot");
         assert_eq!(out.total_sims, repo.global_sims);
+    }
+
+    /// Admits `plan` to a fresh queue with `weight`, `class` and `sink`,
+    /// steps it with two workers on `engine`, and collects its report.
+    fn drive<'cb>(
+        engine: &FlowEngine<'_, IoEnv>,
+        queue: &AdmissionQueue<'cb>,
+        plan: &mut CampaignPlan,
+        (weight, class): (u32, &str),
+        sink: Option<Arc<CampaignSink<'cb>>>,
+    ) -> CampaignReport {
+        plan.admit(queue, weight, class, sink).expect("open queue");
+        queue.seal();
+        std::thread::scope(|scope| {
+            scope.spawn(|| queue.run_worker(engine));
+            queue.run_worker(engine);
+        });
+        plan.collect(queue).expect("a sealed queue runs every job")
     }
 
     /// Every planned group session, fresh or checkpointed, reads the
@@ -670,15 +772,15 @@ mod tests {
         let mut progress = regression_checkpoint(11);
         on_engine(|engine| {
             let mut plan = CampaignPlan::new(engine, &progress).expect("plans");
-            let sessions = plan.take_sessions();
-            assert_eq!(sessions.len(), progress.groups.len());
-            for (_, session) in &sessions {
+            let planned: Vec<&DetachedSession> = plan.sessions.iter().flatten().collect();
+            assert_eq!(planned.len(), progress.groups.len());
+            for session in planned {
                 let repo = session.repo.as_ref().expect("a planned session has a repo");
                 assert!(Arc::ptr_eq(repo, &plan.repo));
                 assert!(session.state.repo.is_none());
             }
-            let runs = scheduler::run_interleaved(engine, 2, sessions, plan.group_count(), None);
-            let report = plan.fold(runs);
+            let queue = AdmissionQueue::new(Telemetry::disabled());
+            let report = drive(engine, &queue, &mut plan, (1, "default"), None);
             assert!(report.outcome.groups.iter().any(|g| g.failure.is_none()));
             assert_eq!(Some(plan.repo.snapshot()), progress.repo);
             // Reported sessions get the snapshot back for their manifests.
@@ -693,6 +795,60 @@ mod tests {
                 assert!(Arc::ptr_eq(session.repo.as_ref().unwrap(), &plan.repo));
             }
         });
+    }
+
+    /// A plan admitted to a caller-owned queue, with a weight and class of
+    /// its own, streams one `Plan` and then each group's stages in stage
+    /// order, and folds to the one-shot campaign's bytes.
+    #[test]
+    fn plan_on_a_caller_queue_streams_its_log_and_folds_to_the_campaign() {
+        let seed = 5;
+        let one_shot = CdgFlow::new(IoEnv::new(), FlowConfig::quick())
+            .run_campaign(seed)
+            .expect("campaign runs");
+        // One entry per streamed item: `None` for the plan, else the
+        // group and its completed stages.
+        type Streamed = Option<(usize, Vec<String>)>;
+        let entries: Mutex<Vec<Streamed>> = Mutex::new(Vec::new());
+        let (report, statuses, stage_names) = on_engine(|engine| {
+            let start = engine.regression_checkpoint(seed).expect("regression runs");
+            let mut plan = CampaignPlan::new(engine, &start).expect("plans");
+            let queue = AdmissionQueue::new(Telemetry::disabled());
+            let sink: Arc<CampaignSink<'_>> = Arc::new(|entry: CampaignEntry<'_>| {
+                let item = match entry {
+                    CampaignEntry::Plan(_) => None,
+                    CampaignEntry::Step { group, state } => Some((group, state.completed.clone())),
+                };
+                entries.lock().unwrap().push(item);
+            });
+            let report = drive(engine, &queue, &mut plan, (3, "gold"), Some(sink));
+            let names: Vec<String> = engine.stage_names().iter().map(|&s| s.to_owned()).collect();
+            (report, queue.statuses(), names)
+        });
+        assert_eq!(
+            serde_json::to_string(&report.outcome).unwrap(),
+            serde_json::to_string(&one_shot).unwrap()
+        );
+        assert!(statuses.iter().all(|s| s.weight == 3 && s.class == "gold"));
+        let entries = entries.into_inner().unwrap();
+        assert_eq!(entries[0], None, "the plan comes first");
+        assert!(entries[1..].iter().all(Option::is_some), "one plan only");
+        for (group, state) in report.sessions.iter().enumerate() {
+            let completed: Vec<&Vec<String>> = entries
+                .iter()
+                .flatten()
+                .filter(|(g, _)| *g == group)
+                .map(|(_, completed)| completed)
+                .collect();
+            // Regression is planned as done; every later stage streams once.
+            for (i, stages) in completed.iter().enumerate() {
+                assert_eq!(stages[..], stage_names[..i + 2], "group {group}");
+            }
+            if let Some(state) = state {
+                assert_eq!(completed.len(), stage_names.len() - 1);
+                assert_eq!(completed.last().map(|c| &c[..]), Some(&state.completed[..]));
+            }
+        }
     }
 
     #[test]

@@ -102,31 +102,27 @@ impl CheckpointWriter {
         self.write_file(&json)
     }
 
-    /// Starts a campaign log: atomically replaces the file with the one
-    /// header line holding `progress`.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Checkpoint`] on serialization or I/O failure (also
-    /// counted on `checkpoint.write_failures`).
-    pub fn write_campaign(&self, progress: &CampaignProgress) -> Result<(), FlowError> {
-        let mut json = serde_json::to_string(progress)
-            .map_err(|e| self.failure(format!("checkpoint did not serialize: {e}")))?;
-        json.push('\n');
-        self.write_file(&json)
-    }
-
-    /// Appends group `group`'s post-stage `state` as one line to the
-    /// campaign log [`CheckpointWriter::write_campaign`] started. The
-    /// state is written as given: a campaign group's carries no `repo`,
-    /// the header holds the one snapshot.
+    /// Records one campaign stream entry. A plan starts the log: the file
+    /// is atomically replaced with the one header line holding it. A step
+    /// appends group `group`'s post-stage `state` as one line to that log;
+    /// the state is written as given (a campaign group's carries no
+    /// `repo`, the header holds the one snapshot).
     ///
     /// # Errors
     ///
     /// [`FlowError::Checkpoint`] on serialization or I/O failure, among
-    /// them a log that no longer exists (also counted on
+    /// them a step whose log no longer exists (also counted on
     /// `checkpoint.write_failures`).
-    pub fn append_step(&self, group: usize, state: &SessionState) -> Result<(), FlowError> {
+    pub fn record(&self, entry: CampaignEntry<'_>) -> Result<(), FlowError> {
+        let (group, state) = match entry {
+            CampaignEntry::Plan(progress) => {
+                let mut json = serde_json::to_string(progress)
+                    .map_err(|e| self.failure(format!("checkpoint did not serialize: {e}")))?;
+                json.push('\n');
+                return self.write_file(&json);
+            }
+            CampaignEntry::Step { group, state } => (group, state),
+        };
         let session = serde_json::to_string(state)
             .map_err(|e| self.failure(format!("checkpoint step did not serialize: {e}")))?;
         let mut line = format!("{{\"group\":{group},\"session\":{session}");
@@ -138,20 +134,6 @@ impl CheckpointWriter {
             .open(&self.path)
             .and_then(|mut log| log.write_all(line.as_bytes()))
             .map_err(|e| self.failure(format!("could not append to {}: {e}", self.path.display())))
-    }
-
-    /// Records one campaign stream entry: a plan starts the log, a step
-    /// appends to it.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`CheckpointWriter::write_campaign`] and
-    /// [`CheckpointWriter::append_step`].
-    pub fn record(&self, entry: CampaignEntry<'_>) -> Result<(), FlowError> {
-        match entry {
-            CampaignEntry::Plan(progress) => self.write_campaign(progress),
-            CampaignEntry::Step { group, state } => self.append_step(group, state),
-        }
     }
 
     /// Atomically replaces the file with `contents`: write to
@@ -343,9 +325,14 @@ mod tests {
             repo: None,
             groups: Vec::new(),
         };
-        assert!(writer.write_campaign(&progress).is_err());
+        assert!(writer.record(CampaignEntry::Plan(&progress)).is_err());
         // An append never creates the log it extends.
-        assert!(writer.append_step(0, &state).is_err());
+        assert!(writer
+            .record(CampaignEntry::Step {
+                group: 0,
+                state: &state
+            })
+            .is_err());
         let m = telemetry.metrics().unwrap();
         assert_eq!(m.counter("checkpoint.write_failures").value(), 3);
     }
@@ -569,7 +556,12 @@ mod tests {
             .unwrap();
         std::fs::write(&path, &log).unwrap();
         let writer = CheckpointWriter::new(&path, Telemetry::disabled());
-        writer.append_step(progress.groups.len(), &state).unwrap();
+        writer
+            .record(CampaignEntry::Step {
+                group: progress.groups.len(),
+                state: &state,
+            })
+            .unwrap();
         let err = read_campaign_checkpoint(&path).unwrap_err();
         assert!(matches!(err, FlowError::Checkpoint(_)), "{err:?}");
         assert!(err.to_string().contains("group"), "{err}");

@@ -23,7 +23,7 @@ use crate::session::{
     CampaignProgress, DetachedSession, GroupProgress, SessionCx, SessionState, StageSims,
     TargetSpec,
 };
-use crate::stages::{default_stages, regression_repository, Stage};
+use crate::stages::{default_stages, regression_repository, Stage, STAGE_REGRESSION};
 use crate::{
     group_uncovered, ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats,
     PHASE_BEFORE,
@@ -170,7 +170,7 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         approx: ApproxTarget,
         seed: u64,
     ) -> SessionState {
-        let regression = crate::stages::STAGE_REGRESSION.to_owned();
+        let regression = STAGE_REGRESSION.to_owned();
         let spec = TargetSpec::Weighted(approx.clone());
         SessionState {
             completed: vec![regression.clone()],
@@ -184,19 +184,29 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     }
 
     /// The checkpoint every fresh campaign starts from: the shared
-    /// regression, run on the engine's pool, and the unit's uncovered
-    /// events grouped by [`group_uncovered`], with no group started yet.
+    /// regression, run on the engine's pool under a `regression` stage
+    /// span of the engine's telemetry, and the unit's uncovered events
+    /// grouped by [`group_uncovered`], with no group started yet.
     ///
     /// # Errors
     ///
     /// Any regression error.
     pub fn regression_checkpoint(&self, seed: u64) -> Result<CampaignProgress, FlowError> {
+        let span = self
+            .telemetry
+            .for_stage(STAGE_REGRESSION)
+            .scope_span("stage", STAGE_REGRESSION);
         let repo = regression_repository(
             self.env,
-            &self.runner(),
+            &BatchRunner::new(&self.pool).with_telemetry(span.telemetry()),
             self.config.regression_sims_per_template,
             mix_seed(seed, 0xca3),
-        )?;
+        );
+        span.finish(
+            repo.as_ref()
+                .map_or(0, CoverageRepository::total_simulations),
+        );
+        let repo = repo?;
         let groups = group_uncovered(self.env.coverage_model(), &repo)
             .into_iter()
             .map(|(name, targets)| GroupProgress {
@@ -449,7 +459,7 @@ mod tests {
     use super::*;
     use crate::events::EventLog;
     use crate::pool::pool_scope;
-    use crate::stages::{Optimize, STAGE_HARVEST, STAGE_REGRESSION};
+    use crate::stages::{Optimize, STAGE_HARVEST};
     use ascdg_duv::io_unit::IoEnv;
 
     fn test_threads() -> usize {

@@ -77,10 +77,10 @@ pub use neighbors::ApproxTarget;
 pub use objective::CdgObjective;
 pub use pool::{machine_threads, pool_scope, pool_scope_with, SimPool};
 pub use report::{
-    family_table_csv, render_cross_breakdown, render_family_table, render_status_chart,
-    render_timings, render_trace_chart, trace_csv,
+    render_cross_breakdown, render_family_table, render_status_chart, render_timings,
+    render_trace_chart,
 };
-pub use scheduler::{AdmissionQueue, AdmitSpec, GroupRun, JobStatus, SessionLifecycle};
+pub use scheduler::{AdmissionQueue, JobStatus, SessionLifecycle};
 pub use session::{
     CampaignEntry, CampaignProgress, CampaignSink, CancelToken, DetachedSession, GroupProgress,
     SessionCx, SessionState, StageSims, TargetSpec,

@@ -63,26 +63,6 @@ impl<E: VerifEnv> CdgFlow<E> {
         groups: &[Vec<EventId>],
         seed: u64,
     ) -> Result<MultiTargetOutcome, FlowError> {
-        pool_scope(self.config().threads, |pool| {
-            self.run_multi_target_on(pool, repo, groups, seed)
-        })
-    }
-
-    /// [`run_multi_target`](Self::run_multi_target) on a caller-provided
-    /// persistent worker pool, so a larger orchestration (a campaign, a
-    /// bench harness) can share one pool across many runs instead of
-    /// spinning threads up per call.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as the single-target flow.
-    pub fn run_multi_target_on<'env>(
-        &'env self,
-        pool: &crate::SimPool<'env>,
-        repo: &CoverageRepository,
-        groups: &[Vec<EventId>],
-        seed: u64,
-    ) -> Result<MultiTargetOutcome, FlowError> {
         if groups.is_empty() || groups.iter().all(Vec::is_empty) {
             return Err(FlowError::NoTargets("no target groups".to_owned()));
         }
@@ -108,9 +88,12 @@ impl<E: VerifEnv> CdgFlow<E> {
         // single-target engine's stage prefix (no refinement stage — the
         // real multi-group objective is the combined one), run once for
         // every group on one persistent worker pool.
-        let engine = FlowEngine::with_stages(self.env(), cfg.clone(), pool, multi_target_stages());
-        let mut cx = engine.session_with_repo(repo, combined, seed)?;
-        let outcome = engine.run(&mut cx)?;
+        let outcome = pool_scope(cfg.threads, |pool| {
+            let engine =
+                FlowEngine::with_stages(self.env(), cfg.clone(), pool, multi_target_stages());
+            let mut cx = engine.session_with_repo(repo, combined, seed)?;
+            engine.run(&mut cx)
+        })?;
 
         // Assess the shared best template per group.
         let best = outcome

@@ -271,16 +271,6 @@ impl ApproxTarget {
     pub fn value(&self, mut rate: impl FnMut(EventId) -> f64) -> f64 {
         self.weights.iter().map(|&(e, w)| w * rate(e)).sum()
     }
-
-    /// Evaluates against a dense per-event rate slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weighted event is out of range for `rates`.
-    #[must_use]
-    pub fn value_from_rates(&self, rates: &[f64]) -> f64 {
-        self.value(|e| rates[e.index()])
-    }
 }
 
 /// Pearson correlation of two equally-long samples (0 when degenerate).
@@ -394,7 +384,7 @@ mod tests {
         let t = model.id("f2").unwrap();
         let at = ApproxTarget::from_family(&model, &[t], 0.5).unwrap();
         // w = [0.5, 1.0]; rates = [0.2, 0.1] -> 0.5*0.2 + 1.0*0.1 = 0.2
-        let v = at.value_from_rates(&[0.2, 0.1]);
+        let v = at.value(|e| [0.2, 0.1][e.index()]);
         assert!((v - 0.2).abs() < 1e-12);
     }
 
@@ -415,7 +405,7 @@ mod tests {
         );
         assert_eq!(at.weights(), &[(EventId(0), 1.0), (EventId(1), -0.5)]);
         // Negative neighbors penalize the objective.
-        let v = at.value_from_rates(&[0.5, 1.0, 0.0]);
+        let v = at.value(|e| [0.5, 1.0, 0.0][e.index()]);
         assert!((v - 0.0).abs() < 1e-12);
     }
 

@@ -200,43 +200,6 @@ pub fn render_cross_breakdown(outcome: &FlowOutcome, policy: StatusPolicy) -> St
     out
 }
 
-/// Renders the per-event per-phase hit data as CSV
-/// (`event,phase,hits,sims,rate` rows) for external plotting.
-#[must_use]
-pub fn family_table_csv(outcome: &FlowOutcome) -> String {
-    let mut out = String::from("event,phase,hits,sims,rate\n");
-    for &e in &outcome.table_events() {
-        let name = outcome.model.name(e);
-        for p in &outcome.phases {
-            let s = p.stats(e);
-            let _ = writeln!(
-                out,
-                "{name},{phase},{hits},{sims},{rate:.6}",
-                phase = p.name,
-                hits = s.hits,
-                sims = s.sims,
-                rate = s.rate()
-            );
-        }
-    }
-    out
-}
-
-/// Renders the optimization trace as CSV
-/// (`iter,step,iter_best,running_best,evals` rows) for external plotting.
-#[must_use]
-pub fn trace_csv(trace: &Trace) -> String {
-    let mut out = String::from("iter,step,iter_best,running_best,evals\n");
-    for r in trace {
-        let _ = writeln!(
-            out,
-            "{},{:.6},{:.6},{:.6},{}",
-            r.iter, r.step, r.iter_best, r.running_best, r.evals
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,21 +220,6 @@ mod tests {
             .collect();
         let s = render_trace_chart(&flat);
         assert_eq!(s.matches("iter ").count(), 3);
-    }
-
-    #[test]
-    fn trace_csv_has_header_and_rows() {
-        let trace: Trace = vec![IterRecord {
-            iter: 0,
-            step: 0.25,
-            iter_best: 1.5,
-            running_best: 1.5,
-            evals: 13,
-        }];
-        let csv = trace_csv(&trace);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "iter,step,iter_best,running_best,evals");
-        assert_eq!(lines[1], "0,0.250000,1.500000,1.500000,13");
     }
 
     // Table/chart rendering over real outcomes is covered by the flow and

@@ -40,15 +40,11 @@ use crate::{FlowError, FlowOutcome};
 
 /// One scheduled session's result: the assembled outcome plus its final
 /// state (kept for manifests and per-group progress reporting).
-pub type GroupRun = Result<(FlowOutcome, SessionState), FlowError>;
-
-/// Streaming consumer of per-group post-stage snapshots: called with the
-/// group's slot index and its latest state after every completed stage.
-pub(crate) type StepSink<'a> = &'a (dyn Fn(usize, &SessionState) + Sync);
+pub(crate) type GroupRun = Result<(FlowOutcome, SessionState), FlowError>;
 
 /// A job's per-stage progress callback (invoked outside the queue lock,
 /// from whichever worker stepped the job).
-type StepFn<'cb> = Box<dyn Fn(u64, &SessionState) + Send + Sync + 'cb>;
+pub(crate) type StepFn<'cb> = Box<dyn Fn(&SessionState) + Send + Sync + 'cb>;
 
 /// Where a job is in its life on the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,8 +90,8 @@ impl std::fmt::Display for SessionLifecycle {
 }
 
 /// Everything one admission needs: the session plus its scheduling
-/// parameters and per-job hooks.
-pub struct AdmitSpec<'cb> {
+/// parameters and its step hook.
+pub(crate) struct AdmitSpec<'cb> {
     /// The session to run (stages already completed are skipped, so a
     /// checkpointed state resumes where it left off).
     pub session: DetachedSession,
@@ -106,25 +102,9 @@ pub struct AdmitSpec<'cb> {
     /// Priority-class label, used for per-class queue-depth gauges and
     /// per-tenant sim accounting (`serve.*` metrics).
     pub class: String,
-    /// Cooperative-cancellation token shared with whoever may cancel.
-    pub cancel: CancelToken,
-    /// Called with the job id and latest state after every completed
-    /// stage — checkpoint/streaming hook; runs outside the queue lock.
+    /// Called with the latest state after every completed stage —
+    /// checkpoint/streaming hook; runs outside the queue lock.
     pub on_step: Option<StepFn<'cb>>,
-}
-
-impl AdmitSpec<'_> {
-    /// A weight-1 `"default"`-class admission with a fresh cancel token.
-    #[must_use]
-    pub fn new(session: DetachedSession) -> Self {
-        AdmitSpec {
-            session,
-            weight: 1,
-            class: "default".to_owned(),
-            cancel: CancelToken::new(),
-            on_step: None,
-        }
-    }
 }
 
 /// A point-in-time view of one admitted job (for `ascdg status`).
@@ -186,11 +166,13 @@ enum Stepped {
 
 /// An admission-controlled, weight-aware scheduler for flow sessions.
 ///
-/// Unlike the historical batch scheduler (all sessions known up front),
-/// jobs can be [admitted](AdmissionQueue::admit) while workers are already
-/// running — the daemon's serve loop admits each request's group sessions
-/// as they arrive. Workers are driven by [`AdmissionQueue::run_worker`];
-/// the queue itself owns no threads, so it composes with scoped pools.
+/// Jobs can be admitted while workers are already running: every
+/// campaign admits its group sessions through
+/// [`CampaignPlan::admit`](crate::CampaignPlan::admit), a one-shot
+/// campaign to a private queue it then seals, the daemon's serve loop to
+/// its unit's long-lived queue as each request arrives. Workers are
+/// driven by [`AdmissionQueue::run_worker`]; the queue itself owns no
+/// threads, so it composes with scoped pools.
 pub struct AdmissionQueue<'cb> {
     inner: Mutex<QueueInner<'cb>>,
     /// Signals workers: new ready work, or seal/close.
@@ -226,9 +208,11 @@ impl<'cb> AdmissionQueue<'cb> {
         }
     }
 
-    /// Admits a session; returns its job id, or `None` when the queue no
-    /// longer accepts work (sealed or closed).
-    pub fn admit(&self, spec: AdmitSpec<'cb>) -> Option<u64> {
+    /// Admits a session with a fresh cancel token; returns its job id,
+    /// or `None` when the queue no longer accepts work (sealed or
+    /// closed). Campaigns admit through
+    /// [`CampaignPlan::admit`](crate::CampaignPlan::admit).
+    pub(crate) fn admit(&self, spec: AdmitSpec<'cb>) -> Option<u64> {
         let mut inner = lock(&self.inner);
         if inner.sealed || inner.closed {
             return None;
@@ -244,7 +228,7 @@ impl<'cb> AdmissionQueue<'cb> {
             lifecycle: SessionLifecycle::Queued,
             completed_stages: spec.session.state.completed.len(),
             sims: spec.session.state.stage_sims.iter().map(|s| s.sims).sum(),
-            cancel: spec.cancel,
+            cancel: CancelToken::new(),
             on_step: spec.on_step,
             result: None,
         });
@@ -276,9 +260,9 @@ impl<'cb> AdmissionQueue<'cb> {
     }
 
     /// Stops admissions; workers exit once every admitted job retires.
-    /// This is the batch mode (`run_interleaved` seals after admitting
-    /// its whole set).
-    pub fn seal(&self) {
+    /// This is the batch mode (a one-shot campaign seals its private
+    /// queue after admitting its whole plan).
+    pub(crate) fn seal(&self) {
         let mut inner = lock(&self.inner);
         inner.sealed = true;
         drop(inner);
@@ -301,7 +285,7 @@ impl<'cb> AdmissionQueue<'cb> {
     /// Blocks until the job retires and takes its result. Returns `None`
     /// for unknown ids, if the queue closed before the job finished, or
     /// if the result was already taken.
-    pub fn wait(&self, id: u64) -> Option<GroupRun> {
+    pub(crate) fn wait(&self, id: u64) -> Option<GroupRun> {
         let mut inner = lock(&self.inner);
         loop {
             let job = inner.jobs.get_mut(id as usize)?;
@@ -456,7 +440,7 @@ impl<'cb> AdmissionQueue<'cb> {
             };
             // Report progress outside the queue lock: sinks may do I/O.
             if let (Some(sink), Some(state)) = (&on_step, state) {
-                sink(id, state);
+                sink(state);
             }
             let mut inner = lock(&self.inner);
             inner.in_flight -= 1;
@@ -539,48 +523,6 @@ fn depths_by_class<'q>(inner: &'q QueueInner<'_>) -> Vec<(&'q str, usize)> {
     depths
 }
 
-/// Runs the given sessions to completion over the engine on an
-/// equal-weight [`AdmissionQueue`] crew of up to `jobs` workers (the
-/// caller is one of them, so `jobs = 1` steps every session on the
-/// calling thread in the same round-robin rotation), and returns their
-/// runs in a `n_slots`-sized vector indexed by each session's slot
-/// (slots without a session stay `None`).
-pub(crate) fn run_interleaved<'env, E: VerifEnv>(
-    engine: &FlowEngine<'env, E>,
-    jobs: usize,
-    sessions: Vec<(usize, DetachedSession)>,
-    n_slots: usize,
-    on_step: Option<StepSink<'_>>,
-) -> Vec<Option<GroupRun>> {
-    let jobs = jobs.min(sessions.len());
-    let queue = AdmissionQueue::new(engine.telemetry().clone());
-    let ids: Vec<(usize, u64)> = sessions
-        .into_iter()
-        .map(|(slot, session)| {
-            let mut spec = AdmitSpec::new(session);
-            if let Some(sink) = on_step {
-                spec.on_step = Some(Box::new(move |_, state: &SessionState| sink(slot, state)));
-            }
-            let id = queue.admit(spec).expect("queue is open during admission");
-            (slot, id)
-        })
-        .collect();
-    queue.seal();
-    // The workers only coordinate; the simulations inside each step still
-    // fan out over the engine's SimPool. The caller is worker zero.
-    std::thread::scope(|scope| {
-        for _ in 1..jobs {
-            scope.spawn(|| queue.run_worker(engine));
-        }
-        queue.run_worker(engine);
-    });
-    let mut done: Vec<Option<GroupRun>> = std::iter::repeat_with(|| None).take(n_slots).collect();
-    for (slot, id) in ids {
-        done[slot] = queue.wait(id);
-    }
-    done
-}
-
 /// Attaches a parked session, runs exactly one stage, and reports whether
 /// it still has work. A job's failure retires the job, never the
 /// scheduler.
@@ -609,6 +551,7 @@ mod tests {
     use crate::FlowConfig;
     use ascdg_duv::io_unit::IoEnv;
     use ascdg_stimgen::mix_seed;
+    use std::sync::atomic::Ordering;
 
     fn test_threads() -> usize {
         std::env::var("ASCDG_TEST_THREADS")
@@ -620,6 +563,43 @@ mod tests {
     fn strip_timings(mut outcome: FlowOutcome) -> FlowOutcome {
         outcome.timings.clear();
         outcome
+    }
+
+    impl AdmitSpec<'_> {
+        /// A weight-1 `"default"`-class admission without a hook.
+        fn new(session: DetachedSession) -> Self {
+            AdmitSpec {
+                session,
+                weight: 1,
+                class: "default".to_owned(),
+                on_step: None,
+            }
+        }
+    }
+
+    /// Runs `sessions` to completion on a sealed equal-weight queue
+    /// crewed by `jobs` workers, the caller among them, and returns their
+    /// runs in admission order.
+    fn run_crew(
+        engine: &FlowEngine<'_, IoEnv>,
+        jobs: usize,
+        sessions: Vec<DetachedSession>,
+    ) -> Vec<GroupRun> {
+        let queue = AdmissionQueue::new(Telemetry::disabled());
+        let ids: Vec<u64> = sessions
+            .into_iter()
+            .map(|session| queue.admit(AdmitSpec::new(session)).expect("open queue"))
+            .collect();
+        queue.seal();
+        std::thread::scope(|scope| {
+            for _ in 1..jobs {
+                scope.spawn(|| queue.run_worker(engine));
+            }
+            queue.run_worker(engine);
+        });
+        ids.into_iter()
+            .map(|id| queue.wait(id).expect("job scheduled"))
+            .collect()
     }
 
     /// Two independent family sessions interleaved by a crew of 1, 2 or
@@ -649,18 +629,19 @@ mod tests {
         let run_at = |jobs: usize| {
             pool_scope(cfg.threads, |pool| {
                 let engine = FlowEngine::new(&env, cfg.clone(), pool);
-                let sessions: Vec<(usize, DetachedSession)> = specs
+                let sessions = specs
                     .iter()
                     .enumerate()
                     .map(|(i, spec)| {
-                        let cx = engine.session(spec.clone(), mix_seed(17, i as u64));
-                        (i, cx.detach())
+                        engine
+                            .session(spec.clone(), mix_seed(17, i as u64))
+                            .detach()
                     })
                     .collect();
-                run_interleaved(&engine, jobs, sessions, specs.len(), None)
+                run_crew(&engine, jobs, sessions)
                     .into_iter()
                     .map(|run| {
-                        let (outcome, state) = run.expect("slot scheduled").expect("flow runs");
+                        let (outcome, state) = run.expect("flow runs");
                         assert!(engine.next_stage(&state).is_none());
                         outcome_json(outcome)
                     })
@@ -683,15 +664,9 @@ mod tests {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
             let bad = engine.session(TargetSpec::Family("no_such_".to_owned()), 5);
             let good = engine.session(TargetSpec::Family("crc_".to_owned()), 5);
-            let runs = run_interleaved(
-                &engine,
-                2,
-                vec![(0, bad.detach()), (1, good.detach())],
-                2,
-                None,
-            );
-            assert!(runs[0].as_ref().unwrap().is_err());
-            assert!(runs[1].as_ref().unwrap().is_ok());
+            let runs = run_crew(&engine, 2, vec![bad.detach(), good.detach()]);
+            assert!(runs[0].is_err());
+            assert!(runs[1].is_ok());
         });
     }
 
@@ -716,8 +691,9 @@ mod tests {
                     let mut spec = AdmitSpec::new(cx.detach());
                     spec.weight = w;
                     spec.class = format!("w{w}");
-                    spec.on_step = Some(Box::new(|id, _| {
-                        order.lock().unwrap().push(id);
+                    let order = &order;
+                    spec.on_step = Some(Box::new(move |_| {
+                        order.lock().unwrap().push(i as u64);
                     }));
                     queue.admit(spec).expect("open queue")
                 })
@@ -812,17 +788,19 @@ mod tests {
         let cfg = FlowConfig::quick();
         pool_scope(2, |pool| {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
+            // The victim's hook hands over to a canceller thread after
+            // its second completed stage and waits for it to cancel.
+            let handover = std::sync::Barrier::new(2);
+            let fired = std::sync::atomic::AtomicBool::new(false);
             let queue = AdmissionQueue::new(Telemetry::disabled());
-            let victim_token = CancelToken::new();
             let victim = {
                 let cx = engine.session(TargetSpec::Family("crc_".to_owned()), 7);
                 let mut spec = AdmitSpec::new(cx.detach());
-                spec.cancel = victim_token.clone();
-                let token = victim_token;
-                // Cancel after the victim's second completed stage.
-                spec.on_step = Some(Box::new(move |_, state: &SessionState| {
-                    if state.completed.len() >= 2 {
-                        token.cancel();
+                let (handover, fired) = (&handover, &fired);
+                spec.on_step = Some(Box::new(move |state: &SessionState| {
+                    if state.completed.len() >= 2 && !fired.swap(true, Ordering::SeqCst) {
+                        handover.wait();
+                        handover.wait();
                     }
                 }));
                 queue.admit(spec).expect("open queue")
@@ -832,7 +810,14 @@ mod tests {
                 queue.admit(AdmitSpec::new(cx.detach())).expect("open")
             };
             queue.seal();
-            queue.run_worker(&engine);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    handover.wait();
+                    assert!(queue.cancel(victim));
+                    handover.wait();
+                });
+                queue.run_worker(&engine);
+            });
             assert!(matches!(
                 queue.wait(victim),
                 Some(Err(FlowError::Cancelled))

@@ -277,7 +277,7 @@ pub enum CampaignEntry<'a> {
 /// A consumer of a campaign's checkpoint stream. Steps may arrive
 /// concurrently from several scheduler workers, but one group's steps
 /// arrive in stage order, each after the one before it returned.
-pub type CampaignSink<'a> = dyn Fn(CampaignEntry<'_>) + Sync + 'a;
+pub type CampaignSink<'a> = dyn Fn(CampaignEntry<'_>) + Send + Sync + 'a;
 
 /// The mutable context a [`FlowEngine`](crate::FlowEngine) threads through
 /// its stages.

@@ -119,7 +119,9 @@ impl Optimizer for NelderMead {
 
         let mut trace = Vec::new();
         let mut stop_reason = StopReason::MaxIters;
-        let budget_left = |evals: u64| opts.max_evals == 0 || evals < opts.max_evals;
+        // Past the initial simplex, no evaluation starts once the budget
+        // is spent, even in the middle of an iteration.
+        let spent = |evals: u64| opts.max_evals != 0 && evals >= opts.max_evals;
 
         for iter in 0..opts.max_iters {
             // Sort descending by value (best first: maximization).
@@ -136,7 +138,7 @@ impl Optimizer for NelderMead {
                 stop_reason = StopReason::SimplexCollapsed;
                 break;
             }
-            if !budget_left(evals) {
+            if spent(evals) {
                 stop_reason = StopReason::MaxEvals;
                 break;
             }
@@ -167,9 +169,13 @@ impl Optimizer for NelderMead {
             let mut iter_best = fr;
 
             if fr > values[0] {
-                // Try expanding.
+                // Try expanding; without budget, keep the new best.
                 let expanded = blend(&centroid, &simplex[worst], GAMMA);
-                let fe = eval(objective, &expanded, &mut evals);
+                let fe = if spent(evals) {
+                    f64::NEG_INFINITY
+                } else {
+                    eval(objective, &expanded, &mut evals)
+                };
                 iter_best = iter_best.max(fe);
                 if fe > fr {
                     simplex[worst] = expanded;
@@ -181,7 +187,7 @@ impl Optimizer for NelderMead {
             } else if fr > values[worst - 1] {
                 simplex[worst] = reflected;
                 values[worst] = fr;
-            } else {
+            } else if !spent(evals) {
                 // Contract toward the centroid.
                 let contracted = blend(&centroid, &simplex[worst], -RHO);
                 let fc = eval(objective, &contracted, &mut evals);
@@ -190,9 +196,13 @@ impl Optimizer for NelderMead {
                     simplex[worst] = contracted;
                     values[worst] = fc;
                 } else {
-                    // Shrink everything toward the best vertex.
+                    // Shrink everything toward the best vertex; a vertex
+                    // the budget cannot pay for stays where it was.
                     let best = simplex[0].clone();
                     for i in 1..simplex.len() {
+                        if spent(evals) {
+                            break;
+                        }
                         let shrunk: Vec<f64> = simplex[i]
                             .iter()
                             .zip(&best)
@@ -268,6 +278,10 @@ mod tests {
         })
         .maximize(&mut f, &Bounds::unit(3), &[0.5; 3], 0);
         assert_eq!(r.stop_reason, StopReason::MaxEvals);
+        // A flat objective shrinks every iteration (5 evaluations after
+        // the 4 of the initial simplex): the budget must cut an iteration
+        // short, not overshoot.
+        assert!(r.evals <= 30, "{} evaluations", r.evals);
     }
 
     #[test]

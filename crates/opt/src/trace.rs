@@ -69,14 +69,6 @@ pub struct OptResult {
     pub trace: Trace,
 }
 
-impl OptResult {
-    /// The per-iteration best values (the paper's Fig. 6 series).
-    #[must_use]
-    pub fn iteration_series(&self) -> Vec<f64> {
-        self.trace.iter().map(|r| r.iter_best).collect()
-    }
-}
-
 /// Convergence metrics extracted from a [`Trace`] — the "convergence rate
 /// ... in terms of iterations and number of samples" the paper's
 /// hyperparameter discussion is about.
@@ -217,32 +209,5 @@ mod tests {
         assert_eq!(m.final_best, -1.0);
         // Threshold is -1.1; first reached at iteration 1.
         assert_eq!(m.iters_to_90pct, Some(1));
-    }
-
-    #[test]
-    fn iteration_series_extracts_iter_best() {
-        let r = OptResult {
-            best_x: vec![0.0],
-            best_value: 2.0,
-            evals: 10,
-            stop_reason: StopReason::MaxIters,
-            trace: vec![
-                IterRecord {
-                    iter: 0,
-                    step: 0.25,
-                    iter_best: 1.0,
-                    running_best: 1.0,
-                    evals: 5,
-                },
-                IterRecord {
-                    iter: 1,
-                    step: 0.25,
-                    iter_best: 2.0,
-                    running_best: 2.0,
-                    evals: 10,
-                },
-            ],
-        };
-        assert_eq!(r.iteration_series(), vec![1.0, 2.0]);
     }
 }

@@ -1,7 +1,7 @@
 //! A small blocking client for the serve protocol (the `ascdg submit`
 //! and `ascdg status` commands are thin wrappers over it).
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -170,17 +170,6 @@ fn wait_for_addr_file(state_dir: &Path, file: &str, timeout: Duration) -> std::i
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-/// Convenience: writes `msg` then a newline to any writer (used by the
-/// CLI's JSON output paths).
-///
-/// # Errors
-///
-/// Write failure.
-pub fn writeln_raw(w: &mut impl Write, msg: &str) -> std::io::Result<()> {
-    w.write_all(msg.as_bytes())?;
-    w.write_all(b"\n")
 }
 
 #[cfg(test)]

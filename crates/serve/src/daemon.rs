@@ -1,33 +1,36 @@
 //! The `ascdg serve` daemon: a long-lived, multi-tenant closure service.
 //!
 //! One daemon owns one [`SimPool`] and one
-//! [`AdmissionQueue`] per built-in unit. Each incoming closure request is
-//! planned by the same [`CampaignPlan`] as a one-shot `ascdg campaign`:
-//! the request's regression-only checkpoint
-//! ([`FlowEngine::regression_checkpoint`], run on the daemon's own pool)
-//! goes through the planner, which
-//! builds the per-group sessions with index-salted seeds, all reading the
-//! request's one regression repository. The sessions are admitted to the
-//! unit's queue with the request's weight and priority class. Sessions
-//! from different tenants interleave stage by stage under deficit
-//! round-robin, all funneling their simulation batches into the shared
-//! pool.
+//! [`AdmissionQueue`] per built-in unit. Each incoming closure request
+//! runs through the same driver as a one-shot `ascdg campaign`: one
+//! engine, carrying the daemon's telemetry, runs the request's regression
+//! ([`FlowEngine::regression_checkpoint`], traced under a `regression`
+//! stage span, on the daemon's pool) and plans it with [`CampaignPlan`],
+//! which builds the per-group sessions with index-salted seeds, all
+//! reading the request's one regression repository.
+//! [`CampaignPlan::admit`] then admits the sessions to the unit's queue
+//! with the request's weight and priority class, and
+//! [`CampaignPlan::collect`] folds their runs. Sessions from different
+//! tenants interleave stage by stage under deficit round-robin, all
+//! funneling their simulation batches into the shared pool.
 //!
 //! Determinism carries over unchanged: every seed is salted before
 //! admission and the plan folds the finished runs, so a request's outcome
 //! is byte-identical to the equivalent one-shot campaign — no matter what
 //! else the daemon is running, and no matter how often it was restarted
-//! mid-request. Durability comes from the same checkpoint log the CLI
-//! writes ([`CheckpointWriter`]): the planned [`CampaignProgress`] is its
-//! header, and every completed group stage appends one line to it under
-//! the daemon's state directory; on startup, any progress file without a
-//! matching outcome file is planned again from that checkpoint (which
-//! rewrites the header, compacting the log) and runs to the same final
-//! outcome. The daemon itself only adds request files, streamed
+//! mid-request. Durability comes from the same checkpoint stream the CLI
+//! logs: the plan's stream goes to a [`CheckpointWriter`] under the
+//! daemon's state directory, its header the planned [`CampaignProgress`],
+//! then one line per completed group stage. On startup, any progress file
+//! without a matching outcome file is planned again from that checkpoint
+//! (which rewrites the header, compacting the log) and runs to the same
+//! final outcome. The daemon itself only adds request files, streamed
 //! `Progress` lines and the outcome and manifest files, written through
 //! the same writer, so every failed state-directory write is counted on
 //! `checkpoint.write_failures`. A state directory lost while the daemon
 //! runs is recreated, handshake files included, by the next submit.
+//!
+//! [`CampaignProgress`]: ascdg_core::CampaignProgress
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -38,9 +41,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use ascdg_core::{
-    pool_scope_with, AdmissionQueue, AdmitSpec, CampaignPlan, CampaignProgress, CampaignReport,
-    CancelToken, CheckpointWriter, FlowConfig, FlowEngine, FlowError, GroupRun, RunManifest,
-    SessionState, SimPool, Telemetry,
+    pool_scope_with, AdmissionQueue, CampaignEntry, CampaignPlan, CampaignReport, CampaignSink,
+    CheckpointWriter, FlowConfig, FlowEngine, FlowError, JobStatus, SimPool, Telemetry,
 };
 use ascdg_duv::ifu::IfuEnv;
 use ascdg_duv::io_unit::IoEnv;
@@ -481,7 +483,7 @@ fn handle_conn<'env>(
             Request::Status => send(
                 &out,
                 &Response::Status {
-                    requests: status_snapshot(daemon, shards),
+                    requests: status_snapshot(daemon, shards).0,
                 },
             ),
             Request::Cancel { request } => {
@@ -508,15 +510,22 @@ fn tune_conn(stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
 }
 
-fn status_snapshot(daemon: &Daemon, shards: &[Shard<'_>]) -> Vec<RequestStatus> {
+/// The line protocol's request view, and the job statuses of each shard
+/// it was built from: one `statuses()` per shard per answer, read under
+/// the registry lock, so every registered job is in them.
+fn status_snapshot(
+    daemon: &Daemon,
+    shards: &[Shard<'_>],
+) -> (Vec<RequestStatus>, Vec<Vec<JobStatus>>) {
     let registry = daemon
         .registry
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    registry
+    let statuses: Vec<Vec<JobStatus>> = shards.iter().map(|s| s.queue.statuses()).collect();
+    let requests = registry
         .iter()
         .map(|entry| {
-            let statuses = shards[entry.shard].queue.statuses();
+            let statuses = &statuses[entry.shard];
             let jobs: BTreeMap<usize, u64> = entry.jobs.iter().copied().collect();
             let groups = (0..entry.groups)
                 .map(|slot| match jobs.get(&slot) {
@@ -543,16 +552,19 @@ fn status_snapshot(daemon: &Daemon, shards: &[Shard<'_>]) -> Vec<RequestStatus> 
                 done: entry.done,
             }
         })
-        .collect()
+        .collect();
+    (requests, statuses)
 }
 
 /// Builds the `GET /status` answer: the line protocol's request view
 /// plus per-unit shard/queue state and the serve-, campaign- and
 /// pool-scoped scalar readings.
 fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
+    let (requests, statuses) = status_snapshot(daemon, shards);
     let units = shards
         .iter()
-        .map(|shard| UnitStatus {
+        .zip(statuses)
+        .map(|(shard, jobs)| UnitStatus {
             unit: shard.unit_name().to_owned(),
             active_jobs: shard.queue.active_jobs(),
             in_flight: shard.queue.in_flight_jobs(),
@@ -563,7 +575,7 @@ fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
                 .into_iter()
                 .map(|(class, depth)| ClassDepth { class, depth })
                 .collect(),
-            jobs: shard.queue.statuses(),
+            jobs,
         })
         .collect();
     let gauges = daemon
@@ -584,7 +596,7 @@ fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
         })
         .collect();
     DaemonStatus {
-        requests: status_snapshot(daemon, shards),
+        requests,
         units,
         gauges,
     }
@@ -603,22 +615,6 @@ fn cancel_request(daemon: &Daemon, shards: &[Shard<'_>], id: u64) -> bool {
         any |= shards[entry.shard].queue.cancel(job);
     }
     any
-}
-
-/// Plans a request from its checkpoint with the campaign's own planner,
-/// on an engine built from the checkpoint's config (the daemon trusts no
-/// ambient config, so a checkpoint without one is rejected).
-fn plan_request<'env>(
-    shard: &Shard<'env>,
-    pool: &SimPool<'env>,
-    progress: &CampaignProgress,
-) -> Result<CampaignPlan, FlowError> {
-    let config = progress.config.clone().ok_or_else(|| {
-        FlowError::Checkpoint(
-            "campaign checkpoint has no config; it predates resumable checkpoints".to_owned(),
-        )
-    })?;
-    CampaignPlan::new(&FlowEngine::new(shard.env, config, pool), progress)
 }
 
 fn submit_request<'env>(
@@ -662,13 +658,14 @@ fn submit_request<'env>(
     daemon.restore_state_dir(id);
     // The request file makes weight/class survive a restart.
     daemon.persist(id, daemon.request_path(id), |w| w.write_json(&spec, false));
-    // The request's regression runs on the daemon's pool, on an untraced
-    // planning engine.
-    let plan = FlowEngine::new(shard.env, config, pool)
+    // The request's regression runs on the daemon's pool, traced, on the
+    // engine that then plans it.
+    let engine = FlowEngine::new(shard.env, config, pool).with_telemetry(daemon.telemetry.clone());
+    let plan = engine
         .regression_checkpoint(spec.seed)
-        .and_then(|start| plan_request(shard, pool, &start));
+        .and_then(|start| CampaignPlan::new(&engine, &start));
     match plan {
-        Ok(plan) => run_plan(daemon, shards, shard_idx, id, &spec, plan, out),
+        Ok(plan) => run_plan(daemon, shard, shard_idx, id, &spec, plan, out),
         Err(e) => send(
             out,
             &Response::Failed {
@@ -700,6 +697,7 @@ fn recover_request<'env>(
         );
         return;
     };
+    let shard = &shards[shard_idx];
     // Weight and class ride in the request file; a missing one falls
     // back to the defaults (the outcome does not depend on them).
     let spec: SubmitSpec = std::fs::read_to_string(daemon.request_path(id))
@@ -717,143 +715,123 @@ fn recover_request<'env>(
         "serve: req{id}: recovering {} from checkpoint",
         progress.unit
     );
-    match plan_request(&shards[shard_idx], pool, &progress) {
-        Ok(plan) => run_plan(daemon, shards, shard_idx, id, &spec, plan, out),
+    // The daemon trusts no ambient config: the plan's engine runs the
+    // checkpoint's, and a checkpoint without one is rejected.
+    let plan = progress
+        .config
+        .clone()
+        .ok_or_else(|| {
+            FlowError::Checkpoint(
+                "campaign checkpoint has no config; it predates resumable checkpoints".to_owned(),
+            )
+        })
+        .and_then(|config| {
+            let engine =
+                FlowEngine::new(shard.env, config, pool).with_telemetry(daemon.telemetry.clone());
+            CampaignPlan::new(&engine, &progress)
+        });
+    match plan {
+        Ok(plan) => run_plan(daemon, shard, shard_idx, id, &spec, plan, out),
         Err(e) => eprintln!("serve: req{id}: recovery failed: {e}"),
     }
 }
 
-/// Admits a planned request's sessions, waits for them, folds and
-/// persists the outcome. The deterministic core of serve mode.
+/// The answer to a request the daemon stopped before it finished.
+fn interrupted(request: u64) -> Response {
+    Response::Failed {
+        request,
+        error: "daemon is shutting down; request checkpointed for recovery".to_owned(),
+    }
+}
+
+/// Runs a planned request through [`CampaignPlan`]'s driver on its
+/// unit's queue: admits it with the request's weight and class, its
+/// checkpoint stream going to the request's log and `Progress` lines;
+/// registers its jobs and answers `Admitted`; then collects, persists and
+/// answers the outcome.
 fn run_plan(
     daemon: &Daemon,
-    shards: &[Shard<'_>],
+    shard: &Shard<'_>,
     shard_idx: usize,
     id: u64,
     spec: &SubmitSpec,
     mut plan: CampaignPlan,
     out: &Outbox,
 ) {
-    let shard = &shards[shard_idx];
     let class = if spec.class.is_empty() {
-        "default".to_owned()
+        "default"
     } else {
-        spec.class.clone()
+        spec.class.as_str()
     };
-    let n = plan.group_count();
-    let sessions = plan.take_sessions();
-    let ckpt = Arc::new(CheckpointWriter::new(
-        daemon.progress_path(id),
-        daemon.telemetry.clone(),
-    ));
-    // Start the log before the first stage so even an immediate crash
-    // leaves a recoverable request behind.
-    if let Err(e) = ckpt.write_campaign(plan.checkpoint()) {
-        eprintln!("serve: req{id}: {e}");
-    }
-
-    let mut jobs: Vec<(usize, u64)> = Vec::new();
-    for (slot, session) in sessions {
-        let group = plan.checkpoint().groups[slot].name.clone();
-        let ckpt = Arc::clone(&ckpt);
-        let stream = Arc::clone(out);
-        let admitted = shard.queue.admit(AdmitSpec {
-            session,
-            weight: spec.weight,
-            class: class.clone(),
-            cancel: CancelToken::new(),
-            on_step: Some(Box::new(move |_, state: &SessionState| {
-                if let Err(e) = ckpt.append_step(slot, state) {
-                    eprintln!("serve: req{id}: {e}");
-                }
-                send(
-                    &stream,
-                    &Response::Progress {
-                        request: id,
-                        group: group.clone(),
-                        completed_stages: state.completed.len(),
-                        sims: state.stage_sims.iter().map(|s| s.sims).sum(),
-                    },
-                );
-            })),
-        });
-        match admitted {
-            Some(job) => jobs.push((slot, job)),
-            None => {
-                send(
-                    out,
-                    &Response::Failed {
-                        request: id,
-                        error: "daemon is shutting down; request checkpointed for recovery"
-                            .to_owned(),
-                    },
-                );
-                return;
-            }
+    let log = CheckpointWriter::new(daemon.progress_path(id), daemon.telemetry.clone());
+    let names: Vec<String> = plan
+        .checkpoint()
+        .groups
+        .iter()
+        .map(|g| g.name.clone())
+        .collect();
+    let stream = Arc::clone(out);
+    let sink: Arc<CampaignSink<'static>> = Arc::new(move |entry: CampaignEntry<'_>| {
+        if let Err(e) = log.record(entry) {
+            eprintln!("serve: req{id}: {e}");
         }
-    }
-    {
-        let mut registry = daemon
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        registry.push(RequestEntry {
+        if let CampaignEntry::Step { group, state } = entry {
+            send(
+                &stream,
+                &Response::Progress {
+                    request: id,
+                    group: names[group].clone(),
+                    completed_stages: state.completed.len(),
+                    sims: state.stage_sims.iter().map(|s| s.sims).sum(),
+                },
+            );
+        }
+    });
+    let admitted = CampaignPlan::admit(&mut plan, &shard.queue, spec.weight, class, Some(sink));
+    let Some(jobs) = admitted.map(<[_]>::to_vec) else {
+        send(out, &interrupted(id));
+        return;
+    };
+    let groups = jobs.len();
+    daemon
+        .registry
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(RequestEntry {
             id,
             unit: shard.unit_name().to_owned(),
-            class,
+            class: class.to_owned(),
             weight: spec.weight.max(1),
             shard: shard_idx,
-            jobs: jobs.clone(),
-            groups: n,
+            jobs,
+            groups: plan.group_count(),
             done: false,
         });
-    }
     send(
         out,
         &Response::Admitted {
             request: id,
-            groups: jobs.len(),
+            groups,
         },
     );
-
-    let mut runs: Vec<Option<GroupRun>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut interrupted = false;
-    for (slot, job) in jobs {
-        match shard.queue.wait(job) {
-            Some(run) => runs[slot] = Some(run),
-            None => interrupted = true,
-        }
+    match plan.collect(&shard.queue) {
+        Some(report) => finish_request(daemon, id, &report, out),
+        None => send(out, &interrupted(id)),
     }
-    if interrupted {
-        send(
-            out,
-            &Response::Failed {
-                request: id,
-                error: "daemon is shutting down; request checkpointed for recovery".to_owned(),
-            },
-        );
-        return;
-    }
-    finish_request(daemon, id, &plan.fold(runs), out);
 }
 
 /// Persists a retired request: validated per-group run manifests, the
 /// outcome file (which marks the request non-recoverable), and the
 /// terminal `Done` line.
 fn finish_request(daemon: &Daemon, id: u64, report: &CampaignReport, out: &Outbox) {
-    for (slot, state) in report.sessions.iter().enumerate() {
-        let Some(state) = state else { continue };
-        let manifest = RunManifest::from_state(state, &daemon.telemetry);
-        if let Err(e) = manifest.validate() {
-            send(
-                out,
-                &Response::Failed {
-                    request: id,
-                    error: format!("group {slot} manifest failed validation: {e}"),
-                },
-            );
+    let manifests = match report.manifests(&daemon.telemetry) {
+        Ok(manifests) => manifests,
+        Err(error) => {
+            send(out, &Response::Failed { request: id, error });
             return;
         }
+    };
+    for (slot, manifest) in manifests {
         daemon.persist(id, daemon.manifest_path(id, slot), |w| {
             w.write_json(&manifest, true)
         });

@@ -99,7 +99,7 @@ pub struct RatesReport {
     /// name, histograms as `<name>.count` (serve's sims/s per tenant
     /// class are `serve.tenant_sims.<class>`, evaluations/s is
     /// `objective.evals`; `batch.sims_recorded` and `batch.repo_merges`
-    /// move only on traced regressions, and the daemon's run untraced).
+    /// move while a request's regression runs).
     pub rates: Vec<RateSample>,
 }
 

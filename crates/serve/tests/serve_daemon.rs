@@ -2,6 +2,7 @@
 //! to one-shot campaigns, including after restart recovery, and the
 //! protocol's status/cancel paths must behave.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -13,6 +14,7 @@ use ascdg_core::{
 use ascdg_coverage::EventId;
 use ascdg_duv::io_unit::IoEnv;
 use ascdg_serve::{serve, wait_for_addr, Client, Response, ServeOptions, SubmitSpec};
+use ascdg_telemetry::{check_span_accounting, TraceRecord};
 
 fn test_threads() -> usize {
     std::env::var("ASCDG_TEST_THREADS")
@@ -114,8 +116,9 @@ fn daemon_outcome_is_byte_identical_to_one_shot_campaign() {
 
 /// Two concurrent tenants: both outcomes match their one-shots, and the
 /// per-stage chunk series count exactly the simulations the group
-/// manifests account (the regression runs on the untraced planning
-/// engine, so it has no series to compare).
+/// manifests account. Each request's regression runs once, traced, on
+/// the engine that plans it: its series and its one `regression` stage
+/// span count it once, though every group's manifest repeats it.
 #[test]
 fn two_tenants_with_different_weights_both_match_their_one_shots() {
     let dir = tmp_dir("tenants");
@@ -156,6 +159,8 @@ fn two_tenants_with_different_weights_both_match_their_one_shots() {
     handle.join().expect("daemon exits");
 
     let mut ledger: Vec<(String, u64)> = Vec::new();
+    // Each request's regression sims, keyed by its `req<id>` prefix.
+    let mut regressions: BTreeMap<String, u64> = BTreeMap::new();
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
         if !name.ends_with(".manifest.json") {
@@ -164,6 +169,11 @@ fn two_tenants_with_different_weights_both_match_their_one_shots() {
         let text = std::fs::read_to_string(entry.path()).unwrap();
         let manifest = RunManifest::from_json(&text).expect("manifest parses");
         for entry in manifest.stage_sims {
+            if entry.stage == STAGE_REGRESSION {
+                let request = name.split('.').next().unwrap().to_owned();
+                regressions.insert(request, entry.sims);
+                continue;
+            }
             match ledger.iter_mut().find(|(stage, _)| *stage == entry.stage) {
                 Some((_, sims)) => *sims += entry.sims,
                 None => ledger.push((entry.stage, entry.sims)),
@@ -171,8 +181,26 @@ fn two_tenants_with_different_weights_both_match_their_one_shots() {
         }
     }
     assert!(ledger.len() > 1, "the requests left group manifests");
+    assert_eq!(regressions.len(), 2, "both requests left manifests");
+    ledger.push((
+        STAGE_REGRESSION.to_owned(),
+        regressions.values().sum::<u64>(),
+    ));
+    let trace = telemetry.export_trace("io_unit", 0);
+    let mut traced: Vec<u64> = trace
+        .iter()
+        .filter_map(|r| match r {
+            TraceRecord::Span(s) if s.kind == "stage" && s.name == STAGE_REGRESSION => Some(s.sims),
+            _ => None,
+        })
+        .collect();
+    traced.sort_unstable();
+    let mut want: Vec<u64> = regressions.into_values().collect();
+    want.sort_unstable();
+    assert_eq!(traced, want, "one regression stage span per request");
+    check_span_accounting(&trace).expect("span accounting");
     let metrics = telemetry.metrics().expect("telemetry is on");
-    for (stage, sims) in ledger.iter().filter(|(s, _)| s != STAGE_REGRESSION) {
+    for (stage, sims) in &ledger {
         let series = metrics
             .histogram(&format!("stage.{stage}.chunk_sims"))
             .snapshot()

@@ -78,21 +78,6 @@ impl SeedStream {
         self.base
     }
 
-    /// The hashed template name shared by every seed of the stream.
-    #[must_use]
-    pub fn template_hash(&self) -> u64 {
-        self.name_hash
-    }
-
-    /// The same stream re-based (same template hash, different base seed).
-    #[must_use]
-    pub fn rebased(&self, base: u64) -> Self {
-        SeedStream {
-            base,
-            name_hash: self.name_hash,
-        }
-    }
-
     /// The generator seed of simulation `sim_idx`.
     #[must_use]
     pub fn sampler_seed(&self, sim_idx: u64) -> u64 {
@@ -173,7 +158,7 @@ mod tests {
         for name in names {
             for base in [0u64, 1, 42, u64::MAX] {
                 let stream = SeedStream::new(base, name);
-                assert_eq!(stream.template_hash(), name_hash(name));
+                assert_eq!(stream, SeedStream::with_hash(base, name_hash(name)));
                 for i in [0u64, 1, 2, 63, 64, 1000, u64::MAX] {
                     assert_eq!(
                         stream.sampler_seed(i),
@@ -201,7 +186,6 @@ mod tests {
             SeedStream::with_hash(7, name_hash("x")),
             SeedStream::new(7, "x")
         );
-        assert_eq!(SeedStream::new(1, "t").rebased(2), SeedStream::new(2, "t"));
         assert_eq!(SeedStream::new(9, "t").base(), 9);
     }
 }

@@ -107,10 +107,10 @@ pub struct RateSample {
 /// first differences are meaningful rates — serve's sims/s per tenant
 /// class (`serve.tenant_sims.*`), objective evaluations/s
 /// (`objective.evals`), and recorded sims/s and merges/s
-/// (`batch.sims_recorded`, `batch.repo_merges`), which move only on
-/// traced regressions. Gauges are skipped (their current value
-/// *is* the observation). The first feed seeds the baseline and
-/// returns no samples.
+/// (`batch.sims_recorded`, `batch.repo_merges`), which move while a
+/// traced regression runs (every served request's is traced). Gauges
+/// are skipped (their current value *is* the observation). The first
+/// feed seeds the baseline and returns no samples.
 #[derive(Debug, Default)]
 pub struct DeltaTracker {
     prev_at_ms: Option<u64>,
@@ -256,19 +256,6 @@ impl SnapshotRing {
     pub fn samples(&self) -> Vec<RingSample> {
         self.inner.lock().samples.iter().cloned().collect()
     }
-
-    /// Retained samples with `seq > after`, oldest first — the
-    /// incremental-consumer path (poll with the last seq you saw).
-    #[must_use]
-    pub fn samples_since(&self, after: u64) -> Vec<RingSample> {
-        self.inner
-            .lock()
-            .samples
-            .iter()
-            .filter(|s| s.seq > after)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -378,13 +365,5 @@ mod tests {
             vec![2, 3, 4]
         );
         assert_eq!(ring.latest().unwrap().seq, 4);
-        assert_eq!(
-            ring.samples_since(2)
-                .iter()
-                .map(|s| s.seq)
-                .collect::<Vec<_>>(),
-            vec![3, 4]
-        );
-        assert!(ring.samples_since(4).is_empty());
     }
 }

@@ -8,7 +8,8 @@
 #
 # Also probes the daemon's HTTP introspection plane: /healthz and
 # /metrics must answer on the live daemon, the exposition must carry the
-# stable ascdg_* counter names with both tenants' sims counted, and
+# stable ascdg_* counter names with both tenants' sims and both
+# requests' regressions counted, and
 # `ascdg top --once` must render a frame from /status + /rates.
 #
 # Usage: scripts/serve_smoke.sh [path-to-ascdg-binary]
@@ -82,6 +83,12 @@ for class in batch interactive; do
   grep -Eq "^ascdg_serve_tenant_sims_${class} [1-9][0-9]*$" "$WORK/metrics.txt" \
     || { echo "/metrics has no positive ${class} tenant sims"; cat "$WORK/metrics.txt"; exit 1; }
 done
+# Each request's regression is traced on the engine that plans it:
+# io's 17 stock templates merged once per request, and 1020 + 510 sims.
+grep -q '^ascdg_batch_sims_recorded 1530$' "$WORK/metrics.txt" \
+  || { echo "/metrics does not count both regressions' sims"; cat "$WORK/metrics.txt"; exit 1; }
+grep -q '^ascdg_batch_repo_merges 34$' "$WORK/metrics.txt" \
+  || { echo "/metrics does not count both regressions' merges"; cat "$WORK/metrics.txt"; exit 1; }
 # The resolve-cache counters were removed with the cache.
 if grep -q '^ascdg_batch_resolve_' "$WORK/metrics.txt"; then
   echo "/metrics still exports the removed resolve-cache counters"; exit 1

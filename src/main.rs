@@ -587,12 +587,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     if let Some(base) = &metrics_out {
         // One manifest per finished group (the campaign has no single
         // session of its own), plus the shared trace.
-        for (i, state) in report.sessions.iter().enumerate() {
-            let Some(state) = state else { continue };
-            let manifest = RunManifest::from_state(state, &telemetry);
-            manifest
-                .validate()
-                .map_err(|e| format!("group {i} manifest failed validation: {e}"))?;
+        for (i, manifest) in report.manifests(&telemetry)? {
             let mpath = format!("{base}.group{i}.manifest.json");
             CheckpointWriter::new(&mpath, telemetry.clone()).write_json(&manifest, true)?;
             eprintln!("wrote {mpath}");

@@ -183,8 +183,15 @@ fn misfit_step_fails_only_its_own_group() {
     };
     let path = std::env::temp_dir().join(format!("ascdg-misfit-step-{}.log", std::process::id()));
     let writer = CheckpointWriter::new(&path, Telemetry::disabled());
-    writer.write_campaign(&header).expect("the header writes");
-    writer.append_step(bad, &state).expect("the step appends");
+    writer
+        .record(CampaignEntry::Plan(&header))
+        .expect("the header writes");
+    writer
+        .record(CampaignEntry::Step {
+            group: bad,
+            state: &state,
+        })
+        .expect("the step appends");
     let progress = read_campaign_checkpoint(&path).expect("the log reads");
     let _ = std::fs::remove_file(&path);
     let report = CdgFlow::new(IoEnv::new(), quick_config())

@@ -212,19 +212,32 @@ fn concurrent_campaign_groups_keep_their_own_spans_and_series() {
     assert_stage_spans_hold_their_chunks(&spans);
     check_span_accounting(&trace).expect("span accounting");
 
-    // The campaign's shared regression runs untraced, so its series is
-    // not the groups' to account for.
+    // The campaign's shared regression runs once, traced under one
+    // `regression` stage span; every group's ledger repeats its sims, so
+    // its series counts the header snapshot's sims once.
+    let regression = states[0]
+        .repo
+        .as_ref()
+        .expect("a reported group carries the regression snapshot")
+        .global_sims;
+    let regression_spans: Vec<_> = spans
+        .iter()
+        .filter(|s| s.kind == "stage" && s.name == STAGE_REGRESSION)
+        .collect();
+    assert_eq!(regression_spans.len(), 1, "one regression stage span");
+    assert_eq!(regression_spans[0].sims, regression);
     let metrics = telemetry.metrics().expect("telemetry is on");
     for stage in &states[0].completed {
-        if stage == STAGE_REGRESSION {
-            continue;
-        }
-        let ledger: u64 = states
-            .iter()
-            .flat_map(|s| &s.stage_sims)
-            .filter(|e| e.stage == *stage)
-            .map(|e| e.sims)
-            .sum();
+        let ledger: u64 = if stage == STAGE_REGRESSION {
+            regression
+        } else {
+            states
+                .iter()
+                .flat_map(|s| &s.stage_sims)
+                .filter(|e| e.stage == *stage)
+                .map(|e| e.sims)
+                .sum()
+        };
         let series = metrics
             .histogram(&format!("stage.{stage}.chunk_sims"))
             .snapshot()
