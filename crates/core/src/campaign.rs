@@ -823,7 +823,7 @@ mod tests {
             });
             let report = drive(engine, &queue, &mut plan, (3, "gold"), Some(sink));
             let names: Vec<String> = engine.stage_names().iter().map(|&s| s.to_owned()).collect();
-            (report, queue.statuses(), names)
+            (report, queue.snapshot().jobs, names)
         });
         assert_eq!(
             serde_json::to_string(&report.outcome).unwrap(),

@@ -336,8 +336,8 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     }
 
     /// Runs exactly one pending stage — the schedulable unit the campaign
-    /// scheduler interleaves across sessions — with the same event,
-    /// telemetry and checkpoint bookkeeping as [`FlowEngine::run`].
+    /// scheduler interleaves across sessions — with the same event and
+    /// telemetry bookkeeping as [`FlowEngine::run`].
     /// Returns the name of the stage that ran, or `None` when every stage
     /// had already completed. Stepping a session to exhaustion and calling
     /// [`FlowEngine::finish`] is byte-identical to one [`FlowEngine::run`].
@@ -353,12 +353,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         else {
             return Ok(None);
         };
-        // Cooperative cancellation: a completed session still finishes
-        // (the check sits after the no-stage-left return), but no new
-        // stage starts once the session's token has flipped.
-        if cx.cancel_requested() {
-            return Err(FlowError::Cancelled);
-        }
         let name = stage.name();
         cx.emit(FlowEvent::StageStarted {
             stage: name.to_owned(),
@@ -378,7 +372,6 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
             stage: name.to_owned(),
             sims: output.sims,
         });
-        cx.take_checkpoint(name);
         Ok(Some(name))
     }
 
@@ -457,7 +450,6 @@ impl<E: VerifEnv> std::fmt::Debug for FlowEngine<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventLog;
     use crate::pool::pool_scope;
     use crate::stages::{Optimize, STAGE_HARVEST};
     use ascdg_duv::io_unit::IoEnv;
@@ -503,14 +495,18 @@ mod tests {
     #[test]
     fn engine_emits_structured_events_and_checkpoints() {
         let env = IoEnv::new();
-        let mut log = EventLog::new();
+        let mut log: Vec<FlowEvent> = Vec::new();
         let mut snaps = Vec::new();
         let cfg = config();
         pool_scope(cfg.threads, |pool| {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
             let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 3);
-            cx.on_checkpoint(|snap| snaps.push(snap.clone()));
-            cx.subscribe(&mut log);
+            cx.subscribe(|event, _| log.push(event.clone()));
+            cx.subscribe(|event, state| {
+                if matches!(event, FlowEvent::StageCompleted { .. }) {
+                    snaps.push(state.clone());
+                }
+            });
             let out = engine.run(&mut cx).expect("flow runs");
             assert_eq!(out.phases.len(), 4);
         });
@@ -519,8 +515,15 @@ mod tests {
         for (i, snap) in snaps.iter().enumerate() {
             assert_eq!(snap.completed.len(), i + 1);
         }
+        let completed: Vec<&str> = log
+            .iter()
+            .filter_map(|e| match e {
+                FlowEvent::StageCompleted { stage, .. } => Some(stage.as_str()),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            log.completed_stages(),
+            completed,
             vec![
                 "regression",
                 "coarse-search",
@@ -531,16 +534,16 @@ mod tests {
                 "harvest"
             ]
         );
-        assert!(log.skipped_stages().is_empty());
-        let checkpoints = log
-            .events()
+        assert!(!log
             .iter()
-            .filter(|e| matches!(e, FlowEvent::Checkpoint { .. }))
-            .count();
-        assert_eq!(checkpoints, 7);
+            .any(|e| matches!(e, FlowEvent::StageSkipped { .. })));
+        // The 7 `StageCompleted` events each carried the post-stage state.
+        assert_eq!(completed.len(), 7);
+        for (snap, stage) in snaps.iter().zip(&completed) {
+            assert_eq!(snap.completed.last().map(String::as_str), Some(*stage));
+        }
         // The optimizer trace surfaced as best-objective events.
         assert!(log
-            .events()
             .iter()
             .any(|e| matches!(e, FlowEvent::BestObjective { phase, .. }
                 if phase == crate::PHASE_OPTIMIZATION)));
@@ -554,7 +557,11 @@ mod tests {
         let baseline = pool_scope(cfg.threads, |pool| {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
             let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 11);
-            cx.on_checkpoint(|snap| snapshots.push(snap.clone()));
+            cx.subscribe(|event, state| {
+                if matches!(event, FlowEvent::StageCompleted { .. }) {
+                    snapshots.push(state.clone());
+                }
+            });
             engine.run(&mut cx).expect("flow runs")
         });
         let golden = serde_json::to_string(&strip_timings(baseline)).unwrap();

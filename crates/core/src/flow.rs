@@ -530,7 +530,7 @@ impl<E: VerifEnv> CdgFlow<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlowEvent, FlowSubscriber};
+    use crate::FlowEvent;
     use ascdg_duv::io_unit::IoEnv;
     use ascdg_duv::l3cache::L3Env;
 
@@ -622,50 +622,40 @@ mod tests {
     }
     #[test]
     fn subscriber_sees_all_milestones() {
-        #[derive(Default)]
-        struct Recorder {
-            choices: Vec<String>,
-            started: Vec<String>,
-            finished: Vec<String>,
-        }
-        impl FlowSubscriber for Recorder {
-            fn on_event(&mut self, event: &FlowEvent) {
-                match event {
-                    FlowEvent::CoarseChoice { template, .. } => {
-                        self.choices.push(template.clone());
-                    }
-                    FlowEvent::PhaseStarted {
-                        phase,
-                        planned_sims,
-                    } => {
-                        assert!(*planned_sims > 0);
-                        self.started.push(phase.clone());
-                    }
-                    FlowEvent::PhaseFinished { stats } => self.finished.push(stats.name.clone()),
-                    _ => {}
-                }
-            }
-        }
-
         let flow = CdgFlow::new(IoEnv::new(), FlowConfig::quick());
         let repo = flow.run_regression(1).unwrap();
         let targets = repo.uncovered_events();
         let approx = ApproxTarget::auto(flow.env().coverage_model(), &targets, 0.5).unwrap();
-        let mut rec = Recorder::default();
+        let mut events: Vec<FlowEvent> = Vec::new();
         let mut out = pool_scope(flow.config().threads, |pool| {
             let engine = FlowEngine::new(flow.env(), flow.config().clone(), pool);
             let mut cx = engine.session_with_repo(&repo, approx.clone(), 2)?;
-            cx.subscribe(&mut rec);
+            cx.subscribe(|event, _| events.push(event.clone()));
             engine.run(&mut cx)
         })
         .unwrap();
-        assert_eq!(rec.choices, vec![out.chosen_template.clone()]);
+        let (mut choices, mut started, mut finished) = (Vec::new(), Vec::new(), Vec::new());
+        for event in &events {
+            match event {
+                FlowEvent::CoarseChoice { template, .. } => choices.push(template.clone()),
+                FlowEvent::PhaseStarted {
+                    phase,
+                    planned_sims,
+                } => {
+                    assert!(*planned_sims > 0);
+                    started.push(phase.clone());
+                }
+                FlowEvent::PhaseFinished { stats } => finished.push(stats.name.clone()),
+                _ => {}
+            }
+        }
+        assert_eq!(choices, vec![out.chosen_template.clone()]);
         assert_eq!(
-            rec.started,
+            started,
             vec![PHASE_SAMPLING, PHASE_OPTIMIZATION, PHASE_BEST]
         );
         assert_eq!(
-            rec.finished,
+            finished,
             vec![PHASE_SAMPLING, PHASE_OPTIMIZATION, PHASE_BEST]
         );
         // `run_phases` is that same session without a subscriber.

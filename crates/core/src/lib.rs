@@ -66,7 +66,7 @@ pub use campaign::{group_uncovered, CampaignGroup, CampaignOutcome, CampaignPlan
 pub use checkpoint::{read_campaign_checkpoint, read_session_checkpoint, CheckpointWriter};
 pub use engine::FlowEngine;
 pub use error::FlowError;
-pub use events::{EventBus, EventLog, FlowEvent, FlowSubscriber};
+pub use events::FlowEvent;
 pub use flow::{
     CdgFlow, FlowConfig, FlowOutcome, PhaseStats, PhaseTiming, PHASE_BEFORE, PHASE_BEST,
     PHASE_OPTIMIZATION, PHASE_REFINEMENT, PHASE_SAMPLING,
@@ -80,10 +80,10 @@ pub use report::{
     render_cross_breakdown, render_family_table, render_status_chart, render_timings,
     render_trace_chart,
 };
-pub use scheduler::{AdmissionQueue, JobStatus, SessionLifecycle};
+pub use scheduler::{AdmissionQueue, JobStatus, QueueSnapshot, SessionLifecycle};
 pub use session::{
-    CampaignEntry, CampaignProgress, CampaignSink, CancelToken, DetachedSession, GroupProgress,
-    SessionCx, SessionState, StageSims, TargetSpec,
+    CampaignEntry, CampaignProgress, CampaignSink, DetachedSession, GroupProgress, SessionCx,
+    SessionState, StageSims, TargetSpec,
 };
 pub use skeletonizer::{Skeletonizer, SubrangeSpan};
 pub use stages::{

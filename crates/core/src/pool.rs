@@ -444,7 +444,7 @@ pub fn pool_scope_with<'env, R>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::time::Duration;
 
@@ -625,7 +625,7 @@ mod tests {
 
     /// Runs `f` on a fresh thread and fails the test if it has not
     /// returned within a minute, instead of hanging the suite.
-    fn under_watchdog(f: impl FnOnce() + Send + 'static) {
+    pub(crate) fn under_watchdog(f: impl FnOnce() + Send + 'static) {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));

@@ -35,7 +35,7 @@ use ascdg_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::FlowEngine;
-use crate::session::{CancelToken, DetachedSession, SessionState};
+use crate::session::{DetachedSession, SessionState};
 use crate::{FlowError, FlowOutcome};
 
 /// One scheduled session's result: the assembled outcome plus its final
@@ -54,7 +54,7 @@ pub enum SessionLifecycle {
     /// A worker is currently stepping one of its stages.
     Running,
     /// Cancellation was requested while the job was queued or running; it
-    /// retires at its next dispatch.
+    /// retires at its next dispatch, the next stage boundary.
     Draining,
     /// All stages ran and the outcome was assembled.
     Complete,
@@ -124,6 +124,25 @@ pub struct JobStatus {
     pub sims: u64,
 }
 
+/// A point-in-time view of a whole queue, read under one lock, so its
+/// readings agree with each other (the daemon's `/status` source).
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueueSnapshot {
+    /// Every admitted job, in admission order.
+    pub jobs: Vec<JobStatus>,
+    /// Jobs admitted and not yet retired (queued, running or draining).
+    pub active: usize,
+    /// Jobs a worker is stepping.
+    pub in_flight: usize,
+    /// Jobs waiting on the ready queue (not counting the ones a worker is
+    /// stepping): the `campaign.ready_queue_depth` gauge's reading.
+    pub ready_depth: usize,
+    /// `ready_depth` split per priority class, sorted by class name.
+    /// Every class that ever admitted a job is present: a drained class
+    /// reports 0, like its `campaign.ready_queue_depth.<class>` gauge.
+    pub ready_by_class: Vec<(String, usize)>,
+}
+
 struct Job<'cb> {
     class: String,
     weight: u32,
@@ -132,7 +151,6 @@ struct Job<'cb> {
     lifecycle: SessionLifecycle,
     completed_stages: usize,
     sims: u64,
-    cancel: CancelToken,
     on_step: Option<StepFn<'cb>>,
     result: Option<Box<GroupRun>>,
 }
@@ -188,7 +206,7 @@ fn lock<'q, 'cb>(inner: &'q Mutex<QueueInner<'cb>>) -> MutexGuard<'q, QueueInner
 
 impl<'cb> AdmissionQueue<'cb> {
     /// An empty, open queue. Telemetry is observational only — gauges
-    /// (`campaign.ready_queue_depth`, `serve.queue_depth.<class>`,
+    /// (`campaign.ready_queue_depth`, `campaign.ready_queue_depth.<class>`,
     /// `campaign.in_flight_groups`) and per-class sim counters.
     #[must_use]
     pub fn new(telemetry: Telemetry) -> Self {
@@ -208,9 +226,8 @@ impl<'cb> AdmissionQueue<'cb> {
         }
     }
 
-    /// Admits a session with a fresh cancel token; returns its job id,
-    /// or `None` when the queue no longer accepts work (sealed or
-    /// closed). Campaigns admit through
+    /// Admits a session; returns its job id, or `None` when the queue no
+    /// longer accepts work (sealed or closed). Campaigns admit through
     /// [`CampaignPlan::admit`](crate::CampaignPlan::admit).
     pub(crate) fn admit(&self, spec: AdmitSpec<'cb>) -> Option<u64> {
         let mut inner = lock(&self.inner);
@@ -228,7 +245,6 @@ impl<'cb> AdmissionQueue<'cb> {
             lifecycle: SessionLifecycle::Queued,
             completed_stages: spec.session.state.completed.len(),
             sims: spec.session.state.stage_sims.iter().map(|s| s.sims).sum(),
-            cancel: CancelToken::new(),
             on_step: spec.on_step,
             result: None,
         });
@@ -240,10 +256,11 @@ impl<'cb> AdmissionQueue<'cb> {
         Some(id)
     }
 
-    /// Requests cancellation of a job. The job retires with
-    /// [`FlowError::Cancelled`] at its next dispatch (or, mid-stage, at
-    /// the stage boundary). Returns `false` for unknown or already
-    /// retired jobs.
+    /// Requests cancellation of a job: it turns
+    /// [`Draining`](SessionLifecycle::Draining) and retires with
+    /// [`FlowError::Cancelled`] at its next dispatch. A stage already
+    /// running finishes first, so the job stops at a stage boundary.
+    /// Returns `false` for unknown or already retired jobs.
     pub fn cancel(&self, id: u64) -> bool {
         let mut inner = lock(&self.inner);
         let Some(job) = inner.jobs.get_mut(id as usize) else {
@@ -252,7 +269,6 @@ impl<'cb> AdmissionQueue<'cb> {
         if job.lifecycle.is_terminal() {
             return false;
         }
-        job.cancel.cancel();
         job.lifecycle = SessionLifecycle::Draining;
         drop(inner);
         self.work_ready.notify_all();
@@ -302,11 +318,12 @@ impl<'cb> AdmissionQueue<'cb> {
         }
     }
 
-    /// Point-in-time view of every admitted job, in admission order.
+    /// The whole queue at one instant: every job's status and the queue's
+    /// depth readings, all taken under one lock.
     #[must_use]
-    pub fn statuses(&self) -> Vec<JobStatus> {
+    pub fn snapshot(&self) -> QueueSnapshot {
         let inner = lock(&self.inner);
-        inner
+        let jobs = inner
             .jobs
             .iter()
             .enumerate()
@@ -318,43 +335,19 @@ impl<'cb> AdmissionQueue<'cb> {
                 completed_stages: job.completed_stages,
                 sims: job.sims,
             })
-            .collect()
-    }
-
-    /// Jobs admitted and not yet retired (the `serve.active_sessions`
-    /// gauge source).
-    #[must_use]
-    pub fn active_jobs(&self) -> usize {
-        lock(&self.inner).active
-    }
-
-    /// Jobs waiting on the ready queue right now (not counting the ones
-    /// a worker is stepping). Read-only: same number the
-    /// `campaign.ready_queue_depth` gauge reports, exposed for pull-style
-    /// introspection (the daemon's `/status` endpoint).
-    #[must_use]
-    pub fn ready_depth(&self) -> usize {
-        lock(&self.inner).ready.len()
-    }
-
-    /// The ready-queue depth split per priority class, sorted by class
-    /// name. Every class that ever admitted a job is present — a drained
-    /// class reports 0, mirroring the per-class depth gauges.
-    #[must_use]
-    pub fn ready_depths_by_class(&self) -> Vec<(String, usize)> {
-        let inner = lock(&self.inner);
-        let mut depths: Vec<(String, usize)> = depths_by_class(&inner)
+            .collect();
+        let mut ready_by_class: Vec<(String, usize)> = depths_by_class(&inner)
             .into_iter()
             .map(|(class, depth)| (class.to_owned(), depth))
             .collect();
-        depths.sort();
-        depths
-    }
-
-    /// Jobs a worker is stepping at this instant.
-    #[must_use]
-    pub fn in_flight_jobs(&self) -> usize {
-        lock(&self.inner).in_flight
+        ready_by_class.sort();
+        QueueSnapshot {
+            jobs,
+            active: inner.active,
+            in_flight: inner.in_flight,
+            ready_depth: inner.ready.len(),
+            ready_by_class,
+        }
     }
 
     /// Re-emits the ready-queue depth gauges: the total
@@ -378,7 +371,7 @@ impl<'cb> AdmissionQueue<'cb> {
     /// run concurrently, on any thread that can borrow the engine.
     pub fn run_worker<E: VerifEnv>(&self, engine: &FlowEngine<'_, E>) {
         loop {
-            let (id, session, cancel, on_step) = {
+            let (id, session, on_step) = {
                 let mut inner = lock(&self.inner);
                 loop {
                     if inner.closed {
@@ -386,7 +379,7 @@ impl<'cb> AdmissionQueue<'cb> {
                     }
                     if let Some((id, session)) = inner.ready.pop_front() {
                         let job = &mut inner.jobs[id as usize];
-                        if job.cancel.is_cancelled() {
+                        if job.lifecycle == SessionLifecycle::Draining {
                             Self::retire(
                                 &mut inner,
                                 id,
@@ -408,7 +401,6 @@ impl<'cb> AdmissionQueue<'cb> {
                             job.deficit = job.weight;
                         }
                         job.lifecycle = SessionLifecycle::Running;
-                        let cancel = job.cancel.clone();
                         let on_step = job.on_step.take();
                         inner.in_flight += 1;
                         if let Some(m) = self.telemetry.metrics() {
@@ -416,7 +408,7 @@ impl<'cb> AdmissionQueue<'cb> {
                                 .set(inner.in_flight as f64);
                         }
                         self.update_depth_gauges(&inner);
-                        break (id, session, cancel, on_step);
+                        break (id, session, on_step);
                     }
                     if inner.sealed && inner.in_flight == 0 {
                         // Sealed, drained, and nobody can produce more
@@ -429,7 +421,7 @@ impl<'cb> AdmissionQueue<'cb> {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let stepped = step_once(engine, session, &cancel);
+            let stepped = step_once(engine, session);
             if let Some(m) = self.telemetry.metrics() {
                 m.gauge("campaign.pool_occupancy")
                     .set(engine.pool().busy_workers() as f64);
@@ -447,25 +439,25 @@ impl<'cb> AdmissionQueue<'cb> {
             let in_flight = inner.in_flight;
             let job = &mut inner.jobs[id as usize];
             job.on_step = on_step;
+            let after = state.map_or(job.sims, |s| s.stage_sims.iter().map(|s| s.sims).sum());
             if let Some(m) = self.telemetry.metrics() {
                 // Attribute the quantum's simulations to the job's class
                 // (the per-tenant consumption counter).
-                let after = state.map_or(job.sims, |s| s.stage_sims.iter().map(|s| s.sims).sum());
                 m.counter(&format!("serve.tenant_sims.{}", job.class))
                     .add(after.saturating_sub(job.sims));
-                job.sims = after;
                 m.gauge("campaign.in_flight_groups").set(in_flight as f64);
             }
+            job.sims = after;
             match stepped {
                 Stepped::Pending(session) => {
                     let job = &mut inner.jobs[id as usize];
                     job.completed_stages = session.state.completed.len();
                     job.deficit -= 1;
-                    job.lifecycle = if job.cancel.is_cancelled() {
-                        SessionLifecycle::Draining
-                    } else {
-                        SessionLifecycle::Queued
-                    };
+                    // A cancel that landed while the stage ran left the
+                    // job draining: its next dispatch retires it.
+                    if job.lifecycle != SessionLifecycle::Draining {
+                        job.lifecycle = SessionLifecycle::Queued;
+                    }
                     if job.deficit > 0 {
                         // Still inside its weighted grant: stay at the
                         // front for the next consecutive quantum.
@@ -478,9 +470,10 @@ impl<'cb> AdmissionQueue<'cb> {
                     }
                 }
                 Stepped::Finished(run) => {
+                    // A job that finished its last stage completes, even
+                    // if a cancel landed while that stage ran.
                     let lifecycle = match run.as_ref() {
                         Ok(_) => SessionLifecycle::Complete,
-                        Err(FlowError::Cancelled) => SessionLifecycle::Cancelled,
                         Err(_) => SessionLifecycle::Failed,
                     };
                     Self::retire(&mut inner, id, run, lifecycle);
@@ -526,13 +519,8 @@ fn depths_by_class<'q>(inner: &'q QueueInner<'_>) -> Vec<(&'q str, usize)> {
 /// Attaches a parked session, runs exactly one stage, and reports whether
 /// it still has work. A job's failure retires the job, never the
 /// scheduler.
-fn step_once<E: VerifEnv>(
-    engine: &FlowEngine<'_, E>,
-    session: DetachedSession,
-    cancel: &CancelToken,
-) -> Stepped {
+fn step_once<E: VerifEnv>(engine: &FlowEngine<'_, E>, session: DetachedSession) -> Stepped {
     let mut cx = engine.attach(session);
-    cx.set_cancel_token(cancel.clone());
     match engine.step(&mut cx) {
         Err(e) => Stepped::Finished(Box::new(Err(e))),
         Ok(_) if engine.next_stage(cx.state()).is_none() => {
@@ -547,6 +535,7 @@ fn step_once<E: VerifEnv>(
 mod tests {
     use super::*;
     use crate::pool::pool_scope;
+    use crate::pool::tests::under_watchdog;
     use crate::session::TargetSpec;
     use crate::FlowConfig;
     use ascdg_duv::io_unit::IoEnv;
@@ -704,7 +693,7 @@ mod tests {
             for id in ids {
                 queue.wait(id).expect("job scheduled").expect("flow runs");
             }
-            let statuses = queue.statuses();
+            let statuses = queue.snapshot().jobs;
             drop(queue);
             (order.into_inner().unwrap(), statuses)
         })
@@ -824,7 +813,7 @@ mod tests {
             ));
             let healthy_run = queue.wait(healthy).expect("scheduled");
             assert!(healthy_run.is_ok(), "healthy session must complete");
-            let statuses = queue.statuses();
+            let statuses = queue.snapshot().jobs;
             assert_eq!(statuses[0].lifecycle, SessionLifecycle::Cancelled);
             assert_eq!(statuses[1].lifecycle, SessionLifecycle::Complete);
             // The victim really stopped at a stage boundary shortly after
@@ -833,9 +822,9 @@ mod tests {
         });
     }
 
-    /// The read-only introspection accessors report the same picture the
-    /// depth gauges paint: per-class ready depths while jobs queue, all
-    /// zero (with classes retained) after the crew drains.
+    /// The queue snapshot reports the same picture the depth gauges
+    /// paint: per-class ready depths while jobs queue, all zero (with
+    /// classes retained) after the crew drains, and every job retired.
     #[test]
     fn introspection_accessors_track_queue_shape() {
         let env = IoEnv::new();
@@ -843,8 +832,13 @@ mod tests {
         pool_scope(2, |pool| {
             let engine = FlowEngine::new(&env, cfg.clone(), pool);
             let queue = AdmissionQueue::new(Telemetry::disabled());
-            assert_eq!(queue.ready_depth(), 0);
-            assert!(queue.ready_depths_by_class().is_empty());
+            let empty = queue.snapshot();
+            assert!(empty.jobs.is_empty());
+            assert_eq!(
+                (empty.active, empty.in_flight, empty.ready_depth),
+                (0, 0, 0)
+            );
+            assert!(empty.ready_by_class.is_empty());
             let mut ids = Vec::new();
             for (i, class) in ["batch", "interactive", "batch"].iter().enumerate() {
                 let cx = engine.session(
@@ -855,24 +849,40 @@ mod tests {
                 spec.class = (*class).to_owned();
                 ids.push(queue.admit(spec).expect("open queue"));
             }
-            assert_eq!(queue.ready_depth(), 3);
+            let queued = queue.snapshot();
             assert_eq!(
-                queue.ready_depths_by_class(),
+                (queued.active, queued.in_flight, queued.ready_depth),
+                (3, 0, 3)
+            );
+            assert_eq!(
+                queued.ready_by_class,
                 vec![("batch".to_owned(), 2), ("interactive".to_owned(), 1)]
             );
-            assert_eq!(queue.in_flight_jobs(), 0);
+            let classes: Vec<&str> = queued.jobs.iter().map(|j| j.class.as_str()).collect();
+            assert_eq!(classes, ["batch", "interactive", "batch"]);
+            assert!(queued
+                .jobs
+                .iter()
+                .all(|j| j.lifecycle == SessionLifecycle::Queued && j.completed_stages == 0));
             queue.seal();
             queue.run_worker(&engine);
             for id in ids {
                 queue.wait(id).expect("scheduled").expect("flow runs");
             }
-            assert_eq!(queue.ready_depth(), 0);
-            assert_eq!(queue.in_flight_jobs(), 0);
+            let drained = queue.snapshot();
+            assert_eq!(
+                (drained.active, drained.in_flight, drained.ready_depth),
+                (0, 0, 0)
+            );
             // Drained classes stay visible at depth 0, like the gauges.
             assert_eq!(
-                queue.ready_depths_by_class(),
+                drained.ready_by_class,
                 vec![("batch".to_owned(), 0), ("interactive".to_owned(), 0)]
             );
+            assert!(drained
+                .jobs
+                .iter()
+                .all(|j| j.lifecycle == SessionLifecycle::Complete && j.sims > 0));
         });
     }
 
@@ -895,5 +905,178 @@ mod tests {
             let late = engine.session(TargetSpec::Uncovered, 1);
             assert!(queue.admit(AdmitSpec::new(late.detach())).is_none());
         });
+    }
+
+    /// Solo `FlowEngine::run` bytes of the healthy sessions the schedule
+    /// tests draw from, indexed like [`schedule_spec`]; computed once.
+    fn solo_outcomes() -> &'static [String] {
+        static SOLO: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        SOLO.get_or_init(|| {
+            let env = IoEnv::new();
+            pool_scope(2, |pool| {
+                let engine = FlowEngine::new(&env, FlowConfig::quick(), pool);
+                (0..4)
+                    .map(|pick| {
+                        let (spec, seed) = schedule_spec(pick);
+                        let mut cx = engine.session(spec, seed);
+                        let outcome = engine.run(&mut cx).expect("solo flow runs");
+                        serde_json::to_string(&strip_timings(outcome)).unwrap()
+                    })
+                    .collect()
+            })
+        })
+    }
+
+    /// Healthy session `pick` (0..4) of the schedule tests: two quick io
+    /// families at two seeds each.
+    fn schedule_spec(pick: usize) -> (TargetSpec, u64) {
+        let family = ["crc_", "qdepth_"][pick % 2];
+        (
+            TargetSpec::Family(family.to_owned()),
+            mix_seed(41, (pick / 2) as u64),
+        )
+    }
+
+    /// How a schedule test cancels one session: not at all, from its own
+    /// step hook once it has completed `at` stages, or from another
+    /// thread once it is seen to have completed `at` stages.
+    #[derive(Debug, Clone, Copy)]
+    enum CancelPlan {
+        Never,
+        FromHook { at: usize },
+        FromThread { at: usize },
+    }
+
+    /// Admits one session per `(pick, cancel)` plan, plus one session
+    /// that fails (`no_such_` family) at position `fail_at`, to a queue
+    /// crewed by `workers` workers; checks how every job retired.
+    fn run_admission_schedule(workers: usize, plans: &[(usize, CancelPlan)], fail_at: usize) {
+        let solo = solo_outcomes();
+        let env = IoEnv::new();
+        pool_scope(2, |pool| {
+            let engine = FlowEngine::new(&env, FlowConfig::quick(), pool);
+            let stages = engine.stage_names().len();
+            let queue = std::sync::Arc::new(AdmissionQueue::new(Telemetry::disabled()));
+            let mut jobs: Vec<Option<(usize, CancelPlan)>> =
+                plans.iter().copied().map(Some).collect();
+            jobs.insert(fail_at.min(jobs.len()), None);
+            // Whether each job's cancel was accepted (the job was live).
+            let accepted: Vec<std::sync::atomic::AtomicBool> =
+                jobs.iter().map(|_| Default::default()).collect();
+            let accepted = std::sync::Arc::new(accepted);
+            for (id, job) in jobs.iter().enumerate() {
+                let (spec, seed) = match job {
+                    Some((pick, _)) => schedule_spec(*pick),
+                    None => (TargetSpec::Family("no_such_".to_owned()), 5),
+                };
+                let mut admit = AdmitSpec::new(engine.session(spec, seed).detach());
+                if let Some((_, CancelPlan::FromHook { at })) = *job {
+                    let (queue, accepted) = (std::sync::Arc::downgrade(&queue), accepted.clone());
+                    admit.on_step = Some(Box::new(move |state: &SessionState| {
+                        if state.completed.len() == at {
+                            let queue = queue.upgrade().expect("queue outlives its jobs");
+                            let ok = queue.cancel(id as u64);
+                            accepted[id].store(ok, Ordering::SeqCst);
+                        }
+                    }));
+                }
+                assert_eq!(queue.admit(admit), Some(id as u64));
+            }
+            queue.seal();
+            std::thread::scope(|scope| {
+                for (id, job) in jobs.iter().enumerate() {
+                    let Some((_, CancelPlan::FromThread { at })) = *job else {
+                        continue;
+                    };
+                    let (queue, accepted) = (&queue, &accepted);
+                    scope.spawn(move || loop {
+                        let job = queue.snapshot().jobs[id].clone();
+                        if job.completed_stages >= at || job.lifecycle.is_terminal() {
+                            accepted[id].store(queue.cancel(id as u64), Ordering::SeqCst);
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    });
+                }
+                for _ in 1..workers {
+                    scope.spawn(|| queue.run_worker(&engine));
+                }
+                queue.run_worker(&engine);
+            });
+            let snapshot = queue.snapshot();
+            for (id, job) in jobs.iter().enumerate() {
+                let run = queue.wait(id as u64).expect("wait returns every job");
+                let status = &snapshot.jobs[id];
+                let accepted = accepted[id].load(Ordering::SeqCst);
+                match (run, job) {
+                    (Ok((outcome, _)), Some((pick, plan))) => {
+                        assert_eq!(status.lifecycle, SessionLifecycle::Complete);
+                        assert_eq!(
+                            serde_json::to_string(&strip_timings(outcome)).unwrap(),
+                            solo[*pick],
+                            "job {id} diverged from its solo run"
+                        );
+                        // A hook cancel before the last stage always lands.
+                        if let CancelPlan::FromHook { at } = plan {
+                            assert!(*at >= stages, "job {id} outlived its cancel");
+                        }
+                    }
+                    (Err(FlowError::Cancelled), _) => {
+                        assert_eq!(status.lifecycle, SessionLifecycle::Cancelled);
+                        assert!(accepted, "job {id} retired without a cancel");
+                        match job {
+                            // Retired at the very next stage boundary.
+                            Some((_, CancelPlan::FromHook { at })) => {
+                                assert_eq!(status.completed_stages, *at);
+                            }
+                            Some((_, CancelPlan::FromThread { at })) => {
+                                assert!(status.completed_stages >= *at);
+                            }
+                            other => panic!("job {id} ({other:?}) cancelled without a plan"),
+                        }
+                    }
+                    (Err(e), None) => assert_eq!(
+                        status.lifecycle,
+                        SessionLifecycle::Failed,
+                        "failing job {id}: {e}"
+                    ),
+                    (run, job) => panic!("job {id} ({job:?}) ended {:?}", run.map(|_| ())),
+                }
+            }
+            assert_eq!(
+                (snapshot.active, snapshot.in_flight, snapshot.ready_depth),
+                (0, 0, 0)
+            );
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24 })]
+
+        /// Random admission schedules: 1–8 workers over quick io sessions,
+        /// some cancelled from their step hook or from another thread at
+        /// a random stage count, beside one session that fails. Every job
+        /// retires `Complete`, `Cancelled` or `Failed`, every `wait`
+        /// returns, every completed outcome equals its solo run, and no
+        /// case hangs.
+        #[test]
+        fn random_admission_schedules_retire_every_job(
+            workers in 1usize..9,
+            plans in proptest::collection::vec((0usize..4, 0u8..3, 1usize..8), 1..4),
+            fail_at in 0usize..4,
+        ) {
+            let plans: Vec<(usize, CancelPlan)> = plans
+                .into_iter()
+                .map(|(pick, how, at)| {
+                    let plan = match how {
+                        0 => CancelPlan::Never,
+                        1 => CancelPlan::FromHook { at },
+                        _ => CancelPlan::FromThread { at },
+                    };
+                    (pick, plan)
+                })
+                .collect();
+            under_watchdog(move || run_admission_schedule(workers, &plans, fail_at));
+        }
     }
 }

@@ -4,12 +4,14 @@
 //! A [`SessionCx`] is everything one AS-CDG run accumulates: the live
 //! coverage repository, the chosen template, the skeleton, the phase
 //! statistics, plus the run-time machinery (environment handle, batch
-//! runner, event bus). The accumulated *data* lives in a [`SessionState`],
-//! which is plain serde — snapshotting it after each stage is what gives
-//! the engine checkpoint/resume
-//! (see [`FlowEngine::resume`](crate::FlowEngine::resume)).
+//! runner, event subscribers). The accumulated *data* lives in a
+//! [`SessionState`], which is plain serde — snapshotting it after each
+//! stage, from a subscriber on [`FlowEvent::StageCompleted`], is what
+//! gives the engine checkpoint/resume
+//! (see [`FlowEngine::resume`](crate::FlowEngine::resume)). A session
+//! holds no scheduling state: cancellation belongs to the
+//! [`AdmissionQueue`](crate::AdmissionQueue) that dispatches its stages.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -21,12 +23,12 @@ use ascdg_stimgen::mix_seed;
 use ascdg_telemetry::Telemetry;
 use ascdg_template::{Skeleton, TestTemplate};
 
-use crate::events::{event_name, EventBus, FlowEvent, FlowSubscriber};
+use crate::events::{event_name, FlowEvent};
 use crate::{ApproxTarget, BatchRunner, FlowConfig, FlowError, PhaseStats, PhaseTiming};
 
-/// A streaming consumer of post-stage snapshots
-/// (see [`SessionCx::on_checkpoint`]).
-type CheckpointSink<'bus> = Box<dyn FnMut(&SessionState) + 'bus>;
+/// A listener on a session's event stream: called with each event and
+/// the state of the session that emitted it (see [`SessionCx::subscribe`]).
+type Subscriber<'bus> = Box<dyn FnMut(&FlowEvent, &SessionState) + 'bus>;
 
 /// A session between two stages: its serializable state and the live
 /// regression repository it reads, once the regression has run.
@@ -34,8 +36,10 @@ type CheckpointSink<'bus> = Box<dyn FnMut(&SessionState) + 'bus>;
 /// This is what the scheduler queues and hands between workers (the
 /// [`SessionCx`] itself holds non-`Send` machinery): it takes a session
 /// apart after each stage and puts it back together for the next one,
-/// without copying the repository. The sessions of one campaign all
-/// share its one repository.
+/// without copying the repository. Only data crosses: the session's
+/// subscribers stay behind, so a scheduled session reports through its
+/// admission's step hook instead. The sessions of one campaign all share
+/// its one repository.
 #[derive(Debug)]
 pub struct DetachedSession {
     /// The accumulated session data.
@@ -43,36 +47,6 @@ pub struct DetachedSession {
     /// The regression repository the session reads; `None` before the
     /// regression stage ran.
     pub repo: Option<Arc<CoverageRepository>>,
-}
-
-/// A shared cooperative-cancellation flag for one session.
-///
-/// Cancellation is *cooperative*: flipping the token never interrupts a
-/// running stage. The engine checks it before starting each stage
-/// ([`FlowEngine::step`](crate::FlowEngine::step)) and the admission
-/// scheduler checks it before each dispatch, so a cancelled session
-/// retires — with [`FlowError::Cancelled`] — at the next stage boundary,
-/// leaving its last checkpoint consistent.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; all clones observe it.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
 }
 
 /// How a session chooses its target events once the regression repository
@@ -285,15 +259,13 @@ pub type CampaignSink<'a> = dyn Fn(CampaignEntry<'_>) + Send + Sync + 'a;
 /// Couples the serializable [`SessionState`] with the run-time machinery
 /// stages need: the environment, a [`BatchRunner`] on the engine's worker
 /// pool (whose telemetry handle is the session's), the live coverage
-/// repository (shared, read-only once built), and the event bus.
+/// repository (shared, read-only once built), and the event subscribers.
 pub struct SessionCx<'env, 'bus, E: VerifEnv> {
     env: &'env E,
     runner: BatchRunner<'env>,
     repo: Option<Arc<CoverageRepository>>,
     state: SessionState,
-    bus: EventBus<'bus>,
-    cancel: Option<CancelToken>,
-    checkpoint_sink: Option<CheckpointSink<'bus>>,
+    subscribers: Vec<Subscriber<'bus>>,
 }
 
 impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
@@ -307,23 +279,8 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
             runner,
             repo: session.repo,
             state: session.state,
-            bus: EventBus::new(),
-            cancel: None,
-            checkpoint_sink: None,
+            subscribers: Vec::new(),
         }
-    }
-
-    /// Attaches a cooperative-cancellation token: the engine checks it
-    /// before each stage and retires the session with
-    /// [`FlowError::Cancelled`] once it flips.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Whether cancellation has been requested for this session.
-    #[must_use]
-    pub fn cancel_requested(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// The session's telemetry handle, its runner's (disabled unless the
@@ -407,14 +364,16 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         self.repo = Some(Arc::new(repo));
     }
 
-    /// Adds an event subscriber for the rest of the session.
-    pub fn subscribe(&mut self, subscriber: impl FlowSubscriber + 'bus) {
-        self.bus.subscribe(subscriber);
-    }
-
-    /// Adds a closure event subscriber for the rest of the session.
-    pub fn subscribe_fn(&mut self, f: impl FnMut(&FlowEvent) + 'bus) {
-        self.bus.subscribe_fn(f);
+    /// Adds an event subscriber for the rest of the session. It is
+    /// called with every event, in emission order and after the
+    /// subscribers added before it, together with the session state the
+    /// event was emitted from: on [`FlowEvent::StageCompleted`] that is
+    /// the post-stage snapshot [`FlowEngine::resume`](crate::FlowEngine::resume)
+    /// restarts from. Subscribers must not assume any particular thread:
+    /// events come from the thread driving the stages, never from a
+    /// simulation worker.
+    pub fn subscribe(&mut self, subscriber: impl FnMut(&FlowEvent, &SessionState) + 'bus) {
+        self.subscribers.push(Box::new(subscriber));
     }
 
     /// Emits an event to every subscriber (and mirrors it into the
@@ -424,13 +383,9 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
             let detail = serde_json::to_string(&event).unwrap_or_default();
             self.telemetry().event(event_name(&event), &detail);
         }
-        self.bus.emit(event);
-    }
-
-    /// Streams every post-stage snapshot to `sink` as it is taken — e.g.
-    /// to persist checkpoints to disk while the run is still going.
-    pub fn on_checkpoint(&mut self, sink: impl FnMut(&SessionState) + 'bus) {
-        self.checkpoint_sink = Some(Box::new(sink));
+        for subscriber in &mut self.subscribers {
+            subscriber(&event, &self.state);
+        }
     }
 
     /// Consumes the context, returning the accumulated session data
@@ -460,18 +415,6 @@ impl<'env, 'bus, E: VerifEnv> SessionCx<'env, 'bus, E> {
         });
         self.state.phases.push(stats);
     }
-
-    /// Hands the post-stage state to the checkpoint sink, if one is
-    /// installed; emits [`FlowEvent::Checkpoint`] when it does.
-    pub(crate) fn take_checkpoint(&mut self, stage: &str) {
-        let Some(sink) = &mut self.checkpoint_sink else {
-            return;
-        };
-        sink(&self.state);
-        self.emit(FlowEvent::Checkpoint {
-            stage: stage.to_owned(),
-        });
-    }
 }
 
 impl<E: VerifEnv> std::fmt::Debug for SessionCx<'_, '_, E> {
@@ -480,7 +423,7 @@ impl<E: VerifEnv> std::fmt::Debug for SessionCx<'_, '_, E> {
             .field("unit", &self.state.unit)
             .field("seed", &self.state.seed)
             .field("completed", &self.state.completed)
-            .field("subscribers", &self.bus.len())
+            .field("subscribers", &self.subscribers.len())
             .finish_non_exhaustive()
     }
 }

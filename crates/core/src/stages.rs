@@ -679,9 +679,10 @@ mod tests {
             let engine =
                 FlowEngine::with_stages(&env, cfg.clone(), pool, stages_with(spsa.clone()));
             let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 4);
-            cx.on_checkpoint(|snap| {
-                if snap.completed.last().map(String::as_str) == Some(STAGE_OPTIMIZE) {
-                    after_optimize = Some(snap.clone());
+            cx.subscribe(|event, state| {
+                if matches!(event, FlowEvent::StageCompleted { stage, .. } if stage == STAGE_OPTIMIZE)
+                {
+                    after_optimize = Some(state.clone());
                 }
             });
             let out = engine.run(&mut cx).unwrap();

@@ -42,7 +42,7 @@ use std::time::Duration;
 
 use ascdg_core::{
     pool_scope_with, AdmissionQueue, CampaignEntry, CampaignPlan, CampaignReport, CampaignSink,
-    CheckpointWriter, FlowConfig, FlowEngine, FlowError, JobStatus, SimPool, Telemetry,
+    CheckpointWriter, FlowConfig, FlowEngine, FlowError, QueueSnapshot, SimPool, Telemetry,
 };
 use ascdg_duv::ifu::IfuEnv;
 use ascdg_duv::io_unit::IoEnv;
@@ -369,7 +369,8 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
                             || e.kind() == std::io::ErrorKind::TimedOut =>
                     {
                         if let Some(m) = daemon.telemetry.metrics() {
-                            let active: usize = shards.iter().map(|s| s.queue.active_jobs()).sum();
+                            let active: usize =
+                                shards.iter().map(|s| s.queue.snapshot().active).sum();
                             m.gauge("serve.active_sessions").set(active as f64);
                         }
                         std::thread::sleep(Duration::from_millis(25));
@@ -510,22 +511,22 @@ fn tune_conn(stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
 }
 
-/// The line protocol's request view, and the job statuses of each shard
-/// it was built from: one `statuses()` per shard per answer, read under
-/// the registry lock, so every registered job is in them.
+/// The line protocol's request view, and the queue snapshot of each
+/// shard it was built from: one `snapshot()` per shard per answer, read
+/// under the registry lock, so every registered job is in them.
 fn status_snapshot(
     daemon: &Daemon,
     shards: &[Shard<'_>],
-) -> (Vec<RequestStatus>, Vec<Vec<JobStatus>>) {
+) -> (Vec<RequestStatus>, Vec<QueueSnapshot>) {
     let registry = daemon
         .registry
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    let statuses: Vec<Vec<JobStatus>> = shards.iter().map(|s| s.queue.statuses()).collect();
+    let snapshots: Vec<QueueSnapshot> = shards.iter().map(|s| s.queue.snapshot()).collect();
     let requests = registry
         .iter()
         .map(|entry| {
-            let statuses = &statuses[entry.shard];
+            let statuses = &snapshots[entry.shard].jobs;
             let jobs: BTreeMap<usize, u64> = entry.jobs.iter().copied().collect();
             let groups = (0..entry.groups)
                 .map(|slot| match jobs.get(&slot) {
@@ -553,29 +554,28 @@ fn status_snapshot(
             }
         })
         .collect();
-    (requests, statuses)
+    (requests, snapshots)
 }
 
 /// Builds the `GET /status` answer: the line protocol's request view
 /// plus per-unit shard/queue state and the serve-, campaign- and
 /// pool-scoped scalar readings.
 fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
-    let (requests, statuses) = status_snapshot(daemon, shards);
+    let (requests, snapshots) = status_snapshot(daemon, shards);
     let units = shards
         .iter()
-        .zip(statuses)
-        .map(|(shard, jobs)| UnitStatus {
+        .zip(snapshots)
+        .map(|(shard, queue)| UnitStatus {
             unit: shard.unit_name().to_owned(),
-            active_jobs: shard.queue.active_jobs(),
-            in_flight: shard.queue.in_flight_jobs(),
-            ready_depth: shard.queue.ready_depth(),
-            ready_by_class: shard
-                .queue
-                .ready_depths_by_class()
+            active_jobs: queue.active,
+            in_flight: queue.in_flight,
+            ready_depth: queue.ready_depth,
+            ready_by_class: queue
+                .ready_by_class
                 .into_iter()
                 .map(|(class, depth)| ClassDepth { class, depth })
                 .collect(),
-            jobs,
+            jobs: queue.jobs,
         })
         .collect();
     let gauges = daemon
@@ -715,6 +715,9 @@ fn recover_request<'env>(
         "serve: req{id}: recovering {} from checkpoint",
         progress.unit
     );
+    if let Some(m) = daemon.telemetry.metrics() {
+        m.counter("serve.requests_total").add(1);
+    }
     // The daemon trusts no ambient config: the plan's engine runs the
     // checkpoint's, and a checkpoint without one is rejected.
     let plan = progress

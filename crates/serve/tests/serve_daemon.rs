@@ -8,8 +8,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ascdg_core::{
-    pool_scope, CampaignEntry, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine,
-    RunManifest, Telemetry, STAGE_REGRESSION,
+    pool_scope, CampaignEntry, CampaignOutcome, CampaignProgress, CdgFlow, CheckpointWriter,
+    FlowConfig, FlowEngine, RunManifest, SessionLifecycle, Telemetry, STAGE_REGRESSION,
 };
 use ascdg_coverage::EventId;
 use ascdg_duv::io_unit::IoEnv;
@@ -339,7 +339,8 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
         .unwrap();
     }
 
-    let (addr, handle) = start_daemon(&dir);
+    let telemetry = Telemetry::enabled();
+    let (addr, handle) = start_daemon_with(&dir, telemetry.clone());
     // The daemon recovers the orphans in the background; wait for their
     // outcome files.
     for id in [3, 4] {
@@ -374,6 +375,13 @@ fn restarted_daemon_recovers_orphans_to_the_identical_outcome() {
         )
         .expect("fresh request completes");
     assert!(request > 4, "restart must not reuse recovered ids");
+    // Both recoveries and the fresh submission count as admitted requests.
+    let requests = telemetry
+        .metrics()
+        .expect("telemetry is on")
+        .counter("serve.requests_total")
+        .value();
+    assert_eq!(requests, 3, "serve.requests_total");
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);
@@ -527,6 +535,88 @@ fn protocol_errors_and_cancel_of_unknown_requests_answer_cleanly() {
         other => panic!("expected Error, got {other:?}"),
     }
     assert!(client.status().expect("status still works").is_empty());
+    client.shutdown().expect("daemon drains");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A live cancel: a second client cancels a request mid-run. The request
+/// still answers `Done`, its cancelled groups report the cancellation as
+/// their failure and show `cancelled` in `Status`; a concurrent tenant's
+/// outcome is untouched, and the daemon serves the next request.
+#[test]
+fn cancelling_a_running_request_retires_its_groups_and_spares_the_other_tenant() {
+    let dir = tmp_dir("live-cancel");
+    let (addr, handle) = start_daemon(&dir);
+    let spec = |scale, seed| SubmitSpec {
+        unit: "io".to_owned(),
+        scale,
+        seed,
+        profile: "quick".to_owned(),
+        weight: 1,
+        class: String::new(),
+    };
+    let bystander = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("connects");
+            client
+                .submit(spec(0.5, 7), |_| {})
+                .expect("request completes")
+                .1
+        })
+    };
+    let mut client = Client::connect(&addr).expect("connects");
+    let mut canceller = Client::connect(&addr).expect("connects");
+    let mut admitted = None;
+    let mut cancelled = false;
+    let (request, outcome_json) = client
+        .submit(spec(2.0, 2021), |resp| match resp {
+            Response::Admitted { request, .. } => admitted = Some(*request),
+            // Cancel at the first group stage after `Admitted` (the
+            // daemon registers a request for `Cancel` before it answers
+            // `Admitted`, but its groups may stream progress earlier):
+            // the rest of the request is still queued or running.
+            Response::Progress { request, .. } if admitted.is_some() && !cancelled => {
+                assert!(canceller.cancel(*request).expect("cancel answers"));
+                cancelled = true;
+            }
+            _ => {}
+        })
+        .expect("a cancelled request still answers Done");
+    assert!(cancelled, "the request streamed no progress");
+    let outcome: CampaignOutcome = serde_json::from_str(&outcome_json).unwrap();
+    let groups = &outcome.groups;
+    let status = client.status().expect("status answers");
+    let lifecycles = &status
+        .iter()
+        .find(|s| s.request == request)
+        .expect("the request is tracked")
+        .groups;
+    assert_eq!(lifecycles.len(), groups.len());
+    let retired = lifecycles
+        .iter()
+        .filter(|&&l| l == SessionLifecycle::Cancelled)
+        .count();
+    assert!(retired > 0, "no group was cancelled: {lifecycles:?}");
+    for (lifecycle, group) in lifecycles.iter().zip(groups) {
+        assert!(lifecycle.is_terminal(), "{lifecycle}");
+        if *lifecycle == SessionLifecycle::Cancelled {
+            assert_eq!(
+                group.failure.as_deref(),
+                Some("session was cancelled and retired at a stage boundary")
+            );
+        }
+    }
+    assert_eq!(
+        bystander.join().unwrap(),
+        one_shot_outcome_json(0.5, 7),
+        "the other tenant's outcome must not feel the cancel"
+    );
+    let (_, next) = client
+        .submit(spec(0.5, 5), |_| {})
+        .expect("the daemon serves the next request");
+    assert_eq!(next, one_shot_outcome_json(0.5, 5));
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);

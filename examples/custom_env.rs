@@ -161,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = pool_scope(config.threads, |pool| {
         let engine = FlowEngine::new(&env, config.clone(), pool);
         let mut cx = engine.session(TargetSpec::Family("retry_depth".to_owned()), 7);
-        cx.subscribe_fn(|event| {
+        cx.subscribe(|event, _| {
             if let FlowEvent::CoarseChoice {
                 template,
                 relevant_params,

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cx = engine.session(TargetSpec::Family("byp_reqs".to_owned()), 42);
         // Structured events replace ad-hoc print statements: subscribe to
         // whatever granularity you want.
-        cx.subscribe_fn(|event| {
+        cx.subscribe(|event, _| {
             if let FlowEvent::StageCompleted { stage, sims } = event {
                 eprintln!("stage `{stage}` done ({sims} simulations)");
             }

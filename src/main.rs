@@ -144,8 +144,8 @@ USAGE:
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
 /// Streams flow events to stderr so long runs are not silent.
-fn progress_events() -> impl FnMut(&FlowEvent) {
-    |event| match event {
+fn progress_events() -> impl FnMut(&FlowEvent, &SessionState) {
+    |event, _| match event {
         FlowEvent::StageSkipped { stage } => eprintln!("stage `{stage}`: done, skipped"),
         FlowEvent::CoarseChoice {
             template,
@@ -344,13 +344,18 @@ fn cmd_run(args: &[String]) -> CliResult {
             }
             Start::Fresh(spec) => engine.session(spec.clone(), seed),
         };
-        cx.subscribe_fn(progress_events());
+        cx.subscribe(progress_events());
         if let Some(path) = checkpoint_path.clone() {
             let checkpoint_telemetry = telemetry.clone();
             let writer = CheckpointWriter::new(&path, telemetry.clone());
             let manifest_writer =
                 CheckpointWriter::new(format!("{path}.manifest.json"), telemetry.clone());
-            cx.on_checkpoint(move |snap| {
+            // Subscribed last: each completed stage's state is checkpointed
+            // after every other subscriber has seen the event.
+            cx.subscribe(move |event, snap| {
+                if !matches!(event, FlowEvent::StageCompleted { .. }) {
+                    return;
+                }
                 // The CLI keeps warn-and-continue semantics; the typed
                 // error still bumps `checkpoint.write_failures` so a
                 // silent checkpoint loss shows in the metrics.

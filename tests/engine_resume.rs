@@ -8,7 +8,7 @@
 //! identity across worker counts.
 
 use ascdg::core::{
-    pool_scope, ApproxTarget, CdgFlow, FlowConfig, FlowEngine, FlowError, FlowOutcome,
+    pool_scope, ApproxTarget, CdgFlow, FlowConfig, FlowEngine, FlowError, FlowEvent, FlowOutcome,
     SessionState, TargetSpec,
 };
 use ascdg::coverage::EventId;
@@ -62,8 +62,10 @@ fn resume_from_disk_format_checkpoints_reproduces_the_outcome() {
     let baseline = pool_scope(cfg.threads, |pool| {
         let engine = FlowEngine::new(&env, cfg.clone(), pool);
         let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 11);
-        cx.on_checkpoint(|snap| {
-            checkpoint_files.push(serde_json::to_string(snap).expect("snapshot serializes"));
+        cx.subscribe(|event, snap| {
+            if matches!(event, FlowEvent::StageCompleted { .. }) {
+                checkpoint_files.push(serde_json::to_string(snap).expect("snapshot serializes"));
+            }
         });
         engine.run(&mut cx).expect("baseline flow runs")
     });
@@ -116,7 +118,11 @@ fn resumed_outcome_is_identical_across_thread_counts() {
     pool_scope(cfg.threads, |pool| {
         let engine = FlowEngine::new(&env, cfg.clone(), pool);
         let mut cx = engine.session(TargetSpec::Family("crc_".to_owned()), 33);
-        cx.on_checkpoint(|snap| snaps.push(snap.clone()));
+        cx.subscribe(|event, snap| {
+            if matches!(event, FlowEvent::StageCompleted { .. }) {
+                snaps.push(snap.clone());
+            }
+        });
         engine.run(&mut cx).expect("flow runs");
     });
     let snap = snaps.swap_remove(4); // after "optimize"
