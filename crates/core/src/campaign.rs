@@ -24,12 +24,9 @@ use crate::checkpoint::restore_snapshot;
 use crate::pool::pool_scope_with;
 use crate::scheduler::{AdmissionQueue, AdmitSpec, GroupRun, StepFn};
 use crate::session::{
-    CampaignEntry, CampaignProgress, CampaignSink, DetachedSession, SessionState,
+    CampaignEntry, CampaignProgress, CampaignSink, DetachedSession, SessionState, TargetSpec,
 };
-use crate::{
-    ApproxTarget, CdgFlow, FlowEngine, FlowError, FlowOutcome, RunManifest, PHASE_BEFORE,
-    PHASE_BEST,
-};
+use crate::{CdgFlow, FlowEngine, FlowError, FlowOutcome, RunManifest, PHASE_BEFORE, PHASE_BEST};
 
 /// One target group's result within a campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -273,15 +270,16 @@ pub struct CampaignPlan {
 impl CampaignPlan {
     /// Plans a campaign from `progress` on `engine`'s environment and
     /// configuration: restores the regression snapshot once, keeps each
-    /// checkpointed group's session, and rebuilds every other group with
-    /// its index-salted seed `mix_seed(seed, 0xc0 + i)`; every session
+    /// checkpointed group's session, and starts every other group as a
+    /// [`TargetSpec::Explicit`] session of its recorded targets, past the
+    /// regression, with its index-salted seed `mix_seed(seed, 0xc0 + i)`
+    /// (its coarse search resolves the approximated target); every session
     /// shares the one restored repository. A checkpointed session gets
     /// the checks [`FlowEngine::resume`] makes (its unit, its vectors,
     /// and a `repo` of its own, from a checkpoint that predates the log,
-    /// must be the campaign's). A group that cannot be prepared (no
-    /// evidence, a misfit session, ...) is recorded with its failure
-    /// instead of failing the plan; failures stored in `progress` are
-    /// recomputed, not trusted.
+    /// must be the campaign's). A group whose session misfits is recorded
+    /// with its failure instead of failing the plan; failures stored in
+    /// `progress` are recomputed, not trusted.
     ///
     /// # Errors
     ///
@@ -343,11 +341,11 @@ impl CampaignPlan {
                         _ => Ok(state.clone()),
                     })
                 }
-                None => {
-                    let seed = mix_seed(progress.seed, 0xc0 + i as u64);
-                    ApproxTarget::auto(model, &group.targets, engine.config().neighbor_decay)
-                        .map(|approx| engine.weighted_state(&repo, approx, seed))
-                }
+                None => Ok(engine.state_after(
+                    &repo,
+                    TargetSpec::Explicit(group.targets.clone()),
+                    mix_seed(progress.seed, 0xc0 + i as u64),
+                )),
             };
             group.failure = prep.as_ref().err().map(ToString::to_string);
             sessions.push(prep.ok().map(|state| DetachedSession {
@@ -362,12 +360,6 @@ impl CampaignPlan {
             checkpoint,
             jobs: Vec::new(),
         })
-    }
-
-    /// How many groups the campaign has (scheduled or failed).
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Hands over the sessions to schedule, as `(group index, session)`.

@@ -25,8 +25,7 @@ use crate::session::{
 };
 use crate::stages::{default_stages, regression_repository, Stage, STAGE_REGRESSION};
 use crate::{
-    group_uncovered, ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats,
-    PHASE_BEFORE,
+    group_uncovered, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats, PHASE_BEFORE,
 };
 
 /// Executes a stage list against flow sessions.
@@ -137,9 +136,11 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
         BatchRunner::new(&self.pool).with_telemetry(self.telemetry.clone())
     }
 
-    /// A session seeded with a pre-built regression repository and an
-    /// explicit approximated target; the regression stage is marked
-    /// completed and will be skipped.
+    /// A session seeded with a pre-built regression repository, aimed at
+    /// `target`: a [`TargetSpec`], or an
+    /// [`ApproxTarget`](crate::ApproxTarget) taken as
+    /// [`TargetSpec::Weighted`]. The regression stage is marked completed
+    /// and will be skipped; the coarse search resolves the target.
     ///
     /// # Errors
     ///
@@ -148,12 +149,12 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     pub fn session_with_repo<'bus>(
         &self,
         repo: &CoverageRepository,
-        approx: ApproxTarget,
+        target: impl Into<TargetSpec>,
         seed: u64,
     ) -> Result<SessionCx<'env, 'bus, E>, FlowError> {
         let snapshot = repo.snapshot();
         let live = CoverageRepository::from_snapshot(self.env.coverage_model().clone(), &snapshot)?;
-        let mut state = self.weighted_state(&live, approx, seed);
+        let mut state = self.state_after(&live, target.into(), seed);
         state.repo = Some(snapshot);
         Ok(self.attach(DetachedSession {
             state,
@@ -162,23 +163,21 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
     }
 
     /// The state of a session that starts after the regression recorded
-    /// in `repo`, aimed at `approx`: the regression stage is marked
+    /// in `repo`, aimed at `spec`: the regression stage is marked
     /// completed, and the state carries no `repo` of its own.
-    pub(crate) fn weighted_state(
+    pub(crate) fn state_after(
         &self,
         repo: &CoverageRepository,
-        approx: ApproxTarget,
+        spec: TargetSpec,
         seed: u64,
     ) -> SessionState {
         let regression = STAGE_REGRESSION.to_owned();
-        let spec = TargetSpec::Weighted(approx.clone());
         SessionState {
             completed: vec![regression.clone()],
             stage_sims: vec![StageSims {
                 stage: regression,
                 sims: repo.total_simulations(),
             }],
-            approx: Some(approx),
             ..SessionState::new(self.env.unit_name(), self.config.clone(), spec, seed)
         }
     }

@@ -378,16 +378,17 @@ impl FlowOutcome {
             .collect()
     }
 
-    /// Renders the full human-readable report (table or status chart plus
-    /// the optimization trace).
+    /// Renders the full human-readable report (the family table, or for
+    /// a cross-product model the status chart and its per-feature
+    /// breakdown, plus the optimization trace).
     #[must_use]
     pub fn report(&self) -> String {
         let mut out = String::new();
         if self.model.cross_product().is_some() {
-            out.push_str(&crate::report::render_status_chart(
-                self,
-                StatusPolicy::default(),
-            ));
+            let policy = StatusPolicy::default();
+            out.push_str(&crate::report::render_status_chart(self, policy));
+            out.push('\n');
+            out.push_str(&crate::report::render_cross_breakdown(self, policy));
         } else {
             out.push_str(&crate::report::render_family_table(self));
         }

@@ -135,7 +135,7 @@ pub struct QueueSnapshot {
     /// Jobs a worker is stepping.
     pub in_flight: usize,
     /// Jobs waiting on the ready queue (not counting the ones a worker is
-    /// stepping): the `campaign.ready_queue_depth` gauge's reading.
+    /// stepping): this queue's share of `campaign.ready_queue_depth`.
     pub ready_depth: usize,
     /// `ready_depth` split per priority class, sorted by class name.
     /// Every class that ever admitted a job is present: a drained class
@@ -250,7 +250,7 @@ impl<'cb> AdmissionQueue<'cb> {
         });
         inner.ready.push_back((id, spec.session));
         inner.active += 1;
-        self.update_depth_gauges(&inner);
+        self.shift_gauges(&inner.jobs[id as usize].class, 1.0, 0.0);
         drop(inner);
         self.work_ready.notify_all();
         Some(id)
@@ -318,6 +318,13 @@ impl<'cb> AdmissionQueue<'cb> {
         }
     }
 
+    /// Jobs admitted and not yet retired: [`QueueSnapshot::active`]
+    /// without copying every job's status.
+    #[must_use]
+    pub fn active(&self) -> usize {
+        lock(&self.inner).active
+    }
+
     /// The whole queue at one instant: every job's status and the queue's
     /// depth readings, all taken under one lock.
     #[must_use]
@@ -336,10 +343,16 @@ impl<'cb> AdmissionQueue<'cb> {
                 sims: job.sims,
             })
             .collect();
-        let mut ready_by_class: Vec<(String, usize)> = depths_by_class(&inner)
-            .into_iter()
-            .map(|(class, depth)| (class.to_owned(), depth))
-            .collect();
+        // Every class that ever admitted a job; only the ready queue is
+        // walked.
+        let mut ready_by_class: Vec<(String, usize)> =
+            inner.classes.iter().map(|c| (c.clone(), 0)).collect();
+        for (id, _) in &inner.ready {
+            let class = &inner.jobs[*id as usize].class;
+            if let Some((_, depth)) = ready_by_class.iter_mut().find(|(c, _)| c == class) {
+                *depth += 1;
+            }
+        }
         ready_by_class.sort();
         QueueSnapshot {
             jobs,
@@ -350,18 +363,17 @@ impl<'cb> AdmissionQueue<'cb> {
         }
     }
 
-    /// Re-emits the ready-queue depth gauges: the total
-    /// `campaign.ready_queue_depth` plus one
-    /// `campaign.ready_queue_depth.<class>` per priority class present.
-    fn update_depth_gauges(&self, inner: &QueueInner<'_>) {
-        let Some(m) = self.telemetry.metrics() else {
-            return;
-        };
-        m.gauge("campaign.ready_queue_depth")
-            .set(inner.ready.len() as f64);
-        for (class, depth) in depths_by_class(inner) {
+    /// Adds one job's move to the depth and in-flight gauges
+    /// (`campaign.ready_queue_depth`, its `.<class>` split and
+    /// `campaign.in_flight_groups`). Queues sharing one registry (the
+    /// daemon's unit queues) each add only their own moves, so a gauge
+    /// reads the sum over the queues.
+    fn shift_gauges(&self, class: &str, ready: f64, in_flight: f64) {
+        if let Some(m) = self.telemetry.metrics() {
+            m.gauge("campaign.ready_queue_depth").add(ready);
             m.gauge(&format!("campaign.ready_queue_depth.{class}"))
-                .set(depth as f64);
+                .add(ready);
+            m.gauge("campaign.in_flight_groups").add(in_flight);
         }
     }
 
@@ -386,7 +398,7 @@ impl<'cb> AdmissionQueue<'cb> {
                                 Box::new(Err(FlowError::Cancelled)),
                                 SessionLifecycle::Cancelled,
                             );
-                            self.update_depth_gauges(&inner);
+                            self.shift_gauges(&inner.jobs[id as usize].class, -1.0, 0.0);
                             drop(inner);
                             self.job_done.notify_all();
                             inner = lock(&self.inner);
@@ -402,12 +414,8 @@ impl<'cb> AdmissionQueue<'cb> {
                         }
                         job.lifecycle = SessionLifecycle::Running;
                         let on_step = job.on_step.take();
+                        self.shift_gauges(&job.class, -1.0, 1.0);
                         inner.in_flight += 1;
-                        if let Some(m) = self.telemetry.metrics() {
-                            m.gauge("campaign.in_flight_groups")
-                                .set(inner.in_flight as f64);
-                        }
-                        self.update_depth_gauges(&inner);
                         break (id, session, on_step);
                     }
                     if inner.sealed && inner.in_flight == 0 {
@@ -436,7 +444,6 @@ impl<'cb> AdmissionQueue<'cb> {
             }
             let mut inner = lock(&self.inner);
             inner.in_flight -= 1;
-            let in_flight = inner.in_flight;
             let job = &mut inner.jobs[id as usize];
             job.on_step = on_step;
             let after = state.map_or(job.sims, |s| s.stage_sims.iter().map(|s| s.sims).sum());
@@ -445,12 +452,12 @@ impl<'cb> AdmissionQueue<'cb> {
                 // (the per-tenant consumption counter).
                 m.counter(&format!("serve.tenant_sims.{}", job.class))
                     .add(after.saturating_sub(job.sims));
-                m.gauge("campaign.in_flight_groups").set(in_flight as f64);
             }
             job.sims = after;
             match stepped {
                 Stepped::Pending(session) => {
                     let job = &mut inner.jobs[id as usize];
+                    self.shift_gauges(&job.class, 1.0, -1.0);
                     job.completed_stages = session.state.completed.len();
                     job.deficit -= 1;
                     // A cancel that landed while the stage ran left the
@@ -477,9 +484,9 @@ impl<'cb> AdmissionQueue<'cb> {
                         Err(_) => SessionLifecycle::Failed,
                     };
                     Self::retire(&mut inner, id, run, lifecycle);
+                    self.shift_gauges(&inner.jobs[id as usize].class, 0.0, -1.0);
                 }
             }
-            self.update_depth_gauges(&inner);
             drop(inner);
             self.work_ready.notify_all();
             self.job_done.notify_all();
@@ -501,19 +508,6 @@ impl<'cb> AdmissionQueue<'cb> {
         job.result = Some(run);
         inner.active -= 1;
     }
-}
-
-/// The ready-queue depth of every class that ever admitted a job, in
-/// first-seen order; only the ready queue is walked.
-fn depths_by_class<'q>(inner: &'q QueueInner<'_>) -> Vec<(&'q str, usize)> {
-    let mut depths: Vec<(&str, usize)> = inner.classes.iter().map(|c| (c.as_str(), 0)).collect();
-    for (id, _) in &inner.ready {
-        let class = inner.jobs[*id as usize].class.as_str();
-        if let Some((_, depth)) = depths.iter_mut().find(|(c, _)| *c == class) {
-            *depth += 1;
-        }
-    }
-    depths
 }
 
 /// Attaches a parked session, runs exactly one stage, and reports whether
@@ -883,6 +877,38 @@ mod tests {
                 .jobs
                 .iter()
                 .all(|j| j.lifecycle == SessionLifecycle::Complete && j.sims > 0));
+        });
+    }
+
+    /// Queues sharing one registry (the daemon's unit queues) each add
+    /// only their own change to the depth and in-flight gauges, so a
+    /// gauge reads the sum over the queues, not the last writer's value.
+    #[test]
+    fn queues_on_one_registry_sum_their_gauges() {
+        let env = IoEnv::new();
+        let cfg = FlowConfig::quick();
+        let telemetry = Telemetry::enabled();
+        let gauge = |name: &str| telemetry.metrics().unwrap().gauge(name).value();
+        pool_scope(2, |pool| {
+            let engine = FlowEngine::new(&env, cfg.clone(), pool);
+            let queues = [
+                AdmissionQueue::new(telemetry.clone()),
+                AdmissionQueue::new(telemetry.clone()),
+            ];
+            for (i, queue) in [0, 0, 1].into_iter().enumerate() {
+                let cx = engine.session(TargetSpec::Family("crc_".to_owned()), i as u64);
+                queues[queue]
+                    .admit(AdmitSpec::new(cx.detach()))
+                    .expect("open queue");
+            }
+            assert_eq!(gauge("campaign.ready_queue_depth"), 3.0);
+            assert_eq!(gauge("campaign.ready_queue_depth.default"), 3.0);
+            // Draining the first queue takes only its own share away.
+            queues[0].seal();
+            queues[0].run_worker(&engine);
+            assert_eq!(gauge("campaign.ready_queue_depth"), 1.0);
+            assert_eq!(gauge("campaign.ready_queue_depth.default"), 1.0);
+            assert_eq!(gauge("campaign.in_flight_groups"), 0.0);
         });
     }
 

@@ -52,9 +52,10 @@ pub struct DetachedSession {
 /// How a session chooses its target events once the regression repository
 /// exists.
 ///
-/// [`CoarseSearch`](crate::CoarseSearch) resolves the spec into an
-/// [`ApproxTarget`] (Section IV-A's automatic strategy) unless an explicit
-/// one was supplied.
+/// Only [`CoarseSearch`](crate::CoarseSearch) resolves the spec into the
+/// session's [`ApproxTarget`] (Section IV-A's automatic strategy, or the
+/// `Weighted` target as given), whether the session runs its own
+/// regression or starts on a pre-built repository.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum TargetSpec {
@@ -66,6 +67,12 @@ pub enum TargetSpec {
     Explicit(Vec<EventId>),
     /// A fully pre-built approximated target (skips automatic weighting).
     Weighted(ApproxTarget),
+}
+
+impl From<ApproxTarget> for TargetSpec {
+    fn from(approx: ApproxTarget) -> Self {
+        TargetSpec::Weighted(approx)
+    }
 }
 
 /// Simulations attributed to one completed stage — the per-stage sim

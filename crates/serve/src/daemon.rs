@@ -41,8 +41,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use ascdg_core::{
-    pool_scope_with, AdmissionQueue, CampaignEntry, CampaignPlan, CampaignReport, CampaignSink,
-    CheckpointWriter, FlowConfig, FlowEngine, FlowError, QueueSnapshot, SimPool, Telemetry,
+    pool_scope_with, AdmissionQueue, CampaignEntry, CampaignPlan, CampaignProgress, CampaignReport,
+    CampaignSink, CheckpointWriter, FlowConfig, FlowEngine, FlowError, QueueSnapshot, SimPool,
+    Telemetry,
 };
 use ascdg_duv::ifu::IfuEnv;
 use ascdg_duv::io_unit::IoEnv;
@@ -137,12 +138,6 @@ pub fn request_config(unit: &dyn VerifEnv, profile: &str, scale: f64) -> Option<
 struct Shard<'outer> {
     env: &'outer Arc<dyn VerifEnv>,
     queue: AdmissionQueue<'static>,
-}
-
-impl Shard<'_> {
-    fn unit_name(&self) -> &str {
-        self.env.unit_name()
-    }
 }
 
 /// One tracked request (admission order) for `Status` answers.
@@ -369,8 +364,7 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
                             || e.kind() == std::io::ErrorKind::TimedOut =>
                     {
                         if let Some(m) = daemon.telemetry.metrics() {
-                            let active: usize =
-                                shards.iter().map(|s| s.queue.snapshot().active).sum();
+                            let active: usize = shards.iter().map(|s| s.queue.active()).sum();
                             m.gauge("serve.active_sessions").set(active as f64);
                         }
                         std::thread::sleep(Duration::from_millis(25));
@@ -534,22 +528,15 @@ fn status_snapshot(
                     None => ascdg_core::SessionLifecycle::Failed,
                 })
                 .collect();
-            let (stages, sims) = entry
-                .jobs
-                .iter()
-                .map(|&(_, job)| {
-                    let s = &statuses[job as usize];
-                    (s.completed_stages, s.sims)
-                })
-                .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+            let job_statuses = entry.jobs.iter().map(|&(_, job)| &statuses[job as usize]);
             RequestStatus {
                 request: entry.id,
                 unit: entry.unit.clone(),
                 class: entry.class.clone(),
                 weight: entry.weight,
                 groups,
-                completed_stages: stages,
-                sims,
+                completed_stages: job_statuses.clone().map(|s| s.completed_stages).sum(),
+                sims: job_statuses.map(|s| s.sims).sum(),
                 done: entry.done,
             }
         })
@@ -566,7 +553,7 @@ fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
         .iter()
         .zip(snapshots)
         .map(|(shard, queue)| UnitStatus {
-            unit: shard.unit_name().to_owned(),
+            unit: shard.env.unit_name().to_owned(),
             active_jobs: queue.active,
             in_flight: queue.in_flight,
             ready_depth: queue.ready_depth,
@@ -617,6 +604,8 @@ fn cancel_request(daemon: &Daemon, shards: &[Shard<'_>], id: u64) -> bool {
     any
 }
 
+/// A fresh request's front half: checks its unit and profile, allocates
+/// its id and writes its request file, then starts it.
 fn submit_request<'env>(
     daemon: &Daemon,
     shards: &[Shard<'env>],
@@ -624,58 +613,40 @@ fn submit_request<'env>(
     spec: SubmitSpec,
     out: &Outbox,
 ) {
-    let Some(shard_idx) = resolve_unit(&spec.unit)
-        .and_then(|env| shards.iter().position(|s| s.unit_name() == env.unit_name()))
-    else {
-        send(
-            out,
-            &Response::Error {
-                code: ErrorCode::UnknownUnit,
-                error: format!("unknown unit `{}`", spec.unit),
-            },
+    let reject = |code, error| send(out, &Response::Error { code, error });
+    let Some(env) = resolve_unit(&spec.unit) else {
+        return reject(
+            ErrorCode::UnknownUnit,
+            format!("unknown unit `{}`", spec.unit),
         );
-        return;
     };
-    let shard = &shards[shard_idx];
-    let Some(mut config) = request_config(&**shard.env, &spec.profile, spec.scale) else {
-        send(
-            out,
-            &Response::Error {
-                code: ErrorCode::UnknownProfile,
-                error: format!(
-                    "unknown profile `{}` (expected paper or quick)",
-                    spec.profile
-                ),
-            },
+    let Some(mut config) = request_config(&*env, &spec.profile, spec.scale) else {
+        return reject(
+            ErrorCode::UnknownProfile,
+            format!(
+                "unknown profile `{}` (expected paper or quick)",
+                spec.profile
+            ),
         );
-        return;
     };
     config.threads = daemon.threads;
     let id = daemon.alloc_id();
-    if let Some(m) = daemon.telemetry.metrics() {
-        m.counter("serve.requests_total").add(1);
-    }
     daemon.restore_state_dir(id);
     // The request file makes weight/class survive a restart.
     daemon.persist(id, daemon.request_path(id), |w| w.write_json(&spec, false));
-    // The request's regression runs on the daemon's pool, traced, on the
-    // engine that then plans it.
-    let engine = FlowEngine::new(shard.env, config, pool).with_telemetry(daemon.telemetry.clone());
-    let plan = engine
-        .regression_checkpoint(spec.seed)
-        .and_then(|start| CampaignPlan::new(&engine, &start));
-    match plan {
-        Ok(plan) => run_plan(daemon, shard, shard_idx, id, &spec, plan, out),
-        Err(e) => send(
-            out,
-            &Response::Failed {
-                request: id,
-                error: e.to_string(),
-            },
-        ),
-    }
+    let unit = env.unit_name().to_owned();
+    let start = Start {
+        id,
+        unit,
+        spec,
+        config,
+        checkpoint: None,
+    };
+    start_request(daemon, shards, pool, start, out);
 }
 
+/// A recovered request's front half: reads its checkpoint log, the config
+/// in it and its request file, then starts it from the checkpoint.
 fn recover_request<'env>(
     daemon: &Daemon,
     shards: &[Shard<'env>],
@@ -684,20 +655,17 @@ fn recover_request<'env>(
     out: &Outbox,
 ) {
     let progress = match ascdg_core::read_campaign_checkpoint(daemon.progress_path(id)) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("serve: req{id}: recovery failed: {e}");
-            return;
-        }
+        Ok(progress) => progress,
+        Err(e) => return eprintln!("serve: req{id}: recovery failed: {e}"),
     };
-    let Some(shard_idx) = shards.iter().position(|s| s.unit_name() == progress.unit) else {
-        eprintln!(
-            "serve: req{id}: recovery failed: unknown unit `{}`",
-            progress.unit
+    // The daemon trusts no ambient config: the plan's engine runs the
+    // checkpoint's, and a checkpoint without one is rejected.
+    let Some(config) = progress.config.clone() else {
+        return eprintln!(
+            "serve: req{id}: recovery failed: campaign checkpoint has no config; \
+             it predates resumable checkpoints"
         );
-        return;
     };
-    let shard = &shards[shard_idx];
     // Weight and class ride in the request file; a missing one falls
     // back to the defaults (the outcome does not depend on them).
     let spec: SubmitSpec = std::fs::read_to_string(daemon.request_path(id))
@@ -715,28 +683,27 @@ fn recover_request<'env>(
         "serve: req{id}: recovering {} from checkpoint",
         progress.unit
     );
-    if let Some(m) = daemon.telemetry.metrics() {
-        m.counter("serve.requests_total").add(1);
-    }
-    // The daemon trusts no ambient config: the plan's engine runs the
-    // checkpoint's, and a checkpoint without one is rejected.
-    let plan = progress
-        .config
-        .clone()
-        .ok_or_else(|| {
-            FlowError::Checkpoint(
-                "campaign checkpoint has no config; it predates resumable checkpoints".to_owned(),
-            )
-        })
-        .and_then(|config| {
-            let engine =
-                FlowEngine::new(shard.env, config, pool).with_telemetry(daemon.telemetry.clone());
-            CampaignPlan::new(&engine, &progress)
-        });
-    match plan {
-        Ok(plan) => run_plan(daemon, shard, shard_idx, id, &spec, plan, out),
-        Err(e) => eprintln!("serve: req{id}: recovery failed: {e}"),
-    }
+    let start = Start {
+        id,
+        unit: progress.unit.clone(),
+        spec,
+        config,
+        checkpoint: Some(progress),
+    };
+    start_request(daemon, shards, pool, start, out);
+}
+
+/// A request ready to start: a fresh submission, or one recovered from
+/// its checkpoint log after a restart.
+struct Start {
+    id: u64,
+    /// The unit's canonical name, its shard's.
+    unit: String,
+    spec: SubmitSpec,
+    config: FlowConfig,
+    /// The recovered request's campaign checkpoint; `None` for a fresh
+    /// request, whose regression runs first.
+    checkpoint: Option<CampaignProgress>,
 }
 
 /// The answer to a request the daemon stopped before it finished.
@@ -747,26 +714,58 @@ fn interrupted(request: u64) -> Response {
     }
 }
 
-/// Runs a planned request through [`CampaignPlan`]'s driver on its
-/// unit's queue: admits it with the request's weight and class, its
-/// checkpoint stream going to the request's log and `Progress` lines;
-/// registers its jobs and answers `Admitted`; then collects, persists and
-/// answers the outcome.
-fn run_plan(
+/// The one start path of every request, fresh or recovered. It finds the
+/// shard, counts the request on `serve.requests_total`, and plans it on
+/// one engine with the request's config and the daemon's telemetry (a
+/// fresh request's regression runs first, traced, on the daemon's pool).
+/// A plan that fails is answered `Failed` and logged. Then it writes the
+/// request log's header and, in one critical section of the registry,
+/// answers `Admitted`, admits the plan to the unit's queue with the
+/// request's weight and class (its steps going to the request's log and
+/// `Progress` lines) and registers the jobs, so a `Cancel` or `Status`
+/// sent after `Admitted` finds the request. Last it collects, persists
+/// and answers the outcome; a refused admission answers `Failed` with
+/// the recovery hint.
+fn start_request<'env>(
     daemon: &Daemon,
-    shard: &Shard<'_>,
-    shard_idx: usize,
-    id: u64,
-    spec: &SubmitSpec,
-    mut plan: CampaignPlan,
+    shards: &[Shard<'env>],
+    pool: &SimPool<'env>,
+    start: Start,
     out: &Outbox,
 ) {
+    let (id, spec) = (start.id, start.spec);
+    let fail = |error: String| {
+        eprintln!("serve: req{id}: planning failed: {error}");
+        send(out, &Response::Failed { request: id, error });
+    };
+    let Some(shard_idx) = shards.iter().position(|s| s.env.unit_name() == start.unit) else {
+        return fail(format!("unknown unit `{}`", start.unit));
+    };
+    let shard = &shards[shard_idx];
+    if let Some(m) = daemon.telemetry.metrics() {
+        m.counter("serve.requests_total").add(1);
+    }
+    let engine =
+        FlowEngine::new(shard.env, start.config, pool).with_telemetry(daemon.telemetry.clone());
+    let plan = start
+        .checkpoint
+        .map_or_else(|| engine.regression_checkpoint(spec.seed), Ok)
+        .and_then(|progress| CampaignPlan::new(&engine, &progress));
+    let mut plan = match plan {
+        Ok(plan) => plan,
+        Err(e) => return fail(e.to_string()),
+    };
     let class = if spec.class.is_empty() {
         "default"
     } else {
         spec.class.as_str()
     };
     let log = CheckpointWriter::new(daemon.progress_path(id), daemon.telemetry.clone());
+    // The header holds the whole regression snapshot, so it is written
+    // here, outside the registry lock; the sink records only the steps.
+    if let Err(e) = log.record(CampaignEntry::Plan(plan.checkpoint())) {
+        eprintln!("serve: req{id}: {e}");
+    }
     let names: Vec<String> = plan
         .checkpoint()
         .groups
@@ -775,48 +774,58 @@ fn run_plan(
         .collect();
     let stream = Arc::clone(out);
     let sink: Arc<CampaignSink<'static>> = Arc::new(move |entry: CampaignEntry<'_>| {
+        let CampaignEntry::Step { group, state } = entry else {
+            return;
+        };
         if let Err(e) = log.record(entry) {
             eprintln!("serve: req{id}: {e}");
         }
-        if let CampaignEntry::Step { group, state } = entry {
-            send(
-                &stream,
-                &Response::Progress {
-                    request: id,
-                    group: names[group].clone(),
-                    completed_stages: state.completed.len(),
-                    sims: state.stage_sims.iter().map(|s| s.sims).sum(),
-                },
-            );
-        }
+        send(
+            &stream,
+            &Response::Progress {
+                request: id,
+                group: names[group].clone(),
+                completed_stages: state.completed.len(),
+                sims: state.stage_sims.iter().map(|s| s.sims).sum(),
+            },
+        );
     });
-    let admitted = CampaignPlan::admit(&mut plan, &shard.queue, spec.weight, class, Some(sink));
-    let Some(jobs) = admitted.map(<[_]>::to_vec) else {
-        send(out, &interrupted(id));
-        return;
-    };
-    let groups = jobs.len();
-    daemon
-        .registry
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(RequestEntry {
+    let groups = plan
+        .checkpoint()
+        .groups
+        .iter()
+        .filter(|g| g.failure.is_none())
+        .count();
+    {
+        let mut registry = daemon
+            .registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        send(
+            out,
+            &Response::Admitted {
+                request: id,
+                groups,
+            },
+        );
+        let Some(jobs) = plan
+            .admit(&shard.queue, spec.weight, class, Some(sink))
+            .map(<[_]>::to_vec)
+        else {
+            drop(registry);
+            return send(out, &interrupted(id));
+        };
+        registry.push(RequestEntry {
             id,
-            unit: shard.unit_name().to_owned(),
+            unit: start.unit,
             class: class.to_owned(),
             weight: spec.weight.max(1),
             shard: shard_idx,
             jobs,
-            groups: plan.group_count(),
+            groups: plan.checkpoint().groups.len(),
             done: false,
         });
-    send(
-        out,
-        &Response::Admitted {
-            request: id,
-            groups,
-        },
-    );
+    }
     match plan.collect(&shard.queue) {
         Some(report) => finish_request(daemon, id, &report, out),
         None => send(out, &interrupted(id)),
@@ -827,12 +836,10 @@ fn run_plan(
 /// outcome file (which marks the request non-recoverable), and the
 /// terminal `Done` line.
 fn finish_request(daemon: &Daemon, id: u64, report: &CampaignReport, out: &Outbox) {
+    let fail = |error| send(out, &Response::Failed { request: id, error });
     let manifests = match report.manifests(&daemon.telemetry) {
         Ok(manifests) => manifests,
-        Err(error) => {
-            send(out, &Response::Failed { request: id, error });
-            return;
-        }
+        Err(error) => return fail(error),
     };
     for (slot, manifest) in manifests {
         daemon.persist(id, daemon.manifest_path(id, slot), |w| {
@@ -841,16 +848,7 @@ fn finish_request(daemon: &Daemon, id: u64, report: &CampaignReport, out: &Outbo
     }
     let outcome_json = match serde_json::to_string(&report.outcome) {
         Ok(json) => json,
-        Err(e) => {
-            send(
-                out,
-                &Response::Failed {
-                    request: id,
-                    error: format!("outcome did not serialize: {e}"),
-                },
-            );
-            return;
-        }
+        Err(e) => return fail(format!("outcome did not serialize: {e}")),
     };
     // Atomic like every state file: recovery must never see half an
     // outcome file and skip a request that was not actually done.

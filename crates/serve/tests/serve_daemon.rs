@@ -573,11 +573,12 @@ fn cancelling_a_running_request_retires_its_groups_and_spares_the_other_tenant()
     let (request, outcome_json) = client
         .submit(spec(2.0, 2021), |resp| match resp {
             Response::Admitted { request, .. } => admitted = Some(*request),
-            // Cancel at the first group stage after `Admitted` (the
-            // daemon registers a request for `Cancel` before it answers
-            // `Admitted`, but its groups may stream progress earlier):
-            // the rest of the request is still queued or running.
-            Response::Progress { request, .. } if admitted.is_some() && !cancelled => {
+            // Cancel at the very first group stage: `Admitted` comes
+            // before any `Progress`, and a request is registered for
+            // `Cancel` before its groups can stream one. The rest of the
+            // request is still queued or running.
+            Response::Progress { request, .. } if !cancelled => {
+                assert_eq!(admitted, Some(*request), "`Admitted` comes first");
                 assert!(canceller.cancel(*request).expect("cancel answers"));
                 cancelled = true;
             }
@@ -617,6 +618,22 @@ fn cancelling_a_running_request_retires_its_groups_and_spares_the_other_tenant()
         .submit(spec(0.5, 5), |_| {})
         .expect("the daemon serves the next request");
     assert_eq!(next, one_shot_outcome_json(0.5, 5));
+    // A cancel sent the moment `Admitted` is read finds the request: it
+    // is registered before `Admitted` is answered.
+    let mut on_admitted = None;
+    let (request, _) = client
+        .submit(spec(2.0, 2022), |resp| {
+            if let Response::Admitted { request, .. } = resp {
+                on_admitted = Some(canceller.cancel(*request).expect("cancel answers"));
+            }
+        })
+        .expect("a cancelled request still answers Done");
+    assert_eq!(on_admitted, Some(true), "a cancel on `Admitted` must land");
+    assert!(client
+        .status()
+        .expect("status answers")
+        .iter()
+        .any(|s| s.request == request));
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);

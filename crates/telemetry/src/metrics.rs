@@ -64,6 +64,19 @@ impl Gauge {
         }
     }
 
+    /// Adds `delta` to the gauge (ignored unless finite): how several
+    /// writers that each add only their own change make the gauge read
+    /// the sum of their shares.
+    pub fn add(&self, delta: f64) {
+        if delta.is_finite() {
+            let _ = self
+                .bits
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                    Some((f64::from_bits(bits) + delta).to_bits())
+                });
+        }
+    }
+
     /// Current value (0.0 until first set).
     #[must_use]
     pub fn value(&self) -> f64 {

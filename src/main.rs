@@ -11,11 +11,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use ascdg::core::{
-    pool_scope_with, read_campaign_checkpoint, read_session_checkpoint, ApproxTarget,
-    CampaignEntry, CampaignOutcome, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig,
-    FlowEngine, FlowEvent, RunManifest, SessionLifecycle, SessionState, TargetSpec, Telemetry,
+    pool_scope_with, read_campaign_checkpoint, read_session_checkpoint, CampaignEntry,
+    CampaignOutcome, CampaignProgress, CdgFlow, CheckpointWriter, FlowConfig, FlowEngine,
+    FlowEvent, RunManifest, SessionLifecycle, SessionState, TargetSpec, Telemetry,
 };
-use ascdg::coverage::{CoverageRepository, EventFamily, RepoSnapshot, StatusPolicy};
+use ascdg::coverage::{CoverageRepository, RepoSnapshot, StatusPolicy};
 use ascdg::duv::VerifEnv;
 use ascdg::serve::{
     http_get, request_config, resolve_unit, Client, DaemonStatus, RatesReport, Response,
@@ -274,7 +274,7 @@ enum Start {
     /// Restart from a `--checkpoint` file: skip the completed stages.
     Resume(Box<SessionState>),
     /// Reuse a saved regression repository (`--snapshot`).
-    WithRepo(Box<CoverageRepository>, ApproxTarget),
+    WithRepo(Box<CoverageRepository>, TargetSpec),
     /// Fresh session: every stage runs.
     Fresh(TargetSpec),
 }
@@ -299,37 +299,23 @@ fn cmd_run(args: &[String]) -> CliResult {
             state.unit, state.completed, state.seed
         );
         (state.config.clone(), Start::Resume(Box::new(state)))
-    } else if let Some(snap_path) = flag_value(args, "--snapshot") {
-        // Reuse a saved regression: restore the repository and derive the
-        // targets from it, skipping the (expensive) regression stage.
-        let config = paper_config(&*env, scale);
-        let snap: RepoSnapshot = serde_json::from_str(&std::fs::read_to_string(snap_path)?)?;
-        let repo = CoverageRepository::from_snapshot(env.coverage_model().clone(), &snap)?;
-        let targets = match family {
-            Some(stem) => {
-                let fam = EventFamily::discover(env.coverage_model())
-                    .into_iter()
-                    .find(|f| f.stem() == stem)
-                    .ok_or_else(|| format!("no family with stem `{stem}`"))?;
-                fam.events()
-                    .into_iter()
-                    .filter(|&e| repo.global_stats(e).hits == 0)
-                    .collect::<Vec<_>>()
-            }
-            None => repo.uncovered_events(),
-        };
-        if targets.is_empty() {
-            return Err("nothing uncovered in the snapshot".into());
-        }
-        eprintln!("targets: {} uncovered events", targets.len());
-        let approx = ApproxTarget::auto(env.coverage_model(), &targets, config.neighbor_decay)?;
-        (config, Start::WithRepo(Box::new(repo), approx))
     } else {
         let spec = match family {
             Some(stem) => TargetSpec::Family(stem.to_owned()),
             None => TargetSpec::Uncovered,
         };
-        (paper_config(&*env, scale), Start::Fresh(spec))
+        let start = match flag_value(args, "--snapshot") {
+            // Reuse a saved regression, skipping the (expensive)
+            // regression stage; the coarse search resolves the spec.
+            Some(snap_path) => {
+                let snap: RepoSnapshot =
+                    serde_json::from_str(&std::fs::read_to_string(snap_path)?)?;
+                let repo = CoverageRepository::from_snapshot(env.coverage_model().clone(), &snap)?;
+                Start::WithRepo(Box::new(repo), spec)
+            }
+            None => Start::Fresh(spec),
+        };
+        (paper_config(&*env, scale), start)
     };
     if let Some(n) = flag_value(args, "--threads") {
         config.threads = n.parse()?;
@@ -339,9 +325,7 @@ fn cmd_run(args: &[String]) -> CliResult {
         let engine = FlowEngine::new(&env, config.clone(), pool).with_telemetry(telemetry.clone());
         let mut cx = match &start {
             Start::Resume(state) => engine.resume((**state).clone())?,
-            Start::WithRepo(repo, approx) => {
-                engine.session_with_repo(repo, approx.clone(), seed)?
-            }
+            Start::WithRepo(repo, spec) => engine.session_with_repo(repo, spec.clone(), seed)?,
             Start::Fresh(spec) => engine.session(spec.clone(), seed),
         };
         cx.subscribe(progress_events());

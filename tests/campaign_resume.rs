@@ -7,7 +7,8 @@ use std::sync::Mutex;
 
 use ascdg::core::{
     pool_scope, read_campaign_checkpoint, CampaignEntry, CampaignOutcome, CampaignProgress,
-    CdgFlow, CheckpointWriter, FlowConfig, FlowEngine, FlowError, GroupProgress, Telemetry,
+    CdgFlow, CheckpointWriter, FlowConfig, FlowEngine, FlowError, GroupProgress, SessionState,
+    TargetSpec, Telemetry,
 };
 use ascdg::coverage::EventId;
 use ascdg::duv::io_unit::IoEnv;
@@ -86,6 +87,67 @@ fn resume_from_any_checkpoint_reproduces_the_uninterrupted_outcome() {
             serde_json::to_string(&report.outcome).unwrap(),
             reference,
             "resume from checkpoint {at}/{} must match the uninterrupted run",
+            snapshots.len()
+        );
+    }
+}
+
+/// Group step lines carry their group's targets once, as an `Explicit`
+/// spec beside the resolved `approx`. A log written in the earlier format,
+/// whose step lines carry the target twice as `Weighted(approx)` beside
+/// `approx`, still resumes to the uninterrupted outcome bytes: the coarse
+/// search keeps a resolved `approx`.
+#[test]
+fn weighted_step_logs_still_resume_to_the_same_outcome() {
+    let seed = 13;
+    let path = std::env::temp_dir().join(format!(
+        "ascdg-campaign-weighted-{seed}-{}.log",
+        std::process::id()
+    ));
+    let writer = CheckpointWriter::new(&path, Telemetry::disabled());
+    let snapshots = Mutex::new(Vec::new());
+    let flow = CdgFlow::new(IoEnv::new(), quick_config());
+    let report = flow
+        .run_campaign_with(
+            seed,
+            &Telemetry::disabled(),
+            Some(&|entry: CampaignEntry<'_>| {
+                let CampaignEntry::Step { group, state } = entry else {
+                    writer.record(entry).expect("log writes");
+                    return;
+                };
+                let line = serde_json::to_string(state).unwrap();
+                assert!(line.contains(r#""target_spec":{"Explicit":["#), "{line}");
+                let approx = state
+                    .approx
+                    .clone()
+                    .expect("steps follow the coarse search");
+                let earlier = SessionState {
+                    target_spec: TargetSpec::Weighted(approx),
+                    ..state.clone()
+                };
+                writer
+                    .record(CampaignEntry::Step {
+                        group,
+                        state: &earlier,
+                    })
+                    .expect("log writes");
+                let progress = read_campaign_checkpoint(&path).expect("log reads");
+                snapshots.lock().unwrap().push(progress);
+            }),
+        )
+        .expect("reference campaign runs");
+    let _ = std::fs::remove_file(&path);
+    let reference = serde_json::to_string(&report.outcome).unwrap();
+    let snapshots = snapshots.into_inner().unwrap();
+    for at in [snapshots.len() / 2, snapshots.len() - 1] {
+        let resumed = CdgFlow::new(IoEnv::new(), quick_config())
+            .resume_campaign(&snapshots[at], &Telemetry::disabled(), None)
+            .expect("resume runs");
+        assert_eq!(
+            serde_json::to_string(&resumed.outcome).unwrap(),
+            reference,
+            "resume from step {at}/{}",
             snapshots.len()
         );
     }

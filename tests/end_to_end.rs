@@ -132,6 +132,8 @@ fn ifu_flow_covers_everything_but_entry7() {
         "{breakdown}"
     );
     assert!(breakdown.contains("7      never=32"), "{breakdown}");
+    // `ascdg run --unit ifu` prints it as part of the report.
+    assert!(out.report().contains(&breakdown), "{}", out.report());
 }
 
 #[test]
@@ -238,4 +240,82 @@ fn io_unit_second_family_uses_different_relevant_params() {
         "qdepth_8 not unlocked: {}",
         best.rate(deep)
     );
+}
+
+/// `ascdg regress --save` then `ascdg run --snapshot` gives the outcome
+/// of a library session started on the same repository with
+/// `FlowEngine::session_with_repo`, timings aside: for a family target
+/// (io's default `crc_`) and for every uncovered event (ifu).
+#[test]
+fn cli_run_from_a_saved_regression_matches_session_with_repo() {
+    use ascdg::core::{pool_scope, ApproxTarget, FlowEngine, FlowOutcome};
+    use ascdg::coverage::{CoverageRepository, EventFamily, RepoSnapshot};
+
+    let dir = std::env::temp_dir().join(format!("ascdg-cli-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cli = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ascdg"))
+            .args(args)
+            .output()
+            .expect("the CLI starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+    };
+    let strip = |mut outcome: FlowOutcome| {
+        outcome.timings.clear();
+        serde_json::to_string(&outcome).unwrap()
+    };
+    let (scale, seed) = (0.01, 5);
+    for (unit, family) in [("io", Some("crc_")), ("ifu", None)] {
+        let env = ascdg::serve::resolve_unit(unit).unwrap();
+        let snap_path = dir.join(format!("{unit}.snapshot.json"));
+        let json_path = dir.join(format!("{unit}.outcome.json"));
+        let snap = snap_path.to_str().unwrap();
+        cli(&["regress", "--unit", unit, "--sims", "300", "--save", snap]);
+        cli(&[
+            "run",
+            "--unit",
+            unit,
+            "--snapshot",
+            snap,
+            "--scale",
+            &scale.to_string(),
+            "--seed",
+            &seed.to_string(),
+            "--threads",
+            "2",
+            "--json",
+            json_path.to_str().unwrap(),
+        ]);
+        let cli_outcome: FlowOutcome =
+            serde_json::from_str(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+
+        let model = env.coverage_model();
+        let snapshot: RepoSnapshot =
+            serde_json::from_str(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
+        let repo = CoverageRepository::from_snapshot(model.clone(), &snapshot).unwrap();
+        let targets = match family {
+            Some(stem) => EventFamily::discover(model)
+                .into_iter()
+                .find(|f| f.stem() == stem)
+                .unwrap()
+                .events()
+                .into_iter()
+                .filter(|&e| repo.global_stats(e).hits == 0)
+                .collect(),
+            None => repo.uncovered_events(),
+        };
+        let mut config = ascdg::serve::request_config(&*env, "paper", scale).unwrap();
+        config.threads = 2;
+        let approx = ApproxTarget::auto(model, &targets, config.neighbor_decay).unwrap();
+        let library = pool_scope(config.threads, |pool| {
+            let engine = FlowEngine::new(&env, config.clone(), pool);
+            let mut cx = engine.session_with_repo(&repo, approx, seed)?;
+            engine.run(&mut cx)
+        })
+        .expect("library session runs");
+        assert_eq!(strip(cli_outcome), strip(library), "{unit}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
