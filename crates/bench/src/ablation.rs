@@ -376,27 +376,29 @@ pub fn multi_target(scale: f64, seed: u64) -> Result<MultiTargetStudy, FlowError
 
     let shared = flow.run_multi_target(&repo, &groups, seed ^ 0xe1)?;
 
-    let mut separate_sims = 0;
-    let mut separate_targets_hit = 0;
-    for (i, group) in groups.iter().enumerate() {
-        let approx = ApproxTarget::auto(model, group, config.neighbor_decay)?;
-        let out = flow.run_phases(&repo, approx, seed ^ 0xe2 ^ i as u64)?;
-        // Count phase sims excluding the shared regression.
-        separate_sims += out
-            .phases
-            .iter()
-            .filter(|p| p.name != ascdg_core::PHASE_BEFORE)
-            .map(|p| p.sims)
-            .sum::<u64>();
-        let best = out.phases.last().expect("flow has phases");
-        separate_targets_hit += group.iter().filter(|&&e| best.hits[e.index()] > 0).count();
-    }
-
-    Ok(MultiTargetStudy {
-        shared_sims: shared.total_sims,
-        shared_targets_hit: shared.total_targets_hit(),
-        separate_sims,
-        separate_targets_hit,
+    pool_scope(config.threads, |pool| {
+        let engine = FlowEngine::new(flow.env(), config.clone(), pool);
+        let (mut separate_sims, mut separate_targets_hit) = (0, 0);
+        for (i, group) in groups.iter().enumerate() {
+            let approx = ApproxTarget::auto(model, group, config.neighbor_decay)?;
+            let mut cx = engine.session_with_repo(&repo, approx, seed ^ 0xe2 ^ i as u64)?;
+            let out = engine.run(&mut cx)?;
+            // Count phase sims excluding the shared regression.
+            separate_sims += out
+                .phases
+                .iter()
+                .filter(|p| p.name != ascdg_core::PHASE_BEFORE)
+                .map(|p| p.sims)
+                .sum::<u64>();
+            let best = out.phases.last().expect("flow has phases");
+            separate_targets_hit += group.iter().filter(|&&e| best.hits[e.index()] > 0).count();
+        }
+        Ok(MultiTargetStudy {
+            shared_sims: shared.total_sims,
+            shared_targets_hit: shared.total_targets_hit(),
+            separate_sims,
+            separate_targets_hit,
+        })
     })
 }
 

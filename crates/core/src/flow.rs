@@ -501,31 +501,6 @@ impl<E: VerifEnv> CdgFlow<E> {
     pub fn run_for_uncovered(&self, seed: u64) -> Result<FlowOutcome, FlowError> {
         self.run_session(TargetSpec::Uncovered, seed)
     }
-
-    /// Full flow against a caller-supplied approximated target, using a
-    /// pre-built regression repository (advanced entry point; the
-    /// convenience wrappers build the repository themselves). Build the
-    /// target with [`ApproxTarget::auto`] for the paper's automatic
-    /// strategy, or plug in another neighbor strategy such as
-    /// [`ApproxTarget::from_correlation`] or hand-tuned weights. To stream
-    /// progress, run a [`FlowEngine::session_with_repo`] session and
-    /// subscribe to its events instead.
-    ///
-    /// # Errors
-    ///
-    /// Any phase error; see the individual phases.
-    pub fn run_phases(
-        &self,
-        repo: &CoverageRepository,
-        approx: ApproxTarget,
-        seed: u64,
-    ) -> Result<FlowOutcome, FlowError> {
-        pool_scope(self.config.threads, |pool| {
-            let engine = FlowEngine::new(&self.env, self.config.clone(), pool);
-            let mut cx = engine.session_with_repo(repo, approx, seed)?;
-            engine.run(&mut cx)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -627,14 +602,19 @@ mod tests {
         let repo = flow.run_regression(1).unwrap();
         let targets = repo.uncovered_events();
         let approx = ApproxTarget::auto(flow.env().coverage_model(), &targets, 0.5).unwrap();
+        let run = |events: Option<&mut Vec<FlowEvent>>| {
+            pool_scope(flow.config().threads, |pool| {
+                let engine = FlowEngine::new(flow.env(), flow.config().clone(), pool);
+                let mut cx = engine.session_with_repo(&repo, approx.clone(), 2)?;
+                if let Some(events) = events {
+                    cx.subscribe(|event, _| events.push(event.clone()));
+                }
+                engine.run(&mut cx)
+            })
+            .unwrap()
+        };
         let mut events: Vec<FlowEvent> = Vec::new();
-        let mut out = pool_scope(flow.config().threads, |pool| {
-            let engine = FlowEngine::new(flow.env(), flow.config().clone(), pool);
-            let mut cx = engine.session_with_repo(&repo, approx.clone(), 2)?;
-            cx.subscribe(|event, _| events.push(event.clone()));
-            engine.run(&mut cx)
-        })
-        .unwrap();
+        let mut out = run(Some(&mut events));
         let (mut choices, mut started, mut finished) = (Vec::new(), Vec::new(), Vec::new());
         for event in &events {
             match event {
@@ -659,8 +639,9 @@ mod tests {
             finished,
             vec![PHASE_SAMPLING, PHASE_OPTIMIZATION, PHASE_BEST]
         );
-        // `run_phases` is that same session without a subscriber.
-        let mut plain = flow.run_phases(&repo, approx, 2).unwrap();
+        // A subscriber only observes: the same session without one
+        // reaches the same outcome.
+        let mut plain = run(None);
         out.timings.clear();
         plain.timings.clear();
         assert_eq!(

@@ -50,7 +50,6 @@ mod random_search;
 mod spsa;
 pub mod testfn;
 mod trace;
-pub mod tune;
 
 pub use bounds::Bounds;
 pub use compass::{CompassOptions, CompassSearch};

@@ -498,10 +498,14 @@ fn handle_conn<'env>(
 }
 
 /// Readies an accepted connection: a short read timeout, so the request
-/// loop notices shutdown, and `TCP_NODELAY`, so each response line leaves
-/// as soon as it is written instead of waiting on the peer's delayed ACK.
+/// loop notices shutdown; a write timeout, so a client that stops reading
+/// fails the write (and [`send`] drops its outbox) instead of blocking a
+/// queue worker or the registry lock once the socket buffer fills; and
+/// `TCP_NODELAY`, so each response line leaves as soon as it is written
+/// instead of waiting on the peer's delayed ACK.
 fn tune_conn(stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
 }
 
@@ -884,5 +888,17 @@ mod tests {
         assert!(accepted.nodelay().unwrap());
         // The read half the request loop clones shares the setting.
         assert!(accepted.try_clone().unwrap().nodelay().unwrap());
+    }
+
+    #[test]
+    fn accepted_connections_time_out_stalled_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        tune_conn(&accepted);
+        assert_eq!(
+            accepted.write_timeout().unwrap(),
+            Some(Duration::from_secs(5))
+        );
     }
 }

@@ -359,43 +359,16 @@ impl ParamRegistry {
         }
     }
 
-    /// Merges a template over the registry defaults.
+    /// Merges a template over the registry defaults: each overridden
+    /// parameter replaces its slot in place, and the merged slots compile
+    /// into one draw table.
     ///
     /// # Errors
     ///
     /// Propagates [`ParamRegistry::validate`] failures.
     pub fn resolve(&self, template: &TestTemplate) -> Result<ResolvedParams, TemplateError> {
-        self.resolve_over(&self.resolve_defaults(), template)
-    }
-
-    /// Pre-resolves the registry defaults alone (no template overrides).
-    ///
-    /// Batch runners resolve the defaults once and layer each template over
-    /// the cached copy with [`ParamRegistry::resolve_over`], so resolving
-    /// many templates rebuilds the full parameter map only once.
-    #[must_use]
-    pub fn resolve_defaults(&self) -> ResolvedParams {
-        self.compile(self.params.clone())
-    }
-
-    /// Merges a template over pre-resolved `defaults`, replacing each
-    /// overridden parameter's slot in place. When `defaults` came from this
-    /// registry's [`ParamRegistry::resolve_defaults`], the result is
-    /// identical to [`ParamRegistry::resolve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TemplateError::LayoutMismatch`] when `defaults` was
-    /// resolved by a registry with another slot layout, and propagates
-    /// [`ParamRegistry::validate`] failures.
-    pub fn resolve_over(
-        &self,
-        defaults: &ResolvedParams,
-        template: &TestTemplate,
-    ) -> Result<ResolvedParams, TemplateError> {
-        self.check_layout(defaults)?;
         self.validate(template)?;
-        let mut slots = defaults.slots.clone();
+        let mut slots = self.params.clone();
         for over in template.params() {
             slots[self.id(over.name())?.index()] = over.clone();
         }
@@ -681,22 +654,24 @@ mod tests {
     #[test]
     fn resolve_over_cached_defaults_matches_resolve() {
         let reg = registry();
-        let defaults = reg.resolve_defaults();
+        let defaults = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
         assert_eq!(defaults.len(), 2);
         let t = TestTemplate::builder("t")
             .weights("Op", [("store", 100u32)])
             .unwrap()
             .build();
-        assert_eq!(
-            reg.resolve_over(&defaults, &t).unwrap(),
-            reg.resolve(&t).unwrap()
-        );
-        // Invalid overrides are still rejected through the cached path.
+        let merged = reg.resolve(&t).unwrap();
+        // The override replaces its own slot; every other slot keeps the
+        // registry default.
+        assert_ne!(merged.get("Op"), defaults.get("Op"));
+        assert_eq!(merged.get("Delay"), defaults.get("Delay"));
+        assert_eq!(merged, reg.resolve(&t).unwrap());
+        // An invalid override is rejected, not merged.
         let bad = TestTemplate::builder("t")
             .range("Delay", 50, 200)
             .unwrap()
             .build();
-        assert!(reg.resolve_over(&defaults, &bad).is_err());
+        assert!(reg.resolve(&bad).is_err());
     }
 
     #[test]
@@ -739,12 +714,9 @@ mod tests {
             let resolved = foreign.resolve(&t).unwrap();
             let err = reg.check_layout(&resolved).unwrap_err();
             assert!(matches!(err, TemplateError::LayoutMismatch { .. }), "{err}");
-            // Resolving over foreign defaults fails the same way instead of
-            // writing an override into the wrong slot.
-            assert_eq!(reg.resolve_over(&foreign.resolve_defaults(), &t), Err(err));
         }
         let err = reg
-            .check_layout(&shorter.resolve_defaults())
+            .check_layout(&shorter.resolve(&t).unwrap())
             .unwrap_err()
             .to_string();
         assert!(err.contains("slot 1 holds no parameter"), "{err}");
@@ -812,7 +784,7 @@ mod tests {
                 outcomes: &[Outcome::Int(7), Outcome::SubRange { lo: 10, hi: 20 }],
             })
         );
-        let defaults = reg.resolve_defaults();
+        let defaults = reg.resolve(&TestTemplate::builder("t").build()).unwrap();
         assert_eq!(
             defaults.draw(delay),
             Some(SlotDraw::Range { lo: 0, hi: 100 })

@@ -214,6 +214,23 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// The output path given with `flag` (`--json`, `--metrics-out`,
+/// `--save`), checked before any simulation: a path whose parent
+/// directory is missing would otherwise fail only after the whole run,
+/// losing it.
+fn output_flag<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(path) = flag_value(args, flag) else {
+        return Ok(None);
+    };
+    match std::path::Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(format!(
+            "{flag} {path}: directory `{}` does not exist",
+            dir.display()
+        )),
+        _ => Ok(Some(path)),
+    }
+}
+
 /// Resolves a unit name through the serve crate's unit table, the one
 /// the daemon uses too.
 fn unit_env(name: &str) -> Result<Arc<dyn VerifEnv>, String> {
@@ -280,12 +297,13 @@ enum Start {
 }
 
 fn cmd_run(args: &[String]) -> CliResult {
+    let json = output_flag(args, "--json")?;
     let env = unit_env(flag_value(args, "--unit").ok_or("missing --unit")?)?;
     let scale = scale_flag(args)?;
     let seed: u64 = flag_value(args, "--seed").map_or(Ok(2021), str::parse)?;
     let family = flag_value(args, "--family").or_else(|| default_family(&*env));
     let checkpoint_path = flag_value(args, "--checkpoint").map(str::to_owned);
-    let metrics_out = flag_value(args, "--metrics-out").map(str::to_owned);
+    let metrics_out = output_flag(args, "--metrics-out")?.map(str::to_owned);
     let telemetry = if metrics_out.is_some() {
         Telemetry::enabled()
     } else {
@@ -364,7 +382,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     println!("{}", outcome.report());
     println!("harvested template:\n{}", outcome.best_template);
 
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = json {
         std::fs::write(path, serde_json::to_string_pretty(&outcome)?)?;
         eprintln!("wrote {path}");
     }
@@ -476,6 +494,7 @@ fn flag_is_positional(args: &[String], arg: &str) -> bool {
 }
 
 fn cmd_regress(args: &[String]) -> CliResult {
+    let save = output_flag(args, "--save")?;
     let env = unit_env(flag_value(args, "--unit").ok_or("missing --unit")?)?;
     let sims: u64 = flag_value(args, "--sims").map_or(Ok(1000), str::parse)?;
     let mut config = FlowConfig::quick();
@@ -491,7 +510,7 @@ fn cmd_regress(args: &[String]) -> CliResult {
         env.stock_library().len(),
         counts
     );
-    if let Some(path) = flag_value(args, "--save") {
+    if let Some(path) = save {
         std::fs::write(path, serde_json::to_string(&repo.snapshot())?)?;
         eprintln!("wrote snapshot to {path}");
     }
@@ -507,6 +526,7 @@ fn cmd_regress(args: &[String]) -> CliResult {
 }
 
 fn cmd_campaign(args: &[String]) -> CliResult {
+    let json = output_flag(args, "--json")?;
     // `--resume` restores unit, config and seed from the self-contained
     // checkpoint; a fresh run derives them from the flags.
     let resumed: Option<CampaignProgress> = match flag_value(args, "--resume") {
@@ -535,7 +555,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     if let Some(n) = flag_value(args, "--campaign-jobs") {
         config.campaign_jobs = n.parse()?;
     }
-    let metrics_out = flag_value(args, "--metrics-out").map(str::to_owned);
+    let metrics_out = output_flag(args, "--metrics-out")?.map(str::to_owned);
     let telemetry = if metrics_out.is_some() {
         Telemetry::enabled()
     } else {
@@ -592,7 +612,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
     for (_, t) in outcome.harvested.iter() {
         println!("  {}", t.name());
     }
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = json {
         std::fs::write(path, serde_json::to_string_pretty(&outcome)?)?;
         eprintln!("wrote {path}");
     }
@@ -640,6 +660,7 @@ fn daemon_addr(args: &[String]) -> Result<String, Box<dyn std::error::Error>> {
 }
 
 fn cmd_submit(args: &[String]) -> CliResult {
+    let json = output_flag(args, "--json")?;
     let spec = SubmitSpec {
         unit: flag_value(args, "--unit")
             .ok_or("missing --unit")?
@@ -666,7 +687,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
     })?;
     let outcome: CampaignOutcome = serde_json::from_str(&outcome_json)?;
     print!("{}", outcome.summary());
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = json {
         // The daemon's bytes, verbatim: what the identity guarantee is
         // stated over.
         std::fs::write(path, &outcome_json)?;

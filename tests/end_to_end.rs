@@ -319,3 +319,44 @@ fn cli_run_from_a_saved_regression_matches_session_with_repo() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `run`, `campaign` and `submit` check `--json`'s directory before any
+/// simulation (or daemon lookup), as `run`/`campaign` do `--metrics-out`'s
+/// and `regress` does `--save`'s: a missing one fails at once with an
+/// error naming the path, and no progress line precedes it.
+#[test]
+fn cli_output_into_a_missing_directory_fails_up_front() {
+    let missing = std::env::temp_dir().join(format!("ascdg-cli-no-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&missing);
+    let out_path = missing.join("out.json");
+    let out_path = out_path.to_str().unwrap();
+    let state_dir = missing.to_str().unwrap();
+    for args in [
+        ["run", "--unit", "io", "--scale", "0.02", "--json"].as_slice(),
+        &["campaign", "--unit", "io", "--scale", "0.02", "--json"],
+        &["submit", "--unit", "io", "--state-dir", state_dir, "--json"],
+        &["run", "--unit", "io", "--scale", "0.02", "--metrics-out"],
+        &[
+            "campaign",
+            "--unit",
+            "io",
+            "--scale",
+            "0.02",
+            "--metrics-out",
+        ],
+        &["regress", "--unit", "io", "--sims", "10", "--save"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ascdg"))
+            .args(args)
+            .arg(out_path)
+            .output()
+            .expect("the CLI starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}: {stderr}");
+        assert!(stderr.contains(out_path), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    assert!(!missing.exists());
+}
